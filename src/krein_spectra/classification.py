@@ -26,6 +26,7 @@ from .core import (
     compressed_gram,
     definiteness,
 )
+from .numerics import ordered_spectral_decomposition, reorder_schur
 
 __all__ = [
     "SpectralPoint",
@@ -47,9 +48,10 @@ class ToleranceConfig:
     """Relative tolerances used throughout the pipeline.
 
     ``cluster_tol`` scales with ``max(1, ||N||)`` to give the eigenvalue
-    clustering radius, ``rank_tol`` with the largest singular value of the
-    matrix whose kernel is sought, ``definiteness_tol`` with the Gram
-    scale, and ``normality_tol`` with ``max(1, ||N||_F^2)``.
+    clustering radius, ``rank_tol`` with the larger of the top singular
+    value of the matrix whose kernel is sought and the full operator scale
+    ``max(1, ||N||)``, ``definiteness_tol`` with the Gram scale, and
+    ``normality_tol`` with ``max(1, ||N||_F^2)``.
     """
 
     cluster_tol: float = 1e-7
@@ -116,6 +118,17 @@ class SpectralPoint:
     warnings: tuple[str, ...] = ()
 
 
+def _kernel_columns(a: np.ndarray, rank_tol: float, scale: float) -> np.ndarray:
+    """Orthonormal null-space columns of ``a``: right singular vectors whose
+    singular value is at most ``rank_tol * max(top singular value, scale)``."""
+    _, s, vh = np.linalg.svd(a)
+    top = max(float(s[0]) if s.size else 0.0, scale)
+    if top == 0.0:
+        return np.eye(a.shape[1], dtype=np.complex128)
+    rank = int(np.count_nonzero(s > rank_tol * top))
+    return vh[rank:].conj().T
+
+
 def kernel_basis(
     a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL, scale: float = 0.0
 ) -> SubspaceBasis:
@@ -124,77 +137,88 @@ def kernel_basis(
     The threshold is ``rank_tol`` times the larger of the top singular
     value and ``scale``.  Kernels of shifted operators pass the operator
     norm as the scale: when the shift consumes the whole matrix the
-    residual is rounding noise and must count as kernel.
+    residual is rounding noise and must count as kernel.  This is a full
+    SVD of ``a``; :func:`spectrum` applies the same rule to k x k blocks
+    of the operator's Schur form instead, and this function serves as the
+    independent full-size reference.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(a)
-    top = max(float(s[0]) if s.size else 0.0, scale)
-    if top == 0.0:
-        return SubspaceBasis.full(a.shape[1])
-    rank = int(np.count_nonzero(s > rank_tol * top))
-    return SubspaceBasis(vh[rank:].conj().T)
+    return SubspaceBasis(
+        _kernel_columns(np.asarray(a, dtype=np.complex128), rank_tol, scale)
+    )
 
 
-def _cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Single-linkage clustering; returns index arrays per cluster."""
-    n = eigs.size
-    parent = list(range(n))
+def _cluster_eigenvalues(
+    eigs: np.ndarray, radius: float
+) -> tuple[list[np.ndarray], list[bool]]:
+    """Single-linkage clustering at ``radius``.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(ix) for ix in groups.values()]
+    Returns index arrays per cluster, ordered by their smallest index, and
+    a flag per cluster: some foreign eigenvalue lies within four radii."""
+    dist = np.abs(eigs[:, None] - eigs[None, :])
+    linked = dist <= radius
+    labels = np.arange(eigs.size)
+    while True:  # each index takes the smallest label among its links
+        merged = np.where(linked, labels, eigs.size).min(axis=1)
+        if np.array_equal(merged, labels):
+            break
+        labels = merged
+    roots = np.unique(labels)
+    near_foreign = ((dist <= 4.0 * radius) & (labels[:, None] != labels)).any(axis=1)
+    clusters = [np.flatnonzero(labels == r) for r in roots]
+    return clusters, [bool(near_foreign[ix].any()) for ix in clusters]
 
 
 def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list[SpectralPoint]:
     """Eigenvalue clusters of a normal operator, unclassified.
 
-    Eigenvalues are clustered by single linkage at the configured radius;
+    Eigenvalues are the diagonal of the operator's cached Schur form
+    ``N = U T U*``, clustered by single linkage at the configured radius;
     each cluster is represented by its multiplicity-weighted mean.  Two
     clusters closer than four times the clustering radius are flagged with
     a warning rather than merged.  Points are sorted by (real, imag).
-    """
-    eigs = np.linalg.eigvals(N.matrix)
-    radius = cfg.cluster_radius(N)
-    clusters = _cluster_eigenvalues(eigs, radius)
-    reps = [complex(np.mean(eigs[ix])) for ix in clusters]
 
-    ambiguous = set()
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            gap = min(abs(eigs[a] - eigs[b]) for a in clusters[i] for b in clusters[j])
-            if gap <= 4.0 * radius:
-                ambiguous.add(i)
-                ambiguous.add(j)
+    Kernels come from k x k blocks of that Schur form, reordered (ztrsen)
+    per cluster of size k.  With the cluster leading, ``ker(N - lam)`` is
+    ``U[:, :k] ker(T11 - lam)``.  With the cluster trailing, the left
+    kernel of ``N - lam`` is ``U[:, n-k:]`` times the left kernel of
+    ``T22 - lam``, and since ``ker(N+ - conj(lam)) = G^{-1} leftker(N -
+    lam)`` the adjoint kernel is its orthonormalized image under
+    ``G^{-1}``.  Ranks are cut as in :func:`kernel_basis`, at
+    ``rank_tol * max(top singular value of the block, s)`` with ``s`` the
+    full operator scale ``max(1, ||N||)`` (``max(1, ||N+||)`` for the
+    adjoint), never the block norm alone.
+    """
+    t, u = N.schur
+    eigs = np.diag(t)
+    n = N.dim
+    radius = cfg.cluster_radius(N)
+    clusters, ambiguous = _cluster_eigenvalues(eigs, radius)
 
     scale = max(1.0, N.norm)
-    adj_scale = max(1.0, float(np.linalg.norm(N.adjoint, 2)))
+    adj_scale = max(1.0, N.adjoint_norm)
+    # reordered alongside U, this yields G^{-1} U[:, n-k:] without a solve per cluster
+    g_inv_u = np.linalg.solve(N.space.gram, u)
     points = []
-    for i, ix in enumerate(clusters):
-        lam = reps[i]
-        ker = kernel_basis(N.matrix - lam * np.eye(N.dim), cfg.rank_tol, scale)
-        adj_ker = kernel_basis(
-            N.adjoint - np.conj(lam) * np.eye(N.dim), cfg.rank_tol, adj_scale
+    for ix, flagged in zip(clusters, ambiguous):
+        lam = complex(np.mean(eigs[ix]))
+        k = ix.size
+        shift = lam * np.eye(k)
+        select = np.zeros(n, dtype=bool)
+        select[ix] = True
+        t_first, u_first, _ = reorder_schur(t, u, select)
+        ker = SubspaceBasis(
+            u_first[:, :k] @ _kernel_columns(t_first[:k, :k] - shift, cfg.rank_tol, scale)
         )
-        warnings = ()
-        if i in ambiguous:
-            warnings = ("cluster-separation-below-4x-radius",)
+        t_last, g_inv_u_last, _ = reorder_schur(t, g_inv_u, ~select)
+        left = _kernel_columns(
+            (t_last[n - k :, n - k :] - shift).conj().T, cfg.rank_tol, adj_scale
+        )
+        adj_ker = SubspaceBasis(np.linalg.qr(g_inv_u_last[:, n - k :] @ left)[0])
+        warnings = ("cluster-separation-below-4x-radius",) if flagged else ()
         points.append(
             SpectralPoint(
                 value=lam,
-                alg_mult=int(ix.size),
+                alg_mult=k,
                 geo_mult=ker.k,
                 kernel=ker,
                 adjoint_kernel=adj_ker,
@@ -317,11 +341,9 @@ def root_subspace(
 ) -> SubspaceBasis:
     """Invariant subspace of the full eigenvalue cluster (dimension
     ``alg_mult``), computed from the ordered spectral decomposition."""
-    from .numerics import ordered_spectral_decomposition
-
     points, index = _locate_point(N, pt, cfg, points)
     dec = ordered_spectral_decomposition(
-        N.matrix, nearest_point_selector(points, index)
+        N.matrix, nearest_point_selector(points, index), schur=N.schur
     )
     if dec.split != pt.alg_mult:
         raise ValueError(

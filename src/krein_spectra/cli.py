@@ -21,7 +21,6 @@ from ._errors import (
     ContourThroughSpectrumError,
     DocumentError,
     KreinError,
-    NonNormalError,
     PreconditionError,
     SelectorAmbiguityError,
 )
@@ -405,9 +404,6 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NonNormalError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -76,6 +76,7 @@ class KreinSpace:
     gram: np.ndarray
     dim: int = field(init=False)
     signature: tuple[int, int] = field(init=False)
+    _gram_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.array(self.gram, dtype=np.complex128, copy=True)
@@ -104,6 +105,7 @@ class KreinSpace:
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "dim", g.shape[0])
         object.__setattr__(self, "signature", (p, q))
+        object.__setattr__(self, "_gram_scale", float(svals[0]))
 
     @classmethod
     def euclidean(cls, dim: int) -> "KreinSpace":
@@ -119,8 +121,11 @@ class KreinSpace:
 
     @property
     def gram_scale(self) -> float:
-        """Operator norm of the Gram matrix; sets the scale of ``[x, x]``."""
-        return operator_norm(self.gram)
+        """Operator norm of the Gram matrix; sets the scale of ``[x, x]``.
+
+        It is the largest singular value found by the invertibility check
+        at construction, stored then."""
+        return self._gram_scale
 
 
 def indefinite_inner(x: np.ndarray, y: np.ndarray, space: KreinSpace) -> complex:
@@ -146,6 +151,11 @@ def krein_adjoint(T: np.ndarray, space: KreinSpace) -> np.ndarray:
     return np.linalg.solve(space.gram, T.conj().T @ space.gram)
 
 
+def _normality_residual(T: np.ndarray, adj: np.ndarray) -> float:
+    """Scale-free commutator residual ``||T T+ - T+ T||_F / max(1, ||T||_F^2)``."""
+    return frobenius(T @ adj - adj @ T) / max(1.0, frobenius(T) ** 2)
+
+
 def is_normal(
     T: np.ndarray, space: KreinSpace, tol: float = DEFAULT_NORMALITY_TOL
 ) -> tuple[bool, float]:
@@ -155,9 +165,7 @@ def is_normal(
     ``||T T+ - T+ T||_F / max(1, ||T||_F^2)``.
     """
     T = np.asarray(T, dtype=np.complex128)
-    adj = krein_adjoint(T, space)
-    commutator = T @ adj - adj @ T
-    residual = frobenius(commutator) / max(1.0, frobenius(T) ** 2)
+    residual = _normality_residual(T, krein_adjoint(T, space))
     return residual <= tol, residual
 
 
@@ -179,8 +187,7 @@ class KreinOperator:
     def __post_init__(self):
         m = _frozen_complex(self.matrix, (self.space.dim, self.space.dim))
         adj = krein_adjoint(m, self.space)
-        commutator = m @ adj - adj @ m
-        residual = frobenius(commutator) / max(1.0, frobenius(m) ** 2)
+        residual = _normality_residual(m, adj)
         if residual > self.normality_tol:
             raise NonNormalError(residual, self.normality_tol)
         adj.setflags(write=False)
@@ -197,13 +204,35 @@ class KreinOperator:
         return operator_norm(self.matrix)
 
     @functools.cached_property
+    def adjoint_norm(self) -> float:
+        return operator_norm(self.adjoint)
+
+    @functools.cached_property
+    def schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Complex Schur form ``matrix = U T U*`` as the read-only pair
+        ``(T, U)``.
+
+        Computed once per operator; eigenvalues, kernels and every ordered
+        spectral decomposition of the operator are taken from it."""
+        t, u = scipy.linalg.schur(self.matrix, output="complex")
+        t.setflags(write=False)
+        u.setflags(write=False)
+        return t, u
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues with algebraic multiplicity: the diagonal of the
+        Schur factor, in its order."""
+        return np.diag(self.schur[0])
+
+    @functools.cached_property
     def spectral_radius(self) -> float:
         """Largest eigenvalue magnitude; the scale of eigenvalue geometry.
 
         Unlike the matrix norm this does not inflate with the conditioning
         of a similarity, so clustering radii stay commensurate with the
         spectrum."""
-        return float(np.max(np.abs(np.linalg.eigvals(self.matrix))))
+        return float(np.max(np.abs(self.eigenvalues)))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ Complex numbers serialize as two-element ``[re, im]`` arrays and matrices
 row-major.  ``dumps_canonical`` fixes key order and layout so that
 parse/serialize round trips are byte-identical for canonical documents.
 Parse failures carry a field path (or the JSON line number) so the CLI
-can point at the offending input.
+can point at the offending input.  Non-finite numbers (``NaN``,
+``Infinity``, which Python's JSON loader accepts) are parse failures too.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +46,8 @@ def pair_to_complex(pair, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
     ):
         raise DocumentError(f"{where}: expected a [re, im] number pair, got {pair!r}")
+    if not all(math.isfinite(x) for x in pair):
+        raise DocumentError(f"{where}: expected finite numbers, got {pair!r}")
     return complex(pair[0], pair[1])
 
 

@@ -9,10 +9,11 @@ resolvent recover spectral projectors and Laurent coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from ._errors import ContourThroughSpectrumError, SelectorAmbiguityError, SpectralOverlapError
 from .core import frobenius, operator_norm
@@ -21,6 +22,7 @@ __all__ = [
     "OrderedDecomposition",
     "contour_integral_resolvent",
     "ordered_spectral_decomposition",
+    "reorder_schur",
     "solve_sylvester",
     "solve_sylvester_dense",
     "spectral_projector",
@@ -58,34 +60,60 @@ class OrderedDecomposition:
         return np.diag(self.triangular)[self.split :]
 
 
+def reorder_schur(
+    t: np.ndarray, u: np.ndarray, select: Sequence[bool]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reorder a complex Schur form ``A = U T U*`` so that the diagonal
+    entries flagged in ``select`` lead, by unitary swaps (LAPACK ztrsen).
+
+    Returns the reordered ``(T, U)`` and the number of selected entries.
+    ``u`` is postmultiplied by the reordering unitary, so any matrix that
+    should follow the Schur vectors (such as ``M U``) may be passed."""
+    ts, us, _, m, _, _, info = scipy.linalg.lapack.ztrsen(
+        np.asarray(select, dtype=np.int32), t, u, job="N"
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur reordering failed: ztrsen info {info}")
+    return ts, us, int(m)
+
+
 def ordered_spectral_decomposition(
     A: np.ndarray,
     selector: Callable[[complex], bool],
     boundary_distance: Callable[[complex], float] | None = None,
     cluster_tol: float = 1e-7,
+    schur: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OrderedDecomposition:
     """Complex Schur form reordered so selected eigenvalues lead.
 
     The leading ``split`` columns of the unitary factor span the invariant
     subspace of the selected eigenvalues.  When ``boundary_distance`` is
     supplied, eigenvalues closer than ``cluster_tol * max(1, ||A||)`` to
-    the selector boundary are refused as ambiguous.  The reordering is
-    validated post hoc: every diagonal entry must land on the side the
-    selector assigns it to.
+    the selector boundary are refused as ambiguous.  A precomputed complex
+    Schur form ``schur = (T, U)`` of A is reordered in place of a fresh
+    sorted Schur decomposition.  The reordering is validated post hoc:
+    every diagonal entry must land on the side the selector assigns it to.
     """
     A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix must be square, got {A.shape}")
-    scale = max(1.0, operator_norm(A))
     if boundary_distance is not None:
-        eigs = np.linalg.eigvals(A)
+        scale = max(1.0, operator_norm(A))
+        eigs = np.linalg.eigvals(A) if schur is None else np.diag(schur[0])
         offenders = [z for z in eigs if boundary_distance(z) <= cluster_tol * scale]
         if offenders:
             raise SelectorAmbiguityError(
                 f"eigenvalues too close to the selector boundary: {offenders}"
             )
-    t, u, sdim = scipy.linalg.schur(A, output="complex", sort=lambda z: bool(selector(z)))
+    if schur is None:
+        t, u, sdim = scipy.linalg.schur(
+            A, output="complex", sort=lambda z: bool(selector(z))
+        )
+    else:
+        t, u, sdim = reorder_schur(
+            schur[0], schur[1], [bool(selector(z)) for z in np.diag(schur[0])]
+        )
     diag = np.diag(t)
     for i, z in enumerate(diag):
         if bool(selector(z)) != (i < sdim):
@@ -130,9 +158,11 @@ def sylvester_spectral_gap(S: np.ndarray, T: np.ndarray) -> tuple[float, tuple[c
 def solve_sylvester(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Solve ``S X - X T = Z`` by triangularizing both coefficients.
 
-    Both sides are brought to complex Schur form and the transformed
-    equation is solved column by column with triangular solves.  Requires
-    disjoint spectra; overlap is rejected with the offending pair.
+    Both sides are brought to complex Schur form (an upper-triangular
+    coefficient, such as a diagonal block of a Schur factor, already is
+    one) and the transformed equation is solved column by column with
+    triangular solves.  Requires disjoint spectra; overlap is rejected with
+    the offending pair.
     """
     S = np.asarray(S, dtype=np.complex128)
     T = np.asarray(T, dtype=np.complex128)
@@ -141,8 +171,8 @@ def solve_sylvester(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if S.shape != (m, m) or T.shape != (n, n) or Z.shape != (m, n):
         raise ValueError(f"incompatible shapes {S.shape}, {T.shape}, {Z.shape}")
 
-    ts, us = scipy.linalg.schur(S, output="complex")
-    tt, ut = scipy.linalg.schur(T, output="complex")
+    ts, us = _complex_schur(S)
+    tt, ut = _complex_schur(T)
     gap = np.abs(np.diag(ts)[:, None] - np.diag(tt)[None, :])
     i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
     scale = max(operator_norm(S) + operator_norm(T), 1e-300)
@@ -161,6 +191,12 @@ def solve_sylvester(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
             ts - tt[col, col] * eye, rhs, lower=False
         )
     return us @ y @ ut.conj().T
+
+
+def _complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if not np.any(np.tril(a, -1)):
+        return a, np.eye(a.shape[0], dtype=np.complex128)
+    return scipy.linalg.schur(a, output="complex")
 
 
 def solve_sylvester_dense(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -149,7 +149,7 @@ def _make_result(
 
 
 def _check_boundary_gap(N: KreinOperator, region: Region, cfg: ToleranceConfig) -> np.ndarray:
-    eigs = np.linalg.eigvals(N.matrix)
+    eigs = N.eigenvalues
     gap = cfg.cluster_radius(N)
     offenders = [z for z in eigs if region.boundary_distance(z) <= gap]
     if offenders:
@@ -211,6 +211,7 @@ def riesz_projection_oracle(
         region.contains,
         boundary_distance=region.boundary_distance,
         cluster_tol=cfg.cluster_tol,
+        schur=N.schur,
     )
     return _make_result(spectral_projector(dec), N, region, cfg)
 
@@ -508,7 +509,9 @@ class LocalSpectralFunction:
         cached = self._cluster_projectors.get(index)
         if cached is None:
             dec = ordered_spectral_decomposition(
-                self.operator.matrix, nearest_point_selector(self.points, index)
+                self.operator.matrix,
+                nearest_point_selector(self.points, index),
+                schur=self.operator.schur,
             )
             cached = self._cluster_projectors.setdefault(index, spectral_projector(dec))
         return cached
@@ -692,7 +695,7 @@ def verify_lsf_axioms(
 
     def invariant_subspace(indices: frozenset[int]) -> SubspaceBasis:
         dec = ordered_spectral_decomposition(
-            N.matrix, nearest_subset_selector(E.points, indices)
+            N.matrix, nearest_subset_selector(E.points, indices), schur=N.schur
         )
         return SubspaceBasis(dec.unitary[:, : dec.split])
 

@@ -93,6 +93,17 @@ class TestExitCodes:
         path.write_text("{not json", encoding="utf-8")
         assert main(["classify", str(path)]) == 1
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_matrix_entry_is_exit_1(self, tmp_path, capsys, token):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"dim": 2, "gram": [[[1,0],[0,0]],[[0,0],[-1,0]]],'
+            f' "matrix": [[[1,0],[0,0]],[[0,0],[{token},0]]]}}',
+            encoding="utf-8",
+        )
+        assert main(["classify", str(path)]) == 1
+        assert "matrix[1][1]" in capsys.readouterr().err
+
     def test_non_normal_operator_is_exit_2(self, tmp_path, capsys):
         path = write_operator(tmp_path, matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert main(["classify", str(path)]) == 2
