@@ -183,10 +183,10 @@ def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list
     kernel of ``N - lam`` is ``U[:, n-k:]`` times the left kernel of
     ``T22 - lam``, and since ``ker(N+ - conj(lam)) = G^{-1} leftker(N -
     lam)`` the adjoint kernel is its orthonormalized image under
-    ``G^{-1}``.  Ranks are cut as in :func:`kernel_basis`, at
-    ``rank_tol * max(top singular value of the block, s)`` with ``s`` the
-    full operator scale ``max(1, ||N||)`` (``max(1, ||N+||)`` for the
-    adjoint), never the block norm alone.
+    ``G^{-1}``.  Both blocks are compressions of ``N - lam`` itself, so
+    both ranks are cut as in :func:`kernel_basis`, at ``rank_tol * max(top
+    singular value of the block, max(1, ||N||))``: the full operator scale,
+    never the block norm alone.
     """
     t, u = N.schur
     eigs = np.diag(t)
@@ -195,7 +195,6 @@ def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list
     clusters, ambiguous = _cluster_eigenvalues(eigs, radius)
 
     scale = max(1.0, N.norm)
-    adj_scale = max(1.0, N.adjoint_norm)
     # reordered alongside U, this yields G^{-1} U[:, n-k:] without a solve per cluster
     g_inv_u = np.linalg.solve(N.space.gram, u)
     points = []
@@ -211,7 +210,7 @@ def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list
         )
         t_last, g_inv_u_last, _ = reorder_schur(t, g_inv_u, ~select)
         left = _kernel_columns(
-            (t_last[n - k :, n - k :] - shift).conj().T, cfg.rank_tol, adj_scale
+            (t_last[n - k :, n - k :] - shift).conj().T, cfg.rank_tol, scale
         )
         adj_ker = SubspaceBasis(np.linalg.qr(g_inv_u_last[:, n - k :] @ left)[0])
         warnings = ("cluster-separation-below-4x-radius",) if flagged else ()

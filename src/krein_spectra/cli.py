@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -34,6 +33,7 @@ from .documents import (
     load_operator_document,
     matrix_from_json,
     matrix_to_json,
+    parse_json,
 )
 from .generators import build_normal_with_types
 from .numerics import solve_sylvester, sylvester_spectral_gap
@@ -243,23 +243,16 @@ def cmd_stability(args) -> int:
 def cmd_sylvester(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"line {exc.lineno}: {exc.msg}") from exc
+    raw = parse_json(text)
     try:
         ms = len(raw["s"])
         mt = len(raw["t"])
         s = matrix_from_json(raw["s"], ms, "s")
         t = matrix_from_json(raw["t"], mt, "t")
-        if not isinstance(raw["z"], list) or len(raw["z"]) != ms:
-            raise DocumentError(f"z: expected {ms} rows")
-        z = np.array(
-            [[complex(p[0], p[1]) for p in row] for row in raw["z"]], dtype=complex
-        )
-        if z.shape != (ms, mt):
-            raise DocumentError(f"z: expected shape {(ms, mt)}")
+        z = matrix_from_json(raw["z"], ms, "z", cols=mt)
     except (KeyError, TypeError, IndexError) as exc:
         raise DocumentError(f"sylvester document: {exc!r}") from exc
     x = solve_sylvester(s, t, z)
@@ -277,11 +270,10 @@ def cmd_sylvester(args) -> int:
 def cmd_generate(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"line {exc.lineno}: {exc.msg}") from exc
+    raw = parse_json(text)
     spec = generator_spec_from_json(raw)
     gen = build_normal_with_types(spec)
     doc = OperatorDocument(

@@ -204,10 +204,6 @@ class KreinOperator:
         return operator_norm(self.matrix)
 
     @functools.cached_property
-    def adjoint_norm(self) -> float:
-        return operator_norm(self.adjoint)
-
-    @functools.cached_property
     def schur(self) -> tuple[np.ndarray, np.ndarray]:
         """Complex Schur form ``matrix = U T U*`` as the read-only pair
         ``(T, U)``.

@@ -27,6 +27,7 @@ __all__ = [
     "generator_spec_from_json",
     "generator_spec_to_json",
     "load_operator_document",
+    "parse_json",
     "parse_operator_document",
 ]
 
@@ -46,22 +47,28 @@ def pair_to_complex(pair, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
     ):
         raise DocumentError(f"{where}: expected a [re, im] number pair, got {pair!r}")
-    if not all(math.isfinite(x) for x in pair):
+    try:
+        re, im = float(pair[0]), float(pair[1])
+    except OverflowError:  # integer literals beyond the float range
+        re = im = math.inf
+    if not (math.isfinite(re) and math.isfinite(im)):
         raise DocumentError(f"{where}: expected finite numbers, got {pair!r}")
-    return complex(pair[0], pair[1])
+    return complex(re, im)
 
 
 def matrix_to_json(a: np.ndarray) -> list[list[list[float]]]:
     return [[complex_to_pair(z) for z in row] for row in np.asarray(a)]
 
 
-def matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
+def matrix_from_json(rows, dim: int, where: str, cols: int | None = None) -> np.ndarray:
+    """``dim`` x ``cols`` complex matrix (square unless ``cols`` is given)."""
+    cols = dim if cols is None else cols
     if not isinstance(rows, list) or len(rows) != dim:
         raise DocumentError(f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=np.complex128)
+    out = np.empty((dim, cols), dtype=np.complex128)
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise DocumentError(f"{where}[{i}]: expected {dim} entries")
+        if not isinstance(row, list) or len(row) != cols:
+            raise DocumentError(f"{where}[{i}]: expected {cols} entries")
         for j, pair in enumerate(row):
             out[i, j] = pair_to_complex(pair, f"{where}[{i}][{j}]")
     return out
@@ -116,11 +123,18 @@ class OperatorDocument:
         return space, operator
 
 
-def parse_operator_document(text: str) -> OperatorDocument:
+def parse_json(text: str):
+    """``json.loads`` with every parse failure raised as a DocumentError."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # integer literals beyond Python's digit limit
+        raise DocumentError(f"number out of range: {exc}") from exc
+
+
+def parse_operator_document(text: str) -> OperatorDocument:
+    raw = parse_json(text)
     if not isinstance(raw, dict):
         raise DocumentError("top level: expected a JSON object")
     known = {"dim", "gram", "matrix", "tolerances", "metadata"}

@@ -89,31 +89,25 @@ def ordered_spectral_decomposition(
     The leading ``split`` columns of the unitary factor span the invariant
     subspace of the selected eigenvalues.  When ``boundary_distance`` is
     supplied, eigenvalues closer than ``cluster_tol * max(1, ||A||)`` to
-    the selector boundary are refused as ambiguous.  A precomputed complex
-    Schur form ``schur = (T, U)`` of A is reordered in place of a fresh
-    sorted Schur decomposition.  The reordering is validated post hoc:
-    every diagonal entry must land on the side the selector assigns it to.
+    the selector boundary are refused as ambiguous.  The complex Schur
+    form of A (or the precomputed ``schur = (T, U)``) is reordered with
+    :func:`reorder_schur`.  The reordering is validated post hoc: every
+    diagonal entry must land on the side the selector assigns it to.
     """
     A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix must be square, got {A.shape}")
+    t0, u0 = schur if schur is not None else scipy.linalg.schur(A, output="complex")
+    eigs = np.diag(t0)
     if boundary_distance is not None:
         scale = max(1.0, operator_norm(A))
-        eigs = np.linalg.eigvals(A) if schur is None else np.diag(schur[0])
         offenders = [z for z in eigs if boundary_distance(z) <= cluster_tol * scale]
         if offenders:
             raise SelectorAmbiguityError(
                 f"eigenvalues too close to the selector boundary: {offenders}"
             )
-    if schur is None:
-        t, u, sdim = scipy.linalg.schur(
-            A, output="complex", sort=lambda z: bool(selector(z))
-        )
-    else:
-        t, u, sdim = reorder_schur(
-            schur[0], schur[1], [bool(selector(z)) for z in np.diag(schur[0])]
-        )
+    t, u, sdim = reorder_schur(t0, u0, [bool(selector(z)) for z in eigs])
     diag = np.diag(t)
     for i, z in enumerate(diag):
         if bool(selector(z)) != (i < sdim):

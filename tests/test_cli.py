@@ -93,7 +93,7 @@ class TestExitCodes:
         path.write_text("{not json", encoding="utf-8")
         assert main(["classify", str(path)]) == 1
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
     def test_non_finite_matrix_entry_is_exit_1(self, tmp_path, capsys, token):
         path = tmp_path / "nan.json"
         path.write_text(
@@ -122,6 +122,25 @@ class TestExitCodes:
         path = tmp_path / "sylvester.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["sylvester", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["classify", "sylvester", "generate"])
+    def test_integer_literal_beyond_digit_limit_is_exit_1(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        assert "number out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "z, where",
+        [('[[[NaN, 0]]]', "z[0][0]"), ('[[[1, 0], [2, 0]]]', "z[0]"), ('[[[1, 0]], [[2, 0]]]', "z")],
+    )
+    def test_sylvester_bad_rhs_is_exit_1(self, tmp_path, capsys, z, where):
+        path = tmp_path / "sylvester.json"
+        path.write_text(
+            '{"s": [[[1, 0]]], "t": [[[2, 0]]], "z": ' + z + "}", encoding="utf-8"
+        )
+        assert main(["sylvester", str(path)]) == 1
+        assert f"{where}:" in capsys.readouterr().err
 
 
 class TestSubcommands:

@@ -3,7 +3,11 @@
 ``spectrum`` reads each cluster's kernel and adjoint kernel off k x k
 blocks of one reordered Schur form per operator; ``kernel_basis`` on the
 shifted n x n matrices is the independent reference.  The bank mixes
-definite clusters, neutral pairs and Jordan cells at dims 2-40.
+definite clusters, neutral pairs and Jordan cells at dims 2-40.  It is
+checked twice: with the generator's Gram matrices (block-diagonal
++-1 and swap entries, so G^{-1} = G and ||N+|| = ||N||) and moved to
+non-unitary Grams ``S* G S`` with ``S^{-1} N S``, where the G^{-1} step
+and the rank scales of N and N+ are told apart.
 """
 
 import math
@@ -25,21 +29,45 @@ from krein_spectra import (
     verify_lsf_axioms,
 )
 from krein_spectra.classification import kernel_basis, root_subspace
-from krein_spectra.core import max_principal_angle
+from krein_spectra.core import KreinOperator, KreinSpace, max_principal_angle, operator_norm
 
 BANK_SEED = 20261018
 BANK_SIZE = 60
 ANGLE_TOL = 1e-8
+# singular values of S span [1, SIMILARITY_COND]; the Gram S* G S then has
+# condition number up to its square
+SIMILARITY_COND = 10.0
 
 
-def bank():
+def congruent(N, rng):
+    """``S^{-1} N S`` on the space with Gram ``S* G S``, for a seeded S.
+
+    S is an isometry from the new space onto the old one, so eigenvalues,
+    multiplicities and types are those of N."""
+    n = N.dim
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+    s = unitary() @ np.diag(np.geomspace(1.0, SIMILARITY_COND, n)) @ unitary()
+    gram = s.conj().T @ N.space.gram @ s
+    return KreinOperator(
+        np.linalg.solve(s, N.matrix @ s), KreinSpace((gram + gram.conj().T) / 2.0)
+    )
+
+
+def bank(unitary_gram):
     for i in range(BANK_SIZE):
         rng = np.random.default_rng([BANK_SEED, i])
         dim = int(rng.integers(2, 41))
         box = 2.0 * math.sqrt(max(dim, 12) / 12.0)
-        yield build_normal_with_types(
+        gen = build_normal_with_types(
             sample_generator_spec(rng, dim, cond_bound=1e3, box=box)
         )
+        if unitary_gram:
+            yield gen, gen.operator
+        else:
+            yield gen, congruent(gen.operator, np.random.default_rng([BANK_SEED + 1, i]))
 
 
 def inventory(points):
@@ -58,33 +86,39 @@ def truth_inventory(gen):
     )
 
 
-@pytest.fixture(scope="module")
-def classified_bank():
+@pytest.fixture(scope="module", params=[True, False], ids=["unitary-gram", "congruent-gram"])
+def classified_bank(request):
     cfg = ToleranceConfig()
-    return [(gen, classified_spectrum(gen.operator, cfg)) for gen in bank()]
+    return [(gen, N, classified_spectrum(N, cfg)) for gen, N in bank(request.param)]
 
 
 def test_bank_covers_neutral_structure(classified_bank):
-    specs = [gen.spec for gen, _ in classified_bank]
+    specs = [gen.spec for gen, _, _ in classified_bank]
     assert any(spec.neutral_jordan for spec in specs)
     assert any(spec.neutral_pairs for spec in specs)
-    assert max(gen.operator.dim for gen, _ in classified_bank) >= 30
+    assert max(N.dim for _, N, _ in classified_bank) >= 30
+
+
+def test_congruent_grams_are_not_unitary():
+    grams = [N.space.gram for _, N in bank(unitary_gram=False)]
+    assert min(np.linalg.cond(g) for g in grams if g.shape[0] >= 2) > 2.0
+    assert max(np.linalg.cond(g) for g in grams) > 20.0
 
 
 def test_inventory_matches_generator(classified_bank):
-    for gen, points in classified_bank:
+    for gen, _, points in classified_bank:
         assert inventory(points) == truth_inventory(gen)
 
 
 def test_kernels_match_full_svd_oracle(classified_bank):
     cfg = ToleranceConfig()
-    for gen, points in classified_bank:
-        N = gen.operator
+    for _, N, points in classified_bank:
         eye = np.eye(N.dim)
+        adj_scale = max(1.0, operator_norm(N.adjoint))
         for pt in points:
             oracle = kernel_basis(N.matrix - pt.value * eye, cfg.rank_tol, max(1.0, N.norm))
             adj_oracle = kernel_basis(
-                N.adjoint - np.conj(pt.value) * eye, cfg.rank_tol, max(1.0, N.adjoint_norm)
+                N.adjoint - np.conj(pt.value) * eye, cfg.rank_tol, adj_scale
             )
             assert pt.kernel.k == oracle.k == pt.geo_mult
             assert pt.adjoint_kernel.k == adj_oracle.k
@@ -97,8 +131,7 @@ def test_kernel_residuals_small_against_operator_norm(classified_bank):
     # every kept direction has singular value at most rank_tol times the
     # operator scale (a shifted block's norm is at most twice it)
     cfg = ToleranceConfig()
-    for gen, points in classified_bank:
-        N = gen.operator
+    for _, N, points in classified_bank:
         eye = np.eye(N.dim)
         for pt in points:
             residual = np.linalg.norm((N.matrix - pt.value * eye) @ pt.kernel.columns, 2)
@@ -106,7 +139,7 @@ def test_kernel_residuals_small_against_operator_norm(classified_bank):
             adj_residual = np.linalg.norm(
                 (N.adjoint - np.conj(pt.value) * eye) @ pt.adjoint_kernel.columns, 2
             )
-            assert adj_residual <= 2.0 * cfg.rank_tol * max(1.0, N.adjoint_norm)
+            assert adj_residual <= 2.0 * cfg.rank_tol * max(1.0, operator_norm(N.adjoint))
 
 
 def test_one_schur_decomposition_per_operator(monkeypatch):
