@@ -62,8 +62,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("cluster_tol", "rank_tol", "definiteness_tol", "normality_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # also refuses NaN
+                raise ValueError(f"{name} must be positive and finite")
         if self.contour_nodes < 16:
             raise ValueError("contour_nodes must be at least 16")
 

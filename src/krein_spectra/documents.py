@@ -48,12 +48,12 @@ def pair_to_complex(pair, where: str) -> complex:
     ):
         raise DocumentError(f"{where}: expected a [re, im] number pair, got {pair!r}")
     try:
-        re, im = float(pair[0]), float(pair[1])
+        real, imag = float(pair[0]), float(pair[1])
     except OverflowError:  # integer literals beyond the float range
-        re = im = math.inf
-    if not (math.isfinite(re) and math.isfinite(im)):
+        real = imag = math.inf
+    if not (math.isfinite(real) and math.isfinite(imag)):
         raise DocumentError(f"{where}: expected finite numbers, got {pair!r}")
-    return complex(re, im)
+    return complex(real, imag)
 
 
 def matrix_to_json(a: np.ndarray) -> list[list[list[float]]]:

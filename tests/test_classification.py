@@ -211,3 +211,9 @@ def test_tolerance_config_validation():
         ToleranceConfig(cluster_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(contour_nodes=8)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_tolerance_config_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="rank_tol"):
+        ToleranceConfig(rank_tol=value)

@@ -123,6 +123,16 @@ class TestExitCodes:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["sylvester", str(path)]) == 2
 
+    def test_non_finite_tolerance_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nan_tol.json"
+        path.write_text(
+            '{"dim": 1, "gram": [[[1,0]]], "matrix": [[[5,0]]],'
+            ' "tolerances": {"rank_tol": NaN}}',
+            encoding="utf-8",
+        )
+        assert main(["classify", str(path)]) == 1
+        assert "tolerances: rank_tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["classify", "sylvester", "generate"])
     def test_integer_literal_beyond_digit_limit_is_exit_1(self, tmp_path, capsys, command):
         path = tmp_path / "huge.json"
