@@ -24,7 +24,7 @@ from ._errors import (
     SelectorAmbiguityError,
 )
 from .classification import classified_spectrum
-from .core import frobenius
+from .core import frobenius, min_gap
 from .documents import (
     OperatorDocument,
     dumps_canonical,
@@ -174,12 +174,8 @@ def cmd_lsf_verify(args) -> int:
     lsf = local_spectral_function(operator, carrier, cfg)
 
     points = [lsf.points[i] for i in sorted(lsf.carrier_indices)]
-    values = [pt.value for pt in lsf.points]
-    if len(values) > 1:
-        gap = min(
-            abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
-        )
-    else:
+    gap = min_gap([pt.value for pt in lsf.points])
+    if not np.isfinite(gap):
         gap = 1.0
     deltas = [Region.disk(pt.value, 0.25 * gap) for pt in points]
     if len(deltas) >= 2:

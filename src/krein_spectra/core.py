@@ -34,6 +34,7 @@ __all__ = [
     "is_normal",
     "krein_adjoint",
     "max_principal_angle",
+    "min_gap",
     "orthogonal_companion",
     "part_decomposition",
 ]
@@ -56,6 +57,18 @@ def _frozen_complex(a, shape_hint=None) -> np.ndarray:
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
+
+
+def min_gap(values) -> float:
+    """Smallest distance between two of the complex ``values`` (inf when
+    there are fewer than two)."""
+    v = np.asarray(values, dtype=np.complex128).reshape(-1)
+    if v.size < 2:
+        return np.inf
+    i, j = np.triu_indices(v.size, 1)
+    d = v[i] - v[j]
+    # hypot, as Python's abs(complex) uses; np.abs may differ in the last bit
+    return float(np.min(np.hypot(d.real, d.imag)))
 
 
 def operator_norm(a: np.ndarray) -> float:

@@ -61,10 +61,22 @@ def matrix_to_json(a: np.ndarray) -> list[list[list[float]]]:
 
 
 def matrix_from_json(rows, dim: int, where: str, cols: int | None = None) -> np.ndarray:
-    """``dim`` x ``cols`` complex matrix (square unless ``cols`` is given)."""
+    """``dim`` x ``cols`` complex matrix (square unless ``cols`` is given).
+
+    Well-formed input is converted in one vectorized step; anything that
+    step refuses is walked entry by entry to name the offending field."""
     cols = dim if cols is None else cols
     if not isinstance(rows, list) or len(rows) != dim:
         raise DocumentError(f"{where}: expected {dim} rows")
+    pairs = np.array(rows, dtype=object)
+    if pairs.shape == (dim, cols, 2) and set(map(type, pairs.flat)) <= {int, float}:
+        try:
+            parts = pairs.astype(np.float64)
+        except OverflowError:  # integer literals beyond the float range
+            pass
+        else:
+            if np.isfinite(parts).all():
+                return parts.view(np.complex128).reshape(dim, cols)
     out = np.empty((dim, cols), dtype=np.complex128)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != cols:

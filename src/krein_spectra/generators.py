@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .classification import SpectralType, ToleranceConfig
-from .core import KreinOperator, KreinSpace, krein_adjoint, operator_norm
+from .core import KreinOperator, KreinSpace, krein_adjoint, min_gap, operator_norm
 
 __all__ = [
     "GeneratedOperator",
@@ -363,9 +363,4 @@ def classification_margin(gen: GeneratedOperator, cfg: ToleranceConfig = Toleran
 
     points = classified_spectrum(gen.operator, cfg)
     margins = [abs(pt.gram_margin) for pt in points if not np.isnan(pt.gram_margin)]
-    values = [pt.value for pt in points]
-    seps = [
-        abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
-    ]
-    candidates = margins + [s / 2.0 for s in seps]
-    return min(candidates) if candidates else np.inf
+    return min(margins + [min_gap([pt.value for pt in points]) / 2.0])

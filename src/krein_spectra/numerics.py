@@ -2,8 +2,9 @@
 
 Ordered Schur decompositions realize spectral-set splittings, the
 Sylvester solver decouples invariant blocks (unique solvability granted
-by disjoint coefficient spectra), and circle contour integrals of the
-resolvent recover spectral projectors and Laurent coefficients.
+by disjoint coefficient spectra), and weighted resolvent sums, evaluated
+in a Schur basis, give the contour integrals that recover spectral
+projectors and Laurent coefficients.
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ def solve_sylvester(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
     Both sides are brought to complex Schur form (an upper-triangular
     coefficient, such as a diagonal block of a Schur factor, already is
-    one) and the transformed equation is solved column by column with
-    triangular solves.  Requires disjoint spectra; overlap is rejected with
-    the offending pair.
+    one) and the transformed equation is solved in one LAPACK ztrsyl
+    call (Bartels-Stewart back substitution).  Requires disjoint spectra;
+    overlap is rejected with the offending pair.
     """
     S = np.asarray(S, dtype=np.complex128)
     T = np.asarray(T, dtype=np.complex128)
@@ -176,15 +177,10 @@ def solve_sylvester(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
             f"(gap {gap[i, j]:.3e})"
         )
 
-    c = us.conj().T @ Z @ ut
-    y = np.zeros((m, n), dtype=np.complex128)
-    eye = np.eye(m)
-    for col in range(n):
-        rhs = c[:, col] + y[:, :col] @ tt[:col, col]
-        y[:, col] = scipy.linalg.solve_triangular(
-            ts - tt[col, col] * eye, rhs, lower=False
-        )
-    return us @ y @ ut.conj().T
+    y, rescale, info = scipy.linalg.lapack.ztrsyl(ts, tt, us.conj().T @ Z @ ut, isgn=-1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Sylvester solve failed: ztrsyl info {info}")
+    return us @ (y / rescale) @ ut.conj().T
 
 
 def _complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,14 +205,53 @@ def solve_sylvester_dense(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.nda
     return x.reshape((m, n), order="F")
 
 
-def resolvent_at(N: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Batched resolvents ``(z_j - N)^{-1}`` stacked along the first axis."""
-    N = np.asarray(N, dtype=np.complex128)
-    n = N.shape[0]
+# Shifted triangles are inverted this many nodes at a time, so the
+# (nodes, n, n) stack of inverses never outgrows one default-size rule.
+_NODE_BATCH = 128
+
+
+def resolvent_at(
+    schur: tuple[np.ndarray, np.ndarray], points: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Weighted resolvent sums ``U (sum_j w_j (z_j - T)^{-1}) U*``, one per
+    row of ``weights``, for the complex Schur form ``N = U T U*``.
+
+    This is where every resolvent of the package is evaluated.  Each
+    ``z_j - T`` is upper triangular and is inverted directly (block
+    recursion, batched over the nodes, at most ``_NODE_BATCH`` nodes at a
+    time); no dense n x n system is solved.  The weighted sums are formed
+    in the Schur basis and transformed back once.  Returns an array of
+    shape ``(rows, n, n)``.
+    """
+    t, u = schur
+    n = t.shape[0]
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
-    lhs = points[:, None, None] * np.eye(n) - N
-    rhs = np.broadcast_to(np.eye(n, dtype=np.complex128), (points.size, n, n))
-    return np.linalg.solve(lhs, rhs)
+    weights = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
+    sums = np.zeros((weights.shape[0], n * n), dtype=np.complex128)
+    for lo in range(0, points.size, _NODE_BATCH):
+        block = slice(lo, lo + _NODE_BATCH)
+        inverses = _shifted_inverses(t, points[block])
+        sums += weights[:, block] @ inverses.reshape(-1, n * n)
+    return u @ sums.reshape(-1, n, n) @ u.conj().T
+
+
+def _shifted_inverses(t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``(z_j - T)^{-1}`` for an upper-triangular T, stacked along axis 0."""
+    out = np.zeros((z.size,) + t.shape, dtype=np.complex128)
+    _fill_shifted_inverse(t, z, out)
+    return out
+
+
+def _fill_shifted_inverse(t: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+    # [[z - T11, -T12], [0, z - T22]]^{-1} = [[X11, X11 T12 X22], [0, X22]]
+    n = t.shape[0]
+    if n == 1:
+        out[:, 0, 0] = 1.0 / (z - t[0, 0])
+        return
+    h = n // 2
+    _fill_shifted_inverse(t[:h, :h], z, out[:, :h, :h])
+    _fill_shifted_inverse(t[h:, h:], z, out[:, h:, h:])
+    out[:, :h, h:] = (out[:, :h, :h] @ t[:h, h:]) @ out[:, h:, h:]
 
 
 def contour_integral_resolvent(
@@ -226,19 +261,24 @@ def contour_integral_resolvent(
     k: int = 0,
     nodes: int = 128,
     cluster_tol: float = 1e-7,
+    schur: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Trapezoidal evaluation of the circle integral
     ``(1/2 pi i) ∮ (z - center)^k (z - N)^{-1} dz``.
 
     ``k = 0`` on a spectrum-enclosing circle gives the identity; ``k >= 1``
     probes Laurent coefficients at an enclosed isolated eigenvalue.
-    Refuses circles passing within the clustering tolerance of an
-    eigenvalue.
+    The resolvents are evaluated by :func:`resolvent_at` in the complex
+    Schur basis of N (the precomputed ``schur = (T, U)``, or a fresh
+    one).  Circles passing within the clustering tolerance of an
+    eigenvalue, read off the diagonal of T, are refused.
     """
     N = np.asarray(N, dtype=np.complex128)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    eigs = np.linalg.eigvals(N)
+    if schur is None:
+        schur = scipy.linalg.schur(N, output="complex")
+    eigs = np.diag(schur[0])
     scale = max(1.0, operator_norm(N))
     margin = np.abs(np.abs(eigs - center) - radius)
     if np.any(margin <= cluster_tol * scale):
@@ -249,7 +289,6 @@ def contour_integral_resolvent(
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     unit = np.exp(1j * theta)
     points = center + radius * unit
-    res = resolvent_at(N, points)
     # weights (r/nodes) e^{i theta} (z - center)^k collapse the 1/(2 pi i) prefactor
     factors = (radius / nodes) * unit * (radius * unit) ** k
-    return np.einsum("j,jab->ab", factors, res)
+    return resolvent_at(schur, points, factors)[0]

@@ -1,8 +1,9 @@
 """Spectral projections and their verification.
 
-Riesz projections are computed two independent ways: by contour
-quadrature of the resolvent over region boundaries, and by an ordered
-Schur decomposition decoupled with a Sylvester solve.  On top of the
+Riesz projections are computed two ways that share only the operator's
+cached Schur factor: by contour quadrature of the resolvent over region
+boundaries, evaluated in the Schur basis, and by an ordered Schur
+decomposition decoupled with a Sylvester solve.  On top of the
 projections sit the local spectral function (a projection-valued set
 function on subsets of a carrier of two-sided positive type), its axiom
 checker, resolvent-bound probes and the strong-stability test.
@@ -169,8 +170,13 @@ def riesz_projection_contour(
 
     Integrates the resolvent over every primitive boundary and sums.  An
     eigenvalue covered by two primitives would be counted twice, so such
-    regions are refused.  Convergence is self-checked by doubling the node
-    count; a discrepancy above 1e-6 flags the result instead of failing.
+    regions are refused.  The resolvents are evaluated in the operator's
+    cached Schur basis (``N.schur``, the factor the oracle route certifies)
+    by :func:`resolvent_at`.  Convergence is self-checked by doubling the
+    node count: the ``nodes``- and ``2 * nodes``-point sums come from one
+    pass, and on a disk the coarse rule reuses the even nodes of the fine
+    one, so each disk node is evaluated once.  A discrepancy above 1e-6
+    flags the result instead of failing.
     """
     nodes = cfg.contour_nodes if nodes is None else nodes
     eigs = _check_boundary_gap(N, region, cfg)
@@ -181,16 +187,10 @@ def riesz_projection_contour(
             "the per-primitive contour sum would double-count them"
         )
 
-    def integrate(n: int) -> np.ndarray:
-        total = np.zeros((N.dim, N.dim), dtype=np.complex128)
-        for piece in region.pieces:
-            pts, wts = piece.quadrature(n)
-            res = resolvent_at(N.matrix, pts)
-            total += np.einsum("j,jab->ab", wts, res) / (2.0j * np.pi)
-        return total
-
-    q = integrate(nodes)
-    q_refined = integrate(2 * nodes)
+    rules = [piece.quadrature_pair(nodes) for piece in region.pieces]
+    points = np.concatenate([np.empty(0)] + [pts for pts, _ in rules])
+    weights = np.concatenate([np.empty((2, 0))] + [wts for _, wts in rules], axis=1)
+    q, q_refined = resolvent_at(N.schur, points, weights / (2.0j * np.pi))
     delta = frobenius(q_refined - q)
     warnings = ()
     if delta > _CONVERGENCE_FLAG_TOL:
@@ -907,7 +907,7 @@ def resolvent_probe(
         for k in range(1, points[idx].alg_mult + 1):
             coeff = contour_integral_resolvent(
                 N.matrix, center, isolation, k=k,
-                nodes=cfg.contour_nodes, cluster_tol=cfg.cluster_tol,
+                nodes=cfg.contour_nodes, cluster_tol=cfg.cluster_tol, schur=N.schur,
             )
             if frobenius(coeff) <= pole_tol:
                 pole_order = k

@@ -3,7 +3,8 @@
 Regions select spectral subsets and carry their own boundary geometry:
 exact membership tests, distance to the boundary of each primitive, and
 quadrature nodes for contour integrals (trapezoidal on circles, composite
-Gauss-Legendre on rectangle edges, both counterclockwise).
+Gauss-Legendre on rectangle edges, both counterclockwise), alone or paired
+with the rule at twice the nodes for convergence checks.
 """
 
 from __future__ import annotations
@@ -48,6 +49,16 @@ class Disk:
         points = self.center + self.radius * unit
         weights = (2.0j * np.pi / nodes) * self.radius * unit
         return points, weights
+
+    def quadrature_pair(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``2 * nodes``-point rule's nodes with two weight rows: the
+        ``nodes``-point rule, whose nodes are the even ones (bitwise, since
+        ``2 pi k / nodes == 2 pi (2k) / (2 nodes)`` in floating point), and
+        the ``2 * nodes``-point rule."""
+        points, fine = self.quadrature(2 * nodes)
+        coarse = np.zeros_like(fine)
+        coarse[::2] = self.quadrature(nodes)[1]
+        return points, np.stack([coarse, fine])
 
 
 def _segment_distance(z: complex, a: complex, b: complex) -> float:
@@ -114,6 +125,16 @@ class Rectangle:
                 pts.append(a + t * (b - a))
                 wts.append(w * (b - a))
         return np.concatenate(pts), np.concatenate(wts)
+
+    def quadrature_pair(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``nodes``- and ``2 * nodes``-point rules side by side, as
+        nodes with two weight rows (Gauss-Legendre panels do not nest)."""
+        coarse_pts, coarse = self.quadrature(nodes)
+        fine_pts, fine = self.quadrature(2 * nodes)
+        weights = np.zeros((2, coarse.size + fine.size), dtype=np.complex128)
+        weights[0, : coarse.size] = coarse
+        weights[1, coarse.size :] = fine
+        return np.concatenate([coarse_pts, fine_pts]), weights
 
 
 Primitive = Disk | Rectangle

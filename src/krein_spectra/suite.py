@@ -42,7 +42,7 @@ from .classification import (
     root_subspace,
     verify_selfadjoint_link,
 )
-from .core import frobenius, krein_adjoint, max_principal_angle
+from .core import frobenius, krein_adjoint, max_principal_angle, min_gap
 from .generators import (
     GeneratedOperator,
     build_normal_with_types,
@@ -95,14 +95,6 @@ def worker_count(requested: int | None = None) -> int:
         except ValueError:
             pass
     return min(8, os.cpu_count() or 1)
-
-
-def _min_gap(values: list[complex]) -> float:
-    if len(values) < 2:
-        return np.inf
-    return min(
-        abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
-    )
 
 
 def classification_checks(
@@ -207,8 +199,7 @@ def projection_checks(
     contour/oracle cross-validation."""
     cfg = setting.cfg
     entries = []
-    values = [pt.value for pt in points]
-    gap = _min_gap(values)
+    gap = min_gap([pt.value for pt in points])
     radius = 0.45 * gap if np.isfinite(gap) else 1.0
 
     positive = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
@@ -281,8 +272,7 @@ def lsf_checks(
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if not tsp:
         return []
-    values = [pt.value for pt in points]
-    gap = _min_gap(values)
+    gap = min_gap([pt.value for pt in points])
     carrier_radius = 0.4 * gap if np.isfinite(gap) else 1.0
     carrier = Region(
         tuple(piece for pt in tsp for piece in Region.disk(pt.value, carrier_radius).pieces)
@@ -313,8 +303,7 @@ def resolvent_checks(
 ) -> list[CheckEntry]:
     cfg = setting.cfg
     entries = []
-    values = [pt.value for pt in points]
-    gap = _min_gap(values)
+    gap = min_gap([pt.value for pt in points])
     base = 0.4 * gap if np.isfinite(gap) else 0.5
 
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]

@@ -34,7 +34,7 @@ from krein_spectra import (
     verify_selfadjoint_link,
     verify_spectral_set_theorem,
 )
-from krein_spectra.core import frobenius
+from krein_spectra.core import frobenius, min_gap
 from krein_spectra.generators import classification_margin
 
 from conftest import ACCEPTANCE_SEED, ACCEPTANCE_TRIALS, generate_trial
@@ -51,15 +51,8 @@ def _report(number: int, title: str, failures: list):
     )
 
 
-def _min_gap(points) -> float:
-    values = [pt.value for pt in points]
-    if len(values) < 2:
-        return np.inf
-    return min(abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :])
-
-
 def _isolation_radius(points) -> float:
-    gap = _min_gap(points)
+    gap = min_gap([pt.value for pt in points])
     return 0.45 * gap if np.isfinite(gap) else 1.0
 
 
@@ -127,7 +120,7 @@ def test_criterion_3_lsf_axioms_and_maximality(trial_bank):
         eligible += 1
         if eligible > 100:
             break
-        gap = _min_gap(points)
+        gap = min_gap([pt.value for pt in points])
         radius = 0.4 * gap if np.isfinite(gap) else 1.0
         carrier = Region(
             tuple(p for pt in tsp for p in Region.disk(pt.value, radius).pieces)
@@ -204,7 +197,7 @@ def test_criterion_6_resolvent_bound_and_pole_order(trial_bank):
     jordan_checked = 0
     for index, gen, points in trial_bank:
         tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
-        gap = _min_gap(points)
+        gap = min_gap([pt.value for pt in points])
         base = 0.4 * gap if np.isfinite(gap) else 0.5
         if tsp and eligible < 100:
             eligible += 1

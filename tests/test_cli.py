@@ -1,6 +1,7 @@
 """Document round trips, CLI subcommands and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from krein_spectra.documents import (
     dumps_canonical,
     generator_spec_from_json,
     generator_spec_to_json,
+    matrix_from_json,
+    pair_to_complex,
     parse_operator_document,
 )
 from krein_spectra.generators import GeneratorSpec
@@ -44,6 +47,45 @@ class TestDocuments:
             parse_operator_document(
                 '{"dim": 2, "gram": [[[1,0],[0]],[[0,0],[1,0]]], "matrix":'
                 ' [[[1,0],[0,0]],[[0,0],[1,0]]]}'
+            )
+
+    def test_matrix_parse_bitwise_equal_to_entry_walk(self):
+        rng = np.random.default_rng(17)
+        parts = rng.standard_normal((6, 4, 2)) * 10.0 ** rng.integers(-300, 300, (6, 4, 2))
+        parts[0, :, 0] = [-0.0, 0.0, 5e-324, -5e-324]
+        rows = json.loads(json.dumps(parts.tolist()))
+        rows[1][0] = [-3, 2**53 + 1]
+        rows[2][3] = [10**300, 0]
+        expected = np.array(
+            [[pair_to_complex(p, "m") for p in row] for row in rows], dtype=np.complex128
+        )
+        out = matrix_from_json(rows, 6, "m", cols=4)
+        assert out.dtype == np.complex128 and out.shape == (6, 4)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "entry, where",
+        [
+            ("true", "matrix[1][1]"),
+            ('"1"', "matrix[1][1]"),
+            ("[1, 0, 0]", "matrix[1][1]"),
+            ("[1]", "matrix[1][1]"),
+            ("[[1, 0], 0]", "matrix[1][1]"),
+        ],
+    )
+    def test_bad_entry_names_its_field(self, entry, where):
+        text = (
+            '{"dim": 2, "gram": [[[1,0],[0,0]],[[0,0],[-1,0]]],'
+            f' "matrix": [[[1,0],[0,0]],[[0,0],{entry}]]}}'
+        )
+        with pytest.raises(DocumentError, match=re.escape(where)):
+            parse_operator_document(text)
+
+    def test_ragged_row_names_its_row(self):
+        with pytest.raises(DocumentError, match=r"matrix\[1\]: expected 2 entries"):
+            parse_operator_document(
+                '{"dim": 2, "gram": [[[1,0],[0,0]],[[0,0],[-1,0]]],'
+                ' "matrix": [[[1,0],[0,0]],[[0,0]]]}'
             )
 
     def test_unknown_fields_rejected(self):

@@ -23,7 +23,7 @@ from krein_spectra import (
     orthogonal_companion,
     part_decomposition,
 )
-from krein_spectra.core import frobenius
+from krein_spectra.core import frobenius, min_gap
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -249,3 +249,23 @@ class TestKreinSpaceValidation:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError, match="orthonormal"):
             SubspaceBasis(np.array([[1.0], [1.0]]))
+
+
+class TestMinGap:
+    @staticmethod
+    def pairwise_loop(values):
+        if len(values) < 2:
+            return np.inf
+        return min(abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :])
+
+    def test_bitwise_equal_to_pairwise_loop(self):
+        rng = np.random.default_rng(41)
+        for size in (0, 1, 2, 3, 17, 60):
+            for scale in (1e-6, 1.0, 1e3):
+                values = list(scale * random_complex(rng, size))
+                if size >= 3:
+                    values[2] = values[0].conjugate()
+                assert min_gap(values) == self.pairwise_loop(values)
+
+    def test_repeated_value_gives_zero(self):
+        assert min_gap([1.0 + 1.0j, 3.0, 1.0 + 1.0j]) == 0.0

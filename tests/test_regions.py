@@ -71,6 +71,26 @@ class TestQuadrature:
         integral = np.sum(wts / (pts - pole_out)) / (2j * np.pi)
         assert integral == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("nodes", [16, 64, 128, 200])
+    def test_disk_pair_reuses_coarse_nodes_bitwise(self, nodes):
+        disk = Disk(-0.7 + 1.3j, 0.37)
+        coarse_pts, coarse_wts = disk.quadrature(nodes)
+        pts, wts = disk.quadrature_pair(nodes)
+        assert pts.tobytes() == disk.quadrature(2 * nodes)[0].tobytes()
+        assert pts[::2].tobytes() == coarse_pts.tobytes()
+        assert wts[0, ::2].tobytes() == coarse_wts.tobytes()
+        assert not np.any(wts[0, 1::2])
+        assert wts[1].tobytes() == disk.quadrature(2 * nodes)[1].tobytes()
+
+    def test_rectangle_pair_keeps_both_rules(self):
+        rect = Rectangle(-1.0, -0.5, 1.5, 1.0)
+        pts, wts = rect.quadrature_pair(64)
+        for row, nodes in ((0, 64), (1, 128)):
+            rule_pts, rule_wts = rect.quadrature(nodes)
+            used = wts[row] != 0
+            np.testing.assert_array_equal(pts[used], rule_pts)
+            np.testing.assert_array_equal(wts[row, used], rule_wts)
+
     def test_describe_round_trip_fields(self):
         region = Region.disk(1.0 + 2.0j, 0.5).union(Region.rectangle(0, 0, 1, 1))
         desc = region.describe()

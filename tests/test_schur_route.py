@@ -1,13 +1,16 @@
-"""Kernels from the cached Schur form against the full-SVD oracle.
+"""Kernels and contour projections from the cached Schur form against
+dense references.
 
 ``spectrum`` reads each cluster's kernel and adjoint kernel off k x k
 blocks of one reordered Schur form per operator; ``kernel_basis`` on the
-shifted n x n matrices is the independent reference.  The bank mixes
-definite clusters, neutral pairs and Jordan cells at dims 2-40.  It is
-checked twice: with the generator's Gram matrices (block-diagonal
-+-1 and swap entries, so G^{-1} = G and ||N+|| = ||N||) and moved to
-non-unitary Grams ``S* G S`` with ``S^{-1} N S``, where the G^{-1} step
-and the rank scales of N and N+ are told apart.
+shifted n x n matrices is the independent reference.  The contour route
+evaluates its resolvents as triangular inverses in the same Schur basis;
+one dense LU solve of ``z - N`` per quadrature node is its reference.
+The bank mixes definite clusters, neutral pairs and Jordan cells at dims
+2-40.  It is checked twice: with the generator's Gram matrices
+(block-diagonal +-1 and swap entries, so G^{-1} = G and ||N+|| = ||N||)
+and moved to non-unitary Grams ``S* G S`` with ``S^{-1} N S``, where the
+G^{-1} step and the rank scales of N and N+ are told apart.
 """
 
 import math
@@ -24,12 +27,23 @@ from krein_spectra import (
     build_normal_with_types,
     classified_spectrum,
     local_spectral_function,
+    numerics,
+    resolvent_probe,
+    riesz_projection_contour,
     riesz_projection_oracle,
     sample_generator_spec,
     verify_lsf_axioms,
 )
 from krein_spectra.classification import kernel_basis, root_subspace
-from krein_spectra.core import KreinOperator, KreinSpace, max_principal_angle, operator_norm
+from krein_spectra.core import (
+    KreinOperator,
+    KreinSpace,
+    frobenius,
+    max_principal_angle,
+    min_gap,
+    operator_norm,
+)
+from krein_spectra.projections import _CONVERGENCE_FLAG_TOL
 
 BANK_SEED = 20261018
 BANK_SIZE = 60
@@ -199,3 +213,134 @@ def test_large_cluster_kernel_extraction_regression():
     assert inventory(points) == truth_inventory(gen)
     for pt in points:
         assert max_principal_angle(pt.kernel, pt.adjoint_kernel) <= ANGLE_TOL
+
+
+def dense_contour_reference(N, region, nodes):
+    """Contour projection and convergence flag with one dense LU solve of
+    ``z - N`` per node, at ``nodes`` and at ``2 * nodes`` nodes."""
+    eye = np.eye(N.dim)
+
+    def integrate(count):
+        total = np.zeros((N.dim, N.dim), dtype=np.complex128)
+        for piece in region.pieces:
+            for z, w in zip(*piece.quadrature(count)):
+                total += w * np.linalg.solve(z * eye - N.matrix, eye)
+        return total / (2.0j * np.pi)
+
+    q = integrate(nodes)
+    return q, frobenius(integrate(2 * nodes) - q) > _CONVERGENCE_FLAG_TOL
+
+
+def contour_regions(points):
+    """A disk around a defective point (Jordan cell) if there is one, else
+    around the first point, and a square around another point."""
+    gap = min_gap([p.value for p in points])
+    if not np.isfinite(gap):
+        gap = 1.0
+    disk_at = next((p for p in points if p.alg_mult > p.geo_mult), points[0])
+    square_at = points[-1].value
+    h = 0.3 * gap
+    return [
+        Region.disk(disk_at.value, 0.45 * gap),
+        Region.rectangle(square_at.real - h, square_at.imag - h,
+                         square_at.real + h, square_at.imag + h),
+    ]
+
+
+def test_contour_matches_dense_lu_reference(classified_bank):
+    cfg = ToleranceConfig()
+    regions_seen = {"disk": 0, "rect": 0, "jordan": 0}
+    for _, N, points in classified_bank:
+        for region in contour_regions(points):
+            result = riesz_projection_contour(N, region, cfg=cfg)
+            q, flagged = dense_contour_reference(N, region, cfg.contour_nodes)
+            assert frobenius(result.matrix - q) <= 1e-10 * max(1.0, frobenius(q))
+            assert any(w.startswith("quadrature-not-converged") for w in result.warnings) == flagged
+            kind = region.describe()[0]["kind"]
+            regions_seen[kind] += 1
+            inside = [p for p in points if region.contains(p.value)]
+            regions_seen["jordan"] += any(p.alg_mult > p.geo_mult for p in inside)
+    assert regions_seen["disk"] == regions_seen["rect"] == BANK_SIZE
+    assert regions_seen["jordan"] > 0
+
+
+def _operator_with_jordan_cell():
+    spec = GeneratorSpec(
+        signature=(4, 2),
+        positive_type_eigs=((1.0 + 0.5j, 2), (-1.0 + 0j, 1)),
+        negative_type_eigs=((2.0 - 1.0j, 1),),
+        neutral_jordan=(0.5 - 1.5j,),
+        cond_bound=1e2,
+        seed=9,
+    )
+    return build_normal_with_types(spec).operator
+
+
+def test_contour_inverts_each_disk_node_once(monkeypatch):
+    N = _operator_with_jordan_cell()
+    nodes = 64
+    inverted, schur_calls, solves = [], [], []
+    shifted_inverses = numerics._shifted_inverses
+    schur = scipy.linalg.schur
+    solve = np.linalg.solve
+
+    def counting_inverses(t, z):
+        inverted.append(z.size)
+        return shifted_inverses(t, z)
+
+    def counting_schur(*args, **kwargs):
+        schur_calls.append(args[0].shape)
+        return schur(*args, **kwargs)
+
+    def recording_solve(a, b):
+        solves.append(np.array(a))
+        return solve(a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve or inverse called")
+
+    monkeypatch.setattr(numerics, "_shifted_inverses", counting_inverses)
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    for module, name in ((np.linalg, "inv"), (scipy.linalg, "solve"),
+                         (scipy.linalg, "inv"), (scipy.linalg, "lu_factor")):
+        monkeypatch.setattr(module, name, refuse)
+    result = riesz_projection_contour(N, Region.disk(1.0 + 0.5j, 0.5), nodes=nodes)
+    assert result.rank == 2
+    assert sum(inverted) == 2 * nodes
+    # the operator's own cached Schur form, nothing more
+    assert schur_calls == [(N.dim, N.dim)]
+    # only the Krein adjoint's solve against the Gram, never a shifted N
+    assert all(a.shape == (N.dim, N.dim) for a in solves)
+    assert all(np.array_equal(a, N.space.gram) for a in solves)
+
+
+def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch):
+    N = _operator_with_jordan_cell()
+    cfg = ToleranceConfig()
+    points = classified_spectrum(N, cfg)
+    inverted = []
+    shifted_inverses = numerics._shifted_inverses
+
+    def counting_inverses(t, z):
+        inverted.append(z.size)
+        return shifted_inverses(t, z)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(numerics, "_shifted_inverses", counting_inverses)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    jordan = next(p for p in points if p.alg_mult > p.geo_mult)
+    probe = resolvent_probe(N, jordan.value, [0.4, 0.2], cfg=cfg, points=points)
+    assert probe.pole_order == 2
+    assert sum(inverted) == 2 * cfg.contour_nodes
+
+
+def test_eigenvalue_near_circle_not_converged_at_few_nodes():
+    N = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
+    coarse = riesz_projection_contour(N, Region.disk(1.0, 0.9), nodes=16)
+    assert any(w.startswith("quadrature-not-converged") for w in coarse.warnings)
+    fine = riesz_projection_contour(N, Region.disk(1.0, 0.5), nodes=128)
+    assert not fine.warnings
+    np.testing.assert_allclose(fine.matrix, np.diag([1.0, 0.0]), atol=1e-12)
