@@ -1,7 +1,6 @@
 """Document round trips, CLI subcommands and exit codes."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -63,31 +62,6 @@ class TestDocuments:
         assert out.dtype == np.complex128 and out.shape == (6, 4)
         assert out.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize(
-        "entry, where",
-        [
-            ("true", "matrix[1][1]"),
-            ('"1"', "matrix[1][1]"),
-            ("[1, 0, 0]", "matrix[1][1]"),
-            ("[1]", "matrix[1][1]"),
-            ("[[1, 0], 0]", "matrix[1][1]"),
-        ],
-    )
-    def test_bad_entry_names_its_field(self, entry, where):
-        text = (
-            '{"dim": 2, "gram": [[[1,0],[0,0]],[[0,0],[-1,0]]],'
-            f' "matrix": [[[1,0],[0,0]],[[0,0],{entry}]]}}'
-        )
-        with pytest.raises(DocumentError, match=re.escape(where)):
-            parse_operator_document(text)
-
-    def test_ragged_row_names_its_row(self):
-        with pytest.raises(DocumentError, match=r"matrix\[1\]: expected 2 entries"):
-            parse_operator_document(
-                '{"dim": 2, "gram": [[[1,0],[0,0]],[[0,0],[-1,0]]],'
-                ' "matrix": [[[1,0],[0,0]],[[0,0]]]}'
-            )
-
     def test_unknown_fields_rejected(self):
         with pytest.raises(DocumentError, match="unknown"):
             parse_operator_document('{"dim": 1, "gram": [[[1,0]]], "matrix": [[[1,0]]], "x": 3}')
@@ -134,6 +108,27 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["classify", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "entry, where",
+        [
+            ("[true,0]", "matrix[1][1]"),
+            ('["1",0]', "matrix[1][1]"),
+            ("[1,0,0]", "matrix[1][1]"),
+            ("[1]", "matrix[1][1]"),
+            ("[[1,0],0]", "matrix[1][1]"),
+            ("[0,0],[1,0]", "matrix[1]: expected 2 entries"),
+        ],
+    )
+    def test_malformed_matrix_entry_is_exit_1(self, tmp_path, capsys, entry, where):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"dim": 2, "gram": [[[1,0],[0,0]],[[0,0],[-1,0]]],'
+            f' "matrix": [[[1,0],[0,0]],[[0,0],{entry}]]}}',
+            encoding="utf-8",
+        )
+        assert main(["classify", str(path)]) == 1
+        assert where in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
     def test_non_finite_matrix_entry_is_exit_1(self, tmp_path, capsys, token):

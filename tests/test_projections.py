@@ -64,7 +64,7 @@ class TestRieszProjectionContour:
         with pytest.raises(AmbiguousRegionError):
             riesz_projection_contour(n, region, nodes=64)
 
-    def test_empty_region_gives_zero(self):
+    def test_region_without_pieces_gives_zero(self):
         result = riesz_projection_contour(two_point_operator(), Region.empty(), nodes=64)
         assert result.rank == 0 and not result.warnings
         assert frobenius(result.matrix) == 0.0

@@ -276,17 +276,26 @@ def _operator_with_jordan_cell():
     return build_normal_with_types(spec).operator
 
 
-def test_contour_inverts_each_disk_node_once(monkeypatch):
-    N = _operator_with_jordan_cell()
-    nodes = 64
-    inverted, schur_calls, solves = [], [], []
+@pytest.fixture
+def inverted(monkeypatch):
+    """Node counts of every batch of shifted triangles inverted."""
+    counts = []
     shifted_inverses = numerics._shifted_inverses
-    schur = scipy.linalg.schur
-    solve = np.linalg.solve
 
     def counting_inverses(t, z):
-        inverted.append(z.size)
+        counts.append(z.size)
         return shifted_inverses(t, z)
+
+    monkeypatch.setattr(numerics, "_shifted_inverses", counting_inverses)
+    return counts
+
+
+def test_contour_inverts_each_disk_node_once(monkeypatch, inverted):
+    N = _operator_with_jordan_cell()
+    nodes = 64
+    schur_calls, solves = [], []
+    schur = scipy.linalg.schur
+    solve = np.linalg.solve
 
     def counting_schur(*args, **kwargs):
         schur_calls.append(args[0].shape)
@@ -299,7 +308,6 @@ def test_contour_inverts_each_disk_node_once(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense solve or inverse called")
 
-    monkeypatch.setattr(numerics, "_shifted_inverses", counting_inverses)
     monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     for module, name in ((np.linalg, "inv"), (scipy.linalg, "solve"),
@@ -315,21 +323,14 @@ def test_contour_inverts_each_disk_node_once(monkeypatch):
     assert all(np.array_equal(a, N.space.gram) for a in solves)
 
 
-def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch):
+def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch, inverted):
     N = _operator_with_jordan_cell()
     cfg = ToleranceConfig()
     points = classified_spectrum(N, cfg)
-    inverted = []
-    shifted_inverses = numerics._shifted_inverses
-
-    def counting_inverses(t, z):
-        inverted.append(z.size)
-        return shifted_inverses(t, z)
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.eigvals called")
 
-    monkeypatch.setattr(numerics, "_shifted_inverses", counting_inverses)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     jordan = next(p for p in points if p.alg_mult > p.geo_mult)
     probe = resolvent_probe(N, jordan.value, [0.4, 0.2], cfg=cfg, points=points)
