@@ -51,7 +51,6 @@ from .generators import (
     build_normal_with_types,
     perturb_structured,
     random_j_unitary,
-    random_krein_space,
     sample_generator_spec,
 )
 from .numerics import (

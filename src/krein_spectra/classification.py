@@ -263,8 +263,17 @@ def classify_point(
 def classified_spectrum(
     N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()
 ) -> list[SpectralPoint]:
-    """Spectrum with every point classified."""
-    return [classify_point(N, pt, cfg) for pt in spectrum(N, cfg)]
+    """Spectrum with every point classified.
+
+    Computed once per operator and tolerance configuration: the points are
+    cached on ``N`` keyed by ``cfg``, and each call returns a fresh list
+    of the same frozen points, so repeated calls are free."""
+    points = N._classified.get(cfg)
+    if points is None:
+        points = N._classified.setdefault(
+            cfg, tuple(classify_point(N, pt, cfg) for pt in spectrum(N, cfg))
+        )
+    return list(points)
 
 
 def selfadjoint_product(N: KreinOperator, lam: complex) -> np.ndarray:
@@ -319,28 +328,16 @@ def nearest_subset_selector(points: list[SpectralPoint], indices):
     return selector
 
 
-def _locate_point(
-    N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig,
-    points: list[SpectralPoint] | None,
-) -> tuple[list[SpectralPoint], int]:
-    if points is None:
-        points = spectrum(N, cfg)
+def root_subspace(
+    N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig = ToleranceConfig()
+) -> SubspaceBasis:
+    """Invariant subspace of the full eigenvalue cluster (dimension
+    ``alg_mult``), computed from the ordered spectral decomposition."""
+    points = classified_spectrum(N, cfg)
     dists = [abs(p.value - pt.value) for p in points]
     index = int(np.argmin(dists))
     if dists[index] > cfg.cluster_radius(N) * max(1, pt.alg_mult):
         raise ValueError(f"point {pt.value} is not a spectral point of the operator")
-    return points, index
-
-
-def root_subspace(
-    N: KreinOperator,
-    pt: SpectralPoint,
-    cfg: ToleranceConfig = ToleranceConfig(),
-    points: list[SpectralPoint] | None = None,
-) -> SubspaceBasis:
-    """Invariant subspace of the full eigenvalue cluster (dimension
-    ``alg_mult``), computed from the ordered spectral decomposition."""
-    points, index = _locate_point(N, pt, cfg, points)
     dec = ordered_spectral_decomposition(
         N.matrix, nearest_point_selector(points, index), schur=N.schur
     )

@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -72,18 +73,18 @@ def _region_from_args(args) -> Region:
             raise DocumentError(f"--disk expects cx,cy,r, got {spec!r}")
         try:
             cx, cy, r = (float(p) for p in parts)
+            pieces.extend(Region.disk(complex(cx, cy), r).pieces)
         except ValueError as exc:
             raise DocumentError(f"--disk {spec!r}: {exc}") from exc
-        pieces.extend(Region.disk(complex(cx, cy), r).pieces)
     for spec in args.rect or []:
         parts = spec.split(",")
         if len(parts) != 4:
             raise DocumentError(f"--rect expects x0,y0,x1,y1, got {spec!r}")
         try:
             x0, y0, x1, y1 = (float(p) for p in parts)
+            pieces.extend(Region.rectangle(x0, y0, x1, y1).pieces)
         except ValueError as exc:
             raise DocumentError(f"--rect {spec!r}: {exc}") from exc
-        pieces.extend(Region.rectangle(x0, y0, x1, y1).pieces)
     return Region(tuple(pieces))
 
 
@@ -204,7 +205,16 @@ def cmd_probe_resolvent(args) -> int:
         lam = complex(*(float(p) for p in args.point.split(",")))
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"--point expects re,im: {exc}") from exc
-    radii = [float(r) for r in args.radii.split(",")]
+    try:
+        radii = [float(r) for r in args.radii.split(",")]
+    except ValueError as exc:
+        raise DocumentError(f"--radii expects R1,R2,...: {exc}") from exc
+    if not all(0 <= b < a < math.inf for a, b in zip(radii, radii[1:] + [0.0])):
+        raise DocumentError(
+            f"--radii must be finite, positive and strictly decreasing, got {args.radii!r}"
+        )
+    if args.samples < 1:
+        raise DocumentError(f"--samples must be at least 1, got {args.samples}")
     probe = resolvent_probe(
         operator, lam, radii, samples_per_radius=args.samples, cfg=doc.tolerances
     )
@@ -302,6 +312,14 @@ def cmd_suite(args) -> int:
         dims = (int(lo), int(hi or lo))
     except ValueError as exc:
         raise DocumentError(f"--dims expects LO:HI, got {args.dims!r}") from exc
+    if not 1 <= dims[0] <= dims[1]:
+        raise DocumentError(f"--dims expects 1 <= LO <= HI, got {args.dims!r}")
+    if args.trials < 1:
+        raise DocumentError(f"--trials must be at least 1, got {args.trials}")
+    if args.only_trial is not None and not 0 <= args.only_trial < args.trials:
+        raise DocumentError(
+            f"--only-trial must lie in 0..{args.trials - 1}, got {args.only_trial}"
+        )
     report = run_suite(
         trials=args.trials,
         seed=args.seed,

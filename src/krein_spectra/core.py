@@ -189,6 +189,11 @@ class KreinOperator:
     Construction computes the adjoint and the commutator residual and
     raises :class:`NonNormalError` when the residual exceeds
     ``normality_tol``.  Instances are immutable and safe to share.
+
+    Derived data is computed on first use and cached on the instance: the
+    norm, the Schur form, the spectral radius, and in ``_classified`` the
+    classified spectrum of :func:`classified_spectrum`, as a tuple of
+    frozen points keyed by the (frozen, hashable) ``ToleranceConfig``.
     """
 
     matrix: np.ndarray
@@ -196,6 +201,7 @@ class KreinOperator:
     normality_tol: float = DEFAULT_NORMALITY_TOL
     adjoint: np.ndarray = field(init=False, repr=False)
     normality_residual: float = field(init=False)
+    _classified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _frozen_complex(self.matrix, (self.space.dim, self.space.dim))

@@ -26,7 +26,6 @@ __all__ = [
     "build_normal_with_types",
     "perturb_structured",
     "random_j_unitary",
-    "random_krein_space",
     "sample_generator_spec",
 ]
 
@@ -127,13 +126,6 @@ class GeneratedOperator:
     ground_truth: tuple[GroundTruthPoint, ...]
     spec: GeneratorSpec
     conjugator: np.ndarray | None
-
-
-def random_krein_space(p: int, q: int, seed: int = 0) -> KreinSpace:
-    """Canonical space diag(I_p, -I_q); the seed is accepted for signature
-    symmetry with the other generators but the Gram form is fixed."""
-    del seed
-    return KreinSpace.indefinite(p, q)
 
 
 def random_j_unitary(space: KreinSpace, seed: int, cond_bound: float = 1e3) -> np.ndarray:

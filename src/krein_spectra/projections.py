@@ -379,12 +379,20 @@ def j_orthogonal_projector(basis: SubspaceBasis, space: KreinSpace) -> np.ndarra
     return b @ np.linalg.solve(m, b.conj().T @ space.gram)
 
 
+def _kernel_span(
+    points: Sequence[SpectralPoint], dim: int, rank_tol: float
+) -> SubspaceBasis:
+    """Orthonormal basis of the sum of the points' kernels."""
+    if not points:
+        return SubspaceBasis.zero(dim)
+    return SubspaceBasis.from_columns(np.hstack([pt.kernel.columns for pt in points]), rank_tol)
+
+
 def disk_subspace(
     N: KreinOperator,
     lam: complex,
     eps: float,
     cfg: ToleranceConfig = ToleranceConfig(),
-    points: list[SpectralPoint] | None = None,
 ) -> SubspaceBasis:
     """Sum of kernels over eigenvalues in the closed disk of radius ``eps``
     around ``lam``; requires those eigenvalues to be of two-sided positive
@@ -394,9 +402,7 @@ def disk_subspace(
     adjoint, uniformly positive, with restricted spectrum inside the disk,
     and empty exactly when the disk misses the spectrum.
     """
-    if points is None:
-        points = classified_spectrum(N, cfg)
-    inside = [pt for pt in points if abs(pt.value - lam) <= eps]
+    inside = [pt for pt in classified_spectrum(N, cfg) if abs(pt.value - lam) <= eps]
     offenders = [pt for pt in inside if pt.type_tag is not SpectralType.TWO_SIDED_POSITIVE]
     if offenders:
         raise PreconditionError(
@@ -406,8 +412,7 @@ def disk_subspace(
     if not inside:
         return SubspaceBasis.zero(N.dim)
 
-    stacked = np.hstack([pt.kernel.columns for pt in inside])
-    basis = SubspaceBasis.from_columns(stacked, cfg.rank_tol)
+    basis = _kernel_span(inside, N.dim, cfg.rank_tol)
     expected = sum(pt.alg_mult for pt in inside)
     if basis.k != expected:
         raise CheckFailure(
@@ -517,6 +522,7 @@ class LocalSpectralFunction:
         return cached
 
     def indices_in(self, region: Region) -> frozenset[int]:
+        _check_boundary_gap(self.operator, region, self.cfg)
         inside = frozenset(
             i for i, pt in enumerate(self.points) if region.contains(pt.value)
         )
@@ -553,12 +559,7 @@ class LocalSpectralFunction:
         return [self.points[i] for i in sorted(indices)]
 
     def range_basis_for(self, indices: frozenset[int]) -> SubspaceBasis:
-        pts = self.selected_points(indices)
-        if not pts:
-            return SubspaceBasis.zero(self.operator.dim)
-        return SubspaceBasis.from_columns(
-            np.hstack([pt.kernel.columns for pt in pts]), self.cfg.rank_tol
-        )
+        return _kernel_span(self.selected_points(indices), self.operator.dim, self.cfg.rank_tol)
 
 
 def local_spectral_function(
@@ -854,7 +855,6 @@ def resolvent_probe(
     radii: Sequence[float],
     samples_per_radius: int = 16,
     cfg: ToleranceConfig = ToleranceConfig(),
-    points: list[SpectralPoint] | None = None,
 ) -> ResolventProbeResult:
     """Sample ``||(N - z)^{-1}|| * dist(z, spectrum)`` on circles around a
     spectral point and measure the resolvent pole order there.
@@ -870,8 +870,9 @@ def resolvent_probe(
         raise ValueError("radii must be positive")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    if points is None:
-        points = classified_spectrum(N, cfg)
+    if samples_per_radius < 1:
+        raise ValueError("samples_per_radius must be at least 1")
+    points = classified_spectrum(N, cfg)
     reps = np.array([pt.value for pt in points])
     cluster_radius = cfg.cluster_radius(N)
 
@@ -930,9 +931,7 @@ class FundamentalDecomposition:
 
 
 def strong_stability_check(
-    N: KreinOperator,
-    cfg: ToleranceConfig = ToleranceConfig(),
-    points: list[SpectralPoint] | None = None,
+    N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()
 ) -> tuple[bool, FundamentalDecomposition | None]:
     """Decide strong stability: every spectral point of definite type.
 
@@ -940,23 +939,14 @@ def strong_stability_check(
     from the positive- and negative-type kernels together with
     certification entries (definiteness, orthogonality, completeness,
     invariance, spectral disjointness)."""
-    if points is None:
-        points = classified_spectrum(N, cfg)
+    points = classified_spectrum(N, cfg)
     if any(pt.type_tag not in DEFINITE_TAGS for pt in points):
         return False, None
 
     pos = [pt for pt in points if pt.type_tag in POSITIVE_TAGS]
     neg = [pt for pt in points if pt.type_tag not in POSITIVE_TAGS]
     dim = N.dim
-
-    def stack(pts):
-        if not pts:
-            return SubspaceBasis.zero(dim)
-        return SubspaceBasis.from_columns(
-            np.hstack([pt.kernel.columns for pt in pts]), cfg.rank_tol
-        )
-
-    plus, minus = stack(pos), stack(neg)
+    plus, minus = _kernel_span(pos, dim, cfg.rank_tol), _kernel_span(neg, dim, cfg.rank_tol)
     entries = []
     scale = max(1.0, N.norm)
 

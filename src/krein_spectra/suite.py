@@ -97,9 +97,7 @@ def worker_count(requested: int | None = None) -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def classification_checks(
-    gen: GeneratedOperator, setting: TrialSetting
-) -> tuple[list[CheckEntry], list]:
+def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     """Ground-truth round trip plus the per-point structural lemmas."""
     cfg = setting.cfg
     entries = []
@@ -152,7 +150,7 @@ def classification_checks(
     for pt in points:
         if pt.type_tag in DEFINITE_TAGS:
             try:
-                root = root_subspace(gen.operator, pt, cfg, points)
+                root = root_subspace(gen.operator, pt, cfg)
                 root_angle = max_principal_angle(pt.kernel, root)
             except (ValueError, KreinError):
                 root_angle = float(np.pi / 2)
@@ -189,16 +187,15 @@ def classification_checks(
             "at two-sided positive points",
         )
     )
-    return entries, points
+    return entries
 
 
-def projection_checks(
-    gen: GeneratedOperator, points, setting: TrialSetting
-) -> list[CheckEntry]:
+def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     """Spectral-set theorem on an isolated positive cluster plus the
     contour/oracle cross-validation."""
     cfg = setting.cfg
     entries = []
+    points = classified_spectrum(gen.operator, cfg)
     gap = min_gap([pt.value for pt in points])
     radius = 0.45 * gap if np.isfinite(gap) else 1.0
 
@@ -266,9 +263,10 @@ def projection_checks(
 
 
 def lsf_checks(
-    gen: GeneratedOperator, points, setting: TrialSetting,
+    gen: GeneratedOperator, setting: TrialSetting,
     trial_seed: int, maximality_subspaces: int = 5,
 ) -> list[CheckEntry]:
+    points = classified_spectrum(gen.operator, setting.cfg)
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if not tsp:
         return []
@@ -298,11 +296,10 @@ def lsf_checks(
     return entries
 
 
-def resolvent_checks(
-    gen: GeneratedOperator, points, setting: TrialSetting
-) -> list[CheckEntry]:
+def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     cfg = setting.cfg
     entries = []
+    points = classified_spectrum(gen.operator, cfg)
     gap = min_gap([pt.value for pt in points])
     base = 0.4 * gap if np.isfinite(gap) else 0.5
 
@@ -314,7 +311,6 @@ def resolvent_checks(
             radii=[base, base / 2, base / 4, base / 8],
             samples_per_radius=8,
             cfg=cfg,
-            points=points,
         )
         large = probe.radius_table[0][1]
         worst = max(c for _, c in probe.radius_table[1:])
@@ -344,7 +340,6 @@ def resolvent_checks(
             radii=[base],
             samples_per_radius=4,
             cfg=cfg,
-            points=points,
         )
         entries.append(
             passfail(
@@ -358,14 +353,14 @@ def resolvent_checks(
 
 
 def stability_checks(
-    gen: GeneratedOperator, points, setting: TrialSetting, trial_seed: int
+    gen: GeneratedOperator, setting: TrialSetting, trial_seed: int
 ) -> list[CheckEntry]:
     cfg = setting.cfg
     entries = []
     expected_stable = all(
         t.expected_type in DEFINITE_TAGS for t in gen.ground_truth
     )
-    stable, decomposition = strong_stability_check(gen.operator, cfg, points)
+    stable, decomposition = strong_stability_check(gen.operator, cfg)
     entries.append(
         passfail(
             "strong-stability-detection",
@@ -489,13 +484,11 @@ def run_trial(
                 )
             ]
 
-    entries, points = classification_checks(gen, setting)
-    entries.extend(guarded("projections", lambda: projection_checks(gen, points, setting)))
-    entries.extend(guarded("lsf", lambda: lsf_checks(gen, points, setting, trial_seed)))
-    entries.extend(guarded("resolvent", lambda: resolvent_checks(gen, points, setting)))
-    entries.extend(
-        guarded("stability", lambda: stability_checks(gen, points, setting, trial_seed))
-    )
+    entries = classification_checks(gen, setting)
+    entries.extend(guarded("projections", lambda: projection_checks(gen, setting)))
+    entries.extend(guarded("lsf", lambda: lsf_checks(gen, setting, trial_seed)))
+    entries.extend(guarded("resolvent", lambda: resolvent_checks(gen, setting)))
+    entries.extend(guarded("stability", lambda: stability_checks(gen, setting, trial_seed)))
     if setting.relaxed:
         entries = [
             replace(

@@ -168,9 +168,7 @@ def test_criterion_5_kernel_coincidence(trial_bank):
             if pt.type_tag in DEFINITE:
                 angle = max(
                     max_principal_angle(pt.kernel, pt.adjoint_kernel),
-                    max_principal_angle(
-                        pt.kernel, root_subspace(gen.operator, pt, points=points)
-                    ),
+                    max_principal_angle(pt.kernel, root_subspace(gen.operator, pt)),
                 )
                 if angle > ANGLE_TOL:
                     failures.append(
@@ -206,7 +204,6 @@ def test_criterion_6_resolvent_bound_and_pole_order(trial_bank):
                 tsp[0].value,
                 radii=[base, base / 2, base / 4, base / 8],
                 samples_per_radius=8,
-                points=points,
             )
             large = probe.radius_table[0][1]
             small = max(c for _, c in probe.radius_table[1:])
@@ -218,8 +215,7 @@ def test_criterion_6_resolvent_bound_and_pole_order(trial_bank):
         if defective and jordan_checked < 50:
             jordan_checked += 1
             probe = resolvent_probe(
-                gen.operator, defective[0].value, radii=[base],
-                samples_per_radius=4, points=points,
+                gen.operator, defective[0].value, radii=[base], samples_per_radius=4
             )
             if probe.pole_order != 2:
                 failures.append(

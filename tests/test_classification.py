@@ -187,7 +187,7 @@ class TestRootSubspace:
                     SpectralType.TWO_SIDED_POSITIVE,
                     SpectralType.TWO_SIDED_NEGATIVE,
                 ):
-                    root = root_subspace(gen.operator, pt, points=points)
+                    root = root_subspace(gen.operator, pt)
                     assert max_principal_angle(pt.kernel, pt.adjoint_kernel) <= 1e-8
                     assert max_principal_angle(pt.kernel, root) <= 1e-8
 
@@ -217,3 +217,31 @@ def test_tolerance_config_validation():
 def test_tolerance_config_rejects_non_finite(value):
     with pytest.raises(ValueError, match="rank_tol"):
         ToleranceConfig(rank_tol=value)
+
+
+class TestClassifiedSpectrumCache:
+    def test_returned_list_is_a_fresh_copy(self):
+        n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
+        first = classified_spectrum(n)
+        expected = list(first)
+        first.clear()
+        again = classified_spectrum(n)
+        assert len(again) == len(expected) == 2
+        assert all(a is b for a, b in zip(again, expected))
+
+    def test_each_tolerance_config_gets_its_own_answer(self):
+        # the Gram is positive definite but tiny on e2: the point 2 is
+        # uniformly positive at the default threshold 1e-8 and neutral at 1e-4
+        def operator():
+            return KreinOperator(np.diag([1.0, 2.0]), KreinSpace(np.diag([1.0, 1e-5])))
+
+        strict, loose = ToleranceConfig(), ToleranceConfig(definiteness_tol=1e-4)
+        n = operator()
+        tags = {
+            cfg: [pt.type_tag for pt in classified_spectrum(n, cfg)] for cfg in (strict, loose)
+        }
+        assert tags[strict][1] is SpectralType.TWO_SIDED_POSITIVE
+        assert tags[loose][1] is SpectralType.NEUTRAL
+        for cfg in (loose, strict):
+            assert [pt.type_tag for pt in classified_spectrum(n, cfg)] == tags[cfg]
+            assert [pt.type_tag for pt in classified_spectrum(operator(), cfg)] == tags[cfg]

@@ -150,6 +150,41 @@ class TestExitCodes:
         path = write_operator(tmp_path)
         assert main(["project", str(path), "--disk", "0,0,1"]) == 3
 
+    @pytest.mark.parametrize("command", ["project", "lsf-verify"])
+    def test_rectangle_edge_through_spectrum_is_exit_3(self, tmp_path, capsys, command):
+        # the eigenvalue 1 lies on the closed lower edge, which conjugation
+        # turns into an open edge: both paths refuse the region alike
+        path = write_operator(tmp_path)
+        assert main([command, str(path), "--rect", "0.5,0,1.5,1"]) == 3
+        assert "within" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["probe-resolvent", "OP", "--point", "1,0", "--radii", "a"], "--radii"),
+            (["probe-resolvent", "OP", "--point", "1,0", "--radii=-0.1"], "--radii"),
+            (["probe-resolvent", "OP", "--point", "1,0", "--radii", "0.1,0.2"], "--radii"),
+            (["probe-resolvent", "OP", "--point", "1,0", "--radii", "inf"], "--radii"),
+            (["probe-resolvent", "OP", "--point", "1,0", "--radii", "0.4", "--samples", "0"],
+             "--samples"),
+            (["project", "OP", "--disk=1,0,-1"], "--disk"),
+            (["project", "OP", "--rect", "1,0,0,1"], "--rect"),
+            (["suite", "--dims", "3:2"], "--dims"),
+            (["suite", "--trials", "0"], "--trials"),
+            (["suite", "--trials", "2", "--only-trial", "5"], "--only-trial"),
+        ],
+        ids=[
+            "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
+            "samples-zero", "disk-negative-radius", "rect-reversed", "dims-reversed",
+            "trials-zero", "only-trial-out-of-range",
+        ],
+    )
+    def test_bad_argument_is_exit_1(self, tmp_path, capsys, args, flag):
+        path = str(write_operator(tmp_path))
+        assert main([path if a == "OP" else a for a in args]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
     def test_sylvester_overlap_is_exit_2(self, tmp_path):
         payload = {
             "s": [[[1.0, 0.0]]],

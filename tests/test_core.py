@@ -246,6 +246,12 @@ class TestKreinSpaceValidation:
         assert KreinSpace.indefinite(2, 1).signature == (2, 1)
         assert KreinSpace(SWAP).signature == (1, 1)
 
+    @pytest.mark.parametrize("p, q", [(2, 0), (1, 1), (0, 3)])
+    def test_indefinite_gram(self, p, q):
+        space = KreinSpace.indefinite(p, q)
+        np.testing.assert_array_equal(space.gram, np.diag([1.0] * p + [-1.0] * q))
+        assert space.signature == (p, q)
+
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError, match="orthonormal"):
             SubspaceBasis(np.array([[1.0], [1.0]]))

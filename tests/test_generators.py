@@ -12,23 +12,9 @@ from krein_spectra import (
     is_normal,
     perturb_structured,
     random_j_unitary,
-    random_krein_space,
     sample_generator_spec,
 )
 from krein_spectra.core import krein_adjoint, operator_norm
-
-
-class TestRandomKreinSpace:
-    def test_purely_positive(self):
-        np.testing.assert_array_equal(random_krein_space(2, 0, seed=1).gram, np.eye(2))
-
-    def test_mixed(self):
-        np.testing.assert_array_equal(
-            random_krein_space(1, 1, seed=2).gram, np.diag([1.0, -1.0])
-        )
-
-    def test_purely_negative(self):
-        np.testing.assert_array_equal(random_krein_space(0, 3, seed=3).gram, -np.eye(3))
 
 
 class TestRandomJUnitary:

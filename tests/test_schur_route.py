@@ -185,7 +185,7 @@ def test_one_schur_decomposition_per_operator(monkeypatch):
     report = verify_lsf_axioms(lsf, [carrier, Region.empty()], [np.eye(N.dim), N.matrix])
     assert not report.failed
     positive = next(p for p in points if p.type_tag is SpectralType.TWO_SIDED_POSITIVE)
-    assert root_subspace(N, positive, cfg, points).k == positive.alg_mult
+    assert root_subspace(N, positive, cfg).k == positive.alg_mult
     assert calls == [(N.dim, N.dim)]
 
 
@@ -333,7 +333,7 @@ def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch, inverte
 
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     jordan = next(p for p in points if p.alg_mult > p.geo_mult)
-    probe = resolvent_probe(N, jordan.value, [0.4, 0.2], cfg=cfg, points=points)
+    probe = resolvent_probe(N, jordan.value, [0.4, 0.2], cfg=cfg)
     assert probe.pole_order == 2
     assert sum(inverted) == 2 * cfg.contour_nodes
 

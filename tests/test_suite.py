@@ -3,8 +3,9 @@ study beyond it may warn but never fail."""
 
 import pytest
 
-from krein_spectra import run_suite
+from krein_spectra import ToleranceConfig, classification, run_suite
 from krein_spectra.report import CheckStatus
+from krein_spectra.suite import run_trial
 
 
 class TestRunSuite:
@@ -35,3 +36,21 @@ class TestRunSuite:
         serial = run_suite(trials=4, seed=2, dims=(2, 6), threads=1)
         parallel = run_suite(trials=4, seed=2, dims=(2, 6), threads=4)
         assert serial.to_json() == parallel.to_json()
+
+
+def test_spectrum_runs_once_per_operator(monkeypatch):
+    # every check group and every library call on a trial's operators reads
+    # the classification cached on the operator instead of recomputing it
+    operators = []
+    original = classification.spectrum
+
+    def counting_spectrum(N, cfg=ToleranceConfig()):
+        operators.append(N)
+        return original(N, cfg)
+
+    monkeypatch.setattr(classification, "spectrum", counting_spectrum)
+    for trial in range(24):
+        run_trial(trial, 0, (2, 12), 1e2)
+    distinct = {id(N) for N in operators}
+    assert len(distinct) > 24  # perturbed operators of stable trials count too
+    assert len(operators) == len(distinct)
