@@ -39,7 +39,8 @@ class ContourThroughSpectrumError(KreinError):
 
 
 class SelectorAmbiguityError(KreinError):
-    """An eigenvalue sits too close to a selector boundary (exit code 3)."""
+    """A reordered eigenvalue landed on the wrong side of the selector's
+    split in an ordered Schur decomposition (exit code 3)."""
 
 
 class AmbiguousRegionError(KreinError):

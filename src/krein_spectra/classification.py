@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._errors import PreconditionError
 from .core import (
     DEFAULT_DEFINITENESS_TOL,
     DEFAULT_NORMALITY_TOL,
@@ -36,6 +37,7 @@ __all__ = [
     "classify_point",
     "definiteness_margin",
     "kernel_basis",
+    "locate_point",
     "root_subspace",
     "selfadjoint_product",
     "spectrum",
@@ -308,18 +310,14 @@ def verify_selfadjoint_link(
     return zero_positive == (pt.type_tag is SpectralType.TWO_SIDED_POSITIVE)
 
 
-def nearest_point_selector(points: list[SpectralPoint], index: int):
-    """Predicate accepting eigenvalues whose closest cluster is ``index``.
+def nearest_subset_selector(values, indices):
+    """Predicate accepting eigenvalues whose nearest entry of ``values``
+    (cluster representatives or eigenvalues) lies at one of ``indices``.
 
     Robust against cluster radii: membership is decided by comparison
-    against all representatives rather than a fixed disk.
+    against all values rather than a fixed disk.
     """
-    return nearest_subset_selector(points, (index,))
-
-
-def nearest_subset_selector(points: list[SpectralPoint], indices):
-    """Predicate accepting eigenvalues whose closest cluster lies in a set."""
-    reps = np.array([p.value for p in points])
+    reps = np.asarray(values)
     index_set = frozenset(indices)
 
     def selector(z: complex) -> bool:
@@ -328,19 +326,30 @@ def nearest_subset_selector(points: list[SpectralPoint], indices):
     return selector
 
 
+def locate_point(
+    N: KreinOperator, lam: complex, cfg: ToleranceConfig = ToleranceConfig()
+) -> int:
+    """Index in ``classified_spectrum(N, cfg)`` of the point that ``lam``
+    names: the nearest one, which must lie within ten clustering radii.
+    Non-finite and remote values are refused."""
+    lam = complex(lam)
+    if not np.isfinite(lam):
+        raise PreconditionError(f"{lam} is not a finite point")
+    dists = np.abs(np.array([pt.value for pt in classified_spectrum(N, cfg)]) - lam)
+    index = int(np.argmin(dists))
+    if dists[index] > 10.0 * cfg.cluster_radius(N):
+        raise PreconditionError(f"{lam} is not a spectral point of the operator")
+    return index
+
+
 def root_subspace(
     N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig = ToleranceConfig()
 ) -> SubspaceBasis:
     """Invariant subspace of the full eigenvalue cluster (dimension
     ``alg_mult``), computed from the ordered spectral decomposition."""
-    points = classified_spectrum(N, cfg)
-    dists = [abs(p.value - pt.value) for p in points]
-    index = int(np.argmin(dists))
-    if dists[index] > cfg.cluster_radius(N) * max(1, pt.alg_mult):
-        raise ValueError(f"point {pt.value} is not a spectral point of the operator")
-    dec = ordered_spectral_decomposition(
-        N.matrix, nearest_point_selector(points, index), schur=N.schur
-    )
+    values = [p.value for p in classified_spectrum(N, cfg)]
+    select = nearest_subset_selector(values, (locate_point(N, pt.value, cfg),))
+    dec = ordered_spectral_decomposition(N.matrix, select, schur=N.schur)
     if dec.split != pt.alg_mult:
         raise ValueError(
             f"cluster selector matched {dec.split} eigenvalues, expected {pt.alg_mult}"

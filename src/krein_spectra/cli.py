@@ -143,7 +143,7 @@ def cmd_project(args) -> int:
     if not region.pieces:
         raise DocumentError("project requires at least one --disk or --rect")
     cfg = doc.tolerances
-    contour = riesz_projection_contour(operator, region, nodes=args.nodes, cfg=cfg)
+    contour = riesz_projection_contour(operator, region, cfg)
     oracle = riesz_projection_oracle(operator, region, cfg)
     discrepancy = frobenius(contour.matrix - oracle.matrix)
     payload = {
@@ -205,6 +205,8 @@ def cmd_probe_resolvent(args) -> int:
         lam = complex(*(float(p) for p in args.point.split(",")))
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"--point expects re,im: {exc}") from exc
+    if not np.isfinite(lam):
+        raise DocumentError(f"--point must be finite, got {args.point!r}")
     try:
         radii = [float(r) for r in args.radii.split(",")]
     except ValueError as exc:
@@ -316,6 +318,10 @@ def cmd_suite(args) -> int:
         raise DocumentError(f"--dims expects 1 <= LO <= HI, got {args.dims!r}")
     if args.trials < 1:
         raise DocumentError(f"--trials must be at least 1, got {args.trials}")
+    if not 1 <= args.cond_bound < math.inf:
+        raise DocumentError(
+            f"--cond-bound must be finite and at least 1, got {args.cond_bound!r}"
+        )
     if args.only_trial is not None and not 0 <= args.only_trial < args.trials:
         raise DocumentError(
             f"--only-trial must lie in 0..{args.trials - 1}, got {args.only_trial}"
@@ -351,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="Riesz projection for a spectral region")
     p.add_argument("input")
     _add_region_flags(p)
-    p.add_argument("--nodes", type=int, default=128, help="quadrature nodes per primitive")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_project)
 

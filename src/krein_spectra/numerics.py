@@ -81,34 +81,24 @@ def reorder_schur(
 def ordered_spectral_decomposition(
     A: np.ndarray,
     selector: Callable[[complex], bool],
-    boundary_distance: Callable[[complex], float] | None = None,
-    cluster_tol: float = 1e-7,
     schur: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OrderedDecomposition:
     """Complex Schur form reordered so selected eigenvalues lead.
 
     The leading ``split`` columns of the unitary factor span the invariant
-    subspace of the selected eigenvalues.  When ``boundary_distance`` is
-    supplied, eigenvalues closer than ``cluster_tol * max(1, ||A||)`` to
-    the selector boundary are refused as ambiguous.  The complex Schur
-    form of A (or the precomputed ``schur = (T, U)``) is reordered with
+    subspace of the selected eigenvalues.  The complex Schur form of A (or
+    the precomputed ``schur = (T, U)``) is reordered with
     :func:`reorder_schur`.  The reordering is validated post hoc: every
     diagonal entry must land on the side the selector assigns it to.
+    Keeping eigenvalues away from the selector's boundary is the caller's
+    business (for regions, ``projections.region_selection``).
     """
     A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix must be square, got {A.shape}")
     t0, u0 = schur if schur is not None else scipy.linalg.schur(A, output="complex")
-    eigs = np.diag(t0)
-    if boundary_distance is not None:
-        scale = max(1.0, operator_norm(A))
-        offenders = [z for z in eigs if boundary_distance(z) <= cluster_tol * scale]
-        if offenders:
-            raise SelectorAmbiguityError(
-                f"eigenvalues too close to the selector boundary: {offenders}"
-            )
-    t, u, sdim = reorder_schur(t0, u0, [bool(selector(z)) for z in eigs])
+    t, u, sdim = reorder_schur(t0, u0, [bool(selector(z)) for z in np.diag(t0)])
     diag = np.diag(t)
     for i, z in enumerate(diag):
         if bool(selector(z)) != (i < sdim):

@@ -30,7 +30,7 @@ from .classification import (
     SpectralType,
     ToleranceConfig,
     classified_spectrum,
-    nearest_point_selector,
+    locate_point,
     nearest_subset_selector,
 )
 from .core import (
@@ -45,7 +45,6 @@ from .core import (
     is_normal,
     krein_adjoint,
     max_principal_angle,
-    operator_norm,
 )
 from .numerics import (
     contour_integral_resolvent,
@@ -67,6 +66,7 @@ __all__ = [
     "local_spectral_function",
     "projection_defect",
     "range_basis",
+    "region_selection",
     "resolvent_probe",
     "riesz_projection_contour",
     "riesz_projection_oracle",
@@ -149,21 +149,32 @@ def _make_result(
     )
 
 
-def _check_boundary_gap(N: KreinOperator, region: Region, cfg: ToleranceConfig) -> np.ndarray:
-    eigs = N.eigenvalues
-    gap = cfg.cluster_radius(N)
-    offenders = [z for z in eigs if region.boundary_distance(z) <= gap]
+def region_selection(
+    N: KreinOperator, region: Region, cfg: ToleranceConfig, values: Sequence[complex]
+) -> frozenset[int]:
+    """Indices of the ``values`` that ``region`` selects for the operator N.
+
+    The one place a region's selection is decided: both Riesz routes, the
+    spectral-set theorem and the local spectral function go through it.
+    It refuses first, with :class:`ContourThroughSpectrumError`, when an
+    eigenvalue of N lies within the boundary gap ``max(cluster radius,
+    cluster_tol * max(1, ||N||))`` of any piece boundary, hidden ones
+    included.  Away from every boundary, closed and half-open edges select
+    alike and conjugation preserves membership; only then is membership
+    reported, as plain containment.
+    """
+    gap = max(cfg.cluster_radius(N), cfg.cluster_tol * max(1.0, N.norm))
+    offenders = [z for z in N.eigenvalues if region.boundary_distance(z) <= gap]
     if offenders:
         raise ContourThroughSpectrumError(
             f"region boundary passes within {gap:.3e} of eigenvalues {offenders}"
         )
-    return eigs
+    return frozenset(i for i, z in enumerate(values) if region.contains(z))
 
 
 def riesz_projection_contour(
     N: KreinOperator,
     region: Region,
-    nodes: int | None = None,
     cfg: ToleranceConfig = ToleranceConfig(),
 ) -> SpectralProjectionResult:
     """Contour-quadrature Riesz projection onto the spectrum inside a region.
@@ -173,21 +184,21 @@ def riesz_projection_contour(
     regions are refused.  The resolvents are evaluated in the operator's
     cached Schur basis (``N.schur``, the factor the oracle route certifies)
     by :func:`resolvent_at`.  Convergence is self-checked by doubling the
-    node count: the ``nodes``- and ``2 * nodes``-point sums come from one
-    pass, and on a disk the coarse rule reuses the even nodes of the fine
-    one, so each disk node is evaluated once.  A discrepancy above 1e-6
-    flags the result instead of failing.
+    node count: the sums at ``cfg.contour_nodes`` and at twice as many
+    nodes come from one pass, and on a disk the coarse rule reuses the even
+    nodes of the fine one, so each disk node is evaluated once.  A
+    discrepancy above 1e-6 flags the result instead of failing.
     """
-    nodes = cfg.contour_nodes if nodes is None else nodes
-    eigs = _check_boundary_gap(N, region, cfg)
-    doubly_covered = [z for z in eigs if region.covering_count(z) >= 2]
+    eigs = N.eigenvalues
+    inside = region_selection(N, region, cfg, eigs)
+    doubly_covered = [eigs[i] for i in sorted(inside) if region.covering_count(eigs[i]) >= 2]
     if doubly_covered:
         raise AmbiguousRegionError(
             f"primitives overlap on eigenvalues {doubly_covered}; "
             "the per-primitive contour sum would double-count them"
         )
 
-    rules = [piece.quadrature_pair(nodes) for piece in region.pieces]
+    rules = [piece.quadrature_pair(cfg.contour_nodes) for piece in region.pieces]
     points = np.concatenate([np.empty(0)] + [pts for pts, _ in rules])
     weights = np.concatenate([np.empty((2, 0))] + [wts for _, wts in rules], axis=1)
     q, q_refined = resolvent_at(N.schur, points, weights / (2.0j * np.pi))
@@ -205,14 +216,9 @@ def riesz_projection_oracle(
 ) -> SpectralProjectionResult:
     """Riesz projection via ordered Schur decomposition and Sylvester
     decoupling; independent of the contour path."""
-    _check_boundary_gap(N, region, cfg)
-    dec = ordered_spectral_decomposition(
-        N.matrix,
-        region.contains,
-        boundary_distance=region.boundary_distance,
-        cluster_tol=cfg.cluster_tol,
-        schur=N.schur,
-    )
+    eigs = N.eigenvalues
+    selector = nearest_subset_selector(eigs, region_selection(N, region, cfg, eigs))
+    dec = ordered_spectral_decomposition(N.matrix, selector, schur=N.schur)
     return _make_result(spectral_projector(dec), N, region, cfg)
 
 
@@ -220,7 +226,6 @@ def verify_spectral_set_theorem(
     N: KreinOperator,
     region: Region,
     cfg: ToleranceConfig = ToleranceConfig(),
-    method: str = "oracle",
 ) -> VerificationReport:
     """Check that a positive-type spectral set has a selfadjoint Riesz
     projection with uniformly positive range on which the operator is
@@ -232,8 +237,9 @@ def verify_spectral_set_theorem(
     the report inapplicable rather than failed.
     """
     report = VerificationReport()
+    points = classified_spectrum(N, cfg)
     try:
-        _check_boundary_gap(N, region, cfg)
+        selected = region_selection(N, region, cfg, [pt.value for pt in points])
     except ContourThroughSpectrumError as exc:
         report.entries.append(
             CheckEntry(
@@ -245,8 +251,7 @@ def verify_spectral_set_theorem(
         )
         return report
 
-    points = classified_spectrum(N, cfg)
-    inside = [pt for pt in points if region.contains(pt.value)]
+    inside = [points[i] for i in sorted(selected)]
     not_positive = [
         pt
         for pt in inside
@@ -265,10 +270,7 @@ def verify_spectral_set_theorem(
         )
         return report
 
-    if method == "contour":
-        result = riesz_projection_contour(N, region, cfg=cfg)
-    else:
-        result = riesz_projection_oracle(N, region, cfg)
+    result = riesz_projection_oracle(N, region, cfg)
     q = result.matrix
     qn = frobenius(q)
 
@@ -503,10 +505,9 @@ class LocalSpectralFunction:
         self.operator = operator
         self.carrier = carrier
         self.points = points
+        self.values = [pt.value for pt in points]
         self.cfg = cfg
-        self.carrier_indices = frozenset(
-            i for i, pt in enumerate(points) if carrier.contains(pt.value)
-        )
+        self.carrier_indices = region_selection(operator, carrier, cfg, self.values)
         self._cluster_projectors: dict[int, np.ndarray] = {}
         self._cache: dict[frozenset[int], SpectralProjectionResult] = {}
 
@@ -515,17 +516,14 @@ class LocalSpectralFunction:
         if cached is None:
             dec = ordered_spectral_decomposition(
                 self.operator.matrix,
-                nearest_point_selector(self.points, index),
+                nearest_subset_selector(self.values, (index,)),
                 schur=self.operator.schur,
             )
             cached = self._cluster_projectors.setdefault(index, spectral_projector(dec))
         return cached
 
     def indices_in(self, region: Region) -> frozenset[int]:
-        _check_boundary_gap(self.operator, region, self.cfg)
-        inside = frozenset(
-            i for i, pt in enumerate(self.points) if region.contains(pt.value)
-        )
+        inside = region_selection(self.operator, region, self.cfg, self.values)
         stray = inside - self.carrier_indices
         if stray:
             raise PreconditionError(
@@ -568,7 +566,8 @@ def local_spectral_function(
     cfg: ToleranceConfig = ToleranceConfig(),
 ) -> LocalSpectralFunction:
     """Build the local spectral function on a carrier whose eigenvalues are
-    all of two-sided positive type; offenders are listed otherwise."""
+    all of two-sided positive type; offenders are listed otherwise, before
+    :func:`region_selection` decides (or refuses) the carrier."""
     points = classified_spectrum(N, cfg)
     offenders = [
         pt
@@ -696,7 +695,7 @@ def verify_lsf_axioms(
 
     def invariant_subspace(indices: frozenset[int]) -> SubspaceBasis:
         dec = ordered_spectral_decomposition(
-            N.matrix, nearest_subset_selector(E.points, indices), schur=N.schur
+            N.matrix, nearest_subset_selector(E.values, indices), schur=N.schur
         )
         return SubspaceBasis(dec.unitary[:, : dec.split])
 
@@ -872,13 +871,10 @@ def resolvent_probe(
         raise ValueError("radii must be strictly decreasing")
     if samples_per_radius < 1:
         raise ValueError("samples_per_radius must be at least 1")
+    idx = locate_point(N, lam0, cfg)
     points = classified_spectrum(N, cfg)
     reps = np.array([pt.value for pt in points])
     cluster_radius = cfg.cluster_radius(N)
-
-    idx = int(np.argmin(np.abs(reps - lam0)))
-    if abs(reps[idx] - lam0) > max(cluster_radius, 1e-12) * 10:
-        raise PreconditionError(f"{lam0} is not a spectral point of the operator")
     center = complex(reps[idx])
 
     table = []

@@ -103,8 +103,9 @@ class Rectangle:
         )
 
     def conjugate(self) -> "Rectangle":
-        # Mirroring swaps which horizontal edges are open; irrelevant for
-        # points kept away from the boundary, which every caller enforces.
+        # Mirroring swaps which horizontal edges are open.  That cannot
+        # change a selection: projections.region_selection refuses any
+        # eigenvalue within its boundary gap of an edge.
         return Rectangle(self.x0, -self.y1, self.x1, -self.y0)
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -74,6 +74,14 @@ __all__ = ["run_suite", "run_trial", "worker_count"]
 
 ANGLE_TOL = 1e-8
 COND_STRICT = 1e3
+# refusals that the relaxed regime downgrades to warnings
+REFUSALS = (
+    ContourThroughSpectrumError,
+    SelectorAmbiguityError,
+    AmbiguousRegionError,
+    PreconditionError,
+    np.linalg.LinAlgError,
+)
 
 
 @dataclass(frozen=True)
@@ -205,7 +213,7 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
         entries.extend(verify_spectral_set_theorem(gen.operator, region, cfg).entries)
 
     region = Region.disk(points[0].value, radius)
-    contour = riesz_projection_contour(gen.operator, region, nodes=64, cfg=cfg)
+    contour = riesz_projection_contour(gen.operator, region, replace(cfg, contour_nodes=64))
     oracle = riesz_projection_oracle(gen.operator, region, cfg)
     diff = frobenius(contour.matrix - oracle.matrix) / max(
         1.0, frobenius(oracle.matrix)
@@ -467,14 +475,7 @@ def run_trial(
             return fn()
         try:
             return fn()
-        except (
-            ContourThroughSpectrumError,
-            SelectorAmbiguityError,
-            AmbiguousRegionError,
-            PreconditionError,
-            np.linalg.LinAlgError,
-            ValueError,
-        ) as exc:
+        except (*REFUSALS, ValueError) as exc:
             return [
                 CheckEntry(
                     name=f"{group}-refused",
@@ -540,17 +541,8 @@ def run_suite(
         try:
             return [e.with_trial(i, repro(i)) for e in run_trial(i, seed, dims, cond_bound, cfg)]
         except (KreinError, np.linalg.LinAlgError) as exc:
-            refusal = isinstance(
-                exc,
-                (
-                    ContourThroughSpectrumError,
-                    SelectorAmbiguityError,
-                    AmbiguousRegionError,
-                    PreconditionError,
-                    np.linalg.LinAlgError,
-                ),
-            )
-            status = CheckStatus.WARNING if (relaxed and refusal) else CheckStatus.FAIL
+            refused = relaxed and isinstance(exc, REFUSALS)
+            status = CheckStatus.WARNING if refused else CheckStatus.FAIL
             return [
                 CheckEntry(
                     name="trial-error",

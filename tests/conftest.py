@@ -1,4 +1,4 @@
-"""Shared trial bank for the acceptance criteria.
+"""Shared trial bank for the acceptance criteria, and shared operators.
 
 One seeded stream of generated operators (dims 2-12, conditioning bound
 1e3) with their classified spectra, built once per session and reused by
@@ -18,6 +18,14 @@ ACCEPTANCE_SEED = 20260810
 ACCEPTANCE_TRIALS = 500
 ACCEPTANCE_DIMS = (2, 12)
 ACCEPTANCE_COND_BOUND = 1e3
+
+
+def boosted_matrix():
+    """diag(100, 200) conjugated by a boost of rapidity 3, J-unitary for
+    G = diag(1, -1): its norm, about 2e4, dwarfs its spectral radius."""
+    c, s = np.cosh(3.0), np.sinh(3.0)
+    boost = np.array([[c, s], [s, c]])
+    return np.linalg.solve(boost, np.diag([100.0, 200.0]) @ boost)
 
 
 def generate_trial(index: int, seed: int = ACCEPTANCE_SEED):

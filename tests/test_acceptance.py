@@ -16,6 +16,7 @@ from krein_spectra import (
     KreinSpace,
     Region,
     SpectralType,
+    ToleranceConfig,
     build_normal_with_types,
     classified_spectrum,
     local_spectral_function,
@@ -268,7 +269,9 @@ def test_criterion_8_oracle_agreement(trial_bank):
     failures = []
     for index, gen, points in trial_bank[:100]:
         region = Region.disk(points[0].value, _isolation_radius(points))
-        contour = riesz_projection_contour(gen.operator, region, nodes=64)
+        contour = riesz_projection_contour(
+            gen.operator, region, cfg=ToleranceConfig(contour_nodes=64)
+        )
         oracle = riesz_projection_oracle(gen.operator, region)
         diff = frobenius(contour.matrix - oracle.matrix)
         if diff > 1e-6:

@@ -6,12 +6,15 @@ diag(a,b) with distinct entries against the swap Gram has two neutral
 points; the swap-Gram Jordan cell has one defective neutral point.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from krein_spectra import (
     KreinOperator,
     KreinSpace,
+    PreconditionError,
     SpectralType,
     ToleranceConfig,
     build_normal_with_types,
@@ -176,6 +179,12 @@ class TestRootSubspace:
         root = root_subspace(n, pt)
         assert root.k == 2
         assert pt.kernel.k == 1
+
+    def test_foreign_point_refused(self):
+        n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
+        pt = replace(classified_spectrum(n)[0], value=1.5)
+        with pytest.raises(PreconditionError, match="not a spectral point"):
+            root_subspace(n, pt)
 
     def test_two_sided_points_have_coinciding_subspaces(self):
         rng = np.random.default_rng(15)

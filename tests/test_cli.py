@@ -18,6 +18,8 @@ from krein_spectra.documents import (
 )
 from krein_spectra.generators import GeneratorSpec
 
+from conftest import boosted_matrix
+
 
 def write_operator(tmp_path, name="op.json", gram=None, matrix=None, **extra):
     gram = np.diag([1.0, -1.0]) if gram is None else np.asarray(gram)
@@ -151,6 +153,14 @@ class TestExitCodes:
         assert main(["project", str(path), "--disk", "0,0,1"]) == 3
 
     @pytest.mark.parametrize("command", ["project", "lsf-verify"])
+    def test_wider_boundary_gap_is_exit_3(self, tmp_path, capsys, command):
+        # the eigenvalue 100 lies 1.1e-3 inside the disk: beyond the
+        # clustering radius, within cluster_tol * ||N|| of the boundary
+        path = write_operator(tmp_path, matrix=boosted_matrix())
+        assert main([command, str(path), "--disk", "99.0011249,0,1"]) == 3
+        assert "within 2.017e-03" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["project", "lsf-verify"])
     def test_rectangle_edge_through_spectrum_is_exit_3(self, tmp_path, capsys, command):
         # the eigenvalue 1 lies on the closed lower edge, which conjugation
         # turns into an open edge: both paths refuse the region alike
@@ -172,11 +182,17 @@ class TestExitCodes:
             (["suite", "--dims", "3:2"], "--dims"),
             (["suite", "--trials", "0"], "--trials"),
             (["suite", "--trials", "2", "--only-trial", "5"], "--only-trial"),
+            (["probe-resolvent", "OP", "--point", "nan,0", "--radii", "0.4"], "--point"),
+            (["probe-resolvent", "OP", "--point", "1,inf", "--radii", "0.4"], "--point"),
+            (["suite", "--trials", "1", "--cond-bound", "0.5"], "--cond-bound"),
+            (["suite", "--trials", "1", "--cond-bound", "nan"], "--cond-bound"),
+            (["suite", "--trials", "1", "--cond-bound", "inf"], "--cond-bound"),
         ],
         ids=[
             "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
             "samples-zero", "disk-negative-radius", "rect-reversed", "dims-reversed",
-            "trials-zero", "only-trial-out-of-range",
+            "trials-zero", "only-trial-out-of-range", "point-nan", "point-infinite",
+            "cond-bound-below-one", "cond-bound-nan", "cond-bound-infinite",
         ],
     )
     def test_bad_argument_is_exit_1(self, tmp_path, capsys, args, flag):
@@ -251,6 +267,20 @@ class TestSubcommands:
         assert payload["projection"][0][0] == [1.0, 0.0]
         assert payload["projection"][1][1] == [0.0, 0.0]
         assert payload["diagnostics"]["contour_oracle_discrepancy"] <= 1e-6
+
+    def test_document_contour_nodes_set_quadrature(self, tmp_path, capsys):
+        # the eigenvalue 2 lies 0.2 outside the circle: 16 nodes do not converge
+        warnings = {}
+        for nodes in (16, 128):
+            path = write_operator(
+                tmp_path, f"op{nodes}.json", tolerance_overrides={"contour_nodes": nodes}
+            )
+            assert main(["project", str(path), "--disk", "1,0,0.8"]) == 0
+            warnings[nodes] = json.loads(capsys.readouterr().out)["diagnostics"][
+                "contour_warnings"
+            ]
+        assert any(w.startswith("quadrature-not-converged") for w in warnings[16])
+        assert warnings[128] == []
 
     def test_project_full_and_empty_region(self, tmp_path, capsys):
         path = write_operator(tmp_path)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from krein_spectra import (
-    SelectorAmbiguityError,
     SpectralOverlapError,
     contour_integral_resolvent,
     ordered_spectral_decomposition,
@@ -55,15 +54,6 @@ class TestOrderedDecomposition:
                 ordered_spectral_decomposition(a, lambda z: not sel(z))
             )
             assert frobenius(q1 + q2 - np.eye(6)) <= 1e-9
-
-    def test_boundary_ambiguity_refused(self):
-        a = np.diag([1.0, 2.0])
-        with pytest.raises(SelectorAmbiguityError):
-            ordered_spectral_decomposition(
-                a,
-                lambda z: z.real > 1.0 - 1e-12,
-                boundary_distance=lambda z: abs(z.real - 1.0),
-            )
 
 
 class TestSylvester:

@@ -17,9 +17,11 @@ from krein_spectra import (
     PreconditionError,
     Region,
     SubspaceBasis,
+    ToleranceConfig,
     build_normal_with_types,
     disk_subspace,
     join_subspaces,
+    local_spectral_function,
     max_principal_angle,
     projection_defect,
     riesz_projection_contour,
@@ -30,51 +32,87 @@ from krein_spectra import (
 from krein_spectra.core import frobenius
 from krein_spectra._errors import AmbiguousRegionError
 
+from conftest import boosted_matrix
+
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+NODES_64 = ToleranceConfig(contour_nodes=64)
 
 
 def two_point_operator():
     return KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
 
 
+def boosted_operator():
+    return KreinOperator(boosted_matrix(), KreinSpace.indefinite(1, 1))
+
+
+# The eigenvalue 100 lies 1.1e-3 inside this disk: beyond the clustering
+# radius (2.3e-4) but within cluster_tol * ||N|| (2.0e-3) of the boundary.
+NEAR_BOUNDARY = Region.disk(99.0011249, 1.0)
+
+
 class TestRieszProjectionContour:
     def test_full_spectrum_gives_identity(self):
         n = two_point_operator()
-        result = riesz_projection_contour(n, Region.disk(1.5, 3.0), nodes=64)
+        result = riesz_projection_contour(n, Region.disk(1.5, 3.0), cfg=NODES_64)
         assert frobenius(result.matrix - np.eye(2)) <= 1e-8
 
     def test_empty_region_gives_zero(self):
         n = two_point_operator()
-        result = riesz_projection_contour(n, Region.disk(10.0 + 4.0j, 1.0), nodes=64)
+        result = riesz_projection_contour(n, Region.disk(10.0 + 4.0j, 1.0), cfg=NODES_64)
         assert frobenius(result.matrix) <= 1e-8
 
     def test_single_point_disk(self):
         n = two_point_operator()
-        result = riesz_projection_contour(n, Region.disk(1.0, 0.4), nodes=64)
+        result = riesz_projection_contour(n, Region.disk(1.0, 0.4), cfg=NODES_64)
         np.testing.assert_allclose(result.matrix, np.diag([1.0, 0.0]), atol=1e-8)
 
     def test_boundary_through_spectrum_refused(self):
         n = two_point_operator()
         with pytest.raises(ContourThroughSpectrumError):
-            riesz_projection_contour(n, Region.disk(0.0, 1.0), nodes=64)
+            riesz_projection_contour(n, Region.disk(0.0, 1.0), cfg=NODES_64)
 
     def test_overlapping_primitives_on_spectrum_refused(self):
         n = two_point_operator()
         region = Region.disk(1.0, 0.4).union(Region.disk(1.1, 0.4))
         with pytest.raises(AmbiguousRegionError):
-            riesz_projection_contour(n, region, nodes=64)
+            riesz_projection_contour(n, region, cfg=NODES_64)
 
     def test_region_without_pieces_gives_zero(self):
-        result = riesz_projection_contour(two_point_operator(), Region.empty(), nodes=64)
+        result = riesz_projection_contour(two_point_operator(), Region.empty(), cfg=NODES_64)
         assert result.rank == 0 and not result.warnings
         assert frobenius(result.matrix) == 0.0
 
     def test_rectangle_region(self):
         n = two_point_operator()
         result = riesz_projection_contour(
-            n, Region.rectangle(0.5, -0.5, 1.5, 0.5), nodes=128
+            n, Region.rectangle(0.5, -0.5, 1.5, 0.5), cfg=ToleranceConfig(contour_nodes=128)
         )
         np.testing.assert_allclose(result.matrix, np.diag([1.0, 0.0]), atol=1e-8)
+
+
+class TestBoundaryGap:
+    """Every path refuses a region at the same boundary gap."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [riesz_projection_contour, riesz_projection_oracle, local_spectral_function],
+        ids=["contour", "oracle", "lsf-carrier"],
+    )
+    def test_refused_within_the_wider_gap(self, build):
+        with pytest.raises(ContourThroughSpectrumError, match="within 2.017e-03"):
+            build(boosted_operator(), NEAR_BOUNDARY)
+
+    def test_spectral_set_theorem_inapplicable(self):
+        report = verify_spectral_set_theorem(boosted_operator(), NEAR_BOUNDARY)
+        assert [(e.name, e.status) for e in report.entries] == [
+            ("spectral-set-separation", CheckStatus.INAPPLICABLE)
+        ]
+
+    def test_lsf_subset_refused(self):
+        lsf = local_spectral_function(boosted_operator(), Region.disk(100.0, 1.0))
+        with pytest.raises(ContourThroughSpectrumError):
+            lsf.evaluate(NEAR_BOUNDARY)
 
 
 class TestRieszProjectionOracle:
@@ -100,7 +138,7 @@ class TestRieszProjectionOracle:
                 default=2.0,
             )
             region = Region.disk(points[0], 0.45 * gap)
-            contour = riesz_projection_contour(gen.operator, region, nodes=64)
+            contour = riesz_projection_contour(gen.operator, region, cfg=NODES_64)
             oracle = riesz_projection_oracle(gen.operator, region)
             assert frobenius(contour.matrix - oracle.matrix) <= 1e-6
 
@@ -110,7 +148,8 @@ class TestRieszProjectionOracle:
         exact = np.diag([1.0, 0.0])
         errors = {}
         for nodes in (16, 32, 64):
-            q = riesz_projection_contour(n, region, nodes=nodes).matrix
+            cfg = ToleranceConfig(contour_nodes=nodes)
+            q = riesz_projection_contour(n, region, cfg=cfg).matrix
             errors[nodes] = frobenius(q - exact)
         if errors[16] > 1e-12:
             assert errors[32] <= max(10 * errors[16] ** 2, 1e-12)

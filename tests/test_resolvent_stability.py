@@ -6,6 +6,7 @@ import pytest
 from krein_spectra import (
     KreinOperator,
     KreinSpace,
+    PreconditionError,
     SpectralType,
     build_normal_with_types,
     classified_spectrum,
@@ -48,6 +49,12 @@ class TestResolventProbe:
             )
             assert probe.pole_order == 1
         assert found >= 5
+
+    @pytest.mark.parametrize("point", [complex(np.nan, 0.0), complex(1.0, np.inf)])
+    def test_non_finite_point_refused(self, point):
+        n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.euclidean(2))
+        with pytest.raises(PreconditionError, match="not a finite point"):
+            resolvent_probe(n, point, radii=[0.4])
 
     def test_radii_validation(self):
         n = KreinOperator(np.eye(2), KreinSpace.euclidean(2))

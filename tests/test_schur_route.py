@@ -313,7 +313,8 @@ def test_contour_inverts_each_disk_node_once(monkeypatch, inverted):
     for module, name in ((np.linalg, "inv"), (scipy.linalg, "solve"),
                          (scipy.linalg, "inv"), (scipy.linalg, "lu_factor")):
         monkeypatch.setattr(module, name, refuse)
-    result = riesz_projection_contour(N, Region.disk(1.0 + 0.5j, 0.5), nodes=nodes)
+    cfg = ToleranceConfig(contour_nodes=nodes)
+    result = riesz_projection_contour(N, Region.disk(1.0 + 0.5j, 0.5), cfg=cfg)
     assert result.rank == 2
     assert sum(inverted) == 2 * nodes
     # the operator's own cached Schur form, nothing more
@@ -340,8 +341,12 @@ def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch, inverte
 
 def test_eigenvalue_near_circle_not_converged_at_few_nodes():
     N = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
-    coarse = riesz_projection_contour(N, Region.disk(1.0, 0.9), nodes=16)
+    coarse = riesz_projection_contour(
+        N, Region.disk(1.0, 0.9), cfg=ToleranceConfig(contour_nodes=16)
+    )
     assert any(w.startswith("quadrature-not-converged") for w in coarse.warnings)
-    fine = riesz_projection_contour(N, Region.disk(1.0, 0.5), nodes=128)
+    fine = riesz_projection_contour(
+        N, Region.disk(1.0, 0.5), cfg=ToleranceConfig(contour_nodes=128)
+    )
     assert not fine.warnings
     np.testing.assert_allclose(fine.matrix, np.diag([1.0, 0.0]), atol=1e-12)
