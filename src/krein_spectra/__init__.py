@@ -15,7 +15,6 @@ from ._errors import (
     KreinError,
     NonNormalError,
     PreconditionError,
-    SelectorAmbiguityError,
     SpectralOverlapError,
 )
 from .classification import (

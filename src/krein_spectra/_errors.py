@@ -38,11 +38,6 @@ class ContourThroughSpectrumError(KreinError):
     """Integration boundary passes too close to an eigenvalue (exit code 3)."""
 
 
-class SelectorAmbiguityError(KreinError):
-    """A reordered eigenvalue landed on the wrong side of the selector's
-    split in an ordered Schur decomposition (exit code 3)."""
-
-
 class AmbiguousRegionError(KreinError):
     """Region primitives overlap on spectrum, making contour sums ill-posed."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "kernel_basis",
     "locate_point",
     "root_subspace",
+    "schur_mask",
     "selfadjoint_product",
     "spectrum",
     "verify_selfadjoint_link",
@@ -104,6 +106,9 @@ DEFINITE_TAGS = POSITIVE_TAGS | NEGATIVE_TAGS
 class SpectralPoint:
     """One eigenvalue cluster with multiplicities and kernel data.
 
+    ``schur_positions`` are the cluster's ``alg_mult`` places, ascending,
+    on the diagonal of the operator's cached Schur factor ``N.schur[0]``;
+    every invariant subspace or projector of the cluster selects them.
     ``type_tag`` is None until :func:`classify_point` fills it in;
     ``gram_margin`` is the extremal compressed-Gram eigenvalue of the
     kernel.  ``warnings`` collects clustering-ambiguity and borderline
@@ -115,6 +120,7 @@ class SpectralPoint:
     geo_mult: int
     kernel: SubspaceBasis
     adjoint_kernel: SubspaceBasis
+    schur_positions: tuple[int, ...]
     type_tag: SpectralType | None = None
     gram_margin: float = math.nan
     warnings: tuple[str, ...] = ()
@@ -223,6 +229,7 @@ def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list
                 geo_mult=ker.k,
                 kernel=ker,
                 adjoint_kernel=adj_ker,
+                schur_positions=tuple(int(i) for i in ix),
                 warnings=warnings,
             )
         )
@@ -310,22 +317,6 @@ def verify_selfadjoint_link(
     return zero_positive == (pt.type_tag is SpectralType.TWO_SIDED_POSITIVE)
 
 
-def nearest_subset_selector(values, indices):
-    """Predicate accepting eigenvalues whose nearest entry of ``values``
-    (cluster representatives or eigenvalues) lies at one of ``indices``.
-
-    Robust against cluster radii: membership is decided by comparison
-    against all values rather than a fixed disk.
-    """
-    reps = np.asarray(values)
-    index_set = frozenset(indices)
-
-    def selector(z: complex) -> bool:
-        return int(np.argmin(np.abs(reps - z))) in index_set
-
-    return selector
-
-
 def locate_point(
     N: KreinOperator, lam: complex, cfg: ToleranceConfig = ToleranceConfig()
 ) -> int:
@@ -342,18 +333,23 @@ def locate_point(
     return index
 
 
+def schur_mask(N: KreinOperator, points: Iterable[SpectralPoint]) -> np.ndarray:
+    """Boolean mask over the diagonal of ``N.schur[0]`` flagging the
+    ``schur_positions`` of ``points``."""
+    select = np.zeros(N.dim, dtype=bool)
+    for pt in points:
+        select[list(pt.schur_positions)] = True
+    return select
+
+
 def root_subspace(
     N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig = ToleranceConfig()
 ) -> SubspaceBasis:
     """Invariant subspace of the full eigenvalue cluster (dimension
-    ``alg_mult``), computed from the ordered spectral decomposition."""
-    values = [p.value for p in classified_spectrum(N, cfg)]
-    select = nearest_subset_selector(values, (locate_point(N, pt.value, cfg),))
-    dec = ordered_spectral_decomposition(N.matrix, select, schur=N.schur)
-    if dec.split != pt.alg_mult:
-        raise ValueError(
-            f"cluster selector matched {dec.split} eigenvalues, expected {pt.alg_mult}"
-        )
+    ``alg_mult``), computed from the ordered spectral decomposition that
+    moves the cluster's Schur positions to the front."""
+    located = classified_spectrum(N, cfg)[locate_point(N, pt.value, cfg)]
+    dec = ordered_spectral_decomposition(N.matrix, N.schur, schur_mask(N, [located]))
     return SubspaceBasis(dec.unitary[:, : dec.split])
 
 

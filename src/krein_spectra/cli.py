@@ -22,7 +22,6 @@ from ._errors import (
     DocumentError,
     KreinError,
     PreconditionError,
-    SelectorAmbiguityError,
 )
 from .classification import classified_spectrum
 from .core import frobenius, min_gap
@@ -418,7 +417,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ContourThroughSpectrumError, SelectorAmbiguityError, AmbiguousRegionError) as exc:
+    except (ContourThroughSpectrumError, AmbiguousRegionError) as exc:
         print(f"numerical refusal: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     except CheckFailure as exc:

@@ -1,22 +1,23 @@
 """Dense complex linear-algebra substrate with explicit contracts.
 
-Ordered Schur decompositions realize spectral-set splittings, the
-Sylvester solver decouples invariant blocks (unique solvability granted
-by disjoint coefficient spectra), and weighted resolvent sums, evaluated
-in a Schur basis, give the contour integrals that recover spectral
-projectors and Laurent coefficients.
+Ordered Schur decompositions realize spectral-set splittings, selecting
+eigenvalues by their position on the Schur diagonal (a boolean mask),
+never by value; the Sylvester solver decouples invariant blocks (unique
+solvability granted by disjoint coefficient spectra), and weighted
+resolvent sums, evaluated in a Schur basis, give the contour integrals
+that recover spectral projectors and Laurent coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from ._errors import ContourThroughSpectrumError, SelectorAmbiguityError, SpectralOverlapError
+from ._errors import ContourThroughSpectrumError, SpectralOverlapError
 from .core import frobenius, operator_norm
 
 __all__ = [
@@ -56,10 +57,6 @@ class OrderedDecomposition:
     def selected_eigenvalues(self) -> np.ndarray:
         return np.diag(self.triangular)[: self.split]
 
-    @property
-    def rejected_eigenvalues(self) -> np.ndarray:
-        return np.diag(self.triangular)[self.split :]
-
 
 def reorder_schur(
     t: np.ndarray, u: np.ndarray, select: Sequence[bool]
@@ -80,33 +77,25 @@ def reorder_schur(
 
 def ordered_spectral_decomposition(
     A: np.ndarray,
-    selector: Callable[[complex], bool],
-    schur: tuple[np.ndarray, np.ndarray] | None = None,
+    schur: tuple[np.ndarray, np.ndarray],
+    select: Sequence[bool],
 ) -> OrderedDecomposition:
-    """Complex Schur form reordered so selected eigenvalues lead.
+    """Complex Schur form ``A = U T U*`` (``schur = (T, U)``) reordered by
+    :func:`reorder_schur` so the eigenvalues ``T[i, i]`` flagged in the
+    boolean mask ``select`` lead.
 
-    The leading ``split`` columns of the unitary factor span the invariant
-    subspace of the selected eigenvalues.  The complex Schur form of A (or
-    the precomputed ``schur = (T, U)``) is reordered with
-    :func:`reorder_schur`.  The reordering is validated post hoc: every
-    diagonal entry must land on the side the selector assigns it to.
-    Keeping eigenvalues away from the selector's boundary is the caller's
-    business (for regions, ``projections.region_selection``).
+    The leading ``split`` columns of the unitary factor span their
+    invariant subspace.  Which positions to flag is the caller's decision:
+    for regions, ``projections.region_selection``; for clusters, their
+    ``SpectralPoint.schur_positions``.
     """
     A = np.asarray(A, dtype=np.complex128)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"matrix must be square, got {A.shape}")
-    t0, u0 = schur if schur is not None else scipy.linalg.schur(A, output="complex")
-    t, u, sdim = reorder_schur(t0, u0, [bool(selector(z)) for z in np.diag(t0)])
-    diag = np.diag(t)
-    for i, z in enumerate(diag):
-        if bool(selector(z)) != (i < sdim):
-            raise SelectorAmbiguityError(
-                f"reordered eigenvalue {z} landed on the wrong side of the split"
-            )
+    select = np.asarray(select, dtype=bool)
+    if select.shape != (A.shape[0],):
+        raise ValueError(f"selection mask of shape {select.shape} for a {A.shape} matrix")
+    t, u, sdim = reorder_schur(*schur, select)
     backward = frobenius(A - u @ t @ u.conj().T) / max(frobenius(A), 1e-300)
-    return OrderedDecomposition(u, t, int(sdim), float(backward))
+    return OrderedDecomposition(u, t, sdim, float(backward))
 
 
 def spectral_projector(dec: OrderedDecomposition) -> np.ndarray:

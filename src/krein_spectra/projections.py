@@ -31,7 +31,7 @@ from .classification import (
     ToleranceConfig,
     classified_spectrum,
     locate_point,
-    nearest_subset_selector,
+    schur_mask,
 )
 from .core import (
     DefinitenessKind,
@@ -96,8 +96,10 @@ class SpectralProjectionResult:
     """A projection with its residual diagnostics.
 
     Residuals are absolute Frobenius norms; ``gram_margin`` classifies the
-    range in the indefinite product.  Results violating the idempotency
-    acceptance bound are never constructed (the producers raise instead).
+    range in the indefinite product.  A result over the idempotency
+    acceptance bound is refused with :class:`CheckFailure`, except on the
+    contour route, which returns it flagged with an
+    ``idempotency-above-acceptance`` warning.
     """
 
     matrix: np.ndarray
@@ -111,11 +113,6 @@ class SpectralProjectionResult:
     @property
     def rank(self) -> int:
         return range_basis(self.matrix).k
-
-    @property
-    def accepted(self) -> bool:
-        bound = _IDEM_ACCEPT_FACTOR * (1.0 + frobenius(self.matrix) ** 2)
-        return self.idem_residual <= bound and not self.warnings
 
 
 def _make_result(
@@ -215,10 +212,10 @@ def riesz_projection_oracle(
     cfg: ToleranceConfig = ToleranceConfig(),
 ) -> SpectralProjectionResult:
     """Riesz projection via ordered Schur decomposition and Sylvester
-    decoupling; independent of the contour path."""
-    eigs = N.eigenvalues
-    selector = nearest_subset_selector(eigs, region_selection(N, region, cfg, eigs))
-    dec = ordered_spectral_decomposition(N.matrix, selector, schur=N.schur)
+    decoupling; independent of the contour path.  ``N.eigenvalues`` is
+    the Schur diagonal, so the region's selection is the reordering mask."""
+    select = np.isin(np.arange(N.dim), list(region_selection(N, region, cfg, N.eigenvalues)))
+    dec = ordered_spectral_decomposition(N.matrix, N.schur, select)
     return _make_result(spectral_projector(dec), N, region, cfg)
 
 
@@ -398,13 +395,16 @@ def disk_subspace(
 ) -> SubspaceBasis:
     """Sum of kernels over eigenvalues in the closed disk of radius ``eps``
     around ``lam``; requires those eigenvalues to be of two-sided positive
-    type.
+    type.  The disk selects through :func:`region_selection`, so a circle
+    passing within the boundary gap of an eigenvalue is refused.
 
     The result is verified to be invariant for the operator and its
     adjoint, uniformly positive, with restricted spectrum inside the disk,
     and empty exactly when the disk misses the spectrum.
     """
-    inside = [pt for pt in classified_spectrum(N, cfg) if abs(pt.value - lam) <= eps]
+    points = classified_spectrum(N, cfg)
+    selected = region_selection(N, Region.disk(lam, eps), cfg, [pt.value for pt in points])
+    inside = [points[i] for i in sorted(selected)]
     offenders = [pt for pt in inside if pt.type_tag is not SpectralType.TWO_SIDED_POSITIVE]
     if offenders:
         raise PreconditionError(
@@ -514,10 +514,9 @@ class LocalSpectralFunction:
     def cluster_projector(self, index: int) -> np.ndarray:
         cached = self._cluster_projectors.get(index)
         if cached is None:
+            N = self.operator
             dec = ordered_spectral_decomposition(
-                self.operator.matrix,
-                nearest_subset_selector(self.values, (index,)),
-                schur=self.operator.schur,
+                N.matrix, N.schur, schur_mask(N, [self.points[index]])
             )
             cached = self._cluster_projectors.setdefault(index, spectral_projector(dec))
         return cached
@@ -695,7 +694,7 @@ def verify_lsf_axioms(
 
     def invariant_subspace(indices: frozenset[int]) -> SubspaceBasis:
         dec = ordered_spectral_decomposition(
-            N.matrix, nearest_subset_selector(E.values, indices), schur=N.schur
+            N.matrix, N.schur, schur_mask(N, E.selected_points(indices))
         )
         return SubspaceBasis(dec.unitary[:, : dec.split])
 

@@ -20,19 +20,20 @@ solver contracts) stay strict in every regime.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from ._errors import (
     AmbiguousRegionError,
     ContourThroughSpectrumError,
     KreinError,
     PreconditionError,
-    SelectorAmbiguityError,
 )
 from .classification import (
     DEFINITE_TAGS,
@@ -77,7 +78,6 @@ COND_STRICT = 1e3
 # refusals that the relaxed regime downgrades to warnings
 REFUSALS = (
     ContourThroughSpectrumError,
-    SelectorAmbiguityError,
     AmbiguousRegionError,
     PreconditionError,
     np.linalg.LinAlgError,
@@ -431,9 +431,10 @@ def numerics_checks(rng: np.random.Generator) -> list[CheckEntry]:
 
     a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     pivot = float(np.median(np.linalg.eigvals(a).real))
-    sel = lambda zz: zz.real > pivot + 1e-3
-    dec = ordered_spectral_decomposition(a, sel)
-    dec_c = ordered_spectral_decomposition(a, lambda zz: not sel(zz))
+    schur = scipy.linalg.schur(a, output="complex")
+    select = np.diag(schur[0]).real > pivot + 1e-3
+    dec = ordered_spectral_decomposition(a, schur, select)
+    dec_c = ordered_spectral_decomposition(a, schur, ~select)
     q1, q2 = spectral_projector(dec), spectral_projector(dec_c)
     completeness = frobenius(q1 + q2 - np.eye(k))
     entries.append(
@@ -523,6 +524,8 @@ def run_suite(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 1 <= cond_bound < math.inf:  # also refuses NaN
+        raise ValueError(f"cond_bound must be finite and at least 1, got {cond_bound!r}")
     if dims[0] < 1 or dims[1] < dims[0]:
         raise ValueError(f"invalid dimension range {dims}")
     started = time.perf_counter()

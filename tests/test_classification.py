@@ -33,6 +33,15 @@ from krein_spectra.core import frobenius, krein_adjoint
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+CHAINED_CFG = ToleranceConfig(cluster_tol=0.1)
+
+
+def chained_cluster_operator():
+    return KreinOperator(
+        np.diag([1.0, 1.15, 1.3, 1.45, 1.6, 1.8]), KreinSpace.euclidean(6)
+    )
+
+
 def jordan_witness(lam=3 + 1j):
     space = KreinSpace(SWAP)
     return KreinOperator(np.array([[lam, 1.0], [0.0, lam]]), space)
@@ -63,6 +72,20 @@ class TestSpectrum:
                 assert pt.alg_mult == truth.alg_mult
                 assert pt.geo_mult == truth.geo_mult
             assert sum(pt.alg_mult for pt in points) == gen.operator.dim
+
+    def test_schur_positions_partition_the_schur_diagonal(self):
+        rng = np.random.default_rng(11)
+        cases = [(chained_cluster_operator(), CHAINED_CFG)] + [
+            (build_normal_with_types(sample_generator_spec(rng, 8)).operator, ToleranceConfig())
+            for _ in range(10)
+        ]
+        for n, cfg in cases:
+            points = spectrum(n, cfg)
+            positions = [i for pt in points for i in pt.schur_positions]
+            assert sorted(positions) == list(range(n.dim))
+            for pt in points:
+                assert len(pt.schur_positions) == pt.alg_mult
+                assert pt.value == pytest.approx(np.mean(n.eigenvalues[list(pt.schur_positions)]))
 
     def test_close_clusters_get_warned_not_merged(self):
         n = KreinOperator(np.diag([1.0, 1.0 + 3e-7]), KreinSpace.euclidean(2))
@@ -185,6 +208,14 @@ class TestRootSubspace:
         pt = replace(classified_spectrum(n)[0], value=1.5)
         with pytest.raises(PreconditionError, match="not a spectral point"):
             root_subspace(n, pt)
+
+    def test_chained_cluster_root_has_full_multiplicity(self):
+        # 1.0 .. 1.6 chain into one cluster at the radius 0.18, whose mean
+        # 1.3 is farther from 1.6 than the foreign eigenvalue 1.8 is
+        n = chained_cluster_operator()
+        pt = classified_spectrum(n, CHAINED_CFG)[0]
+        assert pt.alg_mult == 5
+        assert root_subspace(n, pt, CHAINED_CFG).k == 5
 
     def test_two_sided_points_have_coinciding_subspaces(self):
         rng = np.random.default_rng(15)

@@ -14,6 +14,7 @@ from krein_spectra import (
     KreinSpace,
     PreconditionError,
     Region,
+    ToleranceConfig,
     build_normal_with_types,
     local_spectral_function,
     sample_generator_spec,
@@ -96,6 +97,15 @@ class TestConstruction:
         disk = lsf.evaluate(Region.disk(2.0, 0.3)).matrix
         rect = lsf.evaluate(Region.rectangle(1.7, -0.3, 2.3, 0.3)).matrix
         np.testing.assert_allclose(disk, rect, atol=1e-12)
+
+    def test_chained_cluster_projector_has_full_rank(self):
+        # the cluster 1.0 .. 1.6 (radius 0.18) has its mean 1.3 farther from
+        # 1.6 than the foreign eigenvalue 1.8 is
+        n = KreinOperator(
+            np.diag([1.0, 1.15, 1.3, 1.45, 1.6, 1.8]), KreinSpace.euclidean(6)
+        )
+        E = local_spectral_function(n, Region.disk(1.4, 1.0), ToleranceConfig(cluster_tol=0.1))
+        assert [E.evaluate_indices(frozenset({i})).rank for i in range(2)] == [5, 1]
 
 
 class TestAxioms:

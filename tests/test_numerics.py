@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krein_spectra import (
     SpectralOverlapError,
@@ -20,17 +21,25 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def ordered(a, predicate):
+    """Ordered decomposition of ``a`` selecting, by position, the diagonal
+    entries of its complex Schur form that satisfy ``predicate``."""
+    schur = scipy.linalg.schur(a, output="complex")
+    select = [predicate(z) for z in np.diag(schur[0])]
+    return ordered_spectral_decomposition(a, schur, select)
+
+
 class TestOrderedDecomposition:
     def test_diagonal_reordering(self):
         a = np.diag([-1.0, 3.0, -2.0, 5.0])
-        dec = ordered_spectral_decomposition(a, lambda z: z.real > 0)
+        dec = ordered(a, lambda z: z.real > 0)
         assert dec.split == 2
         assert sorted(z.real for z in dec.selected_eigenvalues) == [3.0, 5.0]
         assert dec.backward_error <= 1e-10
 
     def test_invariant_subspace_of_triangular_example(self):
         a = np.array([[1.0, 1.0], [0.0, 2.0]])
-        dec = ordered_spectral_decomposition(a, lambda z: abs(z - 2) < 0.5)
+        dec = ordered(a, lambda z: abs(z - 2) < 0.5)
         assert dec.split == 1
         lead = dec.unitary[:, 0]
         expected = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -40,7 +49,7 @@ class TestOrderedDecomposition:
     def test_select_everything(self):
         rng = np.random.default_rng(20)
         a = random_complex(rng, (5, 5))
-        dec = ordered_spectral_decomposition(a, lambda z: True)
+        dec = ordered(a, lambda z: True)
         assert dec.split == 5
 
     def test_complementary_selectors_give_resolution_of_identity(self):
@@ -48,12 +57,18 @@ class TestOrderedDecomposition:
         for _ in range(10):
             a = random_complex(rng, (6, 6))
             pivot = float(np.median(np.linalg.eigvals(a).real))
-            sel = lambda z: z.real > pivot + 1e-6
-            q1 = spectral_projector(ordered_spectral_decomposition(a, sel))
-            q2 = spectral_projector(
-                ordered_spectral_decomposition(a, lambda z: not sel(z))
-            )
+            schur = scipy.linalg.schur(a, output="complex")
+            select = np.diag(schur[0]).real > pivot + 1e-6
+            q1 = spectral_projector(ordered_spectral_decomposition(a, schur, select))
+            q2 = spectral_projector(ordered_spectral_decomposition(a, schur, ~select))
             assert frobenius(q1 + q2 - np.eye(6)) <= 1e-9
+
+
+    def test_mask_must_cover_the_diagonal(self):
+        a = np.diag([1.0, 2.0, 3.0])
+        schur = scipy.linalg.schur(a, output="complex")
+        with pytest.raises(ValueError, match="mask"):
+            ordered_spectral_decomposition(a, schur, [True, False])
 
 
 class TestSylvester:

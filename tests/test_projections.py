@@ -220,6 +220,14 @@ class TestDiskSubspace:
             )
         assert found >= 5
 
+    def test_eigenvalue_on_circle_refused(self):
+        # 2 lies on the circle; the oracle refuses this disk too
+        n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.euclidean(2))
+        with pytest.raises(ContourThroughSpectrumError):
+            riesz_projection_oracle(n, Region.disk(1.0, 1.0))
+        with pytest.raises(ContourThroughSpectrumError):
+            disk_subspace(n, 1.0, 1.0)
+
     def test_rejects_non_positive_disk(self):
         n = two_point_operator()
         with pytest.raises(PreconditionError, match="two-sided positive"):

@@ -32,6 +32,11 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="trials"):
             run_suite(trials=0, seed=1)
 
+    @pytest.mark.parametrize("cond_bound", [float("nan"), float("inf")])
+    def test_cond_bound_validation(self, cond_bound):
+        with pytest.raises(ValueError, match="cond_bound"):
+            run_suite(trials=2, seed=0, cond_bound=cond_bound, threads=1)
+
     def test_parallel_matches_serial(self):
         serial = run_suite(trials=4, seed=2, dims=(2, 6), threads=1)
         parallel = run_suite(trials=4, seed=2, dims=(2, 6), threads=4)
