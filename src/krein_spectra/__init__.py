@@ -23,7 +23,6 @@ from .classification import (
     ToleranceConfig,
     classified_spectrum,
     classify_point,
-    definiteness_margin,
     root_subspace,
     selfadjoint_product,
     spectrum,
@@ -36,12 +35,9 @@ from .core import (
     KreinSpace,
     SubspaceBasis,
     definiteness,
-    indefinite_inner,
     is_normal,
     krein_adjoint,
     max_principal_angle,
-    orthogonal_companion,
-    part_decomposition,
 )
 from .documents import OperatorDocument, parse_operator_document
 from .generators import (
@@ -63,8 +59,6 @@ from .numerics import (
 from .projections import (
     LocalSpectralFunction,
     SpectralProjectionResult,
-    disk_subspace,
-    join_subspaces,
     local_spectral_function,
     projection_defect,
     resolvent_probe,

@@ -25,7 +25,6 @@ from .core import (
     DefinitenessKind,
     KreinOperator,
     SubspaceBasis,
-    compressed_gram,
     definiteness,
 )
 from .numerics import ordered_spectral_decomposition, reorder_schur
@@ -36,7 +35,6 @@ __all__ = [
     "ToleranceConfig",
     "classified_spectrum",
     "classify_point",
-    "definiteness_margin",
     "kernel_basis",
     "locate_point",
     "root_subspace",
@@ -351,27 +349,3 @@ def root_subspace(
     located = classified_spectrum(N, cfg)[locate_point(N, pt.value, cfg)]
     dec = ordered_spectral_decomposition(N.matrix, N.schur, schur_mask(N, [located]))
     return SubspaceBasis(dec.unitary[:, : dec.split])
-
-
-def definiteness_margin(
-    N: KreinOperator,
-    lam: complex,
-    eps: float,
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> float:
-    """Smallest compressed-Gram eigenvalue over the near-singular
-    directions of ``N - lam`` (singular values at most ``eps``).
-
-    Returns ``+inf`` when no singular value falls below ``eps``, i.e. when
-    ``lam`` is far from the spectrum at that resolution.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    a = N.matrix - lam * np.eye(N.dim)
-    _, s, vh = np.linalg.svd(a)
-    mask = s <= eps
-    if not np.any(mask):
-        return math.inf
-    basis = SubspaceBasis(vh[mask].conj().T)
-    eigs = np.linalg.eigvalsh(compressed_gram(basis, N.space))
-    return float(eigs[0])

@@ -47,7 +47,7 @@ from .projections import (
     verify_maximality,
 )
 from .regions import Region
-from .suite import run_suite
+from .suite import run_suite, worker_count
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -325,12 +325,18 @@ def cmd_suite(args) -> int:
         raise DocumentError(
             f"--only-trial must lie in 0..{args.trials - 1}, got {args.only_trial}"
         )
+    if args.threads is not None and args.threads < 1:
+        raise DocumentError(f"--threads must be at least 1, got {args.threads}")
+    try:
+        threads = worker_count(args.threads)
+    except ValueError as exc:  # a bad KREIN_SPECTRA_THREADS value
+        raise DocumentError(str(exc)) from exc
     report = run_suite(
         trials=args.trials,
         seed=args.seed,
         dims=dims,
         cond_bound=args.cond_bound,
-        threads=args.threads,
+        threads=threads,
         only_trial=args.only_trial,
     )
     if args.json_out:

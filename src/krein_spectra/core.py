@@ -4,9 +4,8 @@ A space is described by an invertible Hermitian Gram matrix ``G`` which
 induces the (generally indefinite) product ``[x, y] = <G x, y>``, where
 ``<., .>`` is the Euclidean inner product, conjugate-linear in the second
 slot.  On top of that this module provides the adjoint with respect to
-``[., .]``, normality certificates, definiteness classification of
-subspaces, orthogonal companions and the real/imaginary part split of a
-normal operator.
+``[., .]``, normality certificates and definiteness classification of
+subspaces.
 """
 
 from __future__ import annotations
@@ -30,13 +29,10 @@ __all__ = [
     "KreinSpace",
     "SubspaceBasis",
     "definiteness",
-    "indefinite_inner",
     "is_normal",
     "krein_adjoint",
     "max_principal_angle",
     "min_gap",
-    "orthogonal_companion",
-    "part_decomposition",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
@@ -139,18 +135,6 @@ class KreinSpace:
         It is the largest singular value found by the invertibility check
         at construction, stored then."""
         return self._gram_scale
-
-
-def indefinite_inner(x: np.ndarray, y: np.ndarray, space: KreinSpace) -> complex:
-    """Evaluate ``[x, y] = <G x, y>``; conjugate-symmetric in (x, y)."""
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if x.shape[0] != space.dim or y.shape[0] != space.dim:
-        raise ValueError(
-            f"vector lengths {x.shape[0]}, {y.shape[0]} do not match dim {space.dim}"
-        )
-    # np.vdot conjugates its first argument: vdot(y, Gx) = y* G x.
-    return complex(np.vdot(y, space.gram @ x))
 
 
 def krein_adjoint(T: np.ndarray, space: KreinSpace) -> np.ndarray:
@@ -285,10 +269,6 @@ class SubspaceBasis:
     def zero(cls, dim: int) -> "SubspaceBasis":
         return cls(np.zeros((dim, 0)))
 
-    @classmethod
-    def full(cls, dim: int) -> "SubspaceBasis":
-        return cls(np.eye(dim))
-
     @property
     def dim(self) -> int:
         """Ambient dimension."""
@@ -379,33 +359,3 @@ def definiteness(
         return DefinitenessVerdict(DefinitenessKind.INDEFINITE, lo, spectrum)
     extremal = hi if abs(hi) >= abs(lo) else lo
     return DefinitenessVerdict(DefinitenessKind.NEUTRAL, extremal, spectrum)
-
-
-def orthogonal_companion(basis: SubspaceBasis, space: KreinSpace) -> SubspaceBasis:
-    """All vectors ``[., .]``-orthogonal to the given subspace.
-
-    Equals the Euclidean orthogonal complement of ``G L``; since the Gram
-    matrix is invertible the result always has dimension ``dim - k``.
-    """
-    if basis.dim != space.dim:
-        raise ValueError(
-            f"basis ambient dim {basis.dim} does not match space dim {space.dim}"
-        )
-    n, k = space.dim, basis.k
-    if k == 0:
-        return SubspaceBasis.full(n)
-    gl = space.gram @ basis.columns
-    u, _, _ = np.linalg.svd(gl, full_matrices=True)
-    return SubspaceBasis(u[:, k:])
-
-
-def part_decomposition(N: KreinOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Split a normal operator into commuting selfadjoint parts.
-
-    Returns ``(R, S)`` with ``N = R + iS``, ``R = (N + N+)/2`` and
-    ``S = (N - N+)/(2i)``; both are selfadjoint in the indefinite product
-    and commute because N is normal.
-    """
-    re = (N.matrix + N.adjoint) / 2.0
-    im = (N.matrix - N.adjoint) / (2.0j)
-    return re, im

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _GENERATED_NORMALITY_TOL = 1e-9
+# least distance between two eigenvalues drawn by sample_generator_spec
+_MIN_SEPARATION = 0.35
 
 
 @dataclass(frozen=True)
@@ -295,11 +297,11 @@ def sample_generator_spec(
     dim: int,
     cond_bound: float | None = 1e3,
     kinds: tuple[str, ...] = ("positive", "negative", "pair", "jordan"),
-    min_separation: float = 0.35,
     box: float = 2.0,
 ) -> GeneratorSpec:
-    """Random inventory of total dimension ``dim`` with well-separated
-    eigenvalues in a square box; used by the trial harness."""
+    """Random inventory of total dimension ``dim`` with eigenvalues at
+    least ``_MIN_SEPARATION`` apart in a square box; used by the trial
+    harness."""
     if dim < 1:
         raise ValueError("dim must be positive")
     values: list[complex] = []
@@ -307,7 +309,7 @@ def sample_generator_spec(
     def fresh_value() -> complex:
         for _ in range(4096):
             z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
-            if all(abs(z - w) >= min_separation for w in values):
+            if all(abs(z - w) >= _MIN_SEPARATION for w in values):
                 values.append(z)
                 return z
         raise RuntimeError("could not place a separated eigenvalue; enlarge the box")

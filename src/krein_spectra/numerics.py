@@ -17,8 +17,9 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from ._errors import ContourThroughSpectrumError, SpectralOverlapError
+from ._errors import SpectralOverlapError
 from .core import frobenius, operator_norm
+from .regions import Disk
 
 __all__ = [
     "OrderedDecomposition",
@@ -234,40 +235,18 @@ def _fill_shifted_inverse(t: np.ndarray, z: np.ndarray, out: np.ndarray) -> None
 
 
 def contour_integral_resolvent(
-    N: np.ndarray,
-    center: complex,
-    radius: float,
-    k: int = 0,
-    nodes: int = 128,
-    cluster_tol: float = 1e-7,
-    schur: tuple[np.ndarray, np.ndarray] | None = None,
+    schur: tuple[np.ndarray, np.ndarray], disk: Disk, k: int = 0, nodes: int = 128
 ) -> np.ndarray:
     """Trapezoidal evaluation of the circle integral
-    ``(1/2 pi i) ∮ (z - center)^k (z - N)^{-1} dz``.
+    ``(1/2 pi i) ∮ (z - center)^k (z - N)^{-1} dz`` over the boundary of
+    ``disk``, for the complex Schur form ``N = U T U*`` (``schur = (T, U)``).
 
     ``k = 0`` on a spectrum-enclosing circle gives the identity; ``k >= 1``
-    probes Laurent coefficients at an enclosed isolated eigenvalue.
-    The resolvents are evaluated by :func:`resolvent_at` in the complex
-    Schur basis of N (the precomputed ``schur = (T, U)``, or a fresh
-    one).  Circles passing within the clustering tolerance of an
-    eigenvalue, read off the diagonal of T, are refused.
+    probes Laurent coefficients at an enclosed isolated eigenvalue.  The
+    nodes are the disk's own rule (:meth:`Disk.quadrature`) and the
+    resolvents are evaluated by :func:`resolvent_at`.  Whether the circle
+    keeps clear of the spectrum is the caller's decision.
     """
-    N = np.asarray(N, dtype=np.complex128)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if schur is None:
-        schur = scipy.linalg.schur(N, output="complex")
-    eigs = np.diag(schur[0])
-    scale = max(1.0, operator_norm(N))
-    margin = np.abs(np.abs(eigs - center) - radius)
-    if np.any(margin <= cluster_tol * scale):
-        offenders = eigs[margin <= cluster_tol * scale]
-        raise ContourThroughSpectrumError(
-            f"eigenvalues on the integration circle: {list(offenders)}"
-        )
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    unit = np.exp(1j * theta)
-    points = center + radius * unit
-    # weights (r/nodes) e^{i theta} (z - center)^k collapse the 1/(2 pi i) prefactor
-    factors = (radius / nodes) * unit * (radius * unit) ** k
+    points, weights = disk.quadrature(nodes)
+    factors = weights * (points - disk.center) ** k / (2.0j * np.pi)
     return resolvent_at(schur, points, factors)[0]

@@ -52,7 +52,7 @@ from .numerics import (
     resolvent_at,
     spectral_projector,
 )
-from .regions import Region
+from .regions import Disk, Region
 from .report import CheckEntry, CheckStatus, VerificationReport, passfail
 
 __all__ = [
@@ -60,9 +60,6 @@ __all__ = [
     "LocalSpectralFunction",
     "ResolventProbeResult",
     "SpectralProjectionResult",
-    "disk_subspace",
-    "j_orthogonal_projector",
-    "join_subspaces",
     "local_spectral_function",
     "projection_defect",
     "range_basis",
@@ -78,16 +75,19 @@ __all__ = [
 
 _IDEM_ACCEPT_FACTOR = 1e-8
 _CONVERGENCE_FLAG_TOL = 1e-6
+# projections have singular values either >= 1 or ~ 0, so this cut
+# separates range from kernel directions robustly
+_RANGE_CUTOFF = 0.5
+# projection_defect: idempotency acceptance and defect rank cut, both relative
+_DEFECT_IDEM_TOL = 1e-8
+_DEFECT_RANK_TOL = 1e-8
 
 
-def range_basis(Q: np.ndarray, cutoff: float = 0.5) -> SubspaceBasis:
-    """Orthonormal basis of a projection's range.
-
-    Projections have singular values either >= 1 or ~ 0, so a fixed 0.5
-    cutoff separates range from kernel directions robustly.
-    """
+def range_basis(Q: np.ndarray) -> SubspaceBasis:
+    """Orthonormal basis of a projection's range: the left singular
+    vectors whose singular value exceeds ``_RANGE_CUTOFF``."""
     u, s, _ = np.linalg.svd(np.asarray(Q, dtype=np.complex128))
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = int(np.count_nonzero(s > _RANGE_CUTOFF))
     return SubspaceBasis(u[:, :rank])
 
 
@@ -95,8 +95,9 @@ def range_basis(Q: np.ndarray, cutoff: float = 0.5) -> SubspaceBasis:
 class SpectralProjectionResult:
     """A projection with its residual diagnostics.
 
-    Residuals are absolute Frobenius norms; ``gram_margin`` classifies the
-    range in the indefinite product.  A result over the idempotency
+    Residuals are absolute Frobenius norms; ``basis`` is the range of the
+    projection (:func:`range_basis`, computed once) and ``gram_margin``
+    classifies it in the indefinite product.  A result over the idempotency
     acceptance bound is refused with :class:`CheckFailure`, except on the
     contour route, which returns it flagged with an
     ``idempotency-above-acceptance`` warning.
@@ -108,11 +109,12 @@ class SpectralProjectionResult:
     selfadj_residual: float
     commute_residual: float
     gram_margin: DefinitenessVerdict
+    basis: SubspaceBasis
     warnings: tuple[str, ...] = ()
 
     @property
     def rank(self) -> int:
-        return range_basis(self.matrix).k
+        return self.basis.k
 
 
 def _make_result(
@@ -134,14 +136,15 @@ def _make_result(
         warnings = warnings + (f"idempotency-above-acceptance:{idem:.3e}",)
     selfadj = frobenius(krein_adjoint(Q, N.space) - Q)
     commute = frobenius(Q @ N.matrix - N.matrix @ Q)
-    margin = definiteness(range_basis(Q), N.space, cfg.definiteness_tol)
+    basis = range_basis(Q)
     return SpectralProjectionResult(
         matrix=Q,
         target=target,
         idem_residual=idem,
         selfadj_residual=selfadj,
         commute_residual=commute,
-        gram_margin=margin,
+        gram_margin=definiteness(basis, N.space, cfg.definiteness_tol),
+        basis=basis,
         warnings=warnings,
     )
 
@@ -268,8 +271,7 @@ def verify_spectral_set_theorem(
         return report
 
     result = riesz_projection_oracle(N, region, cfg)
-    q = result.matrix
-    qn = frobenius(q)
+    qn = frobenius(result.matrix)
 
     tol_selfadj = 1e-8 * (1.0 + qn)
     report.entries.append(
@@ -292,7 +294,7 @@ def verify_spectral_set_theorem(
         )
     )
 
-    basis = range_basis(q)
+    basis = result.basis
     if basis.k == 0:
         report.entries.append(
             CheckEntry(
@@ -340,12 +342,7 @@ def verify_spectral_set_theorem(
     return report
 
 
-def projection_defect(
-    Q: np.ndarray,
-    space: KreinSpace,
-    tol: float = 1e-8,
-    rank_tol: float = 1e-8,
-) -> tuple[np.ndarray, bool]:
+def projection_defect(Q: np.ndarray, space: KreinSpace) -> tuple[np.ndarray, bool]:
     """Defect ``P = Q - Q adj(Q)`` of a projection, and whether its range
     is neutral.
 
@@ -354,28 +351,18 @@ def projection_defect(
     """
     Q = np.asarray(Q, dtype=np.complex128)
     idem = frobenius(Q @ Q - Q)
-    if idem > tol * (1.0 + frobenius(Q) ** 2):
+    if idem > _DEFECT_IDEM_TOL * (1.0 + frobenius(Q) ** 2):
         raise PreconditionError(
             f"input is not idempotent: residual {idem:.3e}"
         )
     p = Q - Q @ krein_adjoint(Q, space)
     u, s, _ = np.linalg.svd(p)
-    threshold = rank_tol * max(1.0, frobenius(Q)) ** 2
+    threshold = _DEFECT_RANK_TOL * max(1.0, frobenius(Q)) ** 2
     rank = int(np.count_nonzero(s > threshold))
     basis = SubspaceBasis(u[:, :rank])
     verdict = definiteness(basis, space)
     neutral = verdict.kind in (DefinitenessKind.NEUTRAL, DefinitenessKind.ZERO)
     return p, neutral
-
-
-def j_orthogonal_projector(basis: SubspaceBasis, space: KreinSpace) -> np.ndarray:
-    """Projection onto a uniformly definite subspace along its orthogonal
-    companion; selfadjoint in the indefinite product."""
-    if basis.k == 0:
-        return np.zeros((space.dim, space.dim), dtype=np.complex128)
-    m = compressed_gram(basis, space)
-    b = basis.columns
-    return b @ np.linalg.solve(m, b.conj().T @ space.gram)
 
 
 def _kernel_span(
@@ -385,106 +372,6 @@ def _kernel_span(
     if not points:
         return SubspaceBasis.zero(dim)
     return SubspaceBasis.from_columns(np.hstack([pt.kernel.columns for pt in points]), rank_tol)
-
-
-def disk_subspace(
-    N: KreinOperator,
-    lam: complex,
-    eps: float,
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> SubspaceBasis:
-    """Sum of kernels over eigenvalues in the closed disk of radius ``eps``
-    around ``lam``; requires those eigenvalues to be of two-sided positive
-    type.  The disk selects through :func:`region_selection`, so a circle
-    passing within the boundary gap of an eigenvalue is refused.
-
-    The result is verified to be invariant for the operator and its
-    adjoint, uniformly positive, with restricted spectrum inside the disk,
-    and empty exactly when the disk misses the spectrum.
-    """
-    points = classified_spectrum(N, cfg)
-    selected = region_selection(N, Region.disk(lam, eps), cfg, [pt.value for pt in points])
-    inside = [points[i] for i in sorted(selected)]
-    offenders = [pt for pt in inside if pt.type_tag is not SpectralType.TWO_SIDED_POSITIVE]
-    if offenders:
-        raise PreconditionError(
-            "disk contains eigenvalues not of two-sided positive type: "
-            + ", ".join(f"{pt.value:.6g} [{pt.type_tag.value}]" for pt in offenders)
-        )
-    if not inside:
-        return SubspaceBasis.zero(N.dim)
-
-    basis = _kernel_span(inside, N.dim, cfg.rank_tol)
-    expected = sum(pt.alg_mult for pt in inside)
-    if basis.k != expected:
-        raise CheckFailure(
-            f"disk subspace dimension {basis.k} does not match total multiplicity {expected}"
-        )
-
-    scale = max(1.0, N.norm)
-    proj = basis.projector()
-    complement = np.eye(N.dim) - proj
-    inv = frobenius(complement @ N.matrix @ basis.columns)
-    inv_adj = frobenius(complement @ N.adjoint @ basis.columns)
-    if max(inv, inv_adj) > 1e-8 * scale:
-        raise CheckFailure(
-            f"disk subspace is not invariant: residuals {inv:.3e}, {inv_adj:.3e}"
-        )
-    verdict = definiteness(basis, N.space, cfg.definiteness_tol)
-    if verdict.kind is not DefinitenessKind.UNIFORMLY_POSITIVE:
-        raise CheckFailure(f"disk subspace is not uniformly positive: {verdict.kind.value}")
-    restricted = np.linalg.eigvals(basis.columns.conj().T @ N.matrix @ basis.columns)
-    values = np.array([pt.value for pt in inside])
-    worst = max(float(np.min(np.abs(values - z))) for z in restricted)
-    if worst > 10.0 * cfg.cluster_radius(N):
-        raise CheckFailure(
-            f"restricted spectrum strays {worst:.3e} from the enclosed eigenvalues"
-        )
-    return basis
-
-
-def join_subspaces(
-    L1: SubspaceBasis,
-    L2: SubspaceBasis,
-    space: KreinSpace,
-    tol: float = 1e-8,
-) -> SubspaceBasis:
-    """Sum of two uniformly positive subspaces with commuting orthogonal
-    projections, via ``E = E1 + (I - E1) E2``.
-
-    The combined projection is checked to be idempotent and selfadjoint
-    and the sum uniformly positive.  Projections that fail to commute are
-    rejected with the commutator norm.
-    """
-    for name, basis in (("first", L1), ("second", L2)):
-        verdict = definiteness(basis, space)
-        if verdict.kind not in (
-            DefinitenessKind.UNIFORMLY_POSITIVE,
-            DefinitenessKind.ZERO,
-        ):
-            raise PreconditionError(
-                f"{name} subspace is not uniformly positive: {verdict.kind.value}"
-            )
-    e1 = j_orthogonal_projector(L1, space)
-    e2 = j_orthogonal_projector(L2, space)
-    commutator = frobenius(e1 @ e2 - e2 @ e1)
-    if commutator > tol * max(1.0, frobenius(e1) * frobenius(e2)):
-        raise PreconditionError(
-            f"subspace projections do not commute: commutator norm {commutator:.3e}"
-        )
-    e0 = e1 + (np.eye(space.dim) - e1) @ e2
-    idem = frobenius(e0 @ e0 - e0)
-    selfadj = frobenius(krein_adjoint(e0, space) - e0)
-    bound = tol * (1.0 + frobenius(e0) ** 2)
-    if idem > bound or selfadj > bound:
-        raise CheckFailure(
-            f"joined projection defective: idem {idem:.3e}, selfadj {selfadj:.3e}"
-        )
-    basis = range_basis(e0)
-    verdict = definiteness(basis, space)
-    if basis.k > 0 and verdict.kind is not DefinitenessKind.UNIFORMLY_POSITIVE:
-        raise CheckFailure(f"joined subspace is not uniformly positive: {verdict.kind.value}")
-    return basis
 
 
 class LocalSpectralFunction:
@@ -860,8 +747,9 @@ def resolvent_probe(
     The pole order is the smallest power k >= 1 whose weighted contour
     integral of the resolvent vanishes; it equals one exactly at isolated
     points of two-sided positive type and exceeds one at defective ones.
-    Samples landing within the clustering radius of the spectrum are
-    discarded.
+    Its circle of integration is refused by :func:`region_selection` when
+    it passes within the boundary gap of an eigenvalue.  Samples landing
+    within the clustering radius of the spectrum are discarded.
     """
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
@@ -899,12 +787,11 @@ def resolvent_probe(
     else:
         isolation = max(1.0, 0.5 * (1.0 + abs(center)))
     if isolation > 10.0 * cluster_radius:
+        circle = Disk(center, isolation)
+        region_selection(N, Region((circle,)), cfg, ())  # refuses, selects nothing
         pole_tol = 1e-8 * max(1.0, N.norm)
         for k in range(1, points[idx].alg_mult + 1):
-            coeff = contour_integral_resolvent(
-                N.matrix, center, isolation, k=k,
-                nodes=cfg.contour_nodes, cluster_tol=cfg.cluster_tol, schur=N.schur,
-            )
+            coeff = contour_integral_resolvent(N.schur, circle, k, cfg.contour_nodes)
             if frobenius(coeff) <= pole_tol:
                 pole_order = k
                 break

@@ -94,15 +94,22 @@ class TrialSetting:
 
 
 def worker_count(requested: int | None = None) -> int:
-    env = os.environ.get("KREIN_SPECTRA_THREADS")
-    if requested is not None:
-        return max(1, requested)
-    if env is not None:
+    """Suite workers: ``requested``, else ``KREIN_SPECTRA_THREADS``, else
+    ``min(8, cpu count)``.  A count below 1, or an environment value that
+    is not a positive integer, is refused with ``ValueError``."""
+    if requested is None:
+        env = os.environ.get("KREIN_SPECTRA_THREADS")
+        if env is None:
+            return min(8, os.cpu_count() or 1)
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+            requested = 0  # refused just below, naming the variable
+        if requested < 1:
+            raise ValueError(f"KREIN_SPECTRA_THREADS must be a positive integer, got {env!r}")
+    if requested < 1:
+        raise ValueError(f"threads must be at least 1, got {requested}")
+    return requested
 
 
 def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
@@ -528,6 +535,7 @@ def run_suite(
         raise ValueError(f"cond_bound must be finite and at least 1, got {cond_bound!r}")
     if dims[0] < 1 or dims[1] < dims[0]:
         raise ValueError(f"invalid dimension range {dims}")
+    workers = worker_count(threads)
     started = time.perf_counter()
     indices = [only_trial] if only_trial is not None else list(range(trials))
     if only_trial is not None and not (0 <= only_trial < trials):
@@ -557,7 +565,6 @@ def run_suite(
                 )
             ]
 
-    workers = worker_count(threads)
     if workers == 1 or len(indices) == 1:
         batches = [one(i) for i in indices]
     else:

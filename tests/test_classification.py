@@ -19,7 +19,6 @@ from krein_spectra import (
     ToleranceConfig,
     build_normal_with_types,
     classified_spectrum,
-    definiteness_margin,
     max_principal_angle,
     random_j_unitary,
     root_subspace,
@@ -230,20 +229,6 @@ class TestRootSubspace:
                     root = root_subspace(gen.operator, pt)
                     assert max_principal_angle(pt.kernel, pt.adjoint_kernel) <= 1e-8
                     assert max_principal_angle(pt.kernel, root) <= 1e-8
-
-
-class TestDefinitenessMargin:
-    def test_positive_direction(self):
-        n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
-        assert definiteness_margin(n, 1.0, 0.5) == pytest.approx(1.0)
-
-    def test_negative_direction(self):
-        n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
-        assert definiteness_margin(n, 2.0, 0.5) == pytest.approx(-1.0)
-
-    def test_far_from_spectrum(self):
-        n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
-        assert definiteness_margin(n, 10.0 + 5.0j, 0.5) == np.inf
 
 
 def test_tolerance_config_validation():

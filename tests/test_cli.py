@@ -187,12 +187,15 @@ class TestExitCodes:
             (["suite", "--trials", "1", "--cond-bound", "0.5"], "--cond-bound"),
             (["suite", "--trials", "1", "--cond-bound", "nan"], "--cond-bound"),
             (["suite", "--trials", "1", "--cond-bound", "inf"], "--cond-bound"),
+            (["suite", "--trials", "2", "--seed", "0", "--threads", "-5"], "--threads"),
+            (["suite", "--trials", "2", "--seed", "0", "--threads", "0"], "--threads"),
         ],
         ids=[
             "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
             "samples-zero", "disk-negative-radius", "rect-reversed", "dims-reversed",
             "trials-zero", "only-trial-out-of-range", "point-nan", "point-infinite",
             "cond-bound-below-one", "cond-bound-nan", "cond-bound-infinite",
+            "threads-negative", "threads-zero",
         ],
     )
     def test_bad_argument_is_exit_1(self, tmp_path, capsys, args, flag):
@@ -386,6 +389,13 @@ class TestSuiteCommand:
         assert [e["residual"] for e in full_entries] == [
             e["residual"] for e in one_entries
         ]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+    def test_bad_thread_env_is_exit_1(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("KREIN_SPECTRA_THREADS", value)
+        assert main(["suite", "--trials", "2", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "KREIN_SPECTRA_THREADS" in err and "Traceback" not in err
 
     def test_thread_env_cap_keeps_results(self, tmp_path, capsys, monkeypatch):
         serial = tmp_path / "serial.json"

@@ -1,9 +1,8 @@
-"""Inner product, adjoint, normality, definiteness and companion tests.
+"""Adjoint, normality and definiteness tests.
 
 Hand-checked values: with G = diag(1,-1) the adjoint of the nilpotent
 shift [[0,1],[0,0]] is [[0,0],[-1,0]]; with the swap Gram [[0,1],[1,0]]
-the Jordan cell [[a,1],[0,a]] is normal and span(e1) is its own
-companion witness.
+the Jordan cell [[a,1],[0,a]] is normal and span(e1) is neutral.
 """
 
 import numpy as np
@@ -16,12 +15,8 @@ from krein_spectra import (
     NonNormalError,
     SubspaceBasis,
     definiteness,
-    indefinite_inner,
     is_normal,
     krein_adjoint,
-    max_principal_angle,
-    orthogonal_companion,
-    part_decomposition,
 )
 from krein_spectra.core import frobenius, min_gap
 
@@ -30,34 +25,6 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestIndefiniteInner:
-    def test_euclidean_unit_vector(self):
-        space = KreinSpace.euclidean(2)
-        assert indefinite_inner([1, 0], [1, 0], space) == pytest.approx(1.0)
-
-    def test_neutral_vector(self):
-        space = KreinSpace.indefinite(1, 1)
-        x = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert indefinite_inner(x, x, space) == pytest.approx(0.0, abs=1e-15)
-
-    def test_orthogonal_basis_vectors(self):
-        space = KreinSpace.indefinite(1, 1)
-        assert indefinite_inner([1, 0], [0, 1], space) == pytest.approx(0.0)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(1)
-        g = random_complex(rng, (4, 4))
-        space = KreinSpace(g + g.conj().T + 5 * np.eye(4))
-        x, y = random_complex(rng, 4), random_complex(rng, 4)
-        assert indefinite_inner(x, y, space) == pytest.approx(
-            np.conj(indefinite_inner(y, x, space))
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="match dim"):
-            indefinite_inner([1, 0, 0], [1, 0], KreinSpace.euclidean(2))
 
 
 class TestKreinAdjoint:
@@ -81,8 +48,9 @@ class TestKreinAdjoint:
         adj = krein_adjoint(t, space)
         for _ in range(20):
             x, y = random_complex(rng, 5), random_complex(rng, 5)
-            lhs = indefinite_inner(t @ x, y, space)
-            rhs = indefinite_inner(x, adj @ y, space)
+            # [x, y] = <G x, y> = y* G x; np.vdot conjugates its first argument
+            lhs = np.vdot(y, space.gram @ (t @ x))
+            rhs = np.vdot(adj @ y, space.gram @ x)
             bound = 1e-10 * np.linalg.norm(t) * np.linalg.norm(x) * np.linalg.norm(y)
             assert abs(lhs - rhs) <= bound
 
@@ -152,85 +120,6 @@ class TestDefiniteness:
         kind = definiteness(basis, KreinSpace(gram)).kind
         kind_scaled = definiteness(basis, KreinSpace(3.0 * gram)).kind
         assert kind is kind_scaled
-
-
-class TestOrthogonalCompanion:
-    def test_euclidean_complement(self):
-        companion = orthogonal_companion(
-            SubspaceBasis(np.eye(2)[:, :1]), KreinSpace.euclidean(2)
-        )
-        np.testing.assert_allclose(np.abs(companion.columns), [[0.0], [1.0]], atol=1e-14)
-
-    def test_neutral_direction_is_its_own_witness(self):
-        companion = orthogonal_companion(SubspaceBasis(np.eye(2)[:, :1]), KreinSpace(SWAP))
-        np.testing.assert_allclose(np.abs(companion.columns), [[1.0], [0.0]], atol=1e-14)
-
-    def test_full_space_gives_zero(self):
-        companion = orthogonal_companion(SubspaceBasis(np.eye(3)), KreinSpace.euclidean(3))
-        assert companion.k == 0
-
-    def test_dimension_count_and_double_companion(self):
-        rng = np.random.default_rng(7)
-        g = random_complex(rng, (6, 6))
-        space = KreinSpace(g + g.conj().T + 9 * np.eye(6))
-        for k in range(0, 7):
-            basis = SubspaceBasis.from_columns(random_complex(rng, (6, k)))
-            companion = orthogonal_companion(basis, space)
-            assert basis.k + companion.k == 6
-            double = orthogonal_companion(companion, space)
-            assert max_principal_angle(double, basis) <= 1e-10
-
-
-class TestPartDecomposition:
-    def test_identity(self):
-        n = KreinOperator(np.eye(3), KreinSpace.euclidean(3))
-        re, im = part_decomposition(n)
-        np.testing.assert_allclose(re, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(im, np.zeros((3, 3)), atol=1e-14)
-
-    def test_purely_imaginary(self):
-        n = KreinOperator(1j * np.eye(2), KreinSpace.euclidean(2))
-        re, im = part_decomposition(n)
-        np.testing.assert_allclose(re, np.zeros((2, 2)), atol=1e-14)
-        np.testing.assert_allclose(im, np.eye(2), atol=1e-14)
-
-    def test_parts_selfadjoint_commuting_and_reassemble(self):
-        from krein_spectra import build_normal_with_types, sample_generator_spec
-
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            gen = build_normal_with_types(sample_generator_spec(rng, 6))
-            n = gen.operator
-            re, im = part_decomposition(n)
-            np.testing.assert_allclose(re + 1j * im, n.matrix, atol=1e-12 * max(1, n.norm))
-            for part in (re, im):
-                assert frobenius(krein_adjoint(part, n.space) - part) <= 1e-9 * max(
-                    1, n.norm
-                )
-            commutator = frobenius(re @ im - im @ re)
-            assert commutator <= 1e-10 * max(1.0, n.norm**2)
-
-
-def test_invariant_subspace_companion_is_invariant():
-    # sums of eigenvector blocks are invariant for the operator and its
-    # adjoint; their companions must then be invariant as well
-    from krein_spectra import build_normal_with_types, classified_spectrum, sample_generator_spec
-
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        gen = build_normal_with_types(sample_generator_spec(rng, 6))
-        n = gen.operator
-        points = classified_spectrum(n)
-        basis = SubspaceBasis.from_columns(
-            np.hstack([points[0].kernel.columns, points[-1].kernel.columns])
-        )
-        companion = orthogonal_companion(basis, n.space)
-        if companion.k == 0:
-            continue
-        proj = companion.projector()
-        residual = frobenius((np.eye(n.dim) - proj) @ n.matrix @ companion.columns)
-        residual_adj = frobenius((np.eye(n.dim) - proj) @ n.adjoint @ companion.columns)
-        assert max(residual, residual_adj) <= 1e-10 * max(1.0, n.norm)
 
 
 class TestKreinSpaceValidation:

@@ -1,4 +1,4 @@
-"""Riesz projections, disk subspaces, joins and the spectral-set theorem.
+"""Riesz projections, projection defects and the spectral-set theorem.
 
 The 2x2 reference: diag(1,2) against diag(1,-1) with a disk around 1
 gives the projection diag(1,0), selfadjoint with range margin one; the
@@ -19,8 +19,6 @@ from krein_spectra import (
     SubspaceBasis,
     ToleranceConfig,
     build_normal_with_types,
-    disk_subspace,
-    join_subspaces,
     local_spectral_function,
     max_principal_angle,
     projection_defect,
@@ -29,6 +27,7 @@ from krein_spectra import (
     sample_generator_spec,
     verify_spectral_set_theorem,
 )
+from krein_spectra import projections
 from krein_spectra.core import frobenius
 from krein_spectra._errors import AmbiguousRegionError
 
@@ -126,6 +125,25 @@ class TestRieszProjectionOracle:
         result = riesz_projection_oracle(n, Region.rectangle(-100, -100, 100, 100))
         np.testing.assert_allclose(result.matrix, np.eye(2), atol=1e-10)
 
+    def test_eigenvalue_on_circle_refused(self):
+        # 2 lies on the circle
+        n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.euclidean(2))
+        with pytest.raises(ContourThroughSpectrumError):
+            riesz_projection_oracle(n, Region.disk(1.0, 1.0))
+
+    def test_range_basis_computed_once(self, monkeypatch):
+        calls = []
+        original = projections.range_basis
+        monkeypatch.setattr(
+            projections, "range_basis", lambda q: calls.append(1) or original(q)
+        )
+        n = KreinOperator(np.diag([1.0, 2.0, 5.0]), KreinSpace.euclidean(3))
+        result = riesz_projection_oracle(n, Region.disk(1.5, 1.0))
+        assert result.rank == 2 and result.rank == result.basis.k
+        assert max_principal_angle(result.basis, SubspaceBasis(np.eye(3)[:, :2])) <= 1e-10
+        verify_spectral_set_theorem(n, Region.disk(1.5, 1.0))
+        assert len(calls) == 2  # one per projection built
+
     def test_agrees_with_contour_on_generated_instances(self):
         rng = np.random.default_rng(30)
         for _ in range(10):
@@ -182,90 +200,6 @@ class TestProjectionDefect:
     def test_non_idempotent_rejected(self):
         with pytest.raises(PreconditionError, match="idempotent"):
             projection_defect(np.array([[1.0, 0.0], [0.0, 0.5]]), KreinSpace.euclidean(2))
-
-
-class TestDiskSubspace:
-    def test_empty_disk(self):
-        n = two_point_operator()
-        basis = disk_subspace(n, 10.0 + 10.0j, 0.5)
-        assert basis.k == 0
-
-    def test_single_kernel(self):
-        n = two_point_operator()
-        basis = disk_subspace(n, 1.0, 0.4)
-        assert basis.k == 1
-        np.testing.assert_allclose(np.abs(basis.columns), [[1.0], [0.0]], atol=1e-12)
-
-    def test_invariance_residuals_on_generated_instances(self):
-        rng = np.random.default_rng(32)
-        found = 0
-        for _ in range(20):
-            gen = build_normal_with_types(sample_generator_spec(rng, 6))
-            tsp = [
-                t for t in gen.ground_truth
-                if t.expected_type.value == "two-sided-positive"
-            ]
-            if not tsp:
-                continue
-            found += 1
-            basis = disk_subspace(gen.operator, tsp[0].value, 0.1)
-            assert basis.k == tsp[0].alg_mult
-            proj = basis.projector()
-            comp = np.eye(gen.operator.dim) - proj
-            assert frobenius(comp @ gen.operator.matrix @ basis.columns) <= 1e-9 * max(
-                1, gen.operator.norm
-            )
-            assert frobenius(comp @ gen.operator.adjoint @ basis.columns) <= 1e-9 * max(
-                1, gen.operator.norm
-            )
-        assert found >= 5
-
-    def test_eigenvalue_on_circle_refused(self):
-        # 2 lies on the circle; the oracle refuses this disk too
-        n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.euclidean(2))
-        with pytest.raises(ContourThroughSpectrumError):
-            riesz_projection_oracle(n, Region.disk(1.0, 1.0))
-        with pytest.raises(ContourThroughSpectrumError):
-            disk_subspace(n, 1.0, 1.0)
-
-    def test_rejects_non_positive_disk(self):
-        n = two_point_operator()
-        with pytest.raises(PreconditionError, match="two-sided positive"):
-            disk_subspace(n, 2.0, 0.4)
-
-
-class TestJoinSubspaces:
-    def test_nested_subspaces(self):
-        n = KreinOperator(np.diag([1.0, 2.0, 5.0]), KreinSpace.euclidean(3))
-        l1 = disk_subspace(n, 1.5, 1.0)
-        l2 = disk_subspace(n, 1.0, 0.4)
-        joined = join_subspaces(l1, l2, n.space)
-        assert joined.k == 2
-        assert max_principal_angle(joined, l1) <= 1e-10
-
-    def test_disjoint_disks_give_direct_sum(self):
-        gram = np.diag([1.0, 1.0, -1.0])
-        n = KreinOperator(np.diag([1.0, 2.0, 5.0]), KreinSpace(gram))
-        l1 = disk_subspace(n, 1.0, 0.4)
-        l2 = disk_subspace(n, 2.0, 0.4)
-        joined = join_subspaces(l1, l2, n.space)
-        assert joined.k == 2
-        expected = SubspaceBasis(np.eye(3)[:, :2])
-        assert max_principal_angle(joined, expected) <= 1e-10
-
-    def test_idempotent_join(self):
-        n = two_point_operator()
-        l1 = disk_subspace(n, 1.0, 0.4)
-        joined = join_subspaces(l1, l1, n.space)
-        assert joined.k == l1.k
-        assert max_principal_angle(joined, l1) <= 1e-10
-
-    def test_noncommuting_projections_rejected(self):
-        space = KreinSpace.euclidean(2)
-        l1 = SubspaceBasis(np.eye(2)[:, :1])
-        l2 = SubspaceBasis(np.array([[1.0], [1.0]]) / np.sqrt(2))
-        with pytest.raises(PreconditionError, match="commute"):
-            join_subspaces(l1, l2, space)
 
 
 class TestSpectralSetTheorem:

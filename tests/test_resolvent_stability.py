@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from krein_spectra import (
+    ContourThroughSpectrumError,
     KreinOperator,
     KreinSpace,
     PreconditionError,
     SpectralType,
+    ToleranceConfig,
     build_normal_with_types,
     classified_spectrum,
     perturb_structured,
@@ -55,6 +57,16 @@ class TestResolventProbe:
         n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.euclidean(2))
         with pytest.raises(PreconditionError, match="not a finite point"):
             resolvent_probe(n, point, radii=[0.4])
+
+    def test_eigenvalue_on_contour_refused(self):
+        # the 21 values j * 0.096 * 0.9999 chain into one cluster around 0
+        # (clustering radius 0.096); its pole-order circle has radius 1, half
+        # the distance to 2, and passes 0.04 from the cluster's ends +-0.9599
+        values = [0.096 * 0.9999 * j for j in range(-10, 11)] + [2.0]
+        n = KreinOperator(np.diag(values), KreinSpace.euclidean(len(values)))
+        cfg = ToleranceConfig(cluster_tol=0.048)
+        with pytest.raises(ContourThroughSpectrumError):
+            resolvent_probe(n, 0.0, [0.5], cfg=cfg)
 
     def test_radii_validation(self):
         n = KreinOperator(np.eye(2), KreinSpace.euclidean(2))

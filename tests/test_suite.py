@@ -37,6 +37,11 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="cond_bound"):
             run_suite(trials=2, seed=0, cond_bound=cond_bound, threads=1)
 
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_validation(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_suite(trials=2, seed=0, threads=threads)
+
     def test_parallel_matches_serial(self):
         serial = run_suite(trials=4, seed=2, dims=(2, 6), threads=1)
         parallel = run_suite(trials=4, seed=2, dims=(2, 6), threads=4)
