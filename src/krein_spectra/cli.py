@@ -32,7 +32,6 @@ from .documents import (
     generator_spec_to_json,
     load_operator_document,
     matrix_from_json,
-    matrix_to_json,
     parse_json,
 )
 from .generators import build_normal_with_types
@@ -146,7 +145,7 @@ def cmd_project(args) -> int:
     oracle = riesz_projection_oracle(operator, region, cfg)
     discrepancy = frobenius(contour.matrix - oracle.matrix)
     payload = {
-        "projection": matrix_to_json(oracle.matrix),
+        "projection": oracle.matrix,
         "region": region.describe(),
         "rank": oracle.rank,
         "diagnostics": {
@@ -240,8 +239,8 @@ def cmd_stability(args) -> int:
         payload["certified"] = decomposition.certified
         payload["checks"] = [e.to_json_dict() for e in decomposition.entries]
         if args.emit_bases:
-            payload["plus_basis"] = matrix_to_json(decomposition.plus.columns)
-            payload["minus_basis"] = matrix_to_json(decomposition.minus.columns)
+            payload["plus_basis"] = decomposition.plus.columns
+            payload["minus_basis"] = decomposition.minus.columns
         failed = not decomposition.certified
     _write(dumps_canonical(payload), args.output)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -265,7 +264,7 @@ def cmd_sylvester(args) -> int:
     x = solve_sylvester(s, t, z)
     gap, pair = sylvester_spectral_gap(s, t)
     payload = {
-        "x": matrix_to_json(x),
+        "x": x,
         "residual": frobenius(s @ x - x @ t - z),
         "spectral_gap": gap,
         "closest_pair": [[pair[0].real, pair[0].imag], [pair[1].real, pair[1].imag]],

@@ -3,6 +3,8 @@
 Complex numbers serialize as two-element ``[re, im]`` arrays and matrices
 row-major.  ``dumps_canonical`` fixes key order and layout so that
 parse/serialize round trips are byte-identical for canonical documents.
+It also accepts array-valued fields: a 2-D numpy array as the value of a
+top-level key is written as its row-major ``[re, im]`` pair list.
 Parse failures carry a field path (or the JSON line number) so the CLI
 can point at the offending input.  Non-finite numbers (``NaN``,
 ``Infinity``, which Python's JSON loader accepts) are parse failures too.
@@ -32,8 +34,63 @@ __all__ = [
 ]
 
 
+# Separators of a matrix written at the first indent level: between the two
+# numbers of a pair, between the pairs of a row, and between rows.
+_NUM_SEP = ",\n        "
+_PAIR_SEP = "\n      ],\n      [\n        "
+_ROW_SEP = "\n      ]\n    ],\n    [\n      [\n        "
+
+
+def _matrix_text(a: np.ndarray) -> str:
+    """The indented pair list of ``a`` exactly as ``json.dumps(..., indent=2)``
+    writes it under a top-level key, with every number spelled by one call
+    to the C encoder (``NaN``, ``Infinity`` and ``-0.0`` included)."""
+    rows, cols = a.shape
+    if rows == 0:
+        return "[]"
+    if cols == 0:
+        return "[\n    " + ",\n    ".join(["[]"] * rows) + "\n  ]"
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    nums = json.dumps(parts.ravel().tolist())[1:-1].split(", ")
+    width = 2 * cols
+    body = _ROW_SEP.join(
+        _PAIR_SEP.join(
+            map(_NUM_SEP.join, zip(nums[k : k + width : 2], nums[k + 1 : k + width : 2]))
+        )
+        for k in range(0, len(nums), width)
+    )
+    return f"[\n    [\n      [\n        {body}\n      ]\n    ]\n  ]"
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, where a numpy
+    array held by a top-level key counts as its row-major ``[re, im]`` pair
+    list.  Other values go through ``json.dumps`` one key at a time; their
+    newlines are all layout (json escapes those inside strings), so
+    re-indenting them by one level is exact."""
+    if not isinstance(obj, dict):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if not obj:
+        return "{}\n"
+    out = ["{\n  "]
+    for key, value in sorted(obj.items()):
+        if isinstance(value, np.ndarray):
+            text = _matrix_text(value)
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        out += (_key_text(key), ": ", text, ",\n  ")
+    out[-1] = "\n}\n"
+    return "".join(out)
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -54,10 +111,6 @@ def pair_to_complex(pair, where: str) -> complex:
     if not (math.isfinite(real) and math.isfinite(imag)):
         raise DocumentError(f"{where}: expected finite numbers, got {pair!r}")
     return complex(real, imag)
-
-
-def matrix_to_json(a: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(a)]
 
 
 def matrix_from_json(rows, dim: int, where: str, cols: int | None = None) -> np.ndarray:
@@ -107,20 +160,17 @@ class OperatorDocument:
     tolerance_overrides: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         out = {
             "dim": self.dim,
-            "gram": matrix_to_json(self.gram),
-            "matrix": matrix_to_json(self.matrix),
+            "gram": np.asarray(self.gram),
+            "matrix": np.asarray(self.matrix),
         }
         if self.tolerance_overrides:
-            out["tolerances"] = dict(sorted(self.tolerance_overrides.items()))
+            out["tolerances"] = self.tolerance_overrides
         if self.metadata:
-            out["metadata"] = dict(sorted(self.metadata.items()))
-        return out
-
-    def to_json(self) -> str:
-        return dumps_canonical(self.to_json_dict())
+            out["metadata"] = self.metadata
+        return dumps_canonical(out)
 
     def build(self) -> tuple[KreinSpace, KreinOperator]:
         """Instantiate the certified operator; raises on invalid Gram or

@@ -9,6 +9,8 @@ with the rule at twice the nodes for convergence checks.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,8 @@ class Disk:
     radius: float
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
+            raise ValueError("disk center and radius must be finite")
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
 
@@ -78,6 +82,8 @@ class Rectangle:
     y1: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):
+            raise ValueError("rectangle bounds must be finite")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("rectangle requires x0 < x1 and y0 < y1")
 

@@ -10,8 +10,9 @@ so that identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field, replace
+
+from .documents import dumps_canonical
 
 __all__ = ["CheckEntry", "CheckStatus", "VerificationReport"]
 
@@ -117,7 +118,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps_canonical(self.to_json_dict())
 
     def human_summary(self) -> str:
         counts = self.counts

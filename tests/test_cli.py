@@ -189,13 +189,18 @@ class TestExitCodes:
             (["suite", "--trials", "1", "--cond-bound", "inf"], "--cond-bound"),
             (["suite", "--trials", "2", "--seed", "0", "--threads", "-5"], "--threads"),
             (["suite", "--trials", "2", "--seed", "0", "--threads", "0"], "--threads"),
+            (["project", "OP", "--disk=nan,0,1"], "--disk"),
+            (["project", "OP", "--disk=0,0,inf"], "--disk"),
+            (["project", "OP", "--rect=0,0,inf,1"], "--rect"),
+            (["lsf-verify", "OP", "--disk=nan,0,1", "--json"], "--disk"),
         ],
         ids=[
             "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
             "samples-zero", "disk-negative-radius", "rect-reversed", "dims-reversed",
             "trials-zero", "only-trial-out-of-range", "point-nan", "point-infinite",
             "cond-bound-below-one", "cond-bound-nan", "cond-bound-infinite",
-            "threads-negative", "threads-zero",
+            "threads-negative", "threads-zero", "disk-nan-center", "disk-infinite-radius",
+            "rect-infinite-bound", "lsf-verify-disk-nan-center",
         ],
     )
     def test_bad_argument_is_exit_1(self, tmp_path, capsys, args, flag):
@@ -351,6 +356,15 @@ class TestSubcommands:
         assert main(["stability", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stable"] is True and payload["certified"] is True
+
+    def test_stability_emits_empty_minus_basis(self, tmp_path, capsys):
+        path = write_operator(tmp_path, gram=np.eye(2))
+        assert main(["stability", str(path), "--emit-bases"]) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        assert payload["minus_dim"] == 0 and payload["minus_basis"] == [[], []]
+        assert np.array(payload["plus_basis"]).shape == (2, 2, 2)
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_lsf_verify(self, tmp_path, capsys):
         path = write_operator(tmp_path)

@@ -103,3 +103,15 @@ class TestQuadrature:
             Rectangle(1.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             Disk(0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_primitives_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Disk(complex(bad, 0.0), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Disk(0.0, bad)
+        for k in range(4):
+            bounds = [0.0, 0.0, 1.0, 1.0]
+            bounds[k] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Rectangle(*bounds)
