@@ -29,6 +29,10 @@ from .core import (
 )
 from .numerics import ordered_spectral_decomposition, reorder_schur
 
+# Largest quadrature node count per contour piece; the convergence check
+# integrates at twice as many.
+MAX_CONTOUR_NODES = 2**14
+
 __all__ = [
     "SpectralPoint",
     "SpectralType",
@@ -53,7 +57,9 @@ class ToleranceConfig:
     clustering radius, ``rank_tol`` with the larger of the top singular
     value of the matrix whose kernel is sought and the full operator scale
     ``max(1, ||N||)``, ``definiteness_tol`` with the Gram scale, and
-    ``normality_tol`` with ``max(1, ||N||_F^2)``.
+    ``normality_tol`` with ``max(1, ||N||_F^2)``.  ``contour_nodes``, the
+    quadrature node count per contour piece, lies in
+    ``[16, MAX_CONTOUR_NODES]``.
     """
 
     cluster_tol: float = 1e-7
@@ -66,8 +72,8 @@ class ToleranceConfig:
         for name in ("cluster_tol", "rank_tol", "definiteness_tol", "normality_tol"):
             if not 0 < getattr(self, name) < math.inf:  # also refuses NaN
                 raise ValueError(f"{name} must be positive and finite")
-        if self.contour_nodes < 16:
-            raise ValueError("contour_nodes must be at least 16")
+        if not 16 <= self.contour_nodes <= MAX_CONTOUR_NODES:
+            raise ValueError(f"contour_nodes must be between 16 and {MAX_CONTOUR_NODES}")
 
     def cluster_radius(self, N: KreinOperator) -> float:
         """Absolute clustering radius for one operator.

@@ -37,6 +37,7 @@ from .documents import (
 from .generators import build_normal_with_types
 from .numerics import solve_sylvester, sylvester_spectral_gap
 from .projections import (
+    MAX_PROBE_SAMPLES,
     local_spectral_function,
     resolvent_probe,
     riesz_projection_contour,
@@ -213,8 +214,10 @@ def cmd_probe_resolvent(args) -> int:
         raise DocumentError(
             f"--radii must be finite, positive and strictly decreasing, got {args.radii!r}"
         )
-    if args.samples < 1:
-        raise DocumentError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_PROBE_SAMPLES:
+        raise DocumentError(
+            f"--samples must be between 1 and {MAX_PROBE_SAMPLES}, got {args.samples}"
+        )
     probe = resolvent_probe(
         operator, lam, radii, samples_per_radius=args.samples, cfg=doc.tolerances
     )
@@ -377,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--point", required=True, metavar="RE,IM")
     p.add_argument("--radii", required=True, metavar="R1,R2,...")
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument("--samples", type=int, default=16,
+                   help=f"samples per radius, 1 to {MAX_PROBE_SAMPLES}")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_probe_resolvent)
 

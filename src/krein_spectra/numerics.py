@@ -234,6 +234,127 @@ def _fill_shifted_inverse(t: np.ndarray, z: np.ndarray, out: np.ndarray) -> None
     out[:, :h, h:] = (out[:, :h, :h] @ t[:h, h:]) @ out[:, h:, h:]
 
 
+# The Golub-Kahan route solves with diagonal blocks of this size; a
+# triangle no larger is one block, and a dense SVD of it is cheaper.
+_SOLVE_BLOCK = 32
+# Golub-Kahan steps per sample before it falls back to a dense SVD.
+_GK_STEPS = 64
+# A top Ritz value is certified when its residual is at most this, relative.
+_GK_TOL = 1e-10
+
+
+def smallest_singular_values(a: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sigma_min(a - z_j)`` for each point of ``z``, where ``t`` is the
+    upper-triangular factor of a complex Schur form ``a = U t U*``.
+
+    Up to dimension ``_SOLVE_BLOCK`` the values are the last singular
+    values of one stacked dense SVD of the ``a - z_j``.  Above it they are
+    ``1 / sigma_max((z_j - t)^{-1})`` by Golub-Kahan bidiagonalization in
+    the Schur basis (:func:`_golub_kahan_sigma_min`), which needs only
+    triangular solves; a point the iteration does not certify gets the
+    dense SVD.  Work space grows with ``z.size``: callers pass at most
+    ``_NODE_BATCH`` points at a time.
+    """
+    z = np.asarray(z, dtype=np.complex128).reshape(-1)
+    if t.shape[0] <= _SOLVE_BLOCK:
+        return _dense_sigma_min(a, z)
+    sigma = _golub_kahan_sigma_min(t, z)
+    uncertified = np.isnan(sigma)
+    if uncertified.any():
+        sigma[uncertified] = _dense_sigma_min(a, z[uncertified])
+    return sigma
+
+
+def _dense_sigma_min(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    shifted = a - z[:, None, None] * np.eye(a.shape[0])
+    return np.linalg.svd(shifted, compute_uv=False)[:, -1]
+
+
+def _golub_kahan_sigma_min(t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``1 / sigma_max((z_j - t)^{-1})`` for each shift, NaN where the
+    iteration does not certify it within ``_GK_STEPS`` steps.
+
+    Golub-Kahan bidiagonalization of ``B = (z - t)^{-1}`` from one
+    fixed-seed start vector, with full reorthogonalization, batched over
+    the shifts: ``B V_k = U_k B_k`` and ``B* U_k = V_k B_k* + beta_k
+    v_{k+1} e_k*`` with ``B_k`` upper bidiagonal.  The top singular value
+    sigma of ``B_k`` and its left singular vector x (the top eigenpair of
+    the tridiagonal ``B_k B_k*``) leave the residual ``beta_k |x_k|``, and
+    some singular value of B lies within it of sigma; a shift is certified
+    once that is at most ``_GK_TOL * sigma`` (a breakdown, beta = 0, is
+    exact).  A shift whose alpha or beta is not finite and positive, as
+    when a huge shift makes the norms underflow, is left uncertified.
+    Each step costs two O(n^2) block triangular solves per shift; the
+    couplings ``t[i, >i]`` act on all shifts in one product.
+    """
+    n = t.shape[0]
+    blocks = [slice(lo, min(lo + _SOLVE_BLOCK, n)) for lo in range(0, n, _SOLVE_BLOCK)]
+    inverses = [_shifted_inverses(t[b, b], z) for b in blocks]
+
+    def solve(v):  # (z - t)^{-1} v, by block back substitution
+        x = np.empty_like(v)
+        for b, d in zip(reversed(blocks), reversed(inverses)):
+            rhs = v[:, b] + x[:, b.stop :] @ t[b, b.stop :].T
+            x[:, b] = (d @ rhs[:, :, None])[:, :, 0]
+        return x
+
+    def solve_transpose(w):  # (z - t)^{-T} w, by block forward substitution
+        y = np.empty_like(w)
+        for b, d in zip(blocks, inverses):
+            rhs = w[:, b] + y[:, : b.start] @ t[: b.start, b]
+            y[:, b] = (rhs[:, None, :] @ d)[:, 0, :]
+        return y
+
+    start = np.array([1.0, 1.0j]) @ np.random.default_rng(0).standard_normal((2, n))
+    sigma = np.full(z.size, np.nan)
+    live = np.arange(z.size)  # the shifts still iterating, by index into z
+    us = np.empty((z.size, _GK_STEPS, n), dtype=np.complex128)
+    vs = np.empty((z.size, _GK_STEPS + 1, n), dtype=np.complex128)
+    vs[:, 0] = start / np.linalg.norm(start)
+    bidiagonal = np.zeros((z.size, _GK_STEPS, _GK_STEPS))
+    p = solve(vs[:, 0])
+    for k in range(_GK_STEPS):
+        p -= _project(us[:, :k], p)
+        a = np.linalg.norm(p, axis=1)
+        fit = np.isfinite(a) & (a > 0)
+        a[~fit] = 1.0  # a placeholder: the shift is dropped below this step
+        us[:, k] = p / a[:, None]
+        bidiagonal[:, k, k] = a
+        r = solve_transpose(us[:, k].conj()).conj() - a[:, None] * vs[:, k]
+        r -= _project(vs[:, : k + 1], r)
+        b = np.linalg.norm(r, axis=1)
+        bk = bidiagonal[:, : k + 1, : k + 1]
+        theta, x = np.linalg.eigh(bk @ bk.transpose(0, 2, 1))
+        top = np.sqrt(theta[:, -1])
+        done = fit & (b * np.abs(x[:, k, -1]) <= _GK_TOL * top)
+        sigma[live[done]] = 1.0 / top[done]
+        keep = fit & ~done & np.isfinite(b)
+        if not keep.any() or k + 1 == _GK_STEPS:
+            break
+        if not keep.all():
+            live, bidiagonal, r, b, *inverses = (
+                arr[keep] for arr in (live, bidiagonal, r, b, *inverses)
+            )
+            us, vs = (_leading_steps(arr, keep, k + 1) for arr in (us, vs))
+        vs[:, k + 1] = r / b[:, None]
+        bidiagonal[:, k, k + 1] = b
+        p = solve(vs[:, k + 1]) - b[:, None] * us[:, k]
+    return sigma
+
+
+def _leading_steps(basis: np.ndarray, keep: np.ndarray, steps: int) -> np.ndarray:
+    """The rows ``keep`` of a basis buffer, of which only the first
+    ``steps`` vectors are copied (the rest are not yet written)."""
+    out = np.empty((np.count_nonzero(keep),) + basis.shape[1:], dtype=basis.dtype)
+    out[:, :steps] = basis[keep, :steps]
+    return out
+
+
+def _project(basis: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Components of each ``p[j]`` along the orthonormal rows of ``basis[j]``."""
+    return ((basis @ p.conj()[:, :, None]).transpose(0, 2, 1).conj() @ basis)[:, 0]
+
+
 def contour_integral_resolvent(
     schur: tuple[np.ndarray, np.ndarray], disk: Disk, k: int = 0, nodes: int = 128
 ) -> np.ndarray:

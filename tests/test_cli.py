@@ -177,6 +177,8 @@ class TestExitCodes:
             (["probe-resolvent", "OP", "--point", "1,0", "--radii", "inf"], "--radii"),
             (["probe-resolvent", "OP", "--point", "1,0", "--radii", "0.4", "--samples", "0"],
              "--samples"),
+            (["probe-resolvent", "OP", "--point", "1,0", "--radii=0.5",
+              "--samples", "1000000000000"], "--samples"),
             (["project", "OP", "--disk=1,0,-1"], "--disk"),
             (["project", "OP", "--rect", "1,0,0,1"], "--rect"),
             (["suite", "--dims", "3:2"], "--dims"),
@@ -196,7 +198,7 @@ class TestExitCodes:
         ],
         ids=[
             "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
-            "samples-zero", "disk-negative-radius", "rect-reversed", "dims-reversed",
+            "samples-zero", "samples-beyond-maximum", "disk-negative-radius", "rect-reversed", "dims-reversed",
             "trials-zero", "only-trial-out-of-range", "point-nan", "point-infinite",
             "cond-bound-below-one", "cond-bound-nan", "cond-bound-infinite",
             "threads-negative", "threads-zero", "disk-nan-center", "disk-infinite-radius",
@@ -228,6 +230,23 @@ class TestExitCodes:
         )
         assert main(["classify", str(path)]) == 1
         assert "tolerances: rank_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["project", "--disk", "1,0,0.4"], ["probe-resolvent", "--point=1,0", "--radii=0.5"]],
+        ids=["project", "probe-resolvent"],
+    )
+    def test_contour_nodes_beyond_maximum_is_exit_1(self, tmp_path, capsys, args):
+        path = tmp_path / "many_nodes.json"
+        path.write_text(
+            '{"dim": 2, "gram": [[[1,0],[0,0]],[[0,0],[-1,0]]],'
+            ' "matrix": [[[1,0],[0,0]],[[0,0],[2,0]]],'
+            ' "tolerances": {"contour_nodes": 1000000000000}}',
+            encoding="utf-8",
+        )
+        assert main([args[0], str(path), *args[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "tolerances: contour_nodes" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["classify", "sylvester", "generate"])
     def test_integer_literal_beyond_digit_limit_is_exit_1(self, tmp_path, capsys, command):

@@ -350,3 +350,154 @@ def test_eigenvalue_near_circle_not_converged_at_few_nodes():
     )
     assert not fine.warnings
     np.testing.assert_allclose(fine.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def probe_radii(points, value):
+    """0.4, 0.2 and 0.1 times the distance from ``value`` to the nearest
+    other point, the radii the desk benchmark probes."""
+    others = [abs(p.value - value) for p in points if p.value != value]
+    return [f * (min(others) if others else 1.0) for f in (0.4, 0.2, 0.1)]
+
+
+def circle_samples(value, radii):
+    """The resolvent probe's 16 samples on each circle."""
+    theta = 2.0 * np.pi * (np.arange(16) + 0.5) / 16
+    return (value + np.multiply.outer(radii, np.exp(1j * theta))).reshape(-1)
+
+
+def dense_sigma_min(N, z):
+    return np.linalg.svd(N.matrix - z[:, None, None] * np.eye(N.dim), compute_uv=False)[:, -1]
+
+
+def sigma_allowance(N, z, sigma):
+    """1e-10 relative, plus the dense SVD's own error: it is accurate only
+    to about eps * ||N - z|| absolute, which on the congruent bank reaches
+    3e-8 relative (measured against 50-digit arithmetic)."""
+    return 1e-10 * sigma + 4.0 * np.finfo(float).eps * (N.norm + np.abs(z))
+
+
+def test_golub_kahan_sigma_min_matches_dense_svd(classified_bank):
+    # the iteration itself at every bank dimension, and the routed helper,
+    # around a defective point if there is one
+    for _, N, points in classified_bank:
+        value = next((p for p in points if p.alg_mult > p.geo_mult), points[0]).value
+        z = circle_samples(value, probe_radii(points, value))
+        dense = dense_sigma_min(N, z)
+        allowed = sigma_allowance(N, z, dense)
+        iterated = numerics._golub_kahan_sigma_min(N.schur[0], z)
+        assert not np.isnan(iterated).any()
+        assert np.all(np.abs(iterated - dense) <= allowed)
+        routed = numerics.smallest_singular_values(N.matrix, N.schur[0], z)
+        if N.dim <= numerics._SOLVE_BLOCK:
+            np.testing.assert_array_equal(routed, dense)
+        else:
+            assert np.all(np.abs(routed - dense) <= allowed)
+
+
+def test_small_dim_probe_equals_per_sample_loop(classified_bank):
+    # at or below _SOLVE_BLOCK the probe's table is bitwise that of one
+    # distance and one dense SVD per sample
+    cfg = ToleranceConfig()
+    checked = 0
+    for _, N, points in classified_bank:
+        if N.dim > numerics._SOLVE_BLOCK:
+            continue
+        value = next((p for p in points if p.alg_mult > p.geo_mult), points[0]).value
+        radii = probe_radii(points, value)
+        reps = np.array([p.value for p in points])
+        table = []
+        for r, z_row in zip(radii, circle_samples(value, radii).reshape(len(radii), -1)):
+            c_max = 0.0
+            for z in z_row:
+                dist = float(np.min(np.abs(reps - z)))
+                if dist > cfg.cluster_radius(N):
+                    smin = np.linalg.svd(N.matrix - z * np.eye(N.dim), compute_uv=False)[-1]
+                    c_max = max(c_max, dist / smin)
+            table.append((r, c_max))
+        assert resolvent_probe(N, value, radii, cfg=cfg).radius_table == tuple(table)
+        checked += 1
+    assert checked > BANK_SIZE // 2
+
+
+def desk_scale_operators():
+    """A dim-80 operator with many simple or double clusters and a dim-100
+    operator with a few clusters of multiplicity 16-25."""
+    rng = np.random.default_rng([BANK_SEED, 80])
+    many = sample_generator_spec(rng, 80, cond_bound=1e3, box=2.0 * math.sqrt(80 / 12))
+    few = GeneratorSpec(
+        signature=(47, 53),
+        positive_type_eigs=((1.25 - 0.5j, 25), (-1.0 + 1.0j, 22)),
+        negative_type_eigs=((0.25 + 1.5j, 16), (-0.75 - 1.25j, 19), (1.5 + 1.0j, 18)),
+        cond_bound=1e2,
+        seed=11,
+    )
+    return [build_normal_with_types(spec).operator for spec in (many, few)]
+
+
+@pytest.fixture(scope="module", params=[0, 1], ids=["dim80-many", "dim100-few"])
+def desk_operator(request):
+    return desk_scale_operators()[request.param]
+
+
+def dense_route(monkeypatch, N):
+    """Send every sigma_min of N through the stacked dense SVD."""
+    monkeypatch.setattr(numerics, "_SOLVE_BLOCK", N.dim)
+
+
+def test_sigma_min_matches_dense_svd_at_desk_scale(desk_operator, monkeypatch):
+    N = desk_operator
+    assert N.dim > numerics._SOLVE_BLOCK
+    points = classified_spectrum(N)
+    for point in points[:4]:
+        radii = probe_radii(points, point.value)
+        z = circle_samples(point.value, radii)
+        dense = dense_sigma_min(N, z)
+        routed = numerics.smallest_singular_values(N.matrix, N.schur[0], z)
+        assert np.all(np.abs(routed - dense) <= sigma_allowance(N, z, dense))
+        probe = resolvent_probe(N, point.value, radii)
+        with monkeypatch.context() as m:
+            dense_route(m, N)
+            reference = resolvent_probe(N, point.value, radii)
+        assert probe.pole_order == reference.pole_order
+        relative = (sigma_allowance(N, z, dense) / dense).reshape(len(radii), -1).max(axis=1)
+        for (_, c), (_, c_ref), rel in zip(probe.radius_table, reference.radius_table, relative):
+            assert c == pytest.approx(c_ref, rel=2.0 * rel)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e200, 1e300])
+def test_huge_radius_matches_dense_route(desk_operator, monkeypatch, radius):
+    # the Golub-Kahan norms underflow out here; those samples must fall
+    # back to the dense SVD instead of dividing by zero
+    N = desk_operator
+    value = classified_spectrum(N)[0].value
+    probe = resolvent_probe(N, value, [radius])
+    dense_route(monkeypatch, N)
+    reference = resolvent_probe(N, value, [radius])
+    assert probe.c_estimate == pytest.approx(reference.c_estimate, rel=1e-10)
+
+
+def test_step_budget_of_one_falls_back_to_dense_svd(desk_operator, monkeypatch):
+    N = desk_operator
+    points = classified_spectrum(N)
+    z = circle_samples(points[0].value, probe_radii(points, points[0].value))
+    monkeypatch.setattr(numerics, "_GK_STEPS", 1)
+    assert np.isnan(numerics._golub_kahan_sigma_min(N.schur[0], z)).all()
+    np.testing.assert_array_equal(
+        numerics.smallest_singular_values(N.matrix, N.schur[0], z), dense_sigma_min(N, z)
+    )
+
+
+def test_certified_probe_runs_no_dense_svd(desk_operator, monkeypatch):
+    N = desk_operator
+    points = classified_spectrum(N)
+    svd = np.linalg.svd
+
+    def refuse_full_size(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (N.dim, N.dim):
+            raise AssertionError("dense n x n SVD called")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", refuse_full_size)
+    probe = resolvent_probe(N, points[0].value, probe_radii(points, points[0].value))
+    assert probe.c_estimate >= 1.0
