@@ -285,17 +285,27 @@ class SubspaceBasis:
 
 
 def max_principal_angle(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """Largest principal angle between two spans (0 for two zero subspaces).
+    """Largest angle of ``span(b)`` against ``span(a)``: 0 exactly when
+    ``span(b)`` lies inside ``span(a)``, so call with the candidate subset
+    second.  It is 0 when b is the zero subspace and pi/2 when
+    ``b.k > a.k``; for ``b.k == a.k`` it is the largest principal angle
+    between the spans, which is symmetric.
 
-    For containment tests call with the candidate subset second: all
-    angles vanish iff ``span(b)`` lies inside ``span(a)``.  Delegates to
-    the sine-based formulation, which stays accurate near zero angle.
+    Both bases are orthonormal by construction, so nothing is
+    re-orthonormalized.  After Knyazev & Argentati (SIAM J. Sci. Comput.
+    23, 2002), the cosine of the largest angle is the smallest singular
+    value of ``a* b`` and its sine the largest singular value of the
+    residual ``b - a (a* b)``; ``arctan2`` of the two stays accurate at
+    every angle, near 0 and near pi/2 alike.
     """
-    if a.k == 0 and b.k == 0:
+    if b.k == 0:
         return 0.0
-    if a.k == 0 or b.k == 0:
+    if b.k > a.k:
         return float(np.pi / 2)
-    return float(np.max(scipy.linalg.subspace_angles(a.columns, b.columns)))
+    cross = a.columns.conj().T @ b.columns
+    cos = np.linalg.svd(cross, compute_uv=False)[-1]
+    sin = operator_norm(b.columns - a.columns @ cross)
+    return float(np.arctan2(sin, cos))
 
 
 class DefinitenessKind(enum.Enum):

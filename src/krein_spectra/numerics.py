@@ -24,6 +24,7 @@ from .regions import Disk
 __all__ = [
     "OrderedDecomposition",
     "contour_integral_resolvent",
+    "laurent_coefficients",
     "ordered_spectral_decomposition",
     "reorder_schur",
     "solve_sylvester",
@@ -196,14 +197,22 @@ def resolvent_at(
     """Weighted resolvent sums ``U (sum_j w_j (z_j - T)^{-1}) U*``, one per
     row of ``weights``, for the complex Schur form ``N = U T U*``.
 
-    This is where every resolvent of the package is evaluated.  Each
-    ``z_j - T`` is upper triangular and is inverted directly (block
-    recursion, batched over the nodes, at most ``_NODE_BATCH`` nodes at a
-    time); no dense n x n system is solved.  The weighted sums are formed
-    in the Schur basis and transformed back once.  Returns an array of
-    shape ``(rows, n, n)``.
+    The sums are formed in the Schur basis by :func:`_schur_resolvent_sums`
+    and transformed back once.  Returns an array of shape ``(rows, n, n)``.
     """
     t, u = schur
+    return u @ _schur_resolvent_sums(t, points, weights) @ u.conj().T
+
+
+def _schur_resolvent_sums(t: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_j w_j (z_j - T)^{-1}`` for an upper-triangular T, one per row of
+    ``weights``, as an array of shape ``(rows, n, n)``.
+
+    This is where every resolvent of the package is evaluated.  Each
+    ``z_j - T`` is inverted directly (block recursion, batched over the
+    nodes, at most ``_NODE_BATCH`` nodes at a time) and once for all rows;
+    no dense n x n system is solved.
+    """
     n = t.shape[0]
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
     weights = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
@@ -212,7 +221,7 @@ def resolvent_at(
         block = slice(lo, lo + _NODE_BATCH)
         inverses = _shifted_inverses(t, points[block])
         sums += weights[:, block] @ inverses.reshape(-1, n * n)
-    return u @ sums.reshape(-1, n, n) @ u.conj().T
+    return sums.reshape(-1, n, n)
 
 
 def _shifted_inverses(t: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -364,10 +373,24 @@ def contour_integral_resolvent(
 
     ``k = 0`` on a spectrum-enclosing circle gives the identity; ``k >= 1``
     probes Laurent coefficients at an enclosed isolated eigenvalue.  The
-    nodes are the disk's own rule (:meth:`Disk.quadrature`) and the
-    resolvents are evaluated by :func:`resolvent_at`.  Whether the circle
-    keeps clear of the spectrum is the caller's decision.
+    nodes are the disk's own rule (:meth:`Disk.quadrature`); the integral
+    is formed in the Schur basis by :func:`laurent_coefficients` and
+    transformed back.  Whether the circle keeps clear of the spectrum is
+    the caller's decision.
     """
+    t, u = schur
+    return u @ laurent_coefficients(t, disk, [k], nodes)[0] @ u.conj().T
+
+
+def laurent_coefficients(
+    t: np.ndarray, disk: Disk, orders: Sequence[int], nodes: int = 128
+) -> np.ndarray:
+    """The integrals of :func:`contour_integral_resolvent` in the Schur
+    basis, ``(1/2 pi i) ∮ (z - center)^k (z - T)^{-1} dz`` for the
+    upper-triangular Schur factor T, one for each k of ``orders``, stacked
+    along axis 0.  Each node's shifted triangle is inverted once for all
+    orders."""
     points, weights = disk.quadrature(nodes)
-    factors = weights * (points - disk.center) ** k / (2.0j * np.pi)
-    return resolvent_at(schur, points, factors)[0]
+    powers = np.asarray(orders)[:, None]
+    factors = weights * (points - disk.center) ** powers / (2.0j * np.pi)
+    return _schur_resolvent_sums(t, points, factors)

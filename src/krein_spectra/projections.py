@@ -48,7 +48,8 @@ from .core import (
 )
 from .numerics import (
     _NODE_BATCH,
-    contour_integral_resolvent,
+    OrderedDecomposition,
+    laurent_coefficients,
     ordered_spectral_decomposition,
     resolvent_at,
     smallest_singular_values,
@@ -383,8 +384,10 @@ class LocalSpectralFunction:
 
     ``evaluate`` depends only on which eigenvalues fall inside the queried
     region; projections are direct sums of per-cluster Riesz projections
-    and are cached per eigenvalue subset (write-once keys, safe under
-    concurrent evaluation)."""
+    and are cached per eigenvalue subset.  The ordered Schur decomposition
+    of an index set is computed once and cached too: a cluster projector
+    and the invariant subspace of the same set read the same one.  Every
+    cache has write-once keys, safe under concurrent evaluation."""
 
     def __init__(
         self,
@@ -399,18 +402,34 @@ class LocalSpectralFunction:
         self.values = [pt.value for pt in points]
         self.cfg = cfg
         self.carrier_indices = region_selection(operator, carrier, cfg, self.values)
+        self._decompositions: dict[frozenset[int], OrderedDecomposition] = {}
         self._cluster_projectors: dict[int, np.ndarray] = {}
         self._cache: dict[frozenset[int], SpectralProjectionResult] = {}
+
+    def decomposition(self, indices: frozenset[int]) -> OrderedDecomposition:
+        """The operator's Schur form reordered so the clusters ``indices``
+        lead."""
+        cached = self._decompositions.get(indices)
+        if cached is None:
+            N = self.operator
+            dec = ordered_spectral_decomposition(
+                N.matrix, N.schur, schur_mask(N, self.selected_points(indices))
+            )
+            cached = self._decompositions.setdefault(indices, dec)
+        return cached
 
     def cluster_projector(self, index: int) -> np.ndarray:
         cached = self._cluster_projectors.get(index)
         if cached is None:
-            N = self.operator
-            dec = ordered_spectral_decomposition(
-                N.matrix, N.schur, schur_mask(N, [self.points[index]])
-            )
+            dec = self.decomposition(frozenset({index}))
             cached = self._cluster_projectors.setdefault(index, spectral_projector(dec))
         return cached
+
+    def invariant_subspace(self, indices: frozenset[int]) -> SubspaceBasis:
+        """Invariant subspace of the clusters ``indices``, from their ordered
+        Schur decomposition; it does not read the cluster projectors."""
+        dec = self.decomposition(indices)
+        return SubspaceBasis(dec.unitary[:, : dec.split])
 
     def indices_in(self, region: Region) -> frozenset[int]:
         inside = region_selection(self.operator, region, self.cfg, self.values)
@@ -445,9 +464,6 @@ class LocalSpectralFunction:
 
     def selected_points(self, indices: Iterable[int]) -> list[SpectralPoint]:
         return [self.points[i] for i in sorted(indices)]
-
-    def range_basis_for(self, indices: frozenset[int]) -> SubspaceBasis:
-        return _kernel_span(self.selected_points(indices), self.operator.dim, self.cfg.rank_tol)
 
 
 def local_spectral_function(
@@ -580,27 +596,19 @@ def verify_lsf_axioms(
     # subspaces this is equivalent to containment in the invariant
     # subspace of the allowed clusters, which stays computable to machine
     # precision even when the complement carries defective eigenvalues.
+    # A range of the wrong rank cannot be contained: its angle is pi/2.
+    # Deltas selecting the same clusters share one result, checked once; an
+    # empty selection is vacuous (its complement lies in the whole space).
     worst_in, worst_out = 0.0, 0.0
     all_indices = frozenset(range(len(E.points)))
-
-    def invariant_subspace(indices: frozenset[int]) -> SubspaceBasis:
-        dec = ordered_spectral_decomposition(
-            N.matrix, N.schur, schur_mask(N, E.selected_points(indices))
-        )
-        return SubspaceBasis(dec.unitary[:, : dec.split])
-
-    for ix, res in zip(index_sets, results):
-        if ix:
-            worst_in = max(
-                worst_in,
-                max_principal_angle(invariant_subspace(ix), E.range_basis_for(ix)),
-            )
+    for ix, res in dict(zip(index_sets, results)).items():
+        if not ix:
+            continue
+        worst_in = max(worst_in, max_principal_angle(E.invariant_subspace(ix), res.basis))
         comp = range_basis(np.eye(N.dim) - res.matrix)
         rest = all_indices - ix
         if comp.k > 0 and rest:
-            worst_out = max(
-                worst_out, max_principal_angle(invariant_subspace(rest), comp)
-            )
+            worst_out = max(worst_out, max_principal_angle(E.invariant_subspace(rest), comp))
         elif comp.k > 0:
             worst_out = float(np.pi / 2)
     report.entries.append(
@@ -622,22 +630,23 @@ def verify_lsf_axioms(
         )
     )
 
-    # (S6) uniform positivity
-    min_margin = math.inf
-    for res in results:
-        if res.gram_margin.kind is DefinitenessKind.ZERO:
-            continue
-        if res.gram_margin.kind is not DefinitenessKind.UNIFORMLY_POSITIVE:
-            min_margin = -math.inf
-            break
-        min_margin = min(min_margin, res.gram_margin.margin)
+    # (S6) uniform positivity: decided by the definiteness kind of each
+    # range; the residual is the smallest margin, or on FAIL the first
+    # offending range's margin
+    margins = [r.gram_margin for r in results if r.gram_margin.kind is not DefinitenessKind.ZERO]
+    offending = [m for m in margins if m.kind is not DefinitenessKind.UNIFORMLY_POSITIVE]
+    if offending:
+        margin = offending[0].margin
+    else:
+        margin = min((m.margin for m in margins), default=None)
     report.entries.append(
         passfail(
             "lsf-uniform-positivity",
-            min_margin > 0,
-            residual=None if math.isinf(min_margin) else min_margin,
+            not offending,
+            residual=margin,
             tolerance=0.0,
             claim="every nonzero projection range is uniformly positive",
+            detail=f"range of kind {offending[0].kind.value}" if offending else "",
         )
     )
 
@@ -665,12 +674,12 @@ def verify_lsf_axioms(
     # adjoint transfer: conjugated subsets give a spectral function for the adjoint
     worst = 0.0
     structural_ok = True
-    for d, ix in zip(deltas, index_sets):
+    for d, ix, res in zip(deltas, index_sets, results):
         conj_region = d.conjugate()
         for i in sorted(ix):
             if not conj_region.contains(np.conj(E.points[i].value)):
                 structural_ok = False
-        basis = E.range_basis_for(ix)
+        basis = res.basis
         if basis.k > 0:
             eigs = np.linalg.eigvals(basis.columns.conj().T @ N.adjoint @ basis.columns)
             conj_selected = [np.conj(E.points[i].value) for i in sorted(ix)]
@@ -699,10 +708,11 @@ def verify_maximality(
     whose restricted spectrum lies in the subset.
 
     Random invariant subspaces are drawn inside the kernels of the
-    selected eigenvalues; the worst principal angle against the projection
-    range is reported."""
+    selected eigenvalues; the worst angle of one against the range of the
+    evaluated projection is reported (pi/2 when a subspace has more
+    dimensions than the range)."""
     indices = E.indices_in(delta)
-    full_range = E.range_basis_for(indices)
+    full_range = E.evaluate_indices(indices, delta).basis
     rng = np.random.default_rng(seed)
     worst = 0.0
     selected = E.selected_points(indices)
@@ -802,10 +812,19 @@ def resolvent_probe(
         circle = Disk(center, isolation)
         region_selection(N, Region((circle,)), cfg, ())  # refuses, selects nothing
         pole_tol = 1e-8 * max(1.0, N.norm)
-        for k in range(1, points[idx].alg_mult + 1):
-            coeff = contour_integral_resolvent(N.schur, circle, k, cfg.contour_nodes)
-            if frobenius(coeff) <= pole_tol:
-                pole_order = k
+        # The pole order is at most alg - geo + 1 (the largest Jordan block),
+        # so those orders come from one pass over the nodes; the rest, only
+        # if none of them vanishes, from a second.  Frobenius norms are read
+        # in the Schur basis, which the unitary factor does not change.
+        pt = points[idx]
+        orders = np.arange(1, pt.alg_mult + 1)
+        for chunk in np.split(orders, [pt.alg_mult - pt.geo_mult + 1]):
+            if not chunk.size:
+                continue
+            coeffs = laurent_coefficients(N.schur[0], circle, chunk, cfg.contour_nodes)
+            vanishing = [k for k, c in zip(chunk, coeffs) if frobenius(c) <= pole_tol]
+            if vanishing:
+                pole_order = int(vanishing[0])
                 break
     return ResolventProbeResult(c_estimate, pole_order, table)
 

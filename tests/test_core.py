@@ -7,6 +7,9 @@ the Jordan cell [[a,1],[0,a]] is normal and span(e1) is neutral.
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krein_spectra import (
     DefinitenessKind,
@@ -17,6 +20,7 @@ from krein_spectra import (
     definiteness,
     is_normal,
     krein_adjoint,
+    max_principal_angle,
 )
 from krein_spectra.core import frobenius, min_gap
 
@@ -144,6 +148,59 @@ class TestKreinSpaceValidation:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError, match="orthonormal"):
             SubspaceBasis(np.array([[1.0], [1.0]]))
+
+
+@st.composite
+def basis_pairs(draw):
+    """Orthonormal bases ``a`` and ``b`` with ``a.k >= b.k`` whose angles are
+    known: all nearly 0 (span(b) nearly inside span(a)), all exactly 0 with
+    equal spans, or all nearly pi/2.  Returns ``(a, b, largest angle)``."""
+    regime = draw(st.sampled_from(["contained", "equal", "orthogonal"]))
+    n = draw(st.integers(2, 12))
+    if regime == "equal":
+        ka = kb = draw(st.integers(1, n))
+        angles = np.zeros(kb)
+    else:
+        kb = draw(st.integers(1, n // 2))
+        ka = draw(st.integers(kb, n - kb))
+        exponents = draw(st.lists(st.floats(-15.0, -1.0), min_size=kb, max_size=kb))
+        angles = 10.0 ** np.array(exponents)
+        if regime == "orthogonal":
+            angles = np.pi / 2 - angles
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unitary(k):
+        return np.linalg.qr(random_complex(rng, (k, k)))[0]
+
+    q = unitary(n)
+    b = np.cos(angles) * q[:, :kb]
+    if regime != "equal":
+        b = b + np.sin(angles) * q[:, ka : ka + kb]
+    a = SubspaceBasis(q[:, :ka] @ unitary(ka))
+    return a, SubspaceBasis(b @ unitary(kb)), float(np.max(angles))
+
+
+class TestMaxPrincipalAngle:
+    @settings(max_examples=300, deadline=None)
+    @given(basis_pairs())
+    def test_matches_scipy_subspace_angles(self, pair):
+        a, b, largest = pair
+        angle = max_principal_angle(a, b)
+        reference = float(np.max(scipy.linalg.subspace_angles(a.columns, b.columns)))
+        assert abs(angle - reference) <= 1e-12
+        assert abs(angle - largest) <= 1e-12
+
+    def test_larger_candidate_is_not_contained(self):
+        # span(a) lies inside span(b), but span(b) does not lie inside span(a)
+        a, b = SubspaceBasis(np.eye(3)[:, :1]), SubspaceBasis(np.eye(3)[:, :2])
+        assert max_principal_angle(a, b) == np.pi / 2
+        assert max_principal_angle(b, a) == 0.0
+
+    def test_zero_candidate_is_contained(self):
+        zero = SubspaceBasis.zero(3)
+        assert max_principal_angle(SubspaceBasis(np.eye(3)[:, :2]), zero) == 0.0
+        assert max_principal_angle(zero, zero) == 0.0
+        assert max_principal_angle(zero, SubspaceBasis(np.eye(3)[:, :1])) == np.pi / 2
 
 
 class TestMinGap:

@@ -21,12 +21,30 @@ from krein_spectra import (
     verify_lsf_axioms,
     verify_maximality,
 )
+from krein_spectra import projections
 from krein_spectra.core import frobenius
 
 
 def carrier_operator():
     space = KreinSpace(np.diag([1.0, 1.0, -1.0]))
     return KreinOperator(np.diag([1.0, 2.0, 3.0j]), space)
+
+
+def corrupted_carrier_lsf(projector):
+    """The local spectral function of diag(1, 1, 3) against diag(1, 1, -1) on
+    disk(1, 0.5), with the cluster projector of the double eigenvalue 1
+    replaced by ``projector``, and its axiom report and maximality entry."""
+    n = KreinOperator(np.diag([1.0, 1.0, 3.0]), KreinSpace(np.diag([1.0, 1.0, -1.0])))
+    carrier = Region.disk(1.0, 0.5)
+    lsf = local_spectral_function(n, carrier)
+    index = next(i for i, pt in enumerate(lsf.points) if abs(pt.value - 1.0) < 1e-12)
+    lsf._cluster_projectors[index] = np.asarray(projector, dtype=np.complex128)
+    m = n.matrix
+    deltas = [Region.disk(1.0, 0.25), carrier, Region.empty()]
+    report = verify_lsf_axioms(lsf, deltas, [np.eye(3), m, n.adjoint, m @ m])
+    entries = {e.name: e for e in report.entries}
+    entries["lsf-maximality"] = verify_maximality(lsf, carrier)
+    return entries
 
 
 def generated_with_carrier(rng, dim=6):
@@ -98,6 +116,24 @@ class TestConstruction:
         rect = lsf.evaluate(Region.rectangle(1.7, -0.3, 2.3, 0.3)).matrix
         np.testing.assert_allclose(disk, rect, atol=1e-12)
 
+    def test_cluster_projector_and_invariant_subspace_share_a_decomposition(
+        self, monkeypatch
+    ):
+        calls = []
+        decompose = projections.ordered_spectral_decomposition
+
+        def counting(*args):
+            calls.append(args[2])
+            return decompose(*args)
+
+        monkeypatch.setattr(projections, "ordered_spectral_decomposition", counting)
+        lsf = local_spectral_function(carrier_operator(), Region.disk(1.5, 1.0))
+        index = next(iter(lsf.indices_in(Region.disk(1.0, 0.2))))
+        projector = lsf.cluster_projector(index)
+        subspace = lsf.invariant_subspace(frozenset({index}))
+        assert len(calls) == 1
+        np.testing.assert_allclose(subspace.projector(), projector, atol=1e-12)
+
     def test_chained_cluster_projector_has_full_rank(self):
         # the cluster 1.0 .. 1.6 (radius 0.18) has its mean 1.3 farther from
         # 1.6 than the foreign eigenvalue 1.8 is
@@ -142,6 +178,22 @@ class TestAxioms:
         d1, d2 = Region.disk(1.0, 0.2), Region.disk(2.0, 0.2)
         union = lsf.evaluate(d1.union(d2))
         assert union.rank == lsf.evaluate(d1).rank + lsf.evaluate(d2).rank
+
+
+class TestCorruptedProjector:
+    def test_projector_of_too_small_rank_fails(self):
+        # the rank-1 projector onto e1 in place of the rank-2 one of eigenvalue 1
+        entries = corrupted_carrier_lsf(np.diag([1.0, 0.0, 0.0]))
+        for name in ("lsf-complement-spectrum", "lsf-maximality"):
+            assert entries[name].status is CheckStatus.FAIL
+            assert entries[name].residual == np.pi / 2
+
+    def test_uniform_positivity_reports_offending_margin(self):
+        # the projector onto the negative direction e3
+        entry = corrupted_carrier_lsf(np.diag([0.0, 0.0, 1.0]))["lsf-uniform-positivity"]
+        assert entry.status is CheckStatus.FAIL
+        assert entry.residual == pytest.approx(-1.0)
+        assert "uniformly-negative" in entry.detail
 
 
 class TestMaximality:
