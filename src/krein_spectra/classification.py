@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .core import (
     SubspaceBasis,
     definiteness,
 )
-from .numerics import ordered_spectral_decomposition, reorder_schur
+from .numerics import OrderedDecomposition, ordered_spectral_decomposition, reorder_schur
 
 # Largest quadrature node count per contour piece; the convergence check
 # integrates at twice as many.
@@ -39,10 +38,10 @@ __all__ = [
     "ToleranceConfig",
     "classified_spectrum",
     "classify_point",
+    "invariant_decomposition",
     "kernel_basis",
     "locate_point",
     "root_subspace",
-    "schur_mask",
     "selfadjoint_product",
     "spectrum",
     "verify_selfadjoint_link",
@@ -206,7 +205,7 @@ def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list
     radius = cfg.cluster_radius(N)
     clusters, ambiguous = _cluster_eigenvalues(eigs, radius)
 
-    scale = max(1.0, N.norm)
+    scale = N.scale
     # reordered alongside U, this yields G^{-1} U[:, n-k:] without a solve per cluster
     g_inv_u = np.linalg.solve(N.space.gram, u)
     points = []
@@ -337,21 +336,24 @@ def locate_point(
     return index
 
 
-def schur_mask(N: KreinOperator, points: Iterable[SpectralPoint]) -> np.ndarray:
-    """Boolean mask over the diagonal of ``N.schur[0]`` flagging the
-    ``schur_positions`` of ``points``."""
-    select = np.zeros(N.dim, dtype=bool)
-    for pt in points:
-        select[list(pt.schur_positions)] = True
-    return select
+def invariant_decomposition(N: KreinOperator, positions: frozenset[int]) -> OrderedDecomposition:
+    """The Schur form ``N.schur`` reordered so the diagonal ``positions``
+    lead, computed once per operator and position set (cached on ``N``)."""
+    dec = N._decompositions.get(positions)
+    if dec is None:
+        select = np.zeros(N.dim, dtype=bool)
+        select[list(positions)] = True
+        dec = N._decompositions.setdefault(
+            positions, ordered_spectral_decomposition(N.matrix, N.schur, select)
+        )
+    return dec
 
 
 def root_subspace(
     N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig = ToleranceConfig()
 ) -> SubspaceBasis:
     """Invariant subspace of the full eigenvalue cluster (dimension
-    ``alg_mult``), computed from the ordered spectral decomposition that
-    moves the cluster's Schur positions to the front."""
+    ``alg_mult``): the leading columns of its :func:`invariant_decomposition`."""
     located = classified_spectrum(N, cfg)[locate_point(N, pt.value, cfg)]
-    dec = ordered_spectral_decomposition(N.matrix, N.schur, schur_mask(N, [located]))
+    dec = invariant_decomposition(N, frozenset(located.schur_positions))
     return SubspaceBasis(dec.unitary[:, : dec.split])

@@ -175,9 +175,11 @@ class KreinOperator:
     ``normality_tol``.  Instances are immutable and safe to share.
 
     Derived data is computed on first use and cached on the instance: the
-    norm, the Schur form, the spectral radius, and in ``_classified`` the
-    classified spectrum of :func:`classified_spectrum`, as a tuple of
-    frozen points keyed by the (frozen, hashable) ``ToleranceConfig``.
+    norm, the scale, the Schur form, the spectral radius; in ``_classified``
+    the classified spectrum of :func:`classified_spectrum`, keyed by the
+    (frozen, hashable) ``ToleranceConfig``; and in ``_decompositions`` each
+    :func:`invariant_decomposition`, keyed by its frozenset of Schur
+    positions.  Both dicts are write-once.
     """
 
     matrix: np.ndarray
@@ -186,6 +188,7 @@ class KreinOperator:
     adjoint: np.ndarray = field(init=False, repr=False)
     normality_residual: float = field(init=False)
     _classified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _decompositions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _frozen_complex(self.matrix, (self.space.dim, self.space.dim))
@@ -205,6 +208,11 @@ class KreinOperator:
     @functools.cached_property
     def norm(self) -> float:
         return operator_norm(self.matrix)
+
+    @functools.cached_property
+    def scale(self) -> float:
+        """Operator scale ``max(1, ||N||)`` of residuals and rank cuts."""
+        return max(1.0, self.norm)
 
     @functools.cached_property
     def schur(self) -> tuple[np.ndarray, np.ndarray]:

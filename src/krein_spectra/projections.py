@@ -30,8 +30,8 @@ from .classification import (
     SpectralType,
     ToleranceConfig,
     classified_spectrum,
+    invariant_decomposition,
     locate_point,
-    schur_mask,
 )
 from .core import (
     DefinitenessKind,
@@ -50,7 +50,6 @@ from .numerics import (
     _NODE_BATCH,
     OrderedDecomposition,
     laurent_coefficients,
-    ordered_spectral_decomposition,
     resolvent_at,
     smallest_singular_values,
     spectral_projector,
@@ -109,7 +108,6 @@ class SpectralProjectionResult:
     """
 
     matrix: np.ndarray
-    target: Region
     idem_residual: float
     selfadj_residual: float
     commute_residual: float
@@ -125,7 +123,6 @@ class SpectralProjectionResult:
 def _make_result(
     Q: np.ndarray,
     N: KreinOperator,
-    target: Region,
     cfg: ToleranceConfig,
     warnings: tuple[str, ...] = (),
     strict: bool = True,
@@ -144,7 +141,6 @@ def _make_result(
     basis = range_basis(Q)
     return SpectralProjectionResult(
         matrix=Q,
-        target=target,
         idem_residual=idem,
         selfadj_residual=selfadj,
         commute_residual=commute,
@@ -168,7 +164,7 @@ def region_selection(
     alike and conjugation preserves membership; only then is membership
     reported, as plain containment.
     """
-    gap = max(cfg.cluster_radius(N), cfg.cluster_tol * max(1.0, N.norm))
+    gap = max(cfg.cluster_radius(N), cfg.cluster_tol * N.scale)
     offenders = [z for z in N.eigenvalues if region.boundary_distance(z) <= gap]
     if offenders:
         raise ContourThroughSpectrumError(
@@ -211,7 +207,7 @@ def riesz_projection_contour(
     warnings = ()
     if delta > _CONVERGENCE_FLAG_TOL:
         warnings = (f"quadrature-not-converged:delta={delta:.3e}",)
-    return _make_result(q, N, region, cfg, warnings, strict=False)
+    return _make_result(q, N, cfg, warnings, strict=False)
 
 
 def riesz_projection_oracle(
@@ -221,10 +217,10 @@ def riesz_projection_oracle(
 ) -> SpectralProjectionResult:
     """Riesz projection via ordered Schur decomposition and Sylvester
     decoupling; independent of the contour path.  ``N.eigenvalues`` is
-    the Schur diagonal, so the region's selection is the reordering mask."""
-    select = np.isin(np.arange(N.dim), list(region_selection(N, region, cfg, N.eigenvalues)))
-    dec = ordered_spectral_decomposition(N.matrix, N.schur, select)
-    return _make_result(spectral_projector(dec), N, region, cfg)
+    the Schur diagonal, so the region's selection is the set of positions
+    to reorder."""
+    dec = invariant_decomposition(N, region_selection(N, region, cfg, N.eigenvalues))
+    return _make_result(spectral_projector(dec), N, cfg)
 
 
 def verify_spectral_set_theorem(
@@ -288,7 +284,7 @@ def verify_spectral_set_theorem(
             claim="the spectral-set projection is selfadjoint",
         )
     )
-    tol_commute = 1e-8 * (1.0 + qn) * max(1.0, N.norm)
+    tol_commute = 1e-8 * (1.0 + qn) * N.scale
     report.entries.append(
         passfail(
             "projection-commutes",
@@ -382,12 +378,11 @@ def _kernel_span(
 class LocalSpectralFunction:
     """Projection-valued set function on subsets of a positive carrier.
 
-    ``evaluate`` depends only on which eigenvalues fall inside the queried
-    region; projections are direct sums of per-cluster Riesz projections
-    and are cached per eigenvalue subset.  The ordered Schur decomposition
-    of an index set is computed once and cached too: a cluster projector
-    and the invariant subspace of the same set read the same one.  Every
-    cache has write-once keys, safe under concurrent evaluation."""
+    ``evaluate`` depends only on which clusters fall inside the queried
+    region.  The projection and the invariant subspace of a set of
+    clusters read its one :func:`invariant_decomposition`, cached on the
+    operator; results are cached per index set, write-once.  The empty
+    set gives the zero projection without any factorization."""
 
     def __init__(
         self,
@@ -402,32 +397,21 @@ class LocalSpectralFunction:
         self.values = [pt.value for pt in points]
         self.cfg = cfg
         self.carrier_indices = region_selection(operator, carrier, cfg, self.values)
-        self._decompositions: dict[frozenset[int], OrderedDecomposition] = {}
-        self._cluster_projectors: dict[int, np.ndarray] = {}
         self._cache: dict[frozenset[int], SpectralProjectionResult] = {}
 
     def decomposition(self, indices: frozenset[int]) -> OrderedDecomposition:
         """The operator's Schur form reordered so the clusters ``indices``
         lead."""
-        cached = self._decompositions.get(indices)
-        if cached is None:
-            N = self.operator
-            dec = ordered_spectral_decomposition(
-                N.matrix, N.schur, schur_mask(N, self.selected_points(indices))
-            )
-            cached = self._decompositions.setdefault(indices, dec)
-        return cached
+        positions = frozenset(p for i in indices for p in self.points[i].schur_positions)
+        return invariant_decomposition(self.operator, positions)
 
-    def cluster_projector(self, index: int) -> np.ndarray:
-        cached = self._cluster_projectors.get(index)
-        if cached is None:
-            dec = self.decomposition(frozenset({index}))
-            cached = self._cluster_projectors.setdefault(index, spectral_projector(dec))
-        return cached
+    def cluster_projector(self, indices: frozenset[int]) -> np.ndarray:
+        """Riesz projector of the clusters ``indices``."""
+        return spectral_projector(self.decomposition(indices))
 
     def invariant_subspace(self, indices: frozenset[int]) -> SubspaceBasis:
-        """Invariant subspace of the clusters ``indices``, from their ordered
-        Schur decomposition; it does not read the cluster projectors."""
+        """Invariant subspace of the clusters ``indices``, from the
+        decomposition their projector reads."""
         dec = self.decomposition(indices)
         return SubspaceBasis(dec.unitary[:, : dec.split])
 
@@ -441,26 +425,26 @@ class LocalSpectralFunction:
             )
         return inside
 
-    def evaluate_indices(
-        self, indices: frozenset[int], target: Region | None = None
-    ) -> SpectralProjectionResult:
+    def evaluate_indices(self, indices: frozenset[int]) -> SpectralProjectionResult:
         stray = indices - self.carrier_indices
         if stray:
             raise PreconditionError(f"indices {sorted(stray)} are outside the carrier")
         cached = self._cache.get(indices)
         if cached is None:
-            n = self.operator.dim
-            q = np.zeros((n, n), dtype=np.complex128)
-            for i in sorted(indices):
-                q += self.cluster_projector(i)
-            result = _make_result(
-                q, self.operator, target if target is not None else Region.empty(), self.cfg
-            )
+            if indices:
+                result = _make_result(self.cluster_projector(indices), self.operator, self.cfg)
+            else:
+                n = self.operator.dim
+                zero = DefinitenessVerdict(DefinitenessKind.ZERO, 0.0)
+                result = SpectralProjectionResult(
+                    np.zeros((n, n), dtype=np.complex128), 0.0, 0.0, 0.0, zero,
+                    SubspaceBasis.zero(n),
+                )
             cached = self._cache.setdefault(indices, result)
         return cached
 
     def evaluate(self, region: Region) -> SpectralProjectionResult:
-        return self.evaluate_indices(self.indices_in(region), region)
+        return self.evaluate_indices(self.indices_in(region))
 
     def selected_points(self, indices: Iterable[int]) -> list[SpectralPoint]:
         return [self.points[i] for i in sorted(indices)]
@@ -511,21 +495,24 @@ def verify_lsf_axioms(
     positivity, selfadjointness, and the adjoint-operator transfer law.
 
     Residuals are aggregated (worst case) per axiom; every finding is an
-    entry, never an exception.
+    entry, never an exception.  Additivity and the structural conjugation
+    check go per delta; the rest once per distinct non-empty index set, in
+    delta order (the empty set's zero projection adds 0 to every residual).
     """
     report = VerificationReport()
     N = E.operator
-    scale = max(1.0, N.norm)
+    scale = N.scale
     index_sets = [E.indices_in(d) for d in deltas]
-    results = [E.evaluate_indices(ix, d) for ix, d in zip(index_sets, deltas)]
+    results = [E.evaluate_indices(ix) for ix in index_sets]
+    distinct = {ix: res for ix, res in zip(index_sets, results) if ix}
 
     # (S1) multiplicativity over all pairs
     worst = 0.0
-    for i in range(len(deltas)):
-        for j in range(len(deltas)):
-            inter = E.evaluate_indices(index_sets[i] & index_sets[j])
-            prod = results[i].matrix @ results[j].matrix
-            norm_scale = max(1.0, frobenius(results[i].matrix) * frobenius(results[j].matrix))
+    for ix, res in distinct.items():
+        for jx, other in distinct.items():
+            inter = E.evaluate_indices(ix & jx)
+            prod = res.matrix @ other.matrix
+            norm_scale = max(1.0, frobenius(res.matrix) * frobenius(other.matrix))
             worst = max(worst, frobenius(inter.matrix - prod) / norm_scale)
     report.entries.append(
         passfail(
@@ -575,7 +562,7 @@ def verify_lsf_axioms(
         if comm_n > tol:
             skipped.append(b_idx)
             continue
-        for res in results:
+        for res in distinct.values():
             q = res.matrix
             worst = max(
                 worst,
@@ -597,13 +584,10 @@ def verify_lsf_axioms(
     # subspace of the allowed clusters, which stays computable to machine
     # precision even when the complement carries defective eigenvalues.
     # A range of the wrong rank cannot be contained: its angle is pi/2.
-    # Deltas selecting the same clusters share one result, checked once; an
-    # empty selection is vacuous (its complement lies in the whole space).
+    # An empty selection is vacuous (its complement lies in the whole space).
     worst_in, worst_out = 0.0, 0.0
     all_indices = frozenset(range(len(E.points)))
-    for ix, res in dict(zip(index_sets, results)).items():
-        if not ix:
-            continue
+    for ix, res in distinct.items():
         worst_in = max(worst_in, max_principal_angle(E.invariant_subspace(ix), res.basis))
         comp = range_basis(np.eye(N.dim) - res.matrix)
         rest = all_indices - ix
@@ -633,7 +617,9 @@ def verify_lsf_axioms(
     # (S6) uniform positivity: decided by the definiteness kind of each
     # range; the residual is the smallest margin, or on FAIL the first
     # offending range's margin
-    margins = [r.gram_margin for r in results if r.gram_margin.kind is not DefinitenessKind.ZERO]
+    margins = [
+        r.gram_margin for r in distinct.values() if r.gram_margin.kind is not DefinitenessKind.ZERO
+    ]
     offending = [m for m in margins if m.kind is not DefinitenessKind.UNIFORMLY_POSITIVE]
     if offending:
         margin = offending[0].margin
@@ -652,7 +638,7 @@ def verify_lsf_axioms(
 
     # selfadjointness and commutation with the operator and its adjoint
     worst = 0.0
-    for res in results:
+    for res in distinct.values():
         q = res.matrix
         q_scale = max(1.0, frobenius(q))
         worst = max(worst, res.selfadj_residual / q_scale)
@@ -672,13 +658,13 @@ def verify_lsf_axioms(
     )
 
     # adjoint transfer: conjugated subsets give a spectral function for the adjoint
+    structural_ok = all(
+        d.conjugate().contains(np.conj(E.points[i].value))
+        for d, ix in zip(deltas, index_sets)
+        for i in ix
+    )
     worst = 0.0
-    structural_ok = True
-    for d, ix, res in zip(deltas, index_sets, results):
-        conj_region = d.conjugate()
-        for i in sorted(ix):
-            if not conj_region.contains(np.conj(E.points[i].value)):
-                structural_ok = False
+    for ix, res in distinct.items():
         basis = res.basis
         if basis.k > 0:
             eigs = np.linalg.eigvals(basis.columns.conj().T @ N.adjoint @ basis.columns)
@@ -712,7 +698,7 @@ def verify_maximality(
     evaluated projection is reported (pi/2 when a subspace has more
     dimensions than the range)."""
     indices = E.indices_in(delta)
-    full_range = E.evaluate_indices(indices, delta).basis
+    full_range = E.evaluate_indices(indices).basis
     rng = np.random.default_rng(seed)
     worst = 0.0
     selected = E.selected_points(indices)
@@ -811,7 +797,7 @@ def resolvent_probe(
     if isolation > 10.0 * cluster_radius:
         circle = Disk(center, isolation)
         region_selection(N, Region((circle,)), cfg, ())  # refuses, selects nothing
-        pole_tol = 1e-8 * max(1.0, N.norm)
+        pole_tol = 1e-8 * N.scale
         # The pole order is at most alg - geo + 1 (the largest Jordan block),
         # so those orders come from one pass over the nodes; the rest, only
         # if none of them vanishes, from a second.  Frobenius norms are read
@@ -861,7 +847,7 @@ def strong_stability_check(
     dim = N.dim
     plus, minus = _kernel_span(pos, dim, cfg.rank_tol), _kernel_span(neg, dim, cfg.rank_tol)
     entries = []
-    scale = max(1.0, N.norm)
+    scale = N.scale
 
     verdict_p = definiteness(plus, N.space, cfg.definiteness_tol)
     entries.append(

@@ -10,6 +10,7 @@ import pytest
 
 from krein_spectra import (
     CheckStatus,
+    DefinitenessKind,
     KreinOperator,
     KreinSpace,
     PreconditionError,
@@ -17,11 +18,13 @@ from krein_spectra import (
     ToleranceConfig,
     build_normal_with_types,
     local_spectral_function,
+    riesz_projection_oracle,
+    root_subspace,
     sample_generator_spec,
     verify_lsf_axioms,
     verify_maximality,
 )
-from krein_spectra import projections
+from krein_spectra import classification, numerics, projections
 from krein_spectra.core import frobenius
 
 
@@ -30,21 +33,44 @@ def carrier_operator():
     return KreinOperator(np.diag([1.0, 2.0, 3.0j]), space)
 
 
+def corrupt(lsf, value, projector):
+    """Replace the evaluated projection of the cluster at ``value`` by
+    ``projector``; unions containing the cluster keep their own."""
+    index = next(i for i, pt in enumerate(lsf.points) if abs(pt.value - value) < 1e-12)
+    q = np.asarray(projector, dtype=np.complex128)
+    lsf._cache[frozenset({index})] = projections._make_result(q, lsf.operator, lsf.cfg)
+
+
 def corrupted_carrier_lsf(projector):
     """The local spectral function of diag(1, 1, 3) against diag(1, 1, -1) on
-    disk(1, 0.5), with the cluster projector of the double eigenvalue 1
-    replaced by ``projector``, and its axiom report and maximality entry."""
+    disk(1, 0.5), with the projection of the double eigenvalue 1 replaced by
+    ``projector``, and its axiom report and maximality entry."""
     n = KreinOperator(np.diag([1.0, 1.0, 3.0]), KreinSpace(np.diag([1.0, 1.0, -1.0])))
     carrier = Region.disk(1.0, 0.5)
     lsf = local_spectral_function(n, carrier)
-    index = next(i for i, pt in enumerate(lsf.points) if abs(pt.value - 1.0) < 1e-12)
-    lsf._cluster_projectors[index] = np.asarray(projector, dtype=np.complex128)
+    corrupt(lsf, 1.0, projector)
     m = n.matrix
     deltas = [Region.disk(1.0, 0.25), carrier, Region.empty()]
     report = verify_lsf_axioms(lsf, deltas, [np.eye(3), m, n.adjoint, m @ m])
     entries = {e.name: e for e in report.entries}
     entries["lsf-maximality"] = verify_maximality(lsf, carrier)
     return entries
+
+
+def count_decompositions(monkeypatch):
+    """Record every ordered Schur decomposition made through the modules
+    that may decompose an operator's Schur form."""
+    calls = []
+    decompose = numerics.ordered_spectral_decomposition
+
+    def counting(*args):
+        calls.append(args[2])
+        return decompose(*args)
+
+    for module in (classification, projections):
+        if hasattr(module, "ordered_spectral_decomposition"):
+            monkeypatch.setattr(module, "ordered_spectral_decomposition", counting)
+    return calls
 
 
 def generated_with_carrier(rng, dim=6):
@@ -119,20 +145,38 @@ class TestConstruction:
     def test_cluster_projector_and_invariant_subspace_share_a_decomposition(
         self, monkeypatch
     ):
-        calls = []
-        decompose = projections.ordered_spectral_decomposition
-
-        def counting(*args):
-            calls.append(args[2])
-            return decompose(*args)
-
-        monkeypatch.setattr(projections, "ordered_spectral_decomposition", counting)
+        calls = count_decompositions(monkeypatch)
         lsf = local_spectral_function(carrier_operator(), Region.disk(1.5, 1.0))
-        index = next(iter(lsf.indices_in(Region.disk(1.0, 0.2))))
-        projector = lsf.cluster_projector(index)
-        subspace = lsf.invariant_subspace(frozenset({index}))
+        indices = lsf.indices_in(Region.disk(1.0, 0.2))
+        projector = lsf.cluster_projector(indices)
+        subspace = lsf.invariant_subspace(indices)
         assert len(calls) == 1
         np.testing.assert_allclose(subspace.projector(), projector, atol=1e-12)
+
+    def test_oracle_root_subspace_and_lsf_share_a_decomposition(self, monkeypatch):
+        calls = count_decompositions(monkeypatch)
+        n = carrier_operator()
+        lsf = local_spectral_function(n, Region.disk(1.5, 1.0))
+        region = Region.disk(1.0, 0.2)
+        indices = lsf.indices_in(region)
+        oracle = riesz_projection_oracle(n, region)
+        root = root_subspace(n, lsf.points[next(iter(indices))])
+        subspace = lsf.invariant_subspace(indices)
+        assert len(calls) == 1
+        for basis in (root, subspace):
+            np.testing.assert_allclose(basis.projector(), oracle.matrix, atol=1e-12)
+
+    def test_empty_set_needs_no_range_or_adjoint(self, monkeypatch):
+        lsf = local_spectral_function(carrier_operator(), Region.disk(1.5, 1.0))
+
+        def refuse(*args):
+            raise AssertionError("the empty set's zero projection needs no factorization")
+
+        monkeypatch.setattr(projections, "range_basis", refuse)
+        monkeypatch.setattr(projections, "krein_adjoint", refuse)
+        result = lsf.evaluate(Region.empty())
+        assert result.rank == 0 and frobenius(result.matrix) == 0.0
+        assert result.gram_margin.kind is DefinitenessKind.ZERO
 
     def test_chained_cluster_projector_has_full_rank(self):
         # the cluster 1.0 .. 1.6 (radius 0.18) has its mean 1.3 farther from
@@ -178,6 +222,26 @@ class TestAxioms:
         d1, d2 = Region.disk(1.0, 0.2), Region.disk(2.0, 0.2)
         union = lsf.evaluate(d1.union(d2))
         assert union.rank == lsf.evaluate(d1).rank + lsf.evaluate(d2).rank
+
+    @pytest.mark.parametrize(
+        "oblique",
+        [
+            [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            # its sum with E({2}) is again idempotent, so a union built from
+            # the summands would match the sum exactly
+            [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        ],
+    )
+    def test_union_projection_is_not_built_from_its_summands(self, oblique):
+        # an oblique idempotent in place of E({1}): the union keeps its own
+        # projection diag(1, 1, 0), so the sum no longer matches it
+        n = carrier_operator()
+        lsf = local_spectral_function(n, Region.disk(1.5, 1.0))
+        corrupt(lsf, 1.0, oblique)
+        deltas = [Region.disk(1.0, 0.2), Region.disk(2.0, 0.2)]
+        report = verify_lsf_axioms(lsf, deltas, [np.eye(3)])
+        entry = next(e for e in report.entries if e.name == "lsf-additivity")
+        assert entry.status is CheckStatus.FAIL
 
 
 class TestCorruptedProjector:
