@@ -188,6 +188,9 @@ def solve_sylvester_dense(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.nda
 
 # Shifted triangles are inverted this many nodes at a time, so the
 # (nodes, n, n) stack of inverses never outgrows one default-size rule.
+# A contour call allocates one such stack and one scratch of a quarter of
+# it for the block products, and reuses both for every batch; nothing is
+# kept between calls, which may run on concurrent threads.
 _NODE_BATCH = 128
 
 
@@ -211,36 +214,58 @@ def _schur_resolvent_sums(t: np.ndarray, points: np.ndarray, weights: np.ndarray
     This is where every resolvent of the package is evaluated.  Each
     ``z_j - T`` is inverted directly (block recursion, batched over the
     nodes, at most ``_NODE_BATCH`` nodes at a time) and once for all rows;
-    no dense n x n system is solved.
+    no dense n x n system is solved.  One inverse stack and one scratch
+    serve every batch of the call.
     """
     n = t.shape[0]
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
     weights = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
     sums = np.zeros((weights.shape[0], n * n), dtype=np.complex128)
+    batch = min(points.size, _NODE_BATCH)
+    # only the diagonal and upper blocks are written: the lower triangle
+    # stays zero from one batch to the next
+    stack = np.zeros((batch, n, n), dtype=np.complex128)
+    scratch = np.empty(batch * (n // 2) * (n - n // 2), dtype=np.complex128)
     for lo in range(0, points.size, _NODE_BATCH):
         block = slice(lo, lo + _NODE_BATCH)
-        inverses = _shifted_inverses(t, points[block])
+        z = points[block]
+        inverses = _shifted_inverses(t, z, stack[: z.size], scratch)
         sums += weights[:, block] @ inverses.reshape(-1, n * n)
     return sums.reshape(-1, n, n)
 
 
-def _shifted_inverses(t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``(z_j - T)^{-1}`` for an upper-triangular T, stacked along axis 0."""
-    out = np.zeros((z.size,) + t.shape, dtype=np.complex128)
-    _fill_shifted_inverse(t, z, out)
+def _shifted_inverses(
+    t: np.ndarray, z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """``(z_j - T)^{-1}`` for an upper-triangular T, stacked along axis 0.
+
+    Written into ``out`` (shape ``(z.size, n, n)``, zero below the
+    diagonal) with ``scratch`` (at least ``z.size * (n // 2) * (n - n // 2)``
+    entries) for the block products; either is allocated when not passed.
+    """
+    n = t.shape[0]
+    if out is None:
+        out = np.zeros((z.size, n, n), dtype=np.complex128)
+    if scratch is None:
+        scratch = np.empty(z.size * (n // 2) * (n - n // 2), dtype=np.complex128)
+    _fill_shifted_inverse(t, z, out, scratch)
     return out
 
 
-def _fill_shifted_inverse(t: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+def _fill_shifted_inverse(
+    t: np.ndarray, z: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
     # [[z - T11, -T12], [0, z - T22]]^{-1} = [[X11, X11 T12 X22], [0, X22]]
     n = t.shape[0]
     if n == 1:
         out[:, 0, 0] = 1.0 / (z - t[0, 0])
         return
     h = n // 2
-    _fill_shifted_inverse(t[:h, :h], z, out[:, :h, :h])
-    _fill_shifted_inverse(t[h:, h:], z, out[:, h:, h:])
-    out[:, :h, h:] = (out[:, :h, :h] @ t[:h, h:]) @ out[:, h:, h:]
+    _fill_shifted_inverse(t[:h, :h], z, out[:, :h, :h], scratch)
+    _fill_shifted_inverse(t[h:, h:], z, out[:, h:, h:], scratch)
+    product = scratch[: z.size * h * (n - h)].reshape(z.size, h, n - h)
+    np.matmul(out[:, :h, :h], t[:h, h:], out=product)
+    np.matmul(product, out[:, h:, h:], out=out[:, :h, h:])
 
 
 # The Golub-Kahan route solves with diagonal blocks of this size; a

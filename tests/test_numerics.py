@@ -1,20 +1,28 @@
 """Ordered decompositions, the Sylvester solver and contour integrals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from krein_spectra import (
     Disk,
+    GeneratorSpec,
+    Region,
     SpectralOverlapError,
+    ToleranceConfig,
+    build_normal_with_types,
     contour_integral_resolvent,
+    numerics,
     ordered_spectral_decomposition,
+    riesz_projection_contour,
     solve_sylvester,
     solve_sylvester_dense,
     spectral_projector,
 )
 from krein_spectra.core import frobenius
-from krein_spectra.numerics import sylvester_spectral_gap
+from krein_spectra.numerics import _NODE_BATCH, _schur_resolvent_sums, sylvester_spectral_gap
 
 
 def random_complex(rng, shape):
@@ -149,3 +157,88 @@ class TestContourIntegralResolvent:
         first = frobenius(q128 - q64)
         if first <= 1e-7:
             assert frobenius(q256 - q128) <= 1e-9
+
+
+def allocating_resolvent_sums(t, points, weights):
+    """Reference for the contour kernel: the same block recursion and batches,
+    with a fresh inverse stack per batch and fresh block products."""
+
+    def fill(t, z, out):
+        n = t.shape[0]
+        if n == 1:
+            out[:, 0, 0] = 1.0 / (z - t[0, 0])
+            return
+        h = n // 2
+        fill(t[:h, :h], z, out[:, :h, :h])
+        fill(t[h:, h:], z, out[:, h:, h:])
+        out[:, :h, h:] = (out[:, :h, :h] @ t[:h, h:]) @ out[:, h:, h:]
+
+    n = t.shape[0]
+    points = np.asarray(points, dtype=np.complex128).reshape(-1)
+    weights = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
+    sums = np.zeros((weights.shape[0], n * n), dtype=np.complex128)
+    for lo in range(0, points.size, _NODE_BATCH):
+        block = slice(lo, lo + _NODE_BATCH)
+        inverses = np.zeros((points[block].size, n, n), dtype=np.complex128)
+        fill(t, points[block], inverses)
+        sums += weights[:, block] @ inverses.reshape(-1, n * n)
+    return sums.reshape(-1, n, n)
+
+
+def shifted_triangle_problem(n, nodes, rows):
+    rng = np.random.default_rng([n, nodes, rows])
+    t = np.triu(random_complex(rng, (n, n)))
+    points = 3.0 * np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
+    return t, points, random_complex(rng, (rows, nodes))
+
+
+class TestResolventKernelBuffers:
+    """The kernel reuses one inverse stack and one scratch per call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 100])
+    @pytest.mark.parametrize("nodes", [0, 1, 127, 128, 129, 300])
+    def test_bitwise_equal_to_allocating_recursion(self, n, nodes):
+        for rows in (1, 3):
+            t, points, weights = shifted_triangle_problem(n, nodes, rows)
+            got = _schur_resolvent_sums(t, points, weights)
+            want = allocating_resolvent_sums(t, points, weights)
+            assert got.shape == want.shape == (rows, n, n)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "region, nodes",
+        [
+            (Region.rectangle(0.5, -0.5, 1.5, 0.5), 128),  # 128 + 256 nodes: three batches
+            (Region.disk(1.0, 0.5), 100),  # 200 nodes: a full batch and a partial one
+        ],
+    )
+    def test_contour_projection_bitwise_equal(self, monkeypatch, region, nodes):
+        spec = GeneratorSpec(
+            signature=(6, 4),
+            positive_type_eigs=((1.0 + 0j, 3), (-1.0 + 1j, 3)),
+            negative_type_eigs=((3.0 + 0j, 4),),
+            cond_bound=10.0,
+            seed=3,
+        )
+        N = build_normal_with_types(spec).operator
+        cfg = ToleranceConfig(contour_nodes=nodes)
+        got = riesz_projection_contour(N, region, cfg)
+        monkeypatch.setattr(numerics, "_schur_resolvent_sums", allocating_resolvent_sums)
+        want = riesz_projection_contour(N, region, cfg)
+        assert got.rank == want.rank == 3
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.warnings == want.warnings
+
+    def test_traced_peak_is_one_stack_and_a_quarter(self):
+        n = 100
+        t, points, weights = shifted_triangle_problem(n, 2 * _NODE_BATCH, 2)
+        _schur_resolvent_sums(t, points, weights)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            _schur_resolvent_sums(t, points, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the stack, a quarter-stack scratch and the sums; a stack per
+        # batch plus per-level temporaries peaks at 2.5 stacks
+        assert peak <= 1.5 * _NODE_BATCH * n * n * 16
