@@ -24,7 +24,7 @@ from ._errors import (
     PreconditionError,
 )
 from .classification import classified_spectrum
-from .core import frobenius, min_gap
+from .core import min_gap
 from .documents import (
     OperatorDocument,
     dumps_canonical,
@@ -35,7 +35,7 @@ from .documents import (
     parse_json,
 )
 from .generators import build_normal_with_types
-from .numerics import solve_sylvester, sylvester_spectral_gap
+from .numerics import frobenius, solve_sylvester, sylvester_spectral_gap
 from .projections import (
     MAX_PROBE_SAMPLES,
     local_spectral_function,
@@ -43,8 +43,7 @@ from .projections import (
     riesz_projection_contour,
     riesz_projection_oracle,
     strong_stability_check,
-    verify_lsf_axioms,
-    verify_maximality,
+    verify_lsf_family,
 )
 from .regions import Region
 from .suite import run_suite, worker_count
@@ -170,26 +169,10 @@ def cmd_lsf_verify(args) -> int:
     carrier = _region_from_args(args)
     if not carrier.pieces:
         raise DocumentError("lsf-verify requires a carrier (--disk / --rect)")
-    cfg = doc.tolerances
-    lsf = local_spectral_function(operator, carrier, cfg)
-
-    points = [lsf.points[i] for i in sorted(lsf.carrier_indices)]
-    gap = min_gap([pt.value for pt in lsf.points])
-    if not np.isfinite(gap):
-        gap = 1.0
-    deltas = [Region.disk(pt.value, 0.25 * gap) for pt in points]
-    if len(deltas) >= 2:
-        deltas.append(deltas[0].union(deltas[1]))
-    deltas.append(carrier)
-    deltas.append(Region.empty())
-    n = operator.matrix
-    commutants = [np.eye(operator.dim), n, operator.adjoint, n @ n]
-
-    report = verify_lsf_axioms(lsf, deltas, commutants)
-    report.entries.append(
-        verify_maximality(lsf, carrier, n_subspaces=args.subspaces, seed=args.seed)
-    )
-    report.parameters = {"carrier": carrier.describe(), "deltas": len(deltas)}
+    lsf = local_spectral_function(operator, carrier, doc.tolerances)
+    gap = min_gap(lsf.values)
+    radius = 0.25 * gap if np.isfinite(gap) else 0.25
+    report = verify_lsf_family(lsf, radius, args.subspaces, args.seed)
     if args.json:
         _write(report.to_json(), args.output)
     else:

@@ -15,9 +15,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from ._errors import NonNormalError
+from .numerics import complex_schur, frobenius, operator_norm
 
 __all__ = [
     "DEFAULT_DEFINITENESS_TOL",
@@ -51,10 +51,6 @@ def _frozen_complex(a, shape_hint=None) -> np.ndarray:
     return out
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 def min_gap(values) -> float:
     """Smallest distance between two of the complex ``values`` (inf when
     there are fewer than two)."""
@@ -65,12 +61,6 @@ def min_gap(values) -> float:
     d = v[i] - v[j]
     # hypot, as Python's abs(complex) uses; np.abs may differ in the last bit
     return float(np.min(np.hypot(d.real, d.imag)))
-
-
-def operator_norm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
 
 
 @dataclass(frozen=True)
@@ -91,6 +81,8 @@ class KreinSpace:
         g = np.array(self.gram, dtype=np.complex128, copy=True)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("Gram matrix has non-finite entries")
         scale = frobenius(g)
         if scale == 0.0:
             raise ValueError("Gram matrix is zero")
@@ -101,20 +93,20 @@ class KreinSpace:
                 f"relative to scale {scale:.3e}"
             )
         g = (g + g.conj().T) / 2.0
-        svals = np.linalg.svd(g, compute_uv=False)
-        if svals[-1] <= DEFAULT_RANK_TOL * svals[0]:
+        eigs = np.linalg.eigvalsh(g)  # Hermitian: singular values = |eigenvalues|
+        smallest, largest = float(np.min(np.abs(eigs))), float(np.max(np.abs(eigs)))
+        if smallest <= DEFAULT_RANK_TOL * largest:
             raise ValueError(
                 f"Gram matrix is numerically singular: smallest singular value "
-                f"{svals[-1]:.3e} vs largest {svals[0]:.3e}"
+                f"{smallest:.3e} vs largest {largest:.3e}"
             )
-        eigs = np.linalg.eigvalsh(g)
         p = int(np.count_nonzero(eigs > 0))
         q = int(np.count_nonzero(eigs < 0))
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "dim", g.shape[0])
         object.__setattr__(self, "signature", (p, q))
-        object.__setattr__(self, "_gram_scale", float(svals[0]))
+        object.__setattr__(self, "_gram_scale", largest)
 
     @classmethod
     def euclidean(cls, dim: int) -> "KreinSpace":
@@ -132,8 +124,8 @@ class KreinSpace:
     def gram_scale(self) -> float:
         """Operator norm of the Gram matrix; sets the scale of ``[x, x]``.
 
-        It is the largest singular value found by the invertibility check
-        at construction, stored then."""
+        It is the largest eigenvalue magnitude found by the invertibility
+        check at construction, stored then."""
         return self._gram_scale
 
 
@@ -221,7 +213,7 @@ class KreinOperator:
 
         Computed once per operator; eigenvalues, kernels and every ordered
         spectral decomposition of the operator are taken from it."""
-        t, u = scipy.linalg.schur(self.matrix, output="complex")
+        t, u = complex_schur(self.matrix)
         t.setflags(write=False)
         u.setflags(write=False)
         return t, u

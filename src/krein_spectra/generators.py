@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .classification import SpectralType, ToleranceConfig
-from .core import KreinOperator, KreinSpace, krein_adjoint, min_gap, operator_norm
+from .core import KreinOperator, KreinSpace, krein_adjoint, min_gap
+from .numerics import operator_norm
 
 __all__ = [
     "GeneratedOperator",
@@ -152,25 +153,30 @@ def random_j_unitary(space: KreinSpace, seed: int, cond_bound: float = 1e3) -> n
     # accuracy while its conditioning may never grow (definite signature
     # makes every such map unitary)
     norm_cap = 30.0
+
+    def exponential(s):  # exp(s K) with its condition number
+        u = scipy.linalg.expm(s * k)
+        return u, np.linalg.cond(u)
+
     scale = min(1.0, np.log(cond_bound) / (2.0 * norm_k))
-    u = scipy.linalg.expm(scale * k)
+    u, cond = exponential(scale)
     for _ in range(60):
-        if np.linalg.cond(u) > cond_bound:
+        if cond > cond_bound:
             scale *= 0.8
-            u = scipy.linalg.expm(scale * k)
-        elif np.linalg.cond(u) < cond_bound / 10.0 and 1.5 * scale * norm_k <= norm_cap:
-            candidate = scipy.linalg.expm(1.5 * scale * k)
-            if np.linalg.cond(candidate) > cond_bound:
+            u, cond = exponential(scale)
+        elif cond < cond_bound / 10.0 and 1.5 * scale * norm_k <= norm_cap:
+            candidate, candidate_cond = exponential(1.5 * scale)
+            if candidate_cond > cond_bound:
                 break
             scale *= 1.5
-            u = candidate
+            u, cond = candidate, candidate_cond
         else:
             break
-    while np.linalg.cond(u) > cond_bound:
+    while cond > cond_bound:
         scale *= 0.8
-        u = scipy.linalg.expm(scale * k)
+        u, cond = exponential(scale)
     residual = operator_norm(krein_adjoint(u, space) @ u - np.eye(n))
-    if residual > 1e-10 * max(1.0, np.linalg.cond(u)):
+    if residual > 1e-10 * max(1.0, cond):
         raise RuntimeError(f"generated map fails the isometry certificate: {residual:.3e}")
     return u
 

@@ -1,11 +1,13 @@
-"""Dense complex linear-algebra substrate with explicit contracts.
+"""Dense complex linear algebra: the package's one Schur/Sylvester layer
+(LAPACK zgees, ztrsen, ztrsyl) and its matrix norms.
 
 Ordered Schur decompositions realize spectral-set splittings, selecting
 eigenvalues by their position on the Schur diagonal (a boolean mask),
-never by value; the Sylvester solver decouples invariant blocks (unique
-solvability granted by disjoint coefficient spectra), and weighted
-resolvent sums, evaluated in a Schur basis, give the contour integrals
-that recover spectral projectors and Laurent coefficients.
+never by value; a spectral projector decouples its own triangular blocks
+with one ztrsyl call, and the general Sylvester solver triangularizes
+both coefficients first.  Weighted resolvent sums, evaluated in a Schur
+basis, give the contour integrals that recover spectral projectors and
+Laurent coefficients.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from ._errors import SpectralOverlapError
-from .core import frobenius, operator_norm
 from .regions import Disk
 
 __all__ = [
     "OrderedDecomposition",
+    "complex_schur",
     "contour_integral_resolvent",
     "laurent_coefficients",
     "ordered_spectral_decomposition",
@@ -32,6 +34,21 @@ __all__ = [
     "spectral_projector",
     "sylvester_spectral_gap",
 ]
+
+
+def frobenius(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a))
+
+
+def operator_norm(a: np.ndarray) -> float:
+    if a.size == 0:
+        return 0.0
+    return float(np.linalg.norm(a, 2))
+
+
+def complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``a = U T U*`` as the pair ``(T, U)`` (zgees)."""
+    return scipy.linalg.schur(a, output="complex")
 
 
 @dataclass(frozen=True)
@@ -103,8 +120,9 @@ def ordered_spectral_decomposition(
 def spectral_projector(dec: OrderedDecomposition) -> np.ndarray:
     """Spectral projector onto the invariant subspace of the leading block.
 
-    Solves the Sylvester equation that block-diagonalizes the triangular
-    factor; in the decoupled coordinates the projector is [[I, 0], [0, 0]].
+    Solves ``T11 R - R T22 = -T12`` on the triangular factor's own blocks,
+    whose spectra the split separates, which block-diagonalizes it; in
+    the decoupled coordinates the projector is [[I, 0], [0, 0]].
     """
     n = dec.triangular.shape[0]
     k = dec.split
@@ -112,10 +130,8 @@ def spectral_projector(dec: OrderedDecomposition) -> np.ndarray:
         return np.zeros((n, n), dtype=np.complex128)
     if k == n:
         return np.eye(n, dtype=np.complex128)
-    t11 = dec.triangular[:k, :k]
-    t12 = dec.triangular[:k, k:]
-    t22 = dec.triangular[k:, k:]
-    r = solve_sylvester(t11, t22, -t12)
+    t = dec.triangular
+    r = _triangular_sylvester(t[:k, :k], t[k:, k:], -t[:k, k:])
     q_inner = np.zeros((n, n), dtype=np.complex128)
     q_inner[:k, :k] = np.eye(k)
     q_inner[:k, k:] = -r
@@ -132,13 +148,9 @@ def sylvester_spectral_gap(S: np.ndarray, T: np.ndarray) -> tuple[float, tuple[c
 
 
 def solve_sylvester(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Solve ``S X - X T = Z`` by triangularizing both coefficients.
-
-    Both sides are brought to complex Schur form (an upper-triangular
-    coefficient, such as a diagonal block of a Schur factor, already is
-    one) and the transformed equation is solved in one LAPACK ztrsyl
-    call (Bartels-Stewart back substitution).  Requires disjoint spectra;
-    overlap is rejected with the offending pair.
+    """Solve ``S X - X T = Z`` by Bartels-Stewart: both coefficients to
+    Schur form (:func:`complex_schur`), then one ztrsyl back substitution.
+    Requires disjoint spectra; overlap is rejected with the offending pair.
     """
     S = np.asarray(S, dtype=np.complex128)
     T = np.asarray(T, dtype=np.complex128)
@@ -147,8 +159,8 @@ def solve_sylvester(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if S.shape != (m, m) or T.shape != (n, n) or Z.shape != (m, n):
         raise ValueError(f"incompatible shapes {S.shape}, {T.shape}, {Z.shape}")
 
-    ts, us = _complex_schur(S)
-    tt, ut = _complex_schur(T)
+    ts, us = complex_schur(S)
+    tt, ut = complex_schur(T)
     gap = np.abs(np.diag(ts)[:, None] - np.diag(tt)[None, :])
     i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
     scale = max(operator_norm(S) + operator_norm(T), 1e-300)
@@ -157,17 +169,15 @@ def solve_sylvester(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
             f"coefficient spectra overlap at {ts[i, i]} vs {tt[j, j]} "
             f"(gap {gap[i, j]:.3e})"
         )
-
-    y, rescale, info = scipy.linalg.lapack.ztrsyl(ts, tt, us.conj().T @ Z @ ut, isgn=-1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Sylvester solve failed: ztrsyl info {info}")
-    return us @ (y / rescale) @ ut.conj().T
+    return us @ _triangular_sylvester(ts, tt, us.conj().T @ Z @ ut) @ ut.conj().T
 
 
-def _complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if not np.any(np.tril(a, -1)):
-        return a, np.eye(a.shape[0], dtype=np.complex128)
-    return scipy.linalg.schur(a, output="complex")
+def _triangular_sylvester(s: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``X`` with ``s X - X t = z`` for upper-triangular s and t (ztrsyl)."""
+    x, scale, info = scipy.linalg.lapack.ztrsyl(s, t, z, isgn=-1)
+    if info != 0:  # 1: common or close diagonal entries, perturbed to solve
+        raise SpectralOverlapError(f"coefficient spectra overlap: ztrsyl info {info}")
+    return x / scale
 
 
 def solve_sylvester_dense(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -41,7 +41,6 @@ from .core import (
     SubspaceBasis,
     compressed_gram,
     definiteness,
-    frobenius,
     is_normal,
     krein_adjoint,
     max_principal_angle,
@@ -49,6 +48,7 @@ from .core import (
 from .numerics import (
     _NODE_BATCH,
     OrderedDecomposition,
+    frobenius,
     laurent_coefficients,
     resolvent_at,
     smallest_singular_values,
@@ -71,17 +71,18 @@ __all__ = [
     "riesz_projection_oracle",
     "strong_stability_check",
     "verify_lsf_axioms",
+    "verify_lsf_family",
     "verify_maximality",
     "verify_spectral_set_theorem",
 ]
 
+# accepts ||Q^2 - Q||_F <= factor (1 + ||Q||_F^2): results and defect inputs
 _IDEM_ACCEPT_FACTOR = 1e-8
 _CONVERGENCE_FLAG_TOL = 1e-6
 # projections have singular values either >= 1 or ~ 0, so this cut
 # separates range from kernel directions robustly
 _RANGE_CUTOFF = 0.5
-# projection_defect: idempotency acceptance and defect rank cut, both relative
-_DEFECT_IDEM_TOL = 1e-8
+# projection_defect: defect rank cut, relative
 _DEFECT_RANK_TOL = 1e-8
 # largest sample count per radius of a resolvent probe
 MAX_PROBE_SAMPLES = 2**14
@@ -352,7 +353,7 @@ def projection_defect(Q: np.ndarray, space: KreinSpace) -> tuple[np.ndarray, boo
     """
     Q = np.asarray(Q, dtype=np.complex128)
     idem = frobenius(Q @ Q - Q)
-    if idem > _DEFECT_IDEM_TOL * (1.0 + frobenius(Q) ** 2):
+    if idem > _IDEM_ACCEPT_FACTOR * (1.0 + frobenius(Q) ** 2):
         raise PreconditionError(
             f"input is not idempotent: residual {idem:.3e}"
         )
@@ -723,6 +724,26 @@ def verify_maximality(
         tolerance=tol,
         claim="the projection range is the maximal spectral subspace",
     )
+
+
+def verify_lsf_family(
+    E: LocalSpectralFunction, delta_radius: float, n_subspaces: int, seed: int,
+    tol: float = 1e-8, angle_tol: float = 1e-8,
+) -> VerificationReport:
+    """:func:`verify_lsf_axioms` on the deltas (a disk of ``delta_radius``
+    about each carrier point, the union of the first two, the carrier, the
+    empty set) and the commutants I, N, N+, N^2; then
+    :func:`verify_maximality` on the carrier, to ``angle_tol``."""
+    deltas = [Region.disk(pt.value, delta_radius) for pt in E.selected_points(E.carrier_indices)]
+    if len(deltas) >= 2:
+        deltas.append(deltas[0].union(deltas[1]))
+    deltas += [E.carrier, Region.empty()]
+    N = E.operator
+    commutants = [np.eye(N.dim), N.matrix, N.adjoint, N.matrix @ N.matrix]
+    report = verify_lsf_axioms(E, deltas, commutants, tol=tol)
+    report.entries.append(verify_maximality(E, E.carrier, n_subspaces, seed, angle_tol))
+    report.parameters = {"carrier": E.carrier.describe(), "deltas": len(deltas)}
+    return report
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from ._errors import (
     AmbiguousRegionError,
@@ -43,7 +42,7 @@ from .classification import (
     root_subspace,
     verify_selfadjoint_link,
 )
-from .core import frobenius, krein_adjoint, max_principal_angle, min_gap
+from .core import krein_adjoint, max_principal_angle, min_gap
 from .generators import (
     GeneratedOperator,
     build_normal_with_types,
@@ -52,6 +51,8 @@ from .generators import (
     sample_generator_spec,
 )
 from .numerics import (
+    complex_schur,
+    frobenius,
     ordered_spectral_decomposition,
     solve_sylvester,
     solve_sylvester_dense,
@@ -64,8 +65,7 @@ from .projections import (
     riesz_projection_contour,
     riesz_projection_oracle,
     strong_stability_check,
-    verify_lsf_axioms,
-    verify_maximality,
+    verify_lsf_family,
     verify_spectral_set_theorem,
 )
 from .regions import Region
@@ -291,24 +291,10 @@ def lsf_checks(
         tuple(piece for pt in tsp for piece in Region.disk(pt.value, carrier_radius).pieces)
     )
     lsf = local_spectral_function(gen.operator, carrier, setting.cfg)
-
-    deltas = [Region.disk(pt.value, 0.5 * carrier_radius) for pt in tsp]
-    if len(deltas) >= 2:
-        deltas.append(deltas[0].union(deltas[1]))
-    deltas.append(carrier)
-    deltas.append(Region.empty())
-
-    n = gen.operator.matrix
-    commutants = [np.eye(gen.space.dim), n, gen.operator.adjoint, n @ n]
-    tol = 1e-8 * setting.tol_scale
-    entries = list(verify_lsf_axioms(lsf, deltas, commutants, tol=tol).entries)
-    entries.append(
-        verify_maximality(
-            lsf, carrier, n_subspaces=maximality_subspaces, seed=trial_seed,
-            tol=ANGLE_TOL * setting.tol_scale,
-        )
-    )
-    return entries
+    return verify_lsf_family(
+        lsf, 0.5 * carrier_radius, maximality_subspaces, trial_seed,
+        tol=1e-8 * setting.tol_scale, angle_tol=ANGLE_TOL * setting.tol_scale,
+    ).entries
 
 
 def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
@@ -438,7 +424,7 @@ def numerics_checks(rng: np.random.Generator) -> list[CheckEntry]:
 
     a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     pivot = float(np.median(np.linalg.eigvals(a).real))
-    schur = scipy.linalg.schur(a, output="complex")
+    schur = complex_schur(a)
     select = np.diag(schur[0]).real > pivot + 1e-3
     dec = ordered_spectral_decomposition(a, schur, select)
     dec_c = ordered_spectral_decomposition(a, schur, ~select)

@@ -135,6 +135,26 @@ class TestKreinSpaceValidation:
         with pytest.raises(ValueError, match="singular"):
             KreinSpace(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+        ],
+    )
+    def test_rejects_non_finite(self, gram):
+        with pytest.raises(ValueError, match="non-finite"):
+            KreinSpace(np.array(gram))
+
+    def test_scale_and_signature_from_the_eigenvalues(self):
+        gram = np.array([[2.0, 1j, 0.0], [-1j, -3.0, 0.5], [0.0, 0.5, 0.25]])
+        space = KreinSpace(gram)
+        eigs = np.linalg.eigvalsh(gram)
+        assert space.gram_scale == np.max(np.abs(eigs))
+        assert space.gram_scale == pytest.approx(np.linalg.norm(gram, 2), rel=1e-14)
+        assert space.signature == (2, 1)
+
     def test_signature(self):
         assert KreinSpace.indefinite(2, 1).signature == (2, 1)
         assert KreinSpace(SWAP).signature == (1, 1)

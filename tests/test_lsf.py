@@ -209,6 +209,22 @@ class TestAxioms:
                 if e.residual is not None and e.tolerance:
                     assert e.residual <= e.tolerance
 
+    def test_family_is_the_disks_their_union_the_carrier_and_the_empty_set(self):
+        n = carrier_operator()
+        carrier = Region.disk(1.5, 1.0)
+        report = projections.verify_lsf_family(
+            local_spectral_function(n, carrier), 0.25, n_subspaces=4, seed=7
+        )
+        lsf = local_spectral_function(n, carrier)
+        deltas = [Region.disk(1.0, 0.25), Region.disk(2.0, 0.25)]
+        deltas += [deltas[0].union(deltas[1]), carrier, Region.empty()]
+        m = n.matrix
+        want = verify_lsf_axioms(lsf, deltas, [np.eye(3), m, n.adjoint, m @ m]).entries
+        want.append(verify_maximality(lsf, carrier, n_subspaces=4, seed=7))
+        assert [e.to_json_dict() for e in report.entries] == [e.to_json_dict() for e in want]
+        assert report.parameters == {"carrier": carrier.describe(), "deltas": 5}
+        assert not report.failed
+
     def test_disjoint_subsets_multiply_to_zero(self):
         n = carrier_operator()
         lsf = local_spectral_function(n, Region.disk(1.5, 1.0))

@@ -1,10 +1,12 @@
 """Ordered decompositions, the Sylvester solver and contour integrals."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 
 from krein_spectra import (
     Disk,
@@ -14,15 +16,21 @@ from krein_spectra import (
     ToleranceConfig,
     build_normal_with_types,
     contour_integral_resolvent,
+    local_spectral_function,
     numerics,
     ordered_spectral_decomposition,
     riesz_projection_contour,
+    riesz_projection_oracle,
     solve_sylvester,
     solve_sylvester_dense,
     spectral_projector,
 )
-from krein_spectra.core import frobenius
-from krein_spectra.numerics import _NODE_BATCH, _schur_resolvent_sums, sylvester_spectral_gap
+from krein_spectra.numerics import (
+    _NODE_BATCH,
+    _schur_resolvent_sums,
+    frobenius,
+    sylvester_spectral_gap,
+)
 
 
 def random_complex(rng, shape):
@@ -32,7 +40,7 @@ def random_complex(rng, shape):
 def ordered(a, predicate):
     """Ordered decomposition of ``a`` selecting, by position, the diagonal
     entries of its complex Schur form that satisfy ``predicate``."""
-    schur = scipy.linalg.schur(a, output="complex")
+    schur = numerics.complex_schur(a)
     select = [predicate(z) for z in np.diag(schur[0])]
     return ordered_spectral_decomposition(a, schur, select)
 
@@ -65,7 +73,7 @@ class TestOrderedDecomposition:
         for _ in range(10):
             a = random_complex(rng, (6, 6))
             pivot = float(np.median(np.linalg.eigvals(a).real))
-            schur = scipy.linalg.schur(a, output="complex")
+            schur = numerics.complex_schur(a)
             select = np.diag(schur[0]).real > pivot + 1e-6
             q1 = spectral_projector(ordered_spectral_decomposition(a, schur, select))
             q2 = spectral_projector(ordered_spectral_decomposition(a, schur, ~select))
@@ -74,7 +82,7 @@ class TestOrderedDecomposition:
 
     def test_mask_must_cover_the_diagonal(self):
         a = np.diag([1.0, 2.0, 3.0])
-        schur = scipy.linalg.schur(a, output="complex")
+        schur = numerics.complex_schur(a)
         with pytest.raises(ValueError, match="mask"):
             ordered_spectral_decomposition(a, schur, [True, False])
 
@@ -126,7 +134,7 @@ class TestSylvester:
 
 
 def schur_of(a):
-    return scipy.linalg.schur(np.asarray(a, dtype=np.complex128), output="complex")
+    return numerics.complex_schur(np.asarray(a, dtype=np.complex128))
 
 
 class TestContourIntegralResolvent:
@@ -242,3 +250,116 @@ class TestResolventKernelBuffers:
         # the stack, a quarter-stack scratch and the sums; a stack per
         # batch plus per-level temporaries peaks at 2.5 stacks
         assert peak <= 1.5 * _NODE_BATCH * n * n * 16
+
+
+def reference_spectral_projector(dec):
+    """Reference for the oracle projector: the decoupling solve sent through
+    the general Sylvester route, whose Schur factors of the triangular
+    blocks were the blocks themselves and identity matrices."""
+    n, k = dec.triangular.shape[0], dec.split
+    if k == 0:
+        return np.zeros((n, n), dtype=np.complex128)
+    if k == n:
+        return np.eye(n, dtype=np.complex128)
+    t11, t12, t22 = dec.triangular[:k, :k], dec.triangular[:k, k:], dec.triangular[k:, k:]
+    r = reference_triangular_route(t11, t22, -t12)
+    q_inner = np.zeros((n, n), dtype=np.complex128)
+    q_inner[:k, :k] = np.eye(k)
+    q_inner[:k, k:] = -r
+    return dec.unitary @ q_inner @ dec.unitary.conj().T
+
+
+def reference_triangular_route(s, t, z):
+    """``S X - X T = Z`` for upper-triangular S and T with identity Schur
+    factors, as the general solver once shortcut triangular input."""
+    us = np.eye(s.shape[0], dtype=np.complex128)
+    ut = np.eye(t.shape[0], dtype=np.complex128)
+    y, rescale, info = scipy.linalg.lapack.ztrsyl(s, t, us.conj().T @ z @ ut, isgn=-1)
+    assert info == 0
+    return us @ (y / rescale) @ ut.conj().T
+
+
+class TestOneSchurSylvesterLayer:
+    """Spectral projectors solve on their own Schur blocks; the general
+    solver factors every coefficient through ``complex_schur``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
+    def test_spectral_projector_bitwise_equal_to_general_route(self, n):
+        rng = np.random.default_rng([31, n])
+        a = random_complex(rng, (n, n))
+        schur = numerics.complex_schur(a)
+        for split in sorted({0, 1, n - 1, n}):
+            select = np.zeros(n, dtype=bool)
+            select[rng.choice(n, size=split, replace=False)] = True
+            dec = ordered_spectral_decomposition(a, schur, select)
+            assert dec.split == split
+            got = spectral_projector(dec)
+            assert got.tobytes() == reference_spectral_projector(dec).tobytes()
+
+    @pytest.mark.parametrize("shape", ["diagonal", "triangular"])
+    def test_solve_sylvester_on_triangular_coefficients(self, shape):
+        rng = np.random.default_rng(32)
+
+        def coefficient(size, shift):
+            a = random_complex(rng, (size, size))
+            a = np.diag(np.diag(a)) if shape == "diagonal" else np.triu(a)
+            return a + shift * np.eye(size)
+
+        for _ in range(10):
+            m, n = rng.integers(1, 9, size=2)
+            s, t = coefficient(m, 0.0), coefficient(n, 10.0)
+            z = random_complex(rng, (m, n))
+            # zgees leaves triangular input as it is, with a unit Schur factor
+            ts, us = numerics.complex_schur(s)
+            assert ts.tobytes() == s.tobytes()
+            assert us.tobytes() == np.eye(m, dtype=np.complex128).tobytes()
+            x = solve_sylvester(s, t, z)
+            assert x.tobytes() == reference_triangular_route(s, t, z).tobytes()
+            x_dense = solve_sylvester_dense(s, t, z)
+            assert frobenius(x - x_dense) <= 1e-12 * max(1.0, frobenius(x_dense))
+
+    def test_split_through_a_repeated_eigenvalue_is_refused(self):
+        a = np.array([[1.0, 1.0], [0.0, 1.0]])
+        dec = ordered_spectral_decomposition(a, numerics.complex_schur(a), [True, False])
+        with pytest.raises(SpectralOverlapError, match="overlap"):
+            spectral_projector(dec)
+
+    def test_oracle_and_cluster_projectors_make_no_general_solve(self, monkeypatch):
+        calls = []
+        general = numerics.solve_sylvester
+
+        def counting(*args):
+            calls.append(args)
+            return general(*args)
+
+        monkeypatch.setattr(numerics, "solve_sylvester", counting)
+        spec = GeneratorSpec(
+            signature=(4, 2),
+            positive_type_eigs=((1.0 + 0j, 2), (2.0 + 0j, 2)),
+            negative_type_eigs=((4.0 + 0j, 2),),
+            cond_bound=10.0,
+            seed=5,
+        )
+        N = build_normal_with_types(spec).operator
+        assert riesz_projection_oracle(N, Region.disk(1.0, 0.4)).rank == 2
+        lsf = local_spectral_function(N, Region.disk(1.5, 0.8))
+        assert len(lsf.carrier_indices) == 2
+        q = lsf.cluster_projector(lsf.carrier_indices)
+        assert frobenius(q @ q - q) <= 1e-8 * (1.0 + frobenius(q) ** 2)
+        assert calls == []
+
+
+def test_only_numerics_and_generators_import_scipy():
+    package = Path(numerics.__file__).parent
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.add(path.stem)
+    assert importers == {"numerics", "generators"}
