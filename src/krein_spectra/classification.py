@@ -6,13 +6,20 @@ product is positive definite on its kernel.  A point is of two-sided
 positive type when the same holds for the adjoint operator at the
 conjugated eigenvalue.  ``classified_spectrum`` computes the full
 inventory; the per-point helpers expose the individual steps.
+
+The work is split so that a caller pays only for the points it reads:
+the :func:`clustering` of the eigenvalues is computed once per operator
+and config, while each cluster's kernels and type are computed on the
+first request for that cluster (:func:`spectral_point`), all cached on
+the operator.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,16 +40,20 @@ from .numerics import OrderedDecomposition, ordered_spectral_decomposition, reor
 MAX_CONTOUR_NODES = 2**14
 
 __all__ = [
+    "Clustering",
     "SpectralPoint",
     "SpectralType",
     "ToleranceConfig",
     "classified_spectrum",
     "classify_point",
+    "clustering",
     "invariant_decomposition",
+    "iter_classified_spectrum",
     "kernel_basis",
     "locate_point",
     "root_subspace",
     "selfadjoint_product",
+    "spectral_point",
     "spectrum",
     "verify_selfadjoint_link",
 ]
@@ -179,65 +190,113 @@ def _cluster_eigenvalues(
     return clusters, [bool(near_foreign[ix].any()) for ix in clusters]
 
 
-def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list[SpectralPoint]:
-    """Eigenvalue clusters of a normal operator, unclassified.
+@dataclass(frozen=True)
+class Clustering:
+    """The eigenvalue clusters of one operator at one tolerance config.
+
+    Clusters are sorted by the (real, imag) order of their ``values``, the
+    multiplicity-weighted means; ``positions`` are each cluster's places on
+    the diagonal of the Schur factor ``N.schur[0]`` and ``warnings`` its
+    clustering-ambiguity flags.  ``kernels`` (unclassified points, see
+    :func:`spectrum`) and ``points`` (classified, see
+    :func:`spectral_point`) are write-once dicts keyed by cluster index,
+    filled one cluster at a time on first request.
+    """
+
+    values: tuple[complex, ...]
+    positions: tuple[tuple[int, ...], ...]
+    warnings: tuple[tuple[str, ...], ...]
+    kernels: dict = field(default_factory=dict, repr=False, compare=False)
+    points: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+def clustering(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> Clustering:
+    """Eigenvalue clusters of N, computed once per operator and config
+    (cached on ``N``).
 
     Eigenvalues are the diagonal of the operator's cached Schur form
     ``N = U T U*``, clustered by single linkage at the configured radius;
     each cluster is represented by its multiplicity-weighted mean.  Two
     clusters closer than four times the clustering radius are flagged with
-    a warning rather than merged.  Points are sorted by (real, imag).
-
-    Kernels come from k x k blocks of that Schur form, reordered (ztrsen)
-    per cluster of size k.  With the cluster leading, ``ker(N - lam)`` is
-    ``U[:, :k] ker(T11 - lam)``.  With the cluster trailing, the left
-    kernel of ``N - lam`` is ``U[:, n-k:]`` times the left kernel of
-    ``T22 - lam``, and since ``ker(N+ - conj(lam)) = G^{-1} leftker(N -
-    lam)`` the adjoint kernel is its orthonormalized image under
-    ``G^{-1}``.  Both blocks are compressions of ``N - lam`` itself, so
-    both ranks are cut as in :func:`kernel_basis`, at ``rank_tol * max(top
-    singular value of the block, max(1, ||N||))``: the full operator scale,
-    never the block norm alone.
+    a warning rather than merged.  No kernel is computed here.
     """
-    t, u = N.schur
-    eigs = np.diag(t)
-    n = N.dim
-    radius = cfg.cluster_radius(N)
-    clusters, ambiguous = _cluster_eigenvalues(eigs, radius)
+    found = N._spectra.get(cfg)
+    if found is None:
+        eigs = N.eigenvalues
+        clusters, ambiguous = _cluster_eigenvalues(eigs, cfg.cluster_radius(N))
+        values = [complex(np.mean(eigs[ix])) for ix in clusters]
+        order = sorted(range(len(clusters)), key=lambda c: (values[c].real, values[c].imag))
+        found = N._spectra.setdefault(
+            cfg,
+            Clustering(
+                values=tuple(values[c] for c in order),
+                positions=tuple(tuple(int(i) for i in clusters[c]) for c in order),
+                warnings=tuple(
+                    ("cluster-separation-below-4x-radius",) if ambiguous[c] else ()
+                    for c in order
+                ),
+            ),
+        )
+    return found
 
-    scale = N.scale
-    # reordered alongside U, this yields G^{-1} U[:, n-k:] without a solve per cluster
-    g_inv_u = np.linalg.solve(N.space.gram, u)
-    points = []
-    for ix, flagged in zip(clusters, ambiguous):
-        lam = complex(np.mean(eigs[ix]))
-        k = ix.size
-        shift = lam * np.eye(k)
-        select = np.zeros(n, dtype=bool)
-        select[ix] = True
-        t_first, u_first, _ = reorder_schur(t, u, select)
-        ker = SubspaceBasis(
-            u_first[:, :k] @ _kernel_columns(t_first[:k, :k] - shift, cfg.rank_tol, scale)
-        )
-        t_last, g_inv_u_last, _ = reorder_schur(t, g_inv_u, ~select)
-        left = _kernel_columns(
-            (t_last[n - k :, n - k :] - shift).conj().T, cfg.rank_tol, scale
-        )
-        adj_ker = SubspaceBasis(np.linalg.qr(g_inv_u_last[:, n - k :] @ left)[0])
-        warnings = ("cluster-separation-below-4x-radius",) if flagged else ()
-        points.append(
-            SpectralPoint(
-                value=lam,
-                alg_mult=k,
-                geo_mult=ker.k,
-                kernel=ker,
-                adjoint_kernel=adj_ker,
-                schur_positions=tuple(int(i) for i in ix),
-                warnings=warnings,
-            )
-        )
-    points.sort(key=lambda p: (p.value.real, p.value.imag))
-    return points
+
+def _cluster_kernels(
+    N: KreinOperator, clusters: Clustering, index: int, cfg: ToleranceConfig
+) -> SpectralPoint:
+    """The unclassified point of cluster ``index``, its kernels extracted on
+    first request and cached in ``clusters.kernels``; see :func:`spectrum`."""
+    pt = clusters.kernels.get(index)
+    if pt is not None:
+        return pt
+    t, u = N.schur
+    n = N.dim
+    positions = clusters.positions[index]
+    lam = clusters.values[index]
+    k = len(positions)
+    shift = lam * np.eye(k)
+    select = np.zeros(n, dtype=bool)
+    select[list(positions)] = True
+    t_first, u_first, _ = reorder_schur(t, u, select)
+    ker = SubspaceBasis(
+        u_first[:, :k] @ _kernel_columns(t_first[:k, :k] - shift, cfg.rank_tol, N.scale)
+    )
+    t_last, g_inv_u_last, _ = reorder_schur(t, N.gram_inverse_schur, ~select)
+    left = _kernel_columns((t_last[n - k :, n - k :] - shift).conj().T, cfg.rank_tol, N.scale)
+    adj_ker = SubspaceBasis(np.linalg.qr(g_inv_u_last[:, n - k :] @ left)[0])
+    pt = SpectralPoint(
+        value=lam,
+        alg_mult=k,
+        geo_mult=ker.k,
+        kernel=ker,
+        adjoint_kernel=adj_ker,
+        schur_positions=positions,
+        warnings=clusters.warnings[index],
+    )
+    return clusters.kernels.setdefault(index, pt)
+
+
+def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list[SpectralPoint]:
+    """Eigenvalue clusters of a normal operator, unclassified, sorted by
+    (real, imag).
+
+    The clusters are the operator's :func:`clustering`.  Kernels come from
+    k x k blocks of its Schur form, reordered (ztrsen) per cluster of size
+    k.  With the cluster leading, ``ker(N - lam)`` is ``U[:, :k] ker(T11 -
+    lam)``.  With the cluster trailing, the left kernel of ``N - lam`` is
+    ``U[:, n-k:]`` times the left kernel of ``T22 - lam``, and since
+    ``ker(N+ - conj(lam)) = G^{-1} leftker(N - lam)`` the adjoint kernel is
+    its orthonormalized image under ``G^{-1}`` (``N.gram_inverse_schur``,
+    reordered alongside).  Both blocks are compressions of ``N - lam``
+    itself, so both ranks are cut as in :func:`kernel_basis`, at ``rank_tol
+    * max(top singular value of the block, max(1, ||N||))``: the full
+    operator scale, never the block norm alone.
+
+    Each cluster's kernels are extracted once per operator and config, on
+    the first request for that cluster, here or through
+    :func:`spectral_point`; this call fills every cluster not yet filled.
+    """
+    clusters = clustering(N, cfg)
+    return [_cluster_kernels(N, clusters, i, cfg) for i in range(len(clusters.values))]
 
 
 def classify_point(
@@ -272,18 +331,61 @@ def classify_point(
     return replace(pt, type_tag=tag, gram_margin=verdict.margin, warnings=warnings)
 
 
+def _classified_point(
+    N: KreinOperator, clusters: Clustering, index: int, cfg: ToleranceConfig
+) -> SpectralPoint:
+    """The classified point of cluster ``index``, cached in ``clusters.points``."""
+    pt = clusters.points.get(index)
+    if pt is None:
+        pt = clusters.points.setdefault(
+            index, classify_point(N, _cluster_kernels(N, clusters, index, cfg), cfg)
+        )
+    return pt
+
+
+def spectral_point(
+    N: KreinOperator, index: int, cfg: ToleranceConfig = ToleranceConfig()
+) -> SpectralPoint:
+    """The classified point at ``index`` of ``classified_spectrum(N, cfg)``.
+
+    Only that cluster's kernels are extracted and classified, once per
+    operator and config; the point is cached in its :func:`clustering`."""
+    return _classified_point(N, clustering(N, cfg), index, cfg)
+
+
+def iter_classified_spectrum(
+    N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()
+) -> Iterator[SpectralPoint]:
+    """The points of ``classified_spectrum(N, cfg)`` in order, each cluster
+    classified only when the iteration reaches it; a caller that stops
+    early leaves the rest unclassified.  One lookup when the whole
+    spectrum is cached already."""
+    points = N._classified.get(cfg)
+    if points is None:
+        clusters = clustering(N, cfg)
+        points = (_classified_point(N, clusters, i, cfg) for i in range(len(clusters.values)))
+    return iter(points)
+
+
 def classified_spectrum(
     N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()
 ) -> list[SpectralPoint]:
     """Spectrum with every point classified.
 
-    Computed once per operator and tolerance configuration: the points are
-    cached on ``N`` keyed by ``cfg``, and each call returns a fresh list
-    of the same frozen points, so repeated calls are free."""
+    The first call per operator and config classifies the points of
+    :func:`spectrum`, reusing every cluster that :func:`spectral_point`
+    already classified, and caches the tuple on ``N`` keyed by ``cfg``;
+    later calls are one lookup and return a fresh list of the same frozen
+    points."""
     points = N._classified.get(cfg)
     if points is None:
+        classified = clustering(N, cfg).points
         points = N._classified.setdefault(
-            cfg, tuple(classify_point(N, pt, cfg) for pt in spectrum(N, cfg))
+            cfg,
+            tuple(
+                classified.get(i) or classified.setdefault(i, classify_point(N, pt, cfg))
+                for i, pt in enumerate(spectrum(N, cfg))
+            ),
         )
     return list(points)
 
@@ -325,11 +427,12 @@ def locate_point(
 ) -> int:
     """Index in ``classified_spectrum(N, cfg)`` of the point that ``lam``
     names: the nearest one, which must lie within ten clustering radii.
-    Non-finite and remote values are refused."""
+    Non-finite and remote values are refused.  Reads the :func:`clustering`
+    only; no kernel is computed."""
     lam = complex(lam)
     if not np.isfinite(lam):
         raise PreconditionError(f"{lam} is not a finite point")
-    dists = np.abs(np.array([pt.value for pt in classified_spectrum(N, cfg)]) - lam)
+    dists = np.abs(np.array(clustering(N, cfg).values) - lam)
     index = int(np.argmin(dists))
     if dists[index] > 10.0 * cfg.cluster_radius(N):
         raise PreconditionError(f"{lam} is not a spectral point of the operator")
@@ -353,7 +456,8 @@ def root_subspace(
     N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig = ToleranceConfig()
 ) -> SubspaceBasis:
     """Invariant subspace of the full eigenvalue cluster (dimension
-    ``alg_mult``): the leading columns of its :func:`invariant_decomposition`."""
-    located = classified_spectrum(N, cfg)[locate_point(N, pt.value, cfg)]
-    dec = invariant_decomposition(N, frozenset(located.schur_positions))
+    ``alg_mult``): the leading columns of its :func:`invariant_decomposition`.
+    The cluster is the one :func:`locate_point` finds at ``pt.value``."""
+    positions = clustering(N, cfg).positions[locate_point(N, pt.value, cfg)]
+    dec = invariant_decomposition(N, frozenset(positions))
     return SubspaceBasis(dec.unitary[:, : dec.split])

@@ -166,12 +166,19 @@ class KreinOperator:
     raises :class:`NonNormalError` when the residual exceeds
     ``normality_tol``.  Instances are immutable and safe to share.
 
+    Construction refuses a matrix with non-finite entries (``ValueError``).
+
     Derived data is computed on first use and cached on the instance: the
-    norm, the scale, the Schur form, the spectral radius; in ``_classified``
-    the classified spectrum of :func:`classified_spectrum`, keyed by the
-    (frozen, hashable) ``ToleranceConfig``; and in ``_decompositions`` each
+    norm, the scale, the Schur form, ``G^{-1} U`` for its unitary factor,
+    the spectral radius; and three write-once dicts.  ``_spectra`` holds the
+    :func:`~krein_spectra.classification.clustering` of the Schur diagonal
+    for each (frozen, hashable) ``ToleranceConfig``; each clustering holds
+    its clusters' kernels and classified points, extracted one cluster at a
+    time on first request.  ``_classified`` holds, per config, the tuple of
+    :func:`classified_spectrum` once every cluster is classified, so a
+    complete spectrum is one lookup.  ``_decompositions`` holds each
     :func:`invariant_decomposition`, keyed by its frozenset of Schur
-    positions.  Both dicts are write-once.
+    positions.
     """
 
     matrix: np.ndarray
@@ -179,11 +186,14 @@ class KreinOperator:
     normality_tol: float = DEFAULT_NORMALITY_TOL
     adjoint: np.ndarray = field(init=False, repr=False)
     normality_residual: float = field(init=False)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _classified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _decompositions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _frozen_complex(self.matrix, (self.space.dim, self.space.dim))
+        if not np.isfinite(m).all():
+            raise ValueError("operator matrix has non-finite entries")
         adj = krein_adjoint(m, self.space)
         residual = _normality_residual(m, adj)
         if residual > self.normality_tol:
@@ -217,6 +227,17 @@ class KreinOperator:
         t.setflags(write=False)
         u.setflags(write=False)
         return t, u
+
+    @functools.cached_property
+    def gram_inverse_schur(self) -> np.ndarray:
+        """``G^{-1} U`` for the unitary factor U of :attr:`schur`, read-only.
+
+        Reordered alongside U, its trailing columns carry left kernels of
+        ``N - lam`` to kernels of ``N+ - conj(lam)``.  Solved once per
+        operator, on first use."""
+        g_inv_u = np.linalg.solve(self.space.gram, self.schur[1])
+        g_inv_u.setflags(write=False)
+        return g_inv_u
 
     @property
     def eigenvalues(self) -> np.ndarray:

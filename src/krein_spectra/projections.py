@@ -30,8 +30,11 @@ from .classification import (
     SpectralType,
     ToleranceConfig,
     classified_spectrum,
+    clustering,
     invariant_decomposition,
+    iter_classified_spectrum,
     locate_point,
+    spectral_point,
 )
 from .core import (
     DefinitenessKind,
@@ -239,9 +242,8 @@ def verify_spectral_set_theorem(
     the report inapplicable rather than failed.
     """
     report = VerificationReport()
-    points = classified_spectrum(N, cfg)
     try:
-        selected = region_selection(N, region, cfg, [pt.value for pt in points])
+        selected = region_selection(N, region, cfg, clustering(N, cfg).values)
     except ContourThroughSpectrumError as exc:
         report.entries.append(
             CheckEntry(
@@ -253,7 +255,7 @@ def verify_spectral_set_theorem(
         )
         return report
 
-    inside = [points[i] for i in sorted(selected)]
+    inside = [spectral_point(N, i, cfg) for i in sorted(selected)]
     not_positive = [
         pt
         for pt in inside
@@ -379,31 +381,28 @@ def _kernel_span(
 class LocalSpectralFunction:
     """Projection-valued set function on subsets of a positive carrier.
 
+    Indices name the clusters of the operator's :func:`clustering`, whose
+    ``values`` and Schur positions are all it reads of clusters outside the
+    carrier; only carrier clusters are ever classified (``selected_points``).
     ``evaluate`` depends only on which clusters fall inside the queried
     region.  The projection and the invariant subspace of a set of
     clusters read its one :func:`invariant_decomposition`, cached on the
     operator; results are cached per index set, write-once.  The empty
     set gives the zero projection without any factorization."""
 
-    def __init__(
-        self,
-        operator: KreinOperator,
-        carrier: Region,
-        points: list[SpectralPoint],
-        cfg: ToleranceConfig,
-    ):
+    def __init__(self, operator: KreinOperator, carrier: Region, cfg: ToleranceConfig):
         self.operator = operator
         self.carrier = carrier
-        self.points = points
-        self.values = [pt.value for pt in points]
         self.cfg = cfg
+        self._clusters = clustering(operator, cfg)
+        self.values = list(self._clusters.values)
         self.carrier_indices = region_selection(operator, carrier, cfg, self.values)
         self._cache: dict[frozenset[int], SpectralProjectionResult] = {}
 
     def decomposition(self, indices: frozenset[int]) -> OrderedDecomposition:
         """The operator's Schur form reordered so the clusters ``indices``
         lead."""
-        positions = frozenset(p for i in indices for p in self.points[i].schur_positions)
+        positions = frozenset(p for i in indices for p in self._clusters.positions[i])
         return invariant_decomposition(self.operator, positions)
 
     def cluster_projector(self, indices: frozenset[int]) -> np.ndarray:
@@ -422,7 +421,7 @@ class LocalSpectralFunction:
         if stray:
             raise PreconditionError(
                 "region contains eigenvalues outside the carrier: "
-                + ", ".join(f"{self.points[i].value:.6g}" for i in sorted(stray))
+                + ", ".join(f"{self.values[i]:.6g}" for i in sorted(stray))
             )
         return inside
 
@@ -448,7 +447,8 @@ class LocalSpectralFunction:
         return self.evaluate_indices(self.indices_in(region))
 
     def selected_points(self, indices: Iterable[int]) -> list[SpectralPoint]:
-        return [self.points[i] for i in sorted(indices)]
+        """The classified points of the clusters ``indices``, in order."""
+        return [spectral_point(self.operator, i, self.cfg) for i in sorted(indices)]
 
 
 def local_spectral_function(
@@ -458,19 +458,20 @@ def local_spectral_function(
 ) -> LocalSpectralFunction:
     """Build the local spectral function on a carrier whose eigenvalues are
     all of two-sided positive type; offenders are listed otherwise, before
-    :func:`region_selection` decides (or refuses) the carrier."""
-    points = classified_spectrum(N, cfg)
-    offenders = [
-        pt
-        for pt in points
-        if carrier.contains(pt.value) and pt.type_tag is not SpectralType.TWO_SIDED_POSITIVE
+    :func:`region_selection` decides (or refuses) the carrier.  Only the
+    clusters inside the carrier are classified."""
+    inside = [
+        spectral_point(N, i, cfg)
+        for i, value in enumerate(clustering(N, cfg).values)
+        if carrier.contains(value)
     ]
+    offenders = [pt for pt in inside if pt.type_tag is not SpectralType.TWO_SIDED_POSITIVE]
     if offenders:
         raise PreconditionError(
             "carrier is not of two-sided positive type; offenders: "
             + ", ".join(f"{pt.value:.6g} [{pt.type_tag.value}]" for pt in offenders)
         )
-    return LocalSpectralFunction(N, carrier, points, cfg)
+    return LocalSpectralFunction(N, carrier, cfg)
 
 
 def _spectral_distance_residual(
@@ -587,7 +588,7 @@ def verify_lsf_axioms(
     # A range of the wrong rank cannot be contained: its angle is pi/2.
     # An empty selection is vacuous (its complement lies in the whole space).
     worst_in, worst_out = 0.0, 0.0
-    all_indices = frozenset(range(len(E.points)))
+    all_indices = frozenset(range(len(E.values)))
     for ix, res in distinct.items():
         worst_in = max(worst_in, max_principal_angle(E.invariant_subspace(ix), res.basis))
         comp = range_basis(np.eye(N.dim) - res.matrix)
@@ -660,7 +661,7 @@ def verify_lsf_axioms(
 
     # adjoint transfer: conjugated subsets give a spectral function for the adjoint
     structural_ok = all(
-        d.conjugate().contains(np.conj(E.points[i].value))
+        d.conjugate().contains(np.conj(E.values[i]))
         for d, ix in zip(deltas, index_sets)
         for i in ix
     )
@@ -669,7 +670,7 @@ def verify_lsf_axioms(
         basis = res.basis
         if basis.k > 0:
             eigs = np.linalg.eigvals(basis.columns.conj().T @ N.adjoint @ basis.columns)
-            conj_selected = [np.conj(E.points[i].value) for i in sorted(ix)]
+            conj_selected = [np.conj(E.values[i]) for i in sorted(ix)]
             worst = max(worst, _spectral_distance_residual(eigs, conj_selected, scale))
     report.entries.append(
         passfail(
@@ -789,8 +790,7 @@ def resolvent_probe(
     if not 1 <= samples_per_radius <= MAX_PROBE_SAMPLES:
         raise ValueError(f"samples_per_radius must be between 1 and {MAX_PROBE_SAMPLES}")
     idx = locate_point(N, lam0, cfg)
-    points = classified_spectrum(N, cfg)
-    reps = np.array([pt.value for pt in points])
+    reps = np.array(clustering(N, cfg).values)
     cluster_radius = cfg.cluster_radius(N)
     center = complex(reps[idx])
 
@@ -823,7 +823,7 @@ def resolvent_probe(
         # so those orders come from one pass over the nodes; the rest, only
         # if none of them vanishes, from a second.  Frobenius norms are read
         # in the Schur basis, which the unitary factor does not change.
-        pt = points[idx]
+        pt = spectral_point(N, idx, cfg)
         orders = np.arange(1, pt.alg_mult + 1)
         for chunk in np.split(orders, [pt.alg_mult - pt.geo_mult + 1]):
             if not chunk.size:
@@ -858,10 +858,11 @@ def strong_stability_check(
     When stable, returns the invariant fundamental decomposition built
     from the positive- and negative-type kernels together with
     certification entries (definiteness, orthogonality, completeness,
-    invariance, spectral disjointness)."""
-    points = classified_spectrum(N, cfg)
-    if any(pt.type_tag not in DEFINITE_TAGS for pt in points):
+    invariance, spectral disjointness).  Points are classified in sorted
+    order up to the first one that is not definite."""
+    if any(pt.type_tag not in DEFINITE_TAGS for pt in iter_classified_spectrum(N, cfg)):
         return False, None
+    points = classified_spectrum(N, cfg)
 
     pos = [pt for pt in points if pt.type_tag in POSITIVE_TAGS]
     neg = [pt for pt in points if pt.type_tag not in POSITIVE_TAGS]

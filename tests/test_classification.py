@@ -6,6 +6,7 @@ diag(a,b) with distinct entries against the swap Gram has two neutral
 points; the swap-Gram Jordan cell has one defective neutral point.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,11 @@ from krein_spectra import (
     spectrum,
     verify_selfadjoint_link,
 )
+from krein_spectra import classification, numerics
+from krein_spectra.cli import main
 from krein_spectra.core import frobenius, krein_adjoint
+from krein_spectra.documents import OperatorDocument, load_operator_document
+from krein_spectra.generators import GeneratorSpec
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -270,3 +275,89 @@ class TestClassifiedSpectrumCache:
         for cfg in (loose, strict):
             assert [pt.type_tag for pt in classified_spectrum(n, cfg)] == tags[cfg]
             assert [pt.type_tag for pt in classified_spectrum(operator(), cfg)] == tags[cfg]
+
+
+# Seven clusters, sorted: -3 and -2+i (one neutral pair), -1 (negative),
+# 1, 2 (double) and 3+i (positive), 4-i (negative); hidden by a J-unitary.
+LAZY_SPEC = GeneratorSpec(
+    signature=(5, 3),
+    positive_type_eigs=((1.0, 1), (2.0, 2), (3.0 + 1.0j, 1)),
+    negative_type_eigs=((-1.0, 1), (4.0 - 1.0j, 1)),
+    neutral_pairs=((-3.0, -2.0 + 1.0j),),
+    cond_bound=10.0,
+    seed=7,
+)
+
+
+class TestClustersExtractedOnRequest:
+    """Each subcommand extracts the kernels of the clusters it reads and no
+    others.  Extraction reorders the Schur form twice per cluster, once with
+    the cluster leading and once with it trailing; the reorders are counted
+    at classification's binding of ``numerics.reorder_schur``."""
+
+    @pytest.fixture
+    def document(self, tmp_path):
+        gen = build_normal_with_types(LAZY_SPEC)
+        doc = OperatorDocument(dim=gen.space.dim, gram=gen.space.gram, matrix=gen.operator.matrix)
+        path = tmp_path / "op.json"
+        path.write_text(doc.to_json(), encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture
+    def reorders(self, monkeypatch):
+        assert classification.reorder_schur is numerics.reorder_schur
+        leading = []
+        original = numerics.reorder_schur
+
+        def counting(t, u, select):
+            leading.append(frozenset(np.flatnonzero(select).tolist()))
+            return original(t, u, select)
+
+        monkeypatch.setattr(classification, "reorder_schur", counting)
+        return leading
+
+    @staticmethod
+    def extractions(document, values, reorders):
+        """The reorders that extracting the clusters at ``values`` takes,
+        worked out on a separate operator; ``reorders`` is then reset."""
+        _, operator = load_operator_document(document).build()
+        points = spectrum(operator)
+        assert len(points) >= 6
+        everything = frozenset(range(operator.dim))
+        expected = []
+        for value in values:
+            pt = min(points, key=lambda p: abs(p.value - value))
+            expected += [frozenset(pt.schur_positions), everything - set(pt.schur_positions)]
+        reorders.clear()
+        return expected
+
+    def test_probe_resolvent_extracts_its_target_only(self, document, reorders, tmp_path):
+        expected = self.extractions(document, [1.0], reorders)
+        out = tmp_path / "probe.json"
+        argv = ["probe-resolvent", document, "--point=1,0", "--radii=0.4,0.2", "-o", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["pole_order"] == 1
+        assert reorders == expected
+
+    def test_lsf_verify_extracts_the_carrier_only(self, document, reorders, tmp_path):
+        expected = self.extractions(document, [1.0, 2.0], reorders)
+        out = tmp_path / "lsf.json"
+        assert main(["lsf-verify", document, "--disk=1.5,0,0.8", "--json", "-o", str(out)]) == 0
+        assert all(e["status"] != "fail" for e in json.loads(out.read_text())["entries"])
+        assert sorted(reorders, key=sorted) == sorted(expected, key=sorted)
+
+    def test_stability_stops_at_the_first_neutral_point(self, document, reorders, tmp_path):
+        expected = self.extractions(document, [-3.0], reorders)
+        out = tmp_path / "stability.json"
+        assert main(["stability", document, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["stable"] is False
+        assert reorders == expected
+
+    def test_classify_extracts_every_cluster_once(self, document, reorders, tmp_path):
+        _, operator = load_operator_document(document).build()
+        values = [pt.value for pt in spectrum(operator)]
+        expected = self.extractions(document, values, reorders)
+        out = tmp_path / "classes.json"
+        assert main(["classify", document, "--json", "-o", str(out)]) == 0
+        assert len(json.loads(out.read_text())["points"]) == len(values) == 7
+        assert sorted(reorders, key=sorted) == sorted(expected, key=sorted)

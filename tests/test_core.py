@@ -96,6 +96,17 @@ class TestIsNormal:
                 np.array([[0.0, 1.0], [0.0, 0.0]]), KreinSpace.indefinite(1, 1)
             )
 
+    @pytest.mark.parametrize(
+        "entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]
+    )
+    def test_operator_rejects_non_finite(self, entry):
+        # a NaN residual compares false against the tolerance, so the
+        # refusal must come before the certificate, not from it
+        matrix = np.diag([1.0, 2.0]).astype(complex)
+        matrix[0, 0] = entry
+        with pytest.raises(ValueError, match="^operator matrix has non-finite entries$"):
+            KreinOperator(matrix, KreinSpace.euclidean(2))
+
 
 class TestDefiniteness:
     def test_positive_axis(self):

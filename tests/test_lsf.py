@@ -36,7 +36,7 @@ def carrier_operator():
 def corrupt(lsf, value, projector):
     """Replace the evaluated projection of the cluster at ``value`` by
     ``projector``; unions containing the cluster keep their own."""
-    index = next(i for i, pt in enumerate(lsf.points) if abs(pt.value - value) < 1e-12)
+    index = next(i for i, v in enumerate(lsf.values) if abs(v - value) < 1e-12)
     q = np.asarray(projector, dtype=np.complex128)
     lsf._cache[frozenset({index})] = projections._make_result(q, lsf.operator, lsf.cfg)
 
@@ -160,7 +160,7 @@ class TestConstruction:
         region = Region.disk(1.0, 0.2)
         indices = lsf.indices_in(region)
         oracle = riesz_projection_oracle(n, region)
-        root = root_subspace(n, lsf.points[next(iter(indices))])
+        root = root_subspace(n, lsf.selected_points(indices)[0])
         subspace = lsf.invariant_subspace(indices)
         assert len(calls) == 1
         for basis in (root, subspace):

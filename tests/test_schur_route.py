@@ -14,10 +14,13 @@ G^{-1} step and the rank scales of N and N+ are told apart.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krein_spectra import (
     GeneratorSpec,
@@ -34,7 +37,8 @@ from krein_spectra import (
     sample_generator_spec,
     verify_lsf_axioms,
 )
-from krein_spectra.classification import kernel_basis, root_subspace
+from krein_spectra import classification
+from krein_spectra.classification import clustering, kernel_basis, root_subspace, spectral_point
 from krein_spectra.core import (
     KreinOperator,
     KreinSpace,
@@ -70,18 +74,19 @@ def congruent(N, rng):
     )
 
 
+def bank_entry(i, unitary_gram):
+    rng = np.random.default_rng([BANK_SEED, i])
+    dim = int(rng.integers(2, 41))
+    box = 2.0 * math.sqrt(max(dim, 12) / 12.0)
+    gen = build_normal_with_types(sample_generator_spec(rng, dim, cond_bound=1e3, box=box))
+    if unitary_gram:
+        return gen, gen.operator
+    return gen, congruent(gen.operator, np.random.default_rng([BANK_SEED + 1, i]))
+
+
 def bank(unitary_gram):
     for i in range(BANK_SIZE):
-        rng = np.random.default_rng([BANK_SEED, i])
-        dim = int(rng.integers(2, 41))
-        box = 2.0 * math.sqrt(max(dim, 12) / 12.0)
-        gen = build_normal_with_types(
-            sample_generator_spec(rng, dim, cond_bound=1e3, box=box)
-        )
-        if unitary_gram:
-            yield gen, gen.operator
-        else:
-            yield gen, congruent(gen.operator, np.random.default_rng([BANK_SEED + 1, i]))
+        yield bank_entry(i, unitary_gram)
 
 
 def inventory(points):
@@ -187,6 +192,42 @@ def test_one_schur_decomposition_per_operator(monkeypatch):
     positive = next(p for p in points if p.type_tag is SpectralType.TWO_SIDED_POSITIVE)
     assert root_subspace(N, positive, cfg).k == positive.alg_mult
     assert calls == [(N.dim, N.dim)]
+
+
+def point_bits(pt):
+    """Every field of a classified point, floats and arrays as raw bytes."""
+
+    def basis_bits(b):
+        return b.columns.shape, b.columns.tobytes()
+
+    return (
+        np.complex128(pt.value).tobytes(), pt.alg_mult, pt.geo_mult,
+        basis_bits(pt.kernel), basis_bits(pt.adjoint_kernel), pt.schur_positions,
+        pt.type_tag, np.float64(pt.gram_margin).tobytes(), pt.warnings,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_points_requested_in_any_order_match_the_full_spectrum(data):
+    # clusters classified one at a time, in any order, then the rest filled
+    # in by classified_spectrum: the same bits as one pass on a fresh
+    # operator, each cluster's kernels extracted once (two reorders)
+    index = data.draw(st.integers(0, BANK_SIZE - 1), label="bank index")
+    unitary_gram = data.draw(st.booleans(), label="unitary gram")
+    _, N = bank_entry(index, unitary_gram)
+    count = len(clustering(N).values)
+    order = data.draw(st.permutations(range(count)), label="order")
+    requested = order[: data.draw(st.integers(0, count), label="requested")]
+    with mock.patch.object(
+        classification, "reorder_schur", wraps=numerics.reorder_schur
+    ) as reorders:
+        singles = [spectral_point(N, i) for i in requested]
+        lazy = classified_spectrum(N)
+    assert reorders.call_count == 2 * count
+    assert all(lazy[i] is pt for i, pt in zip(requested, singles))
+    fresh = classified_spectrum(KreinOperator(N.matrix, N.space))
+    assert [point_bits(pt) for pt in lazy] == [point_bits(pt) for pt in fresh]
 
 
 def test_large_cluster_kernel_extraction_regression():
