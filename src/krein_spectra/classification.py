@@ -9,16 +9,15 @@ inventory; the per-point helpers expose the individual steps.
 
 The work is split so that a caller pays only for the points it reads:
 the :func:`clustering` of the eigenvalues is computed once per operator
-and config, while each cluster's kernels and type are computed on the
-first request for that cluster (:func:`spectral_point`), all cached on
-the operator.
+and config, while each cluster's kernels are extracted and classified on
+the first request for that cluster (:func:`spectral_point`), which caches
+the classified point in the clustering; that cache is the only one.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +31,7 @@ from .core import (
     KreinOperator,
     SubspaceBasis,
     definiteness,
+    min_gap,
 )
 from .numerics import OrderedDecomposition, ordered_spectral_decomposition, reorder_schur
 
@@ -48,7 +48,6 @@ __all__ = [
     "classify_point",
     "clustering",
     "invariant_decomposition",
-    "iter_classified_spectrum",
     "kernel_basis",
     "locate_point",
     "root_subspace",
@@ -197,16 +196,16 @@ class Clustering:
     Clusters are sorted by the (real, imag) order of their ``values``, the
     multiplicity-weighted means; ``positions`` are each cluster's places on
     the diagonal of the Schur factor ``N.schur[0]`` and ``warnings`` its
-    clustering-ambiguity flags.  ``kernels`` (unclassified points, see
-    :func:`spectrum`) and ``points`` (classified, see
-    :func:`spectral_point`) are write-once dicts keyed by cluster index,
-    filled one cluster at a time on first request.
+    clustering-ambiguity flags.  ``min_gap`` is the smallest distance
+    between two ``values`` (inf for a single cluster).  ``points`` is a
+    write-once dict of classified points keyed by cluster index, filled
+    one cluster at a time by :func:`spectral_point`.
     """
 
     values: tuple[complex, ...]
     positions: tuple[tuple[int, ...], ...]
     warnings: tuple[tuple[str, ...], ...]
-    kernels: dict = field(default_factory=dict, repr=False, compare=False)
+    min_gap: float
     points: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -226,15 +225,17 @@ def clustering(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> Cl
         clusters, ambiguous = _cluster_eigenvalues(eigs, cfg.cluster_radius(N))
         values = [complex(np.mean(eigs[ix])) for ix in clusters]
         order = sorted(range(len(clusters)), key=lambda c: (values[c].real, values[c].imag))
+        values = tuple(values[c] for c in order)
         found = N._spectra.setdefault(
             cfg,
             Clustering(
-                values=tuple(values[c] for c in order),
+                values=values,
                 positions=tuple(tuple(int(i) for i in clusters[c]) for c in order),
                 warnings=tuple(
                     ("cluster-separation-below-4x-radius",) if ambiguous[c] else ()
                     for c in order
                 ),
+                min_gap=min_gap(values),
             ),
         )
     return found
@@ -243,11 +244,8 @@ def clustering(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> Cl
 def _cluster_kernels(
     N: KreinOperator, clusters: Clustering, index: int, cfg: ToleranceConfig
 ) -> SpectralPoint:
-    """The unclassified point of cluster ``index``, its kernels extracted on
-    first request and cached in ``clusters.kernels``; see :func:`spectrum`."""
-    pt = clusters.kernels.get(index)
-    if pt is not None:
-        return pt
+    """The unclassified point of cluster ``index``: its kernels extracted as
+    described in :func:`spectrum`."""
     t, u = N.schur
     n = N.dim
     positions = clusters.positions[index]
@@ -263,7 +261,7 @@ def _cluster_kernels(
     t_last, g_inv_u_last, _ = reorder_schur(t, N.gram_inverse_schur, ~select)
     left = _kernel_columns((t_last[n - k :, n - k :] - shift).conj().T, cfg.rank_tol, N.scale)
     adj_ker = SubspaceBasis(np.linalg.qr(g_inv_u_last[:, n - k :] @ left)[0])
-    pt = SpectralPoint(
+    return SpectralPoint(
         value=lam,
         alg_mult=k,
         geo_mult=ker.k,
@@ -272,7 +270,6 @@ def _cluster_kernels(
         schur_positions=positions,
         warnings=clusters.warnings[index],
     )
-    return clusters.kernels.setdefault(index, pt)
 
 
 def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list[SpectralPoint]:
@@ -291,9 +288,10 @@ def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list
     * max(top singular value of the block, max(1, ||N||))``: the full
     operator scale, never the block norm alone.
 
-    Each cluster's kernels are extracted once per operator and config, on
-    the first request for that cluster, here or through
-    :func:`spectral_point`; this call fills every cluster not yet filled.
+    Only the clustering is cached: every call extracts every cluster's
+    kernels again.
+    The pipeline reads classified points through :func:`spectral_point`,
+    which extracts each cluster once per operator and config.
     """
     clusters = clustering(N, cfg)
     return [_cluster_kernels(N, clusters, i, cfg) for i in range(len(clusters.values))]
@@ -331,10 +329,14 @@ def classify_point(
     return replace(pt, type_tag=tag, gram_margin=verdict.margin, warnings=warnings)
 
 
-def _classified_point(
-    N: KreinOperator, clusters: Clustering, index: int, cfg: ToleranceConfig
+def spectral_point(
+    N: KreinOperator, index: int, cfg: ToleranceConfig = ToleranceConfig()
 ) -> SpectralPoint:
-    """The classified point of cluster ``index``, cached in ``clusters.points``."""
+    """The classified point at ``index`` of ``classified_spectrum(N, cfg)``.
+
+    Only that cluster's kernels are extracted and classified, once per
+    operator and config; the point is cached in its :func:`clustering`."""
+    clusters = clustering(N, cfg)
     pt = clusters.points.get(index)
     if pt is None:
         pt = clusters.points.setdefault(
@@ -343,51 +345,12 @@ def _classified_point(
     return pt
 
 
-def spectral_point(
-    N: KreinOperator, index: int, cfg: ToleranceConfig = ToleranceConfig()
-) -> SpectralPoint:
-    """The classified point at ``index`` of ``classified_spectrum(N, cfg)``.
-
-    Only that cluster's kernels are extracted and classified, once per
-    operator and config; the point is cached in its :func:`clustering`."""
-    return _classified_point(N, clustering(N, cfg), index, cfg)
-
-
-def iter_classified_spectrum(
-    N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()
-) -> Iterator[SpectralPoint]:
-    """The points of ``classified_spectrum(N, cfg)`` in order, each cluster
-    classified only when the iteration reaches it; a caller that stops
-    early leaves the rest unclassified.  One lookup when the whole
-    spectrum is cached already."""
-    points = N._classified.get(cfg)
-    if points is None:
-        clusters = clustering(N, cfg)
-        points = (_classified_point(N, clusters, i, cfg) for i in range(len(clusters.values)))
-    return iter(points)
-
-
 def classified_spectrum(
     N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()
 ) -> list[SpectralPoint]:
-    """Spectrum with every point classified.
-
-    The first call per operator and config classifies the points of
-    :func:`spectrum`, reusing every cluster that :func:`spectral_point`
-    already classified, and caches the tuple on ``N`` keyed by ``cfg``;
-    later calls are one lookup and return a fresh list of the same frozen
-    points."""
-    points = N._classified.get(cfg)
-    if points is None:
-        classified = clustering(N, cfg).points
-        points = N._classified.setdefault(
-            cfg,
-            tuple(
-                classified.get(i) or classified.setdefault(i, classify_point(N, pt, cfg))
-                for i, pt in enumerate(spectrum(N, cfg))
-            ),
-        )
-    return list(points)
+    """Spectrum with every point classified: the :func:`spectral_point` of
+    each cluster, in order, so clusters already classified are reused."""
+    return [spectral_point(N, i, cfg) for i in range(len(clustering(N, cfg).values))]
 
 
 def selfadjoint_product(N: KreinOperator, lam: complex) -> np.ndarray:

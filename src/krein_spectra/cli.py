@@ -23,8 +23,7 @@ from ._errors import (
     KreinError,
     PreconditionError,
 )
-from .classification import classified_spectrum
-from .core import min_gap
+from .classification import classified_spectrum, clustering
 from .documents import (
     OperatorDocument,
     dumps_canonical,
@@ -37,6 +36,7 @@ from .documents import (
 from .generators import build_normal_with_types
 from .numerics import frobenius, solve_sylvester, sylvester_spectral_gap
 from .projections import (
+    MAX_MAXIMALITY_SUBSPACES,
     MAX_PROBE_SAMPLES,
     local_spectral_function,
     resolvent_probe,
@@ -164,13 +164,19 @@ def cmd_project(args) -> int:
 
 
 def cmd_lsf_verify(args) -> int:
+    if args.seed < 0:
+        raise DocumentError(f"--seed must be non-negative, got {args.seed}")
+    if not 1 <= args.subspaces <= MAX_MAXIMALITY_SUBSPACES:
+        raise DocumentError(
+            f"--subspaces must be between 1 and {MAX_MAXIMALITY_SUBSPACES}, got {args.subspaces}"
+        )
     doc = load_operator_document(args.input)
     _, operator = doc.build()
     carrier = _region_from_args(args)
     if not carrier.pieces:
         raise DocumentError("lsf-verify requires a carrier (--disk / --rect)")
     lsf = local_spectral_function(operator, carrier, doc.tolerances)
-    gap = min_gap(lsf.values)
+    gap = clustering(operator, doc.tolerances).min_gap
     radius = 0.25 * gap if np.isfinite(gap) else 0.25
     report = verify_lsf_family(lsf, radius, args.subspaces, args.seed)
     if args.json:
@@ -242,6 +248,9 @@ def cmd_sylvester(args) -> int:
     try:
         ms = len(raw["s"])
         mt = len(raw["t"])
+        for name, m in (("s", ms), ("t", mt)):
+            if m == 0:
+                raise DocumentError(f"{name}: expected a non-empty matrix")
         s = matrix_from_json(raw["s"], ms, "s")
         t = matrix_from_json(raw["t"], mt, "t")
         z = matrix_from_json(raw["z"], ms, "z", cols=mt)
@@ -302,6 +311,8 @@ def cmd_suite(args) -> int:
         raise DocumentError(f"--dims expects 1 <= LO <= HI, got {args.dims!r}")
     if args.trials < 1:
         raise DocumentError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise DocumentError(f"--seed must be non-negative, got {args.seed}")
     if not 1 <= args.cond_bound < math.inf:
         raise DocumentError(
             f"--cond-bound must be finite and at least 1, got {args.cond_bound!r}"
@@ -353,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lsf-verify", help="verify the local spectral function axioms")
     p.add_argument("input")
     _add_region_flags(p)
-    p.add_argument("--subspaces", type=int, default=20, help="maximality trial count")
+    p.add_argument("--subspaces", type=int, default=20,
+                   help=f"maximality trial count, 1 to {MAX_MAXIMALITY_SUBSPACES}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", "-o", default=None)

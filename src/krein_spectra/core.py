@@ -170,13 +170,11 @@ class KreinOperator:
 
     Derived data is computed on first use and cached on the instance: the
     norm, the scale, the Schur form, ``G^{-1} U`` for its unitary factor,
-    the spectral radius; and three write-once dicts.  ``_spectra`` holds the
+    the spectral radius; and two write-once dicts.  ``_spectra`` holds the
     :func:`~krein_spectra.classification.clustering` of the Schur diagonal
     for each (frozen, hashable) ``ToleranceConfig``; each clustering holds
-    its clusters' kernels and classified points, extracted one cluster at a
-    time on first request.  ``_classified`` holds, per config, the tuple of
-    :func:`classified_spectrum` once every cluster is classified, so a
-    complete spectrum is one lookup.  ``_decompositions`` holds each
+    its classified points, extracted and classified one cluster at a time
+    on first request.  ``_decompositions`` holds each
     :func:`invariant_decomposition`, keyed by its frozenset of Schur
     positions.
     """
@@ -187,7 +185,6 @@ class KreinOperator:
     adjoint: np.ndarray = field(init=False, repr=False)
     normality_residual: float = field(init=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _classified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _decompositions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

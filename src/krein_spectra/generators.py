@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .classification import SpectralType, ToleranceConfig
-from .core import KreinOperator, KreinSpace, krein_adjoint, min_gap
+from .classification import SpectralType, ToleranceConfig, classified_spectrum, clustering
+from .core import KreinOperator, KreinSpace, krein_adjoint
 from .numerics import operator_norm
 
 __all__ = [
@@ -77,6 +77,8 @@ class GeneratorSpec:
             raise ValueError("multiplicities must be positive")
         if self.cond_bound is not None and self.cond_bound < 1:
             raise ValueError("cond_bound must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         p, q = self.signature
         swap_blocks = len(self.neutral_pairs) + len(self.neutral_jordan)
         p_used = sum(m for _, m in self.positive_type_eigs) + swap_blocks
@@ -85,6 +87,8 @@ class GeneratorSpec:
             raise ValueError(
                 f"block inertia ({p_used}, {q_used}) does not match signature ({p}, {q})"
             )
+        if p + q == 0:
+            raise ValueError("spec has no blocks: the operator would be empty")
         values = self.all_values()
         scale = max([1.0] + [abs(v) for v in values])
         floor = 10 * 1e-7 * scale
@@ -201,9 +205,9 @@ def _assemble_blocks(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, list[
         grams.append(swap)
         ops.append(np.array([[value, 1.0], [0.0, value]]))
         truth.append(GroundTruthPoint(value, SpectralType.NEUTRAL, 2, 1))
-    gram = scipy.linalg.block_diag(*grams) if grams else np.zeros((0, 0))
-    op = scipy.linalg.block_diag(*ops) if ops else np.zeros((0, 0))
-    return gram.astype(np.complex128), op.astype(np.complex128), truth
+    gram = scipy.linalg.block_diag(*grams).astype(np.complex128)
+    op = scipy.linalg.block_diag(*ops).astype(np.complex128)
+    return gram, op, truth
 
 
 def build_normal_with_types(spec: GeneratorSpec) -> GeneratedOperator:
@@ -215,8 +219,6 @@ def build_normal_with_types(spec: GeneratorSpec) -> GeneratedOperator:
     number of the conjugator, which bounds the rounding contamination of
     the commutator."""
     gram, matrix, truth = _assemble_blocks(spec)
-    if gram.shape[0] == 0:
-        raise ValueError("spec produces an empty operator")
     space = KreinSpace(gram)
     conjugator = None
     tol = _GENERATED_NORMALITY_TOL
@@ -359,8 +361,6 @@ def classification_margin(gen: GeneratedOperator, cfg: ToleranceConfig = Toleran
     smaller of the worst kernel Gram margin and half the smallest
     eigenvalue separation.  Structured perturbations below half this
     margin cannot change any type tag."""
-    from .classification import classified_spectrum
-
     points = classified_spectrum(gen.operator, cfg)
     margins = [abs(pt.gram_margin) for pt in points if not np.isnan(pt.gram_margin)]
-    return min(margins + [min_gap([pt.value for pt in points]) / 2.0])
+    return min(margins + [clustering(gen.operator, cfg).min_gap / 2.0])

@@ -29,10 +29,8 @@ from .classification import (
     SpectralPoint,
     SpectralType,
     ToleranceConfig,
-    classified_spectrum,
     clustering,
     invariant_decomposition,
-    iter_classified_spectrum,
     locate_point,
     spectral_point,
 )
@@ -89,6 +87,8 @@ _RANGE_CUTOFF = 0.5
 _DEFECT_RANK_TOL = 1e-8
 # largest sample count per radius of a resolvent probe
 MAX_PROBE_SAMPLES = 2**14
+# largest count of random subspaces one maximality check draws
+MAX_MAXIMALITY_SUBSPACES = 2**14
 
 
 def range_basis(Q: np.ndarray) -> SubspaceBasis:
@@ -256,12 +256,7 @@ def verify_spectral_set_theorem(
         return report
 
     inside = [spectral_point(N, i, cfg) for i in sorted(selected)]
-    not_positive = [
-        pt
-        for pt in inside
-        if definiteness(pt.kernel, N.space, cfg.definiteness_tol).kind
-        is not DefinitenessKind.UNIFORMLY_POSITIVE
-    ]
+    not_positive = [pt for pt in inside if pt.type_tag not in POSITIVE_TAGS]
     if not_positive:
         report.entries.append(
             CheckEntry(
@@ -698,7 +693,10 @@ def verify_maximality(
     Random invariant subspaces are drawn inside the kernels of the
     selected eigenvalues; the worst angle of one against the range of the
     evaluated projection is reported (pi/2 when a subspace has more
-    dimensions than the range)."""
+    dimensions than the range).  ``n_subspaces`` lies in
+    ``[1, MAX_MAXIMALITY_SUBSPACES]``: with none drawn the check is vacuous."""
+    if not 1 <= n_subspaces <= MAX_MAXIMALITY_SUBSPACES:
+        raise ValueError(f"n_subspaces must be between 1 and {MAX_MAXIMALITY_SUBSPACES}")
     indices = E.indices_in(delta)
     full_range = E.evaluate_indices(indices).basis
     rng = np.random.default_rng(seed)
@@ -860,9 +858,11 @@ def strong_stability_check(
     certification entries (definiteness, orthogonality, completeness,
     invariance, spectral disjointness).  Points are classified in sorted
     order up to the first one that is not definite."""
-    if any(pt.type_tag not in DEFINITE_TAGS for pt in iter_classified_spectrum(N, cfg)):
-        return False, None
-    points = classified_spectrum(N, cfg)
+    points = []
+    for i in range(len(clustering(N, cfg).values)):
+        points.append(spectral_point(N, i, cfg))
+        if points[-1].type_tag not in DEFINITE_TAGS:
+            return False, None
 
     pos = [pt for pt in points if pt.type_tag in POSITIVE_TAGS]
     neg = [pt for pt in points if pt.type_tag not in POSITIVE_TAGS]

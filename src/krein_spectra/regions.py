@@ -19,6 +19,10 @@ __all__ = ["Disk", "Rectangle", "Region"]
 
 _GL_PANEL = 8
 _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_PANEL)
+# Largest coordinate magnitude a primitive may reach: far enough below the
+# float limit that its quadrature nodes, edge lengths and node shares stay
+# finite.
+MAX_COORDINATE = 1e300
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,8 @@ class Disk:
             raise ValueError("disk center and radius must be finite")
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
+        if max(abs(self.center.real), abs(self.center.imag)) + self.radius > MAX_COORDINATE:
+            raise ValueError(f"disk must lie within {MAX_COORDINATE:g} of both axes")
 
     def contains(self, z: complex) -> bool:
         return abs(z - self.center) <= self.radius
@@ -67,7 +73,7 @@ class Disk:
 
 def _segment_distance(z: complex, a: complex, b: complex) -> float:
     ab = b - a
-    t = np.clip(((z - a) * np.conj(ab)).real / abs(ab) ** 2, 0.0, 1.0)
+    t = np.clip(((z - a) / ab).real, 0.0, 1.0)  # a quotient, so no |ab|^2 to overflow
     return abs(z - (a + t * ab))
 
 
@@ -82,8 +88,8 @@ class Rectangle:
     y1: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):
-            raise ValueError("rectangle bounds must be finite")
+        if not all(abs(v) <= MAX_COORDINATE for v in (self.x0, self.y0, self.x1, self.y1)):
+            raise ValueError(f"rectangle bounds must be finite and at most {MAX_COORDINATE:g}")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("rectangle requires x0 < x1 and y0 < y1")
 

@@ -39,10 +39,11 @@ from .classification import (
     SpectralType,
     ToleranceConfig,
     classified_spectrum,
+    clustering,
     root_subspace,
     verify_selfadjoint_link,
 )
-from .core import krein_adjoint, max_principal_angle, min_gap
+from .core import krein_adjoint, max_principal_angle
 from .generators import (
     GeneratedOperator,
     build_normal_with_types,
@@ -211,7 +212,7 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
     cfg = setting.cfg
     entries = []
     points = classified_spectrum(gen.operator, cfg)
-    gap = min_gap([pt.value for pt in points])
+    gap = clustering(gen.operator, cfg).min_gap
     radius = 0.45 * gap if np.isfinite(gap) else 1.0
 
     positive = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
@@ -285,7 +286,7 @@ def lsf_checks(
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if not tsp:
         return []
-    gap = min_gap([pt.value for pt in points])
+    gap = clustering(gen.operator, setting.cfg).min_gap
     carrier_radius = 0.4 * gap if np.isfinite(gap) else 1.0
     carrier = Region(
         tuple(piece for pt in tsp for piece in Region.disk(pt.value, carrier_radius).pieces)
@@ -301,7 +302,7 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
     cfg = setting.cfg
     entries = []
     points = classified_spectrum(gen.operator, cfg)
-    gap = min_gap([pt.value for pt in points])
+    gap = clustering(gen.operator, cfg).min_gap
     base = 0.4 * gap if np.isfinite(gap) else 0.5
 
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
@@ -517,6 +518,8 @@ def run_suite(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not 1 <= cond_bound < math.inf:  # also refuses NaN
         raise ValueError(f"cond_bound must be finite and at least 1, got {cond_bound!r}")
     if dims[0] < 1 or dims[1] < dims[0]:

@@ -1,9 +1,13 @@
 """Document round trips, CLI subcommands and exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krein_spectra import DocumentError
 from krein_spectra.cli import main
@@ -195,6 +199,12 @@ class TestExitCodes:
             (["project", "OP", "--disk=0,0,inf"], "--disk"),
             (["project", "OP", "--rect=0,0,inf,1"], "--rect"),
             (["lsf-verify", "OP", "--disk=nan,0,1", "--json"], "--disk"),
+            (["lsf-verify", "OP", "--disk=1,0,0.4", "--seed", "-1"], "--seed"),
+            (["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", "-3"], "--subspaces"),
+            (["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", "0"], "--subspaces"),
+            (["suite", "--trials", "2", "--seed", "-1"], "--seed"),
+            (["project", "OP", "--rect=-1e308,-1e308,1e308,1e308"], "--rect"),
+            (["project", "OP", "--disk=0,0,1e308"], "--disk"),
         ],
         ids=[
             "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
@@ -202,7 +212,9 @@ class TestExitCodes:
             "trials-zero", "only-trial-out-of-range", "point-nan", "point-infinite",
             "cond-bound-below-one", "cond-bound-nan", "cond-bound-infinite",
             "threads-negative", "threads-zero", "disk-nan-center", "disk-infinite-radius",
-            "rect-infinite-bound", "lsf-verify-disk-nan-center",
+            "rect-infinite-bound", "lsf-verify-disk-nan-center", "lsf-verify-seed-negative",
+            "lsf-verify-subspaces-negative", "lsf-verify-subspaces-zero", "suite-seed-negative",
+            "rect-overflowing-width", "disk-overflowing-nodes",
         ],
     )
     def test_bad_argument_is_exit_1(self, tmp_path, capsys, args, flag):
@@ -266,6 +278,40 @@ class TestExitCodes:
         )
         assert main(["sylvester", str(path)]) == 1
         assert f"{where}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [({"s": [], "t": [[[2, 0]]], "z": []}, "s"), ({"s": [[[1, 0]]], "t": [], "z": [[]]}, "t")],
+    )
+    def test_sylvester_empty_coefficient_is_exit_1(self, tmp_path, capsys, payload, field):
+        path = tmp_path / "sylvester.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["sylvester", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"input error: {field}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ({"signature": [0, 0]}, "empty"),
+            (
+                {
+                    "signature": [1, 0],
+                    "positive_type_eigs": [{"value": [1, 0], "mult": 1}],
+                    "conjugation": {"cond_bound": 10},
+                    "seed": -1,
+                },
+                "seed",
+            ),
+        ],
+        ids=["empty-inventory", "negative-seed"],
+    )
+    def test_generate_bad_spec_is_exit_1(self, tmp_path, capsys, spec, reason):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["generate", str(path), "-o", str(tmp_path / "op.json")]) == 1
+        err = capsys.readouterr().err
+        assert "generator spec" in err and reason in err and "Traceback" not in err
 
 
 class TestSubcommands:
@@ -445,3 +491,53 @@ class TestSuiteCommand:
         ) == 0
         capsys.readouterr()
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+# Negative, zero, huge and non-finite spellings of a flag value; integer
+# flags refuse the float spellings through argparse (exit 2).
+_EXTREME = st.one_of(
+    st.integers(-(2**80), 0),
+    st.integers(2**40, 2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e300", "5e-324"]),
+).map(str)
+
+
+@st.composite
+def _extreme_argv(draw):
+    """One subcommand on OP with one or more flag values drawn from _EXTREME."""
+    def part(sane):
+        return draw(st.one_of(st.just(sane), _EXTREME))
+
+    return draw(
+        st.sampled_from(
+            [
+                ["lsf-verify", "OP", "--disk=1,0,0.4", "--seed", part("0")],
+                ["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", part("4")],
+                ["probe-resolvent", "OP", "--point=1,0", "--radii=0.4", "--samples", part("4")],
+                ["probe-resolvent", "OP", "--point=1,0", f"--radii={part('0.4')},{part('0.2')}"],
+                ["project", "OP", f"--disk={part('1')},{part('0')},{part('0.4')}"],
+                ["lsf-verify", "OP", f"--disk={part('1')},{part('0')},{part('0.4')}"],
+                ["project", "OP", f"--rect={part('0.5')},{part('-1')},{part('1.5')},{part('1')}"],
+                ["lsf-verify", "OP", f"--rect={part('0.5')},{part('-1')},{part('1.5')},{part('1')}"],
+            ]
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def dim3_operator(tmp_path_factory):
+    gram, matrix = np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 2.0, 3.0 + 1.0j])
+    return str(write_operator(tmp_path_factory.mktemp("dim3"), gram=gram, matrix=matrix))
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_extreme_argv())
+def test_extreme_flag_values_end_in_an_exit_code(dim3_operator, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([dim3_operator if a == "OP" else a for a in argv])
+        except SystemExit as exc:  # argparse refuses a value of the wrong type
+            code = exc.code
+    assert code in range(5) and "Traceback" not in err.getvalue(), (argv, err.getvalue())

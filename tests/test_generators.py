@@ -103,6 +103,12 @@ class TestBuildNormalWithTypes:
                 positive_type_eigs=((1.0, 1), (1.0 + 1e-9, 1)),
             )
 
+    def test_negative_seed_and_empty_inventory_are_refused(self):
+        with pytest.raises(ValueError, match="seed"):
+            GeneratorSpec(signature=(1, 0), positive_type_eigs=((1.0, 1),), seed=-1)
+        with pytest.raises(ValueError, match="empty"):
+            GeneratorSpec(signature=(0, 0))
+
     def test_adjoint_swaps_pair_eigenvalues(self):
         spec = GeneratorSpec(signature=(1, 1), neutral_pairs=(((1.0 + 0j), (2.0 + 0j)),))
         gen = build_normal_with_types(spec)

@@ -104,6 +104,27 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             Disk(0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Rectangle(-1e308, -1e308, 1e308, 1e308),  # width overflows to inf
+            lambda: Rectangle(0.0, 0.0, 1e308, 1.0),
+            lambda: Rectangle(-1e301, 0.0, 0.0, 1.0),
+            lambda: Disk(1e301 + 0j, 1.0),
+            lambda: Disk(0j, 1.7e308),
+        ],
+    )
+    def test_primitives_beyond_coordinate_range_rejected(self, make):
+        with pytest.raises(ValueError, match="1e\\+300"):
+            make()
+
+    def test_widest_rectangle_keeps_finite_geometry(self):
+        # |b - a|^2 of an edge would overflow; the boundary distance avoids it
+        rect = Rectangle(-1e300, -1e300, 1e300, 1e300)
+        assert rect.boundary_distance(0j) == 1e300
+        points, weights = rect.quadrature(128)
+        assert np.isfinite(points).all() and np.isfinite(weights).all()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_primitives_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

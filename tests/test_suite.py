@@ -3,7 +3,7 @@ study beyond it may warn but never fail."""
 
 import pytest
 
-from krein_spectra import ToleranceConfig, classification, run_suite
+from krein_spectra import classification, run_suite
 from krein_spectra.report import CheckStatus
 from krein_spectra.suite import run_trial
 
@@ -25,6 +25,10 @@ class TestRunSuite:
         for entry in report.entries:
             if entry.status is CheckStatus.FAIL:
                 assert entry.repro
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_suite(trials=2, seed=-1, threads=1)
 
     def test_trial_index_validation(self):
         with pytest.raises(ValueError, match="outside range"):
@@ -48,19 +52,19 @@ class TestRunSuite:
         assert serial.to_json() == parallel.to_json()
 
 
-def test_spectrum_runs_once_per_operator(monkeypatch):
+def test_kernels_extracted_once_per_operator_and_cluster(monkeypatch):
     # every check group and every library call on a trial's operators reads
-    # the classification cached on the operator instead of recomputing it
-    operators = []
-    original = classification.spectrum
+    # the points classified on the operator instead of extracting them again
+    extracted = []  # (operator, cluster index); holding N keeps its id unique
+    original = classification._cluster_kernels
 
-    def counting_spectrum(N, cfg=ToleranceConfig()):
-        operators.append(N)
-        return original(N, cfg)
+    def counting(N, clusters, index, cfg):
+        extracted.append((N, index))
+        return original(N, clusters, index, cfg)
 
-    monkeypatch.setattr(classification, "spectrum", counting_spectrum)
+    monkeypatch.setattr(classification, "_cluster_kernels", counting)
     for trial in range(24):
         run_trial(trial, 0, (2, 12), 1e2)
-    distinct = {id(N) for N in operators}
-    assert len(distinct) > 24  # perturbed operators of stable trials count too
-    assert len(operators) == len(distinct)
+    keys = [(id(N), index) for N, index in extracted]
+    assert len({id(N) for N, _ in extracted}) > 24  # perturbed operators count too
+    assert len(keys) == len(set(keys))
