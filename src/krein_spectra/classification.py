@@ -66,9 +66,12 @@ class ToleranceConfig:
     clustering radius, ``rank_tol`` with the larger of the top singular
     value of the matrix whose kernel is sought and the full operator scale
     ``max(1, ||N||)``, ``definiteness_tol`` with the Gram scale, and
-    ``normality_tol`` with ``max(1, ||N||_F^2)``.  ``contour_nodes``, the
-    quadrature node count per contour piece, lies in
-    ``[16, MAX_CONTOUR_NODES]``.
+    ``normality_tol`` with ``max(1, ||N||_F^2)``.  ``contour_nodes`` caps
+    the contour quadrature and lies in ``[16, MAX_CONTOUR_NODES]``: a disk
+    stops once its nested trapezoid rule has converged, after at most
+    ``2 * contour_nodes`` nodes; a rectangle uses ``contour_nodes`` nodes,
+    checked against twice as many.  A resolvent probe's pole-order
+    integral takes ``contour_nodes`` nodes.
     """
 
     cluster_tol: float = 1e-7

@@ -39,6 +39,7 @@ from .projections import (
     MAX_MAXIMALITY_SUBSPACES,
     MAX_PROBE_SAMPLES,
     local_spectral_function,
+    probe_radius_floor,
     resolvent_probe,
     riesz_projection_contour,
     riesz_projection_oracle,
@@ -203,6 +204,12 @@ def cmd_probe_resolvent(args) -> int:
         raise DocumentError(
             f"--radii must be finite, positive and strictly decreasing, got {args.radii!r}"
         )
+    floor = probe_radius_floor(lam)
+    if radii[-1] <= floor:
+        raise DocumentError(
+            f"--radii: {radii[-1]!r} is within {floor:.3g} of the point, "
+            "where its samples round onto it"
+        )
     if not 1 <= args.samples <= MAX_PROBE_SAMPLES:
         raise DocumentError(
             f"--samples must be between 1 and {MAX_PROBE_SAMPLES}, got {args.samples}"
@@ -341,8 +348,19 @@ def cmd_suite(args) -> int:
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser (subcommand parsers included) whose usage errors,
+    such as an unknown flag or a value of the wrong type, are input errors:
+    exit 1, not argparse's 2, which this CLI reserves for precondition
+    violations.  ``--help`` still exits 0."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="krein-spectra",
         description="Spectral classification and projection toolkit for normal "
         "operators in indefinite inner product spaces",

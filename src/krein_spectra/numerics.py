@@ -20,10 +20,11 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from ._errors import SpectralOverlapError
-from .regions import Disk
+from .regions import Disk, Rectangle
 
 __all__ = [
     "OrderedDecomposition",
+    "boundary_resolvent_sums",
     "complex_schur",
     "contour_integral_resolvent",
     "laurent_coefficients",
@@ -215,6 +216,56 @@ def resolvent_at(
     """
     t, u = schur
     return u @ _schur_resolvent_sums(t, points, weights) @ u.conj().T
+
+
+def _disk_ladder(max_nodes: int) -> list[int]:
+    """Rule sizes of the nested trapezoid ladder on a circle, ending at
+    ``2 * max_nodes``: it starts at ``2 * max_nodes / 2**k`` for the largest
+    k that leaves a whole number of at least 16, and doubles."""
+    sizes = [2 * max_nodes]
+    while sizes[-1] % 2 == 0 and sizes[-1] // 2 >= 16:
+        sizes.append(sizes[-1] // 2)
+    return sizes[::-1]
+
+
+def boundary_resolvent_sums(
+    t: np.ndarray, piece: Disk | Rectangle, max_nodes: int, tol: float
+) -> np.ndarray:
+    """``(1/2 pi i) ∮ (z - T)^{-1} dz`` over the boundary of one region
+    piece, for an upper-triangular T, stacked with the last change of its
+    convergence check: an array of shape ``(2, n, n)`` in the Schur basis.
+
+    A disk climbs the nested trapezoid ladder of :func:`_disk_ladder`.  The
+    rule of ``m`` nodes is every ``(2 * max_nodes / m)``-th node of the
+    largest rule (bitwise), with that many times its weights, so each
+    doubling evaluates only its new odd nodes.  The climb stops at the
+    first rule ``q_2m`` with ``||q_2m - q_m||_F <= tol * max(1,
+    ||q_2m||_F)``, or at ``2 * max_nodes`` nodes; ``q_2m`` is returned.  A
+    rectangle's Gauss-Legendre panels do not nest: it returns its rule at
+    ``max_nodes`` nodes, checked against the rule at twice as many, and
+    ignores ``tol``.  The stopping rule reads only the quadrature sums.
+    """
+    if not isinstance(piece, Disk):
+        points, weights = piece.quadrature_pair(max_nodes)
+        coarse, fine = _schur_resolvent_sums(t, points, weights / (2.0j * np.pi))
+        return np.stack([coarse, fine - coarse])
+    sizes = _disk_ladder(max_nodes)
+    points, weights = piece.quadrature(sizes[-1])
+    weights = weights / (2.0j * np.pi)
+    # the largest rule's weights summed over the nodes evaluated so far; the
+    # stride is a power of two, so scaling by it is exact
+    stride = sizes[-1] // sizes[0]
+    total = _schur_resolvent_sums(t, points[::stride], weights[::stride])[0]
+    q = stride * total
+    while stride > 1:
+        odd = slice(stride // 2, None, stride)
+        total += _schur_resolvent_sums(t, points[odd], weights[odd])[0]
+        stride //= 2
+        finer = stride * total
+        change, q = finer - q, finer
+        if frobenius(change) <= tol * max(1.0, frobenius(q)):
+            break
+    return np.stack([q, change])
 
 
 def _schur_resolvent_sums(t: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -409,12 +460,10 @@ def contour_integral_resolvent(
     ``k = 0`` on a spectrum-enclosing circle gives the identity; ``k >= 1``
     probes Laurent coefficients at an enclosed isolated eigenvalue.  The
     nodes are the disk's own rule (:meth:`Disk.quadrature`); the integral
-    is formed in the Schur basis by :func:`laurent_coefficients` and
-    transformed back.  Whether the circle keeps clear of the spectrum is
-    the caller's decision.
+    is formed by :func:`resolvent_at`.  Whether the circle keeps clear of
+    the spectrum is the caller's decision.
     """
-    t, u = schur
-    return u @ laurent_coefficients(t, disk, [k], nodes)[0] @ u.conj().T
+    return resolvent_at(schur, *_laurent_rule(disk, [k], nodes))[0]
 
 
 def laurent_coefficients(
@@ -425,7 +474,14 @@ def laurent_coefficients(
     upper-triangular Schur factor T, one for each k of ``orders``, stacked
     along axis 0.  Each node's shifted triangle is inverted once for all
     orders."""
+    return _schur_resolvent_sums(t, *_laurent_rule(disk, orders, nodes))
+
+
+def _laurent_rule(
+    disk: Disk, orders: Sequence[int], nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The disk's trapezoid nodes and one weight row per order k, for the
+    integrand ``(z - center)^k / (2 pi i)``."""
     points, weights = disk.quadrature(nodes)
     powers = np.asarray(orders)[:, None]
-    factors = weights * (points - disk.center) ** powers / (2.0j * np.pi)
-    return _schur_resolvent_sums(t, points, factors)
+    return points, weights * (points - disk.center) ** powers / (2.0j * np.pi)

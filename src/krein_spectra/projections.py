@@ -49,9 +49,9 @@ from .core import (
 from .numerics import (
     _NODE_BATCH,
     OrderedDecomposition,
+    boundary_resolvent_sums,
     frobenius,
     laurent_coefficients,
-    resolvent_at,
     smallest_singular_values,
     spectral_projector,
 )
@@ -64,6 +64,7 @@ __all__ = [
     "ResolventProbeResult",
     "SpectralProjectionResult",
     "local_spectral_function",
+    "probe_radius_floor",
     "projection_defect",
     "range_basis",
     "region_selection",
@@ -80,6 +81,9 @@ __all__ = [
 # accepts ||Q^2 - Q||_F <= factor (1 + ||Q||_F^2): results and defect inputs
 _IDEM_ACCEPT_FACTOR = 1e-8
 _CONVERGENCE_FLAG_TOL = 1e-6
+# a disk's nested quadrature stops once successive sums agree to this,
+# relative to max(1, ||sum||_F)
+_QUADRATURE_TOL = 1e-10
 # projections have singular values either >= 1 or ~ 0, so this cut
 # separates range from kernel directions robustly
 _RANGE_CUTOFF = 0.5
@@ -89,6 +93,8 @@ _DEFECT_RANK_TOL = 1e-8
 MAX_PROBE_SAMPLES = 2**14
 # largest count of random subspaces one maximality check draws
 MAX_MAXIMALITY_SUBSPACES = 2**14
+# a probe radius must exceed this many ulps of max(1, |point|)
+_PROBE_RADIUS_ULPS = 4
 
 
 def range_basis(Q: np.ndarray) -> SubspaceBasis:
@@ -188,11 +194,13 @@ def riesz_projection_contour(
     eigenvalue covered by two primitives would be counted twice, so such
     regions are refused.  The resolvents are evaluated in the operator's
     cached Schur basis (``N.schur``, the factor the oracle route certifies)
-    by :func:`resolvent_at`.  Convergence is self-checked by doubling the
-    node count: the sums at ``cfg.contour_nodes`` and at twice as many
-    nodes come from one pass, and on a disk the coarse rule reuses the even
-    nodes of the fine one, so each disk node is evaluated once.  A
-    discrepancy above 1e-6 flags the result instead of failing.
+    by :func:`boundary_resolvent_sums`, and the sum is transformed back
+    once.  Convergence is self-checked by doubling the node count.  A disk
+    climbs a nested trapezoid ladder, evaluating each node once, and stops
+    as soon as two successive sums agree to ``_QUADRATURE_TOL`` relative;
+    at most it evaluates ``2 * cfg.contour_nodes`` nodes.  A rectangle
+    compares its rules at ``cfg.contour_nodes`` and twice as many nodes.
+    A last change above 1e-6 flags the result instead of failing.
     """
     eigs = N.eigenvalues
     inside = region_selection(N, region, cfg, eigs)
@@ -203,15 +211,17 @@ def riesz_projection_contour(
             "the per-primitive contour sum would double-count them"
         )
 
-    rules = [piece.quadrature_pair(cfg.contour_nodes) for piece in region.pieces]
-    points = np.concatenate([np.empty(0)] + [pts for pts, _ in rules])
-    weights = np.concatenate([np.empty((2, 0))] + [wts for _, wts in rules], axis=1)
-    q, q_refined = resolvent_at(N.schur, points, weights / (2.0j * np.pi))
-    delta = frobenius(q_refined - q)
+    t, u = N.schur
+    # in the Schur basis: the sum and the last change of its convergence check
+    sums = np.zeros((2,) + t.shape, dtype=np.complex128)
+    for piece in region.pieces:
+        sums += boundary_resolvent_sums(t, piece, cfg.contour_nodes, _QUADRATURE_TOL)
+    # the Frobenius norm of the change needs no transform back
+    delta = frobenius(sums[1])
     warnings = ()
     if delta > _CONVERGENCE_FLAG_TOL:
         warnings = (f"quadrature-not-converged:delta={delta:.3e}",)
-    return _make_result(q, N, cfg, warnings, strict=False)
+    return _make_result(u @ sums[0] @ u.conj().T, N, cfg, warnings, strict=False)
 
 
 def riesz_projection_oracle(
@@ -754,6 +764,13 @@ class ResolventProbeResult:
     radius_table: tuple[tuple[float, float], ...]
 
 
+def probe_radius_floor(point: complex) -> float:
+    """Largest radius :func:`resolvent_probe` refuses at ``point``: a few
+    ulps of ``max(1, |point|)``, below which its samples round onto the
+    point (or move off it by a rounding error only)."""
+    return _PROBE_RADIUS_ULPS * float(np.spacing(max(1.0, abs(point))))
+
+
 def resolvent_probe(
     N: KreinOperator,
     lam0: complex,
@@ -778,7 +795,8 @@ def resolvent_probe(
     1e-10 relative; at or below dimension 32, and for any sample the
     iteration does not certify, from a stacked dense SVD of the ``N - z``
     (:func:`numerics.smallest_singular_values`).  ``samples_per_radius``
-    lies in ``[1, MAX_PROBE_SAMPLES]``.
+    lies in ``[1, MAX_PROBE_SAMPLES]``, and every radius must exceed
+    :func:`probe_radius_floor` of ``lam0``.
     """
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
@@ -788,6 +806,9 @@ def resolvent_probe(
     if not 1 <= samples_per_radius <= MAX_PROBE_SAMPLES:
         raise ValueError(f"samples_per_radius must be between 1 and {MAX_PROBE_SAMPLES}")
     idx = locate_point(N, lam0, cfg)
+    floor = probe_radius_floor(lam0)
+    if radii[-1] <= floor:
+        raise ValueError(f"radius {radii[-1]!r} is within {floor:.3g} of the point")
     reps = np.array(clustering(N, cfg).values)
     cluster_radius = cfg.cluster_radius(N)
     center = complex(reps[idx])

@@ -2,9 +2,12 @@
 
 Regions select spectral subsets and carry their own boundary geometry:
 exact membership tests, distance to the boundary of each primitive, and
-quadrature nodes for contour integrals (trapezoidal on circles, composite
-Gauss-Legendre on rectangle edges, both counterclockwise), alone or paired
-with the rule at twice the nodes for convergence checks.
+quadrature nodes for contour integrals, counterclockwise.  Circles take
+the trapezoidal rule, whose rules nest: the even nodes of the
+``2 * nodes``-point rule are the ``nodes``-point rule's, bitwise, so a
+convergence check by doubling evaluates only the new odd nodes.
+Rectangle edges take composite Gauss-Legendre panels, which do not nest;
+a rectangle pairs its rule with the rule at twice the nodes.
 """
 
 from __future__ import annotations
@@ -53,22 +56,15 @@ class Disk:
         return Disk(np.conj(self.center), self.radius)
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        """Trapezoidal nodes and weights with sum(w_j f(z_j)) ~ contour integral."""
+        """Trapezoidal nodes and weights with sum(w_j f(z_j)) ~ contour
+        integral.  The even nodes of ``quadrature(2 * nodes)`` are the nodes
+        of ``quadrature(nodes)`` bitwise, since ``2 pi k / nodes == 2 pi (2k) /
+        (2 nodes)`` in floating point."""
         theta = 2.0 * np.pi * np.arange(nodes) / nodes
         unit = np.exp(1j * theta)
         points = self.center + self.radius * unit
         weights = (2.0j * np.pi / nodes) * self.radius * unit
         return points, weights
-
-    def quadrature_pair(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``2 * nodes``-point rule's nodes with two weight rows: the
-        ``nodes``-point rule, whose nodes are the even ones (bitwise, since
-        ``2 pi k / nodes == 2 pi (2k) / (2 nodes)`` in floating point), and
-        the ``2 * nodes``-point rule."""
-        points, fine = self.quadrature(2 * nodes)
-        coarse = np.zeros_like(fine)
-        coarse[::2] = self.quadrature(nodes)[1]
-        return points, np.stack([coarse, fine])
 
 
 def _segment_distance(z: complex, a: complex, b: complex) -> float:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -205,6 +206,9 @@ class TestExitCodes:
             (["suite", "--trials", "2", "--seed", "-1"], "--seed"),
             (["project", "OP", "--rect=-1e308,-1e308,1e308,1e308"], "--rect"),
             (["project", "OP", "--disk=0,0,1e308"], "--disk"),
+            # every sample 1 + 5e-324 e^{i theta} rounds onto the eigenvalue 1
+            (["probe-resolvent", "OP", "--point=1,0", "--radii=1e300,5e-324"], "--radii"),
+            (["probe-resolvent", "OP", "--point=1,0", "--radii=0.4,1e-16"], "--radii"),
         ],
         ids=[
             "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
@@ -214,7 +218,8 @@ class TestExitCodes:
             "threads-negative", "threads-zero", "disk-nan-center", "disk-infinite-radius",
             "rect-infinite-bound", "lsf-verify-disk-nan-center", "lsf-verify-seed-negative",
             "lsf-verify-subspaces-negative", "lsf-verify-subspaces-zero", "suite-seed-negative",
-            "rect-overflowing-width", "disk-overflowing-nodes",
+            "rect-overflowing-width", "disk-overflowing-nodes", "radii-sub-ulp",
+            "radii-within-ulps",
         ],
     )
     def test_bad_argument_is_exit_1(self, tmp_path, capsys, args, flag):
@@ -222,6 +227,31 @@ class TestExitCodes:
         assert main([path if a == "OP" else a for a in args]) == 1
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["lsf-verify", "OP", "--disk=1,0,0.4", "--seed", "nan"], "--seed"),
+            (["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", "1.5"], "--subspaces"),
+            (["classify", "OP", "--bogus"], "--bogus"),
+            (["suite", "--trials", "two"], "--trials"),
+        ],
+        ids=["seed-nan", "subspaces-float", "unknown-flag", "trials-word"],
+    )
+    def test_usage_error_is_exit_1(self, tmp_path, capsys, args, flag):
+        path = str(write_operator(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main([path if a == "OP" else a for a in args])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert flag in err and "input error" in err
+
+    @pytest.mark.parametrize("args", [["--help"], ["suite", "--help"]])
+    def test_help_is_exit_0(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_sylvester_overlap_is_exit_2(self, tmp_path):
         payload = {
@@ -493,8 +523,7 @@ class TestSuiteCommand:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
-# Negative, zero, huge and non-finite spellings of a flag value; integer
-# flags refuse the float spellings through argparse (exit 2).
+# Negative, zero, huge and non-finite spellings of a flag value.
 _EXTREME = st.one_of(
     st.integers(-(2**80), 0),
     st.integers(2**40, 2**80),
@@ -503,41 +532,95 @@ _EXTREME = st.one_of(
 ).map(str)
 
 
+def _int_in(lo, hi=math.inf):
+    def valid(value):
+        try:
+            return lo <= int(value) <= hi
+        except ValueError:  # a float spelling, or not a number
+            return False
+
+    return valid
+
+
+def _finite(value):
+    return math.isfinite(float(value))
+
+
+def _positive(value):
+    return 0 < float(value) < math.inf
+
+
+_SUITE = ["suite", "--trials", "1", "--dims", "2:2", "--threads", "1"]
+
+
 @st.composite
 def _extreme_argv(draw):
-    """One subcommand on OP with one or more flag values drawn from _EXTREME."""
-    def part(sane):
-        return draw(st.one_of(st.just(sane), _EXTREME))
+    """One subcommand on OP (an operator document), SYL (a Sylvester
+    document) or SPEC (a generator spec) with one or more flag values drawn
+    from _EXTREME, and whether a drawn value is of the wrong type or out of
+    range for its flag."""
+    refused = []
 
-    return draw(
-        st.sampled_from(
-            [
-                ["lsf-verify", "OP", "--disk=1,0,0.4", "--seed", part("0")],
-                ["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", part("4")],
-                ["probe-resolvent", "OP", "--point=1,0", "--radii=0.4", "--samples", part("4")],
-                ["probe-resolvent", "OP", "--point=1,0", f"--radii={part('0.4')},{part('0.2')}"],
-                ["project", "OP", f"--disk={part('1')},{part('0')},{part('0.4')}"],
-                ["lsf-verify", "OP", f"--disk={part('1')},{part('0')},{part('0.4')}"],
-                ["project", "OP", f"--rect={part('0.5')},{part('-1')},{part('1.5')},{part('1')}"],
-                ["lsf-verify", "OP", f"--rect={part('0.5')},{part('-1')},{part('1.5')},{part('1')}"],
-            ]
-        )
-    )
+    def part(sane, valid):
+        value = draw(st.one_of(st.just(sane), _EXTREME))
+        if value != sane and not valid(value):
+            refused.append(value)
+        return value
+
+    builders = [
+        lambda: ["lsf-verify", "OP", "--disk=1,0,0.4", "--seed", part("0", _int_in(0))],
+        lambda: ["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", part("4", _int_in(1, 2**14))],
+        lambda: ["probe-resolvent", "OP", "--point=1,0", "--radii=0.4",
+                 "--samples", part("4", _int_in(1, 2**14))],
+        lambda: ["probe-resolvent", "OP", "--point=1,0",
+                 f"--radii={part('0.4', _positive)},{part('0.2', _positive)}"],
+        lambda: ["project", "OP",
+                 f"--disk={part('1', _finite)},{part('0', _finite)},{part('0.4', _positive)}"],
+        lambda: ["lsf-verify", "OP",
+                 f"--disk={part('1', _finite)},{part('0', _finite)},{part('0.4', _positive)}"],
+        lambda: ["project", "OP", f"--rect={part('0.5', _finite)},{part('-1', _finite)},"
+                 f"{part('1.5', _finite)},{part('1', _finite)}"],
+        lambda: ["lsf-verify", "OP", f"--rect={part('0.5', _finite)},{part('-1', _finite)},"
+                 f"{part('1.5', _finite)},{part('1', _finite)}"],
+        # a value where none is expected is an unknown argument
+        lambda: ["classify", "OP", part("--json", lambda v: False)],
+        lambda: ["stability", "OP", part("--emit-bases", lambda v: False)],
+        lambda: ["sylvester", part("SYL", lambda v: False)],
+        lambda: ["generate", part("SPEC", lambda v: False)],
+        lambda: _SUITE + ["--seed", part("0", _int_in(0))],
+        lambda: _SUITE + ["--only-trial", part("0", _int_in(0, 0))],
+        lambda: _SUITE + ["--cond-bound", part("10", lambda v: 1 <= float(v) < math.inf)],
+    ]
+    argv = draw(st.sampled_from(builders))()
+    return argv, bool(refused)
 
 
 @pytest.fixture(scope="module")
-def dim3_operator(tmp_path_factory):
+def dim3_documents(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("dim3")
     gram, matrix = np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 2.0, 3.0 + 1.0j])
-    return str(write_operator(tmp_path_factory.mktemp("dim3"), gram=gram, matrix=matrix))
+    syl = tmp / "syl.json"
+    syl.write_text('{"s": [[[1, 0]]], "t": [[[2, 0]]], "z": [[[1, 0]]]}', encoding="utf-8")
+    spec = tmp / "spec.json"
+    spec.write_text(
+        '{"signature": [1, 1], "positive_type_eigs": [{"value": [1, 0], "mult": 1}],'
+        ' "negative_type_eigs": [{"value": [3, 0], "mult": 1}]}',
+        encoding="utf-8",
+    )
+    return {"OP": str(write_operator(tmp, gram=gram, matrix=matrix)),
+            "SYL": str(syl), "SPEC": str(spec)}
 
 
 @settings(max_examples=60, deadline=None)
-@given(argv=_extreme_argv())
-def test_extreme_flag_values_end_in_an_exit_code(dim3_operator, argv):
+@given(case=_extreme_argv())
+def test_extreme_flag_values_end_in_an_exit_code(dim3_documents, case):
+    argv, refused = case
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main([dim3_operator if a == "OP" else a for a in argv])
+            code = main([dim3_documents.get(a, a) for a in argv])
         except SystemExit as exc:  # argparse refuses a value of the wrong type
             code = exc.code
-    assert code in range(5) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    # a value of the wrong type or out of range is an input error
+    assert code == 1 if refused else code in range(5), (argv, code, err.getvalue())

@@ -73,6 +73,14 @@ class TestResolventProbe:
         with pytest.raises(ValueError, match="decreasing"):
             resolvent_probe(n, 1.0, radii=[0.1, 0.2])
 
+    @pytest.mark.parametrize("point, radius", [(1.0, 5e-324), (1.0, 4e-16), (1e3, 4e-13)])
+    def test_radius_below_float_spacing_refused(self, point, radius):
+        # every sample point + radius e^{i theta} rounds onto the point, or
+        # moves off it by a rounding error only
+        n = KreinOperator(np.diag([1.0, 1e3]), KreinSpace.euclidean(2))
+        with pytest.raises(ValueError, match="within"):
+            resolvent_probe(n, point, radii=[0.4, radius])
+
 
 class TestStrongStability:
     def test_definite_pair_is_stable(self):

@@ -331,12 +331,12 @@ def inverted(monkeypatch):
     return counts
 
 
-def test_contour_inverts_each_disk_node_once(monkeypatch, inverted):
+def test_contour_inverts_each_disk_node_once(monkeypatch):
     N = _operator_with_jordan_cell()
-    nodes = 64
-    schur_calls, solves = [], []
+    schur_calls, solves, shifts = [], [], []
     schur = scipy.linalg.schur
     solve = np.linalg.solve
+    shifted_inverses = numerics._shifted_inverses
 
     def counting_schur(*args, **kwargs):
         schur_calls.append(args[0].shape)
@@ -346,23 +346,57 @@ def test_contour_inverts_each_disk_node_once(monkeypatch, inverted):
         solves.append(np.array(a))
         return solve(a, b)
 
+    def recording_inverses(t, z, *buffers):
+        shifts.extend(z)
+        return shifted_inverses(t, z, *buffers)
+
     def refuse(*args, **kwargs):
         raise AssertionError("dense solve or inverse called")
 
     monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(numerics, "_shifted_inverses", recording_inverses)
     for module, name in ((np.linalg, "inv"), (scipy.linalg, "solve"),
                          (scipy.linalg, "inv"), (scipy.linalg, "lu_factor")):
         monkeypatch.setattr(module, name, refuse)
-    cfg = ToleranceConfig(contour_nodes=nodes)
-    result = riesz_projection_contour(N, Region.disk(1.0 + 0.5j, 0.5), cfg=cfg)
-    assert result.rank == 2
-    assert sum(inverted) == 2 * nodes
+    # the nearest other eigenvalue is 3.6 radii from the center: the nested
+    # rule converges at 32 nodes and stops at 64, whatever the cap
+    for nodes in (32, 128):
+        shifts.clear()
+        cfg = ToleranceConfig(contour_nodes=nodes)
+        result = riesz_projection_contour(N, Region.disk(1.0 + 0.5j, 0.5), cfg=cfg)
+        assert result.rank == 2 and not result.warnings
+        # every node inverted at most once
+        assert len(set(shifts)) == len(shifts) == 64
     # the operator's own cached Schur form, nothing more
     assert schur_calls == [(N.dim, N.dim)]
     # only the Krein adjoint's solve against the Gram, never a shifted N
     assert all(a.shape == (N.dim, N.dim) for a in solves)
     assert all(np.array_equal(a, N.space.gram) for a in solves)
+
+
+@pytest.mark.parametrize(
+    "contour_nodes, ladder",
+    [
+        (100, [25, 50, 100, 200]),
+        (17, [17, 34]),
+        (128, [16, 32, 64, 128, 256]),
+        (16, [16, 32]),
+    ],
+)
+def test_disk_ladder_ends_at_twice_contour_nodes(contour_nodes, ladder):
+    assert numerics._disk_ladder(contour_nodes) == ladder
+
+
+def test_nested_rule_agrees_with_fixed_rule(classified_bank):
+    # the ladder's sum against one fixed rule at 2 * contour_nodes nodes
+    cfg = ToleranceConfig()
+    for _, N, points in classified_bank:
+        region = contour_regions(points)[0]
+        got = riesz_projection_contour(N, region, cfg=cfg).matrix
+        pts, wts = region.pieces[0].quadrature(2 * cfg.contour_nodes)
+        want = numerics.resolvent_at(N.schur, pts, wts / (2.0j * np.pi))[0]
+        assert frobenius(got - want) <= 1e-12 * max(1.0, frobenius(want))
 
 
 def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch, inverted):
@@ -381,12 +415,15 @@ def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch, inverte
     assert sum(inverted) == cfg.contour_nodes
 
 
-def test_eigenvalue_near_circle_not_converged_at_few_nodes():
+def test_eigenvalue_near_circle_not_converged_at_few_nodes(inverted):
     N = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
     coarse = riesz_projection_contour(
         N, Region.disk(1.0, 0.9), cfg=ToleranceConfig(contour_nodes=16)
     )
     assert any(w.startswith("quadrature-not-converged") for w in coarse.warnings)
+    # the eigenvalue 2 lies 0.1 outside the circle: the ladder 16 -> 32
+    # never meets its tolerance, so it inverts the nodes of the fixed pair
+    assert sum(inverted) == 32
     fine = riesz_projection_contour(
         N, Region.disk(1.0, 0.5), cfg=ToleranceConfig(contour_nodes=128)
     )
