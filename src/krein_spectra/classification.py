@@ -70,8 +70,8 @@ class ToleranceConfig:
     the contour quadrature and lies in ``[16, MAX_CONTOUR_NODES]``: a disk
     stops once its nested trapezoid rule has converged, after at most
     ``2 * contour_nodes`` nodes; a rectangle uses ``contour_nodes`` nodes,
-    checked against twice as many.  A resolvent probe's pole-order
-    integral takes ``contour_nodes`` nodes.
+    checked against twice as many.  A resolvent probe's pole order takes
+    no quadrature and does not read ``contour_nodes``.
     """
 
     cluster_tol: float = 1e-7

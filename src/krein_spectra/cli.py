@@ -204,11 +204,11 @@ def cmd_probe_resolvent(args) -> int:
         raise DocumentError(
             f"--radii must be finite, positive and strictly decreasing, got {args.radii!r}"
         )
-    floor = probe_radius_floor(lam)
+    floor = probe_radius_floor(operator, lam, doc.tolerances)
     if radii[-1] <= floor:
         raise DocumentError(
             f"--radii: {radii[-1]!r} is within {floor:.3g} of the point, "
-            "where its samples round onto it"
+            "where its samples are discarded as spectral or round onto it"
         )
     if not 1 <= args.samples <= MAX_PROBE_SAMPLES:
         raise DocumentError(

@@ -27,8 +27,8 @@ __all__ = [
     "boundary_resolvent_sums",
     "complex_schur",
     "contour_integral_resolvent",
-    "laurent_coefficients",
     "ordered_spectral_decomposition",
+    "projector_row",
     "reorder_schur",
     "solve_sylvester",
     "solve_sylvester_dense",
@@ -119,24 +119,31 @@ def ordered_spectral_decomposition(
 
 
 def spectral_projector(dec: OrderedDecomposition) -> np.ndarray:
-    """Spectral projector onto the invariant subspace of the leading block.
-
-    Solves ``T11 R - R T22 = -T12`` on the triangular factor's own blocks,
-    whose spectra the split separates, which block-diagonalizes it; in
-    the decoupled coordinates the projector is [[I, 0], [0, 0]].
-    """
+    """Spectral projector onto the invariant subspace of the leading block:
+    ``U [[I, -R], [0, 0]] U*`` with the first block row of
+    :func:`projector_row`."""
     n = dec.triangular.shape[0]
     k = dec.split
     if k == 0:
         return np.zeros((n, n), dtype=np.complex128)
     if k == n:
         return np.eye(n, dtype=np.complex128)
-    t = dec.triangular
-    r = _triangular_sylvester(t[:k, :k], t[k:, k:], -t[:k, k:])
     q_inner = np.zeros((n, n), dtype=np.complex128)
-    q_inner[:k, :k] = np.eye(k)
-    q_inner[:k, k:] = -r
+    q_inner[:k] = projector_row(dec)
     return dec.unitary @ q_inner @ dec.unitary.conj().T
+
+
+def projector_row(dec: OrderedDecomposition) -> np.ndarray:
+    """The first block row ``[I, -R]`` (``split x n``; the other rows vanish)
+    of the leading block's spectral projector in the reordered Schur basis.
+    ``R`` solves ``T11 R - R T22 = -T12`` on the triangular factor's own
+    blocks, whose spectra the split separates; it block-diagonalizes T."""
+    t, k = dec.triangular, dec.split
+    row = np.zeros((k, t.shape[0]), dtype=np.complex128)
+    row[:, :k] = np.eye(k)
+    if 0 < k < t.shape[0]:
+        row[:, k:] = -_triangular_sylvester(t[:k, :k], t[k:, k:], -t[:k, k:])
+    return row
 
 
 def sylvester_spectral_gap(S: np.ndarray, T: np.ndarray) -> tuple[float, tuple[complex, complex]]:
@@ -458,30 +465,12 @@ def contour_integral_resolvent(
     ``disk``, for the complex Schur form ``N = U T U*`` (``schur = (T, U)``).
 
     ``k = 0`` on a spectrum-enclosing circle gives the identity; ``k >= 1``
-    probes Laurent coefficients at an enclosed isolated eigenvalue.  The
-    nodes are the disk's own rule (:meth:`Disk.quadrature`); the integral
-    is formed by :func:`resolvent_at`.  Whether the circle keeps clear of
-    the spectrum is the caller's decision.
+    gives the order-k Laurent coefficient at the enclosed eigenvalues.  The
+    nodes are the disk's own rule (:meth:`Disk.quadrature`), weighted by
+    ``(z - center)^k / (2 pi i)``; the integral is formed by
+    :func:`resolvent_at`.  Whether the circle keeps clear of the spectrum
+    is the caller's decision.
     """
-    return resolvent_at(schur, *_laurent_rule(disk, [k], nodes))[0]
-
-
-def laurent_coefficients(
-    t: np.ndarray, disk: Disk, orders: Sequence[int], nodes: int = 128
-) -> np.ndarray:
-    """The integrals of :func:`contour_integral_resolvent` in the Schur
-    basis, ``(1/2 pi i) ∮ (z - center)^k (z - T)^{-1} dz`` for the
-    upper-triangular Schur factor T, one for each k of ``orders``, stacked
-    along axis 0.  Each node's shifted triangle is inverted once for all
-    orders."""
-    return _schur_resolvent_sums(t, *_laurent_rule(disk, orders, nodes))
-
-
-def _laurent_rule(
-    disk: Disk, orders: Sequence[int], nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The disk's trapezoid nodes and one weight row per order k, for the
-    integrand ``(z - center)^k / (2 pi i)``."""
     points, weights = disk.quadrature(nodes)
-    powers = np.asarray(orders)[:, None]
-    return points, weights * (points - disk.center) ** powers / (2.0j * np.pi)
+    weights = weights * (points - disk.center) ** k / (2.0j * np.pi)
+    return resolvent_at(schur, points, weights)[0]

@@ -51,7 +51,7 @@ from .numerics import (
     OrderedDecomposition,
     boundary_resolvent_sums,
     frobenius,
-    laurent_coefficients,
+    projector_row,
     smallest_singular_values,
     spectral_projector,
 )
@@ -764,11 +764,13 @@ class ResolventProbeResult:
     radius_table: tuple[tuple[float, float], ...]
 
 
-def probe_radius_floor(point: complex) -> float:
-    """Largest radius :func:`resolvent_probe` refuses at ``point``: a few
-    ulps of ``max(1, |point|)``, below which its samples round onto the
-    point (or move off it by a rounding error only)."""
-    return _PROBE_RADIUS_ULPS * float(np.spacing(max(1.0, abs(point))))
+def probe_radius_floor(N: KreinOperator, point: complex, cfg: ToleranceConfig) -> float:
+    """Largest radius :func:`resolvent_probe` refuses at ``point``: the
+    clustering radius of N, within which every sample is discarded as
+    spectral, or a few ulps of ``max(1, |point|)``, below which the samples
+    round onto the point, whichever is larger."""
+    ulps = _PROBE_RADIUS_ULPS * float(np.spacing(max(1.0, abs(point))))
+    return max(ulps, cfg.cluster_radius(N))
 
 
 def resolvent_probe(
@@ -781,12 +783,12 @@ def resolvent_probe(
     """Sample ``||(N - z)^{-1}|| * dist(z, spectrum)`` on circles around a
     spectral point and measure the resolvent pole order there.
 
-    The pole order is the smallest power k >= 1 whose weighted contour
-    integral of the resolvent vanishes; it equals one exactly at isolated
-    points of two-sided positive type and exceeds one at defective ones.
-    Its circle of integration is refused by :func:`region_selection` when
-    it passes within the boundary gap of an eigenvalue.  Samples landing
-    within the clustering radius of the spectrum are discarded.
+    The pole order is the smallest power k >= 1 whose Laurent coefficient
+    on a circle about the point vanishes (in closed form, by
+    :func:`_laurent_norms`, which refuses a circle through the spectrum);
+    it equals one exactly at isolated points of two-sided positive type
+    and exceeds one at defective ones.  Samples landing within the
+    clustering radius of the spectrum are discarded.
 
     ``||(N - z)^{-1}|| = 1 / sigma_min(N - z)``, and ``sigma_min(N - z)``
     equals ``sigma_min(T - z)`` for the cached Schur factor T.  Above
@@ -796,7 +798,7 @@ def resolvent_probe(
     iteration does not certify, from a stacked dense SVD of the ``N - z``
     (:func:`numerics.smallest_singular_values`).  ``samples_per_radius``
     lies in ``[1, MAX_PROBE_SAMPLES]``, and every radius must exceed
-    :func:`probe_radius_floor` of ``lam0``.
+    :func:`probe_radius_floor`.
     """
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
@@ -806,7 +808,7 @@ def resolvent_probe(
     if not 1 <= samples_per_radius <= MAX_PROBE_SAMPLES:
         raise ValueError(f"samples_per_radius must be between 1 and {MAX_PROBE_SAMPLES}")
     idx = locate_point(N, lam0, cfg)
-    floor = probe_radius_floor(lam0)
+    floor = probe_radius_floor(N, lam0, cfg)
     if radii[-1] <= floor:
         raise ValueError(f"radius {radii[-1]!r} is within {floor:.3g} of the point")
     reps = np.array(clustering(N, cfg).values)
@@ -835,24 +837,31 @@ def resolvent_probe(
     else:
         isolation = max(1.0, 0.5 * (1.0 + abs(center)))
     if isolation > 10.0 * cluster_radius:
-        circle = Disk(center, isolation)
-        region_selection(N, Region((circle,)), cfg, ())  # refuses, selects nothing
-        pole_tol = 1e-8 * N.scale
-        # The pole order is at most alg - geo + 1 (the largest Jordan block),
-        # so those orders come from one pass over the nodes; the rest, only
-        # if none of them vanishes, from a second.  Frobenius norms are read
-        # in the Schur basis, which the unitary factor does not change.
-        pt = spectral_point(N, idx, cfg)
-        orders = np.arange(1, pt.alg_mult + 1)
-        for chunk in np.split(orders, [pt.alg_mult - pt.geo_mult + 1]):
-            if not chunk.size:
-                continue
-            coeffs = laurent_coefficients(N.schur[0], circle, chunk, cfg.contour_nodes)
-            vanishing = [k for k, c in zip(chunk, coeffs) if frobenius(c) <= pole_tol]
-            if vanishing:
-                pole_order = int(vanishing[0])
-                break
+        # the pole order is at most the cluster's algebraic multiplicity
+        orders = len(clustering(N, cfg).positions[idx])
+        norms = _laurent_norms(N, Disk(center, isolation), orders, cfg)
+        vanishing = np.flatnonzero(norms <= 1e-8 * N.scale)
+        if vanishing.size:
+            pole_order = int(vanishing[0]) + 1
     return ResolventProbeResult(c_estimate, pole_order, table)
+
+
+def _laurent_norms(N: KreinOperator, circle: Disk, orders: int, cfg: ToleranceConfig) -> np.ndarray:
+    """Frobenius norms of the Laurent coefficients ``(1/2 pi i) ∮ (z - c)^k
+    (z - N)^{-1} dz``, k = 1, ..., ``orders``, on the boundary of ``circle``
+    (center c), in closed form.  By the residue theorem the coefficient is
+    ``(N - c)^k P``, P the Riesz projection of the enclosed Schur positions
+    (:func:`region_selection`, which refuses a circle through the
+    spectrum); in the Schur form reordered on them its only nonzero rows
+    are ``(T11 - c)^k [I, -R]``, and the unitary leaves the norm alone."""
+    dec = invariant_decomposition(N, region_selection(N, Region((circle,)), cfg, N.eigenvalues))
+    shifted = dec.triangular[: dec.split, : dec.split] - circle.center * np.eye(dec.split)
+    coefficient = projector_row(dec)
+    norms = np.empty(orders)
+    for k in range(orders):
+        coefficient = shifted @ coefficient
+        norms[k] = frobenius(coefficient)
+    return norms
 
 
 @dataclass(frozen=True)

@@ -331,13 +331,24 @@ class TestClustersExtractedOnRequest:
         reorders.clear()
         return expected
 
-    def test_probe_resolvent_extracts_its_target_only(self, document, reorders, tmp_path):
-        expected = self.extractions(document, [1.0], reorders)
+    def test_probe_resolvent_extracts_no_kernels(self, document, reorders, tmp_path, monkeypatch):
+        # the pole order reads one Schur form reordered on the positions its
+        # circle encloses (numerics' own binding, not classification's)
+        target = frozenset(self.extractions(document, [1.0], reorders)[0])
+        decompositions = []
+        original = numerics.reorder_schur
+
+        def counting(t, u, select):
+            decompositions.append(frozenset(np.flatnonzero(select).tolist()))
+            return original(t, u, select)
+
+        monkeypatch.setattr(numerics, "reorder_schur", counting)
         out = tmp_path / "probe.json"
         argv = ["probe-resolvent", document, "--point=1,0", "--radii=0.4,0.2", "-o", str(out)]
         assert main(argv) == 0
         assert json.loads(out.read_text())["pole_order"] == 1
-        assert reorders == expected
+        assert reorders == []
+        assert decompositions == [target]
 
     def test_lsf_verify_extracts_the_carrier_only(self, document, reorders, tmp_path):
         expected = self.extractions(document, [1.0, 2.0], reorders)

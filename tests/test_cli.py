@@ -209,6 +209,8 @@ class TestExitCodes:
             # every sample 1 + 5e-324 e^{i theta} rounds onto the eigenvalue 1
             (["probe-resolvent", "OP", "--point=1,0", "--radii=1e300,5e-324"], "--radii"),
             (["probe-resolvent", "OP", "--point=1,0", "--radii=0.4,1e-16"], "--radii"),
+            # every sample 1 + 1e-14 e^{i theta} lies within the clustering radius
+            (["probe-resolvent", "OP", "--point=1,0", "--radii=0.4,1e-14"], "--radii"),
         ],
         ids=[
             "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
@@ -219,7 +221,7 @@ class TestExitCodes:
             "rect-infinite-bound", "lsf-verify-disk-nan-center", "lsf-verify-seed-negative",
             "lsf-verify-subspaces-negative", "lsf-verify-subspaces-zero", "suite-seed-negative",
             "rect-overflowing-width", "disk-overflowing-nodes", "radii-sub-ulp",
-            "radii-within-ulps",
+            "radii-within-ulps", "radii-within-cluster-radius",
         ],
     )
     def test_bad_argument_is_exit_1(self, tmp_path, capsys, args, flag):

@@ -17,7 +17,12 @@ from krein_spectra import (
     sample_generator_spec,
     strong_stability_check,
 )
+from krein_spectra.classification import clustering
+from krein_spectra.core import frobenius
 from krein_spectra.generators import GeneratorSpec, classification_margin
+from krein_spectra.numerics import contour_integral_resolvent
+from krein_spectra.projections import _laurent_norms, probe_radius_floor
+from krein_spectra.regions import Disk
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -80,6 +85,50 @@ class TestResolventProbe:
         n = KreinOperator(np.diag([1.0, 1e3]), KreinSpace.euclidean(2))
         with pytest.raises(ValueError, match="within"):
             resolvent_probe(n, point, radii=[0.4, radius])
+
+    def test_radius_within_cluster_radius_refused(self):
+        # every sample 1 + 1e-14 e^{i theta} lies within the clustering
+        # radius of the spectrum and would be discarded, leaving a 0.0 row
+        n = KreinOperator(np.diag([1.0, 2.0, 3 + 1j]), KreinSpace(np.diag([1.0, -1.0, 1.0])))
+        cfg = ToleranceConfig()
+        assert probe_radius_floor(n, 1.0, cfg) == cfg.cluster_radius(n)
+        with pytest.raises(ValueError, match="within"):
+            resolvent_probe(n, 1.0, radii=[0.4, 1e-14], cfg=cfg)
+        probe = resolvent_probe(n, 1.0, radii=[0.4, 2.0 * cfg.cluster_radius(n)], cfg=cfg)
+        assert all(c > 0 for _, c in probe.radius_table)
+
+
+class TestClosedFormLaurentCoefficients:
+    """The probe's closed-form Laurent coefficient norms, k = 1, 2, against
+    the 256-node trapezoid rule of the resolvent on the same circle."""
+
+    @staticmethod
+    def assert_agrees_with_quadrature(n, circle):
+        closed = _laurent_norms(n, circle, 2, ToleranceConfig())
+        for k, norm in enumerate(closed, start=1):
+            reference = frobenius(contour_integral_resolvent(n.schur, circle, k, nodes=256))
+            assert abs(norm - reference) <= 1e-10 * max(1.0, reference), (k, norm, reference)
+
+    def test_jordan_witness(self):
+        n = KreinOperator(np.array([[3 + 1j, 1.0], [0.0, 3 + 1j]]), KreinSpace(SWAP))
+        circle = Disk(3 + 1j, 0.5)
+        self.assert_agrees_with_quadrature(n, circle)
+        first, second = _laurent_norms(n, circle, 2, ToleranceConfig())
+        assert first == pytest.approx(1.0) and second <= 1e-12  # a second-order pole
+
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_generated_operators_with_jordan_cells(self, dim):
+        # every cluster, on the circle of half its distance to the next one
+        rng = np.random.default_rng([52, dim])
+        spec = sample_generator_spec(rng, dim)
+        while not spec.neutral_jordan:
+            spec = sample_generator_spec(rng, dim)
+        n = build_normal_with_types(spec).operator
+        values = np.array(clustering(n).values)
+        for i, value in enumerate(values):
+            others = np.delete(values, i)
+            radius = float(np.min(np.abs(others - value))) / 2.0 if others.size else 1.0
+            self.assert_agrees_with_quadrature(n, Disk(complex(value), radius))
 
 
 class TestStrongStability:

@@ -403,16 +403,26 @@ def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch, inverte
     N = _operator_with_jordan_cell()
     cfg = ToleranceConfig()
     points = classified_spectrum(N, cfg)
+    reorders = []
+    reorder_schur = numerics.reorder_schur
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.eigvals called")
 
+    def counting_reorder(t, u, select):
+        reorders.append(frozenset(np.flatnonzero(select).tolist()))
+        return reorder_schur(t, u, select)
+
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(numerics, "reorder_schur", counting_reorder)
     jordan = next(p for p in points if p.alg_mult > p.geo_mult)
     probe = resolvent_probe(N, jordan.value, [0.4, 0.2], cfg=cfg)
     assert probe.pole_order == 2
-    # every order tried comes from one inversion of each node's triangle
-    assert sum(inverted) == cfg.contour_nodes
+    # the Laurent coefficients come from the Schur form reordered once, on
+    # the positions the circle encloses, with no shifted triangle inverted
+    # (at dim 6 the samples' sigma_min is a dense SVD)
+    assert reorders == [frozenset(jordan.schur_positions)]
+    assert inverted == []
 
 
 def test_eigenvalue_near_circle_not_converged_at_few_nodes(inverted):
