@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -429,8 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call, then reused: every add_argument reads the
+# terminal size, about 2 ms per build
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .classification import SpectralType, ToleranceConfig, classified_spectrum, clustering
 from .core import KreinOperator, KreinSpace, krein_adjoint
@@ -157,6 +156,7 @@ def random_j_unitary(space: KreinSpace, seed: int, cond_bound: float = 1e3) -> n
     # accuracy while its conditioning may never grow (definite signature
     # makes every such map unitary)
     norm_cap = 30.0
+    import scipy.linalg  # expm; imported here so that only generation pays for it
 
     def exponential(s):  # exp(s K) with its condition number
         u = scipy.linalg.expm(s * k)
@@ -205,9 +205,19 @@ def _assemble_blocks(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, list[
         grams.append(swap)
         ops.append(np.array([[value, 1.0], [0.0, value]]))
         truth.append(GroundTruthPoint(value, SpectralType.NEUTRAL, 2, 1))
-    gram = scipy.linalg.block_diag(*grams).astype(np.complex128)
-    op = scipy.linalg.block_diag(*ops).astype(np.complex128)
-    return gram, op, truth
+    return _block_diag(grams), _block_diag(ops), truth
+
+
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    """The direct sum of square blocks, as a complex matrix."""
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=np.complex128)
+    i = 0
+    for b in blocks:
+        k = len(b)
+        out[i : i + k, i : i + k] = b
+        i += k
+    return out
 
 
 def build_normal_with_types(spec: GeneratorSpec) -> GeneratedOperator:
@@ -282,6 +292,8 @@ def perturb_structured(
         k = (k_raw - krein_adjoint(k_raw, gen.space)) / 2.0
         nk = operator_norm(k)
         if nk > 0 and conj_budget > 0:
+            import scipy.linalg  # expm, as in random_j_unitary
+
             v = scipy.linalg.expm((conj_budget / nk) * k)
             matrix = np.linalg.solve(v, matrix @ v)
             conjugator = v if gen.conjugator is None else gen.conjugator @ v

@@ -12,12 +12,14 @@ Laurent coefficients.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from ._errors import SpectralOverlapError
 from .regions import Disk, Rectangle
@@ -47,9 +49,62 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_lapack():
+    """scipy's LAPACK extension module and the route that found it.
+
+    ``"direct"``: loaded from its file, next to ``scipy.linalg`` but without
+    importing that package (and the array-API shim it pulls in), or reused
+    from ``sys.modules``.  ``"fallback"``: ``scipy.linalg.lapack``, when the
+    file cannot be found.  Either way the routines are the same objects."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK], "direct"
+    scipy_spec = importlib.util.find_spec("scipy")
+    for directory in (scipy_spec and scipy_spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+                spec = importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                # initialization registered it; a later import of scipy.linalg
+                # then loads its own copy, which shares these routine objects
+                if sys.modules.get(_FLAPACK) is module:
+                    del sys.modules[_FLAPACK]
+                return module, "direct"
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack, "fallback"
+
+
+_lapack, LAPACK_ROUTE = _load_lapack()
+_zgees, _ztrsen, _ztrsyl = _lapack.zgees, _lapack.ztrsen, _lapack.ztrsyl
+
+
+def _unsorted(z):  # zgees's eigenvalue selection; unused when nothing is sorted
+    return None
+
+
 def complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form ``a = U T U*`` as the pair ``(T, U)`` (zgees)."""
-    return scipy.linalg.schur(a, output="complex")
+    """Complex Schur form ``a = U T U*`` as the pair ``(T, U)`` (zgees).
+
+    As ``scipy.linalg.schur(a, output="complex")``, bit for bit: non-finite
+    entries raise ``ValueError``, the factorization runs in complex128 with
+    the workspace LAPACK asks for, and a failure raises ``LinAlgError``."""
+    a = np.asarray_chkfinite(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = a.astype(np.complex128, copy=False)
+    if a.size == 0:
+        return np.empty_like(a), np.empty_like(a)
+    lwork = int(_zgees(_unsorted, a, lwork=-1)[-2][0].real)
+    t, _, _, u, _, info = _zgees(_unsorted, a, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur form not found: zgees info {info}")
+    return t, u
 
 
 @dataclass(frozen=True)
@@ -87,7 +142,7 @@ def reorder_schur(
     Returns the reordered ``(T, U)`` and the number of selected entries.
     ``u`` is postmultiplied by the reordering unitary, so any matrix that
     should follow the Schur vectors (such as ``M U``) may be passed."""
-    ts, us, _, m, _, _, info = scipy.linalg.lapack.ztrsen(
+    ts, us, _, m, _, _, info = _ztrsen(
         np.asarray(select, dtype=np.int32), t, u, job="N"
     )
     if info != 0:
@@ -182,7 +237,7 @@ def solve_sylvester(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def _triangular_sylvester(s: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``X`` with ``s X - X t = z`` for upper-triangular s and t (ztrsyl)."""
-    x, scale, info = scipy.linalg.lapack.ztrsyl(s, t, z, isgn=-1)
+    x, scale, info = _ztrsyl(s, t, z, isgn=-1)
     if info != 0:  # 1: common or close diagonal entries, perturbed to solve
         raise SpectralOverlapError(f"coefficient spectra overlap: ztrsyl info {info}")
     return x / scale

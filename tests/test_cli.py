@@ -4,12 +4,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krein_spectra
 from krein_spectra import DocumentError
 from krein_spectra.cli import main
 from krein_spectra.documents import (
@@ -626,3 +631,55 @@ def test_extreme_flag_values_end_in_an_exit_code(dim3_documents, case):
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
     # a value of the wrong type or out of range is an input error
     assert code == 1 if refused else code in range(5), (argv, code, err.getvalue())
+
+
+# Runs the subcommands given as JSON in argv[1] in one fresh interpreter and
+# prints, after the import and after each call, the exit code and whether
+# scipy.linalg has been imported.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from krein_spectra.cli import main
+print(json.dumps(["import", 0, "scipy.linalg" in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([argv[0], code, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_desk_subcommands_never_import_scipy_linalg(tmp_path):
+    """Only generate and suite need scipy.linalg (for expm); the LAPACK
+    routines the other subcommands call are loaded without it."""
+    spec = GeneratorSpec(
+        signature=(4, 3),
+        positive_type_eigs=((1.0 + 0j, 2),),
+        negative_type_eigs=((-2.0 + 1j, 1),),
+        neutral_jordan=(3.0 - 1j,),
+        neutral_pairs=((0.5 - 2j, -1.5 + 0.5j),),
+        cond_bound=10.0,
+        seed=4,
+    )
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(generator_spec_to_json(spec)), encoding="utf-8")
+    op = str(tmp_path / "op.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", str(spec_path), "-o", op]) == 0
+    syl = tmp_path / "syl.json"
+    syl.write_text('{"s": [[[1, 0]]], "t": [[[2, 0]]], "z": [[[1, 0]]]}', encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    calls = [
+        ["classify", op, "--json", "-o", out],
+        ["project", op, "--disk=1,0,0.5", "-o", out],
+        ["lsf-verify", op, "--disk=1,0,0.5", "-o", out],
+        ["probe-resolvent", op, "--point=3,-1", "--radii=0.4,0.2", "-o", out],
+        ["stability", op, "--emit-bases", "-o", out],
+        ["sylvester", str(syl), "-o", out],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(krein_spectra.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [json.loads(line) for line in result.stdout.splitlines()]
+    assert rows == [[name, 0, False] for name in ["import"] + [c[0] for c in calls]]

@@ -1,6 +1,10 @@
 """Ordered decompositions, the Sylvester solver and contour integrals."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -396,3 +400,74 @@ def test_only_numerics_and_generators_import_scipy():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 importers.add(path.stem)
     assert importers == {"numerics", "generators"}
+
+
+# Runs in a fresh interpreter: ``complex_schur``, ``reorder_schur`` and the
+# triangular Sylvester solve against scipy.linalg's own entry points, bit for
+# bit, on random real and complex matrices of dims 1-200.  argv[1] says
+# whether scipy.linalg is imported before the package or after it.
+_SAME_BITS = """
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+from krein_spectra import numerics
+import scipy.linalg
+import scipy.linalg.lapack as lapack
+
+checked = 0
+rng = np.random.default_rng(11)
+for n in (1, 2, 3, 7, 16, 41, 100, 200):
+    for real in (True, False):
+        a = rng.standard_normal((n, n))
+        if not real:
+            a = a + 1j * rng.standard_normal((n, n))
+        t, u = numerics.complex_schur(a)
+        t_ref, u_ref = scipy.linalg.schur(a, output="complex")
+        assert t.tobytes() == t_ref.tobytes() and u.tobytes() == u_ref.tobytes(), n
+        select = rng.random(n) < 0.5
+        ours = numerics.reorder_schur(t, u, select)
+        ts, us, _, m, _, _, info = lapack.ztrsen(select.astype(np.int32), t, u, job="N")
+        assert info == 0 and ours[2] == m, n
+        assert ours[0].tobytes() == ts.tobytes() and ours[1].tobytes() == us.tobytes(), n
+        if 0 < m < n:
+            t11, t12, t22 = ts[:m, :m], ts[:m, m:], ts[m:, m:]
+            x, scale, info = lapack.ztrsyl(t11, t22, t12, isgn=-1)
+            assert info == 0, n
+            ours = numerics._triangular_sylvester(t11, t22, t12)
+            assert ours.tobytes() == (x / scale).tobytes(), n
+        checked += 1
+print(numerics.LAPACK_ROUTE, checked)
+"""
+
+
+@pytest.mark.parametrize("scipy_linalg", ["before", "after"])
+def test_direct_lapack_routines_match_scipy_linalg_bitwise(scipy_linalg):
+    env = dict(os.environ, PYTHONPATH=str(Path(numerics.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SAME_BITS, scipy_linalg],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["direct", "16"]
+
+
+def test_fallback_route_is_scipy_linalg_lapack(monkeypatch):
+    """Without the extension file, the routines come from scipy.linalg.lapack."""
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(numerics.importlib.util, "find_spec", lambda name: None)
+    module, route = numerics._load_lapack()
+    assert route == "fallback" and module is scipy.linalg.lapack
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_complex_schur_refuses_non_finite_entries(bad):
+    a = np.eye(3, dtype=np.complex128)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        numerics.complex_schur(a)
+
+
+def test_complex_schur_of_an_empty_matrix():
+    t, u = numerics.complex_schur(np.zeros((0, 0)))
+    assert t.shape == u.shape == (0, 0) and t.dtype == u.dtype == np.complex128
