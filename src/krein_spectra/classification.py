@@ -62,10 +62,12 @@ __all__ = [
 class ToleranceConfig:
     """Relative tolerances used throughout the pipeline.
 
-    ``cluster_tol`` scales with ``max(1, ||N||)`` to give the eigenvalue
-    clustering radius, ``rank_tol`` with the larger of the top singular
-    value of the matrix whose kernel is sought and the full operator scale
-    ``max(1, ||N||)``, ``definiteness_tol`` with the Gram scale, and
+    ``cluster_tol`` scales with ``max(1, spectral radius)``, plus a capped
+    floor for the smear of defective eigenvalues, to give the eigenvalue
+    clustering radius (:meth:`cluster_radius`); ``rank_tol`` scales with
+    the larger of the top singular value of the matrix whose kernel is
+    sought and the full operator scale ``max(1, ||N||)``,
+    ``definiteness_tol`` with the Gram scale, and
     ``normality_tol`` with ``max(1, ||N||_F^2)``.  ``contour_nodes`` caps
     the contour quadrature and lies in ``[16, MAX_CONTOUR_NODES]``: a disk
     stops once its nested trapezoid rule has converged, after at most
@@ -380,7 +382,8 @@ def verify_selfadjoint_link(
     if pt.type_tag is None:
         pt = classify_point(N, pt, cfg)
     a = selfadjoint_product(N, pt.value)
-    ker = kernel_basis(a, cfg.rank_tol, max(1.0, float(np.linalg.norm(a, 2))))
+    # the kernel SVD's top value is ||a||_2: the cut is rank_tol * max(1, ||a||_2)
+    ker = kernel_basis(a, cfg.rank_tol, 1.0)
     verdict = definiteness(ker, N.space, cfg.definiteness_tol)
     if "borderline-definiteness-margin" in pt.warnings:
         return True

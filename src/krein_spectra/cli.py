@@ -48,7 +48,7 @@ from .projections import (
     verify_lsf_family,
 )
 from .regions import Region
-from .suite import run_suite, worker_count
+from .suite import run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -329,18 +329,11 @@ def cmd_suite(args) -> int:
         raise DocumentError(
             f"--only-trial must lie in 0..{args.trials - 1}, got {args.only_trial}"
         )
-    if args.threads is not None and args.threads < 1:
-        raise DocumentError(f"--threads must be at least 1, got {args.threads}")
-    try:
-        threads = worker_count(args.threads)
-    except ValueError as exc:  # a bad KREIN_SPECTRA_THREADS value
-        raise DocumentError(str(exc)) from exc
     report = run_suite(
         trials=args.trials,
         seed=args.seed,
         dims=dims,
         cond_bound=args.cond_bound,
-        threads=threads,
         only_trial=args.only_trial,
     )
     if args.json_out:
@@ -421,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="2:12", metavar="LO:HI")
     p.add_argument("--cond-bound", type=float, default=1e3)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (KREIN_SPECTRA_THREADS also honored)")
     p.add_argument("--only-trial", type=int, default=None,
                    help="re-run a single trial index for reproduction")
     p.add_argument("--json-out", default=None)

@@ -263,7 +263,8 @@ def solve_sylvester_dense(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.nda
 # (nodes, n, n) stack of inverses never outgrows one default-size rule.
 # A contour call allocates one such stack and one scratch of a quarter of
 # it for the block products, and reuses both for every batch; nothing is
-# kept between calls, which may run on concurrent threads.
+# kept between calls, which may run on concurrent threads.  Singular-value
+# probes take their points in batches of the same size.
 _NODE_BATCH = 128
 
 
@@ -409,16 +410,21 @@ def smallest_singular_values(a: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.
     ``1 / sigma_max((z_j - t)^{-1})`` by Golub-Kahan bidiagonalization in
     the Schur basis (:func:`_golub_kahan_sigma_min`), which needs only
     triangular solves; a point the iteration does not certify gets the
-    dense SVD.  Work space grows with ``z.size``: callers pass at most
-    ``_NODE_BATCH`` points at a time.
+    dense SVD.  The points are taken ``_NODE_BATCH`` at a time, which
+    bounds the work space on either route.
     """
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    if t.shape[0] <= _SOLVE_BLOCK:
-        return _dense_sigma_min(a, z)
-    sigma = _golub_kahan_sigma_min(t, z)
-    uncertified = np.isnan(sigma)
-    if uncertified.any():
-        sigma[uncertified] = _dense_sigma_min(a, z[uncertified])
+    sigma = np.empty(z.size)
+    for lo in range(0, z.size, _NODE_BATCH):
+        batch = z[lo : lo + _NODE_BATCH]
+        if t.shape[0] <= _SOLVE_BLOCK:
+            values = _dense_sigma_min(a, batch)
+        else:
+            values = _golub_kahan_sigma_min(t, batch)
+            uncertified = np.isnan(values)
+            if uncertified.any():
+                values[uncertified] = _dense_sigma_min(a, batch[uncertified])
+        sigma[lo : lo + batch.size] = values
     return sigma
 
 

@@ -47,7 +47,6 @@ from .core import (
     max_principal_angle,
 )
 from .numerics import (
-    _NODE_BATCH,
     OrderedDecomposition,
     boundary_resolvent_sums,
     frobenius,
@@ -811,20 +810,21 @@ def resolvent_probe(
     floor = probe_radius_floor(N, lam0, cfg)
     if radii[-1] <= floor:
         raise ValueError(f"radius {radii[-1]!r} is within {floor:.3g} of the point")
-    reps = np.array(clustering(N, cfg).values)
+    clusters = clustering(N, cfg)
+    reps = np.array(clusters.values)
     cluster_radius = cfg.cluster_radius(N)
     center = complex(reps[idx])
 
     theta = 2.0 * np.pi * (np.arange(samples_per_radius) + 0.5) / samples_per_radius
     zs = (center + np.multiply.outer(radii, np.exp(1j * theta))).reshape(-1)
+    # distance to the nearest cluster, one cluster at a time: memory stays
+    # linear in the sample count, which may reach MAX_PROBE_SAMPLES per radius
+    dist = np.full(zs.size, np.inf)
+    for rep in reps:
+        np.minimum(dist, np.abs(rep - zs), out=dist)
+    kept = dist > cluster_radius
     ratio = np.zeros(zs.size)
-    for lo in range(0, zs.size, _NODE_BATCH):
-        z = zs[lo : lo + _NODE_BATCH]
-        dist = np.min(np.abs(reps - z[:, None]), axis=1)
-        kept = dist > cluster_radius
-        ratio[lo : lo + z.size][kept] = dist[kept] / smallest_singular_values(
-            N.matrix, N.schur[0], z[kept]
-        )
+    ratio[kept] = dist[kept] / smallest_singular_values(N.matrix, N.schur[0], zs[kept])
     table = tuple(
         (r, float(c)) for r, c in zip(radii, ratio.reshape(len(radii), -1).max(axis=1))
     )
@@ -838,7 +838,7 @@ def resolvent_probe(
         isolation = max(1.0, 0.5 * (1.0 + abs(center)))
     if isolation > 10.0 * cluster_radius:
         # the pole order is at most the cluster's algebraic multiplicity
-        orders = len(clustering(N, cfg).positions[idx])
+        orders = len(clusters.positions[idx])
         norms = _laurent_norms(N, Disk(center, isolation), orders, cfg)
         vanishing = np.flatnonzero(norms <= 1e-8 * N.scale)
         if vanishing.size:

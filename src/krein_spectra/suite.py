@@ -7,7 +7,7 @@ spectral-set theorem, contour/oracle projection agreement, the local
 spectral function axioms with maximality, resolvent bounds and pole
 orders, strong stability with structured perturbations, and the dense
 linear-algebra contracts.  Trials are deterministic in (seed, index) and
-may run in a thread pool; report assembly is order-independent.
+run in index order.
 
 Conditioning policy: the pinned tolerances are calibrated for condition
 bounds up to 1e3.  Beyond that, residual tolerances scale with the
@@ -21,9 +21,7 @@ solver contracts) stay strict in every regime.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,7 +70,7 @@ from .projections import (
 from .regions import Region
 from .report import CheckEntry, CheckStatus, VerificationReport, passfail
 
-__all__ = ["run_suite", "run_trial", "worker_count"]
+__all__ = ["run_suite", "run_trial"]
 
 ANGLE_TOL = 1e-8
 COND_STRICT = 1e3
@@ -92,25 +90,6 @@ class TrialSetting:
     cfg: ToleranceConfig
     relaxed: bool = False
     tol_scale: float = 1.0
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Suite workers: ``requested``, else ``KREIN_SPECTRA_THREADS``, else
-    ``min(8, cpu count)``.  A count below 1, or an environment value that
-    is not a positive integer, is refused with ``ValueError``."""
-    if requested is None:
-        env = os.environ.get("KREIN_SPECTRA_THREADS")
-        if env is None:
-            return min(8, os.cpu_count() or 1)
-        try:
-            requested = int(env)
-        except ValueError:
-            requested = 0  # refused just below, naming the variable
-        if requested < 1:
-            raise ValueError(f"KREIN_SPECTRA_THREADS must be a positive integer, got {env!r}")
-    if requested < 1:
-        raise ValueError(f"threads must be at least 1, got {requested}")
-    return requested
 
 
 def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
@@ -506,15 +485,14 @@ def run_suite(
     seed: int,
     dims: tuple[int, int] = (2, 12),
     cond_bound: float = 1e3,
-    threads: int | None = None,
     only_trial: int | None = None,
     cfg: ToleranceConfig = ToleranceConfig(),
 ) -> VerificationReport:
     """Run the full battery over seeded trials and aggregate a report.
 
     Deterministic in (trials, seed, dims, cond_bound): per-trial
-    generators derive their streams from (seed, index), so parallel and
-    serial runs agree entry for entry.
+    generators derive their streams from (seed, index), so a trial run
+    alone with ``only_trial`` gives the entries it gives in a full run.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -524,7 +502,6 @@ def run_suite(
         raise ValueError(f"cond_bound must be finite and at least 1, got {cond_bound!r}")
     if dims[0] < 1 or dims[1] < dims[0]:
         raise ValueError(f"invalid dimension range {dims}")
-    workers = worker_count(threads)
     started = time.perf_counter()
     indices = [only_trial] if only_trial is not None else list(range(trials))
     if only_trial is not None and not (0 <= only_trial < trials):
@@ -554,12 +531,6 @@ def run_suite(
                 )
             ]
 
-    if workers == 1 or len(indices) == 1:
-        batches = [one(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(one, indices))
-
     report = VerificationReport(seed=seed)
     report.parameters = {
         "trials": trials,
@@ -567,7 +538,7 @@ def run_suite(
         "cond_bound": cond_bound,
         "only_trial": only_trial,
     }
-    for batch in batches:
-        report.extend(batch)
+    for i in indices:
+        report.extend(one(i))
     report.wall_time_s = time.perf_counter() - started
     return report

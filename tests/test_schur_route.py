@@ -555,6 +555,31 @@ def test_sigma_min_matches_dense_svd_at_desk_scale(desk_operator, monkeypatch):
             assert c == pytest.approx(c_ref, rel=2.0 * rel)
 
 
+@pytest.mark.parametrize("route", ["golub-kahan", "dense"])
+def test_probe_beyond_one_batch_matches_per_sample_svd(desk_operator, monkeypatch, route):
+    # 3 radii x 64 samples: smallest_singular_values takes them in two
+    # batches; every radius row must match one dense SVD per sample
+    N, cfg, samples = desk_operator, ToleranceConfig(), 64
+    points = classified_spectrum(N)
+    radii = probe_radii(points, points[0].value)
+    assert len(radii) * samples > numerics._NODE_BATCH
+    if route == "dense":
+        dense_route(monkeypatch, N)
+    probe = resolvent_probe(N, points[0].value, radii, samples_per_radius=samples, cfg=cfg)
+    reps = np.array(clustering(N, cfg).values)
+    center = reps[np.argmin(np.abs(reps - points[0].value))]
+    theta = 2.0 * np.pi * (np.arange(samples) + 0.5) / samples
+    for r, (r_probe, c) in zip(radii, probe.radius_table):
+        c_ref = 0.0
+        for z in center + r * np.exp(1j * theta):
+            dist = float(np.min(np.abs(reps - z)))
+            if dist > cfg.cluster_radius(N):
+                smin = np.linalg.svd(N.matrix - z * np.eye(N.dim), compute_uv=False)[-1]
+                c_ref = max(c_ref, dist / smin)
+        assert r_probe == r and c_ref > 0.0
+        assert c == pytest.approx(c_ref, rel=1e-10)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("radius", [1e200, 1e300])
 def test_huge_radius_matches_dense_route(desk_operator, monkeypatch, radius):

@@ -28,7 +28,7 @@ class TestRunSuite:
 
     def test_negative_seed_is_refused(self):
         with pytest.raises(ValueError, match="seed"):
-            run_suite(trials=2, seed=-1, threads=1)
+            run_suite(trials=2, seed=-1)
 
     def test_trial_index_validation(self):
         with pytest.raises(ValueError, match="outside range"):
@@ -39,17 +39,18 @@ class TestRunSuite:
     @pytest.mark.parametrize("cond_bound", [float("nan"), float("inf")])
     def test_cond_bound_validation(self, cond_bound):
         with pytest.raises(ValueError, match="cond_bound"):
-            run_suite(trials=2, seed=0, cond_bound=cond_bound, threads=1)
+            run_suite(trials=2, seed=0, cond_bound=cond_bound)
 
-    @pytest.mark.parametrize("threads", [0, -5])
-    def test_threads_validation(self, threads):
-        with pytest.raises(ValueError, match="threads"):
-            run_suite(trials=2, seed=0, threads=threads)
+    def test_trials_run_in_index_order(self):
+        report = run_suite(trials=4, seed=2, dims=(2, 6))
+        trials = [entry.trial for entry in report.entries]
+        assert sorted(set(trials)) == [0, 1, 2, 3]
+        assert trials == sorted(trials)
 
-    def test_parallel_matches_serial(self):
-        serial = run_suite(trials=4, seed=2, dims=(2, 6), threads=1)
-        parallel = run_suite(trials=4, seed=2, dims=(2, 6), threads=4)
-        assert serial.to_json() == parallel.to_json()
+    def test_repeat_runs_match(self):
+        first = run_suite(trials=4, seed=2, dims=(2, 6))
+        second = run_suite(trials=4, seed=2, dims=(2, 6))
+        assert first.to_json() == second.to_json()
 
 
 def test_kernels_extracted_once_per_operator_and_cluster(monkeypatch):
