@@ -33,6 +33,7 @@ from .documents import (
     load_operator_document,
     matrix_from_json,
     parse_json,
+    read_document,
 )
 from .generators import build_normal_with_types
 from .numerics import frobenius, solve_sylvester, sylvester_spectral_gap
@@ -48,7 +49,7 @@ from .projections import (
     verify_lsf_family,
 )
 from .regions import Region
-from .suite import run_suite
+from .suite import MAX_DIM as MAX_SUITE_DIM, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -247,12 +248,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_sylvester(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {args.input}: {exc}") from exc
-    raw = parse_json(text)
+    raw = parse_json(read_document(args.input))
     try:
         ms = len(raw["s"])
         mt = len(raw["t"])
@@ -277,13 +273,7 @@ def cmd_sylvester(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {args.input}: {exc}") from exc
-    raw = parse_json(text)
-    spec = generator_spec_from_json(raw)
+    spec = generator_spec_from_json(parse_json(read_document(args.input)))
     gen = build_normal_with_types(spec)
     doc = OperatorDocument(
         dim=gen.space.dim,
@@ -315,8 +305,8 @@ def cmd_suite(args) -> int:
         dims = (int(lo), int(hi or lo))
     except ValueError as exc:
         raise DocumentError(f"--dims expects LO:HI, got {args.dims!r}") from exc
-    if not 1 <= dims[0] <= dims[1]:
-        raise DocumentError(f"--dims expects 1 <= LO <= HI, got {args.dims!r}")
+    if not 1 <= dims[0] <= dims[1] <= MAX_SUITE_DIM:
+        raise DocumentError(f"--dims expects 1 <= LO <= HI <= {MAX_SUITE_DIM}, got {args.dims!r}")
     if args.trials < 1:
         raise DocumentError(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
@@ -404,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sylvester)
 
     p = sub.add_parser("generate", help="build an operator from a generator spec")
-    p.add_argument("input", help="generator spec JSON")
+    p.add_argument("input", help="generator spec (JSON path or - for stdin)")
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--truth", default=None, help="write the ground-truth table here")
     p.set_defaults(func=cmd_generate)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "load_operator_document",
     "parse_json",
     "parse_operator_document",
+    "read_document",
 ]
 
 
@@ -139,13 +141,7 @@ def matrix_from_json(rows, dim: int, where: str, cols: int | None = None) -> np.
     return out
 
 
-_TOLERANCE_FIELDS = (
-    "cluster_tol",
-    "rank_tol",
-    "definiteness_tol",
-    "normality_tol",
-    "contour_nodes",
-)
+_TOLERANCE_FIELDS = frozenset(f.name for f in fields(ToleranceConfig))
 
 
 @dataclass
@@ -219,7 +215,7 @@ def parse_operator_document(text: str) -> OperatorDocument:
         tols = raw["tolerances"]
         if not isinstance(tols, dict):
             raise DocumentError("tolerances: expected an object")
-        unknown = set(tols) - set(_TOLERANCE_FIELDS)
+        unknown = set(tols) - _TOLERANCE_FIELDS
         if unknown:
             raise DocumentError(f"tolerances: unknown fields {sorted(unknown)}")
         overrides = dict(tols)
@@ -244,16 +240,19 @@ def parse_operator_document(text: str) -> OperatorDocument:
     )
 
 
-def load_operator_document(path: str) -> OperatorDocument:
-    import sys
-
+def read_document(path: str) -> str:
+    """The UTF-8 text of the file at ``path``, or of stdin for ``-``."""
     if path == "-":
-        return parse_operator_document(sys.stdin.read())
+        return sys.stdin.read()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_operator_document(fh.read())
+            return fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+
+
+def load_operator_document(path: str) -> OperatorDocument:
+    return parse_operator_document(read_document(path))
 
 
 def generator_spec_to_json(spec: GeneratorSpec) -> dict:

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _GENERATED_NORMALITY_TOL = 1e-9
+# largest dimension of a generated operator: dense, desk-scale work, far
+# above what the toolkit aims at and far below what exhausts memory
+MAX_GENERATED_DIM = 1024
 # least distance between two eigenvalues drawn by sample_generator_spec
 _MIN_SEPARATION = 0.35
 
@@ -41,7 +44,8 @@ class GeneratorSpec:
     Each positive-type eigenvalue with multiplicity m consumes m units of
     positive inertia (scalar block on +I), negative-type likewise; each
     neutral pair diag(a, b) and each 2x2 Jordan cell sits on a swap Gram
-    block and consumes one unit of each sign.
+    block and consumes one unit of each sign.  The dimension ``p + q`` lies
+    in ``[1, MAX_GENERATED_DIM]``.
     """
 
     signature: tuple[int, int]
@@ -88,6 +92,8 @@ class GeneratorSpec:
             )
         if p + q == 0:
             raise ValueError("spec has no blocks: the operator would be empty")
+        if p + q > MAX_GENERATED_DIM:
+            raise ValueError(f"dimension {p + q} exceeds the generator's bound {MAX_GENERATED_DIM}")
         values = self.all_values()
         scale = max([1.0] + [abs(v) for v in values])
         floor = 10 * 1e-7 * scale

@@ -263,19 +263,22 @@ def solve_sylvester_dense(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.nda
 # (nodes, n, n) stack of inverses never outgrows one default-size rule.
 # A contour call allocates one such stack and one scratch of a quarter of
 # it for the block products, and reuses both for every batch; nothing is
-# kept between calls, which may run on concurrent threads.  Singular-value
-# probes take their points in batches of the same size.
+# kept between calls.  Singular-value probes take their points in batches
+# of the same size.
 _NODE_BATCH = 128
+# a disk's nested quadrature stops once successive sums agree to this,
+# relative to max(1, ||sum||_F)
+_QUADRATURE_TOL = 1e-10
 
 
 def resolvent_at(
     schur: tuple[np.ndarray, np.ndarray], points: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Weighted resolvent sums ``U (sum_j w_j (z_j - T)^{-1}) U*``, one per
-    row of ``weights``, for the complex Schur form ``N = U T U*``.
+    """The weighted resolvent sum ``U (sum_j w_j (z_j - T)^{-1}) U*`` for
+    the complex Schur form ``N = U T U*``.
 
-    The sums are formed in the Schur basis by :func:`_schur_resolvent_sums`
-    and transformed back once.  Returns an array of shape ``(rows, n, n)``.
+    The sum is formed in the Schur basis by :func:`_schur_resolvent_sums`
+    and transformed back once.
     """
     t, u = schur
     return u @ _schur_resolvent_sums(t, points, weights) @ u.conj().T
@@ -291,9 +294,7 @@ def _disk_ladder(max_nodes: int) -> list[int]:
     return sizes[::-1]
 
 
-def boundary_resolvent_sums(
-    t: np.ndarray, piece: Disk | Rectangle, max_nodes: int, tol: float
-) -> np.ndarray:
+def boundary_resolvent_sums(t: np.ndarray, piece: Disk | Rectangle, max_nodes: int) -> np.ndarray:
     """``(1/2 pi i) ∮ (z - T)^{-1} dz`` over the boundary of one region
     piece, for an upper-triangular T, stacked with the last change of its
     convergence check: an array of shape ``(2, n, n)`` in the Schur basis.
@@ -302,15 +303,17 @@ def boundary_resolvent_sums(
     rule of ``m`` nodes is every ``(2 * max_nodes / m)``-th node of the
     largest rule (bitwise), with that many times its weights, so each
     doubling evaluates only its new odd nodes.  The climb stops at the
-    first rule ``q_2m`` with ``||q_2m - q_m||_F <= tol * max(1,
-    ||q_2m||_F)``, or at ``2 * max_nodes`` nodes; ``q_2m`` is returned.  A
-    rectangle's Gauss-Legendre panels do not nest: it returns its rule at
-    ``max_nodes`` nodes, checked against the rule at twice as many, and
-    ignores ``tol``.  The stopping rule reads only the quadrature sums.
+    first rule ``q_2m`` with ``||q_2m - q_m||_F <= _QUADRATURE_TOL *
+    max(1, ||q_2m||_F)``, or at ``2 * max_nodes`` nodes; ``q_2m`` is
+    returned.  A rectangle's Gauss-Legendre panels do not nest: it returns
+    its rule at ``max_nodes`` nodes, checked against the rule at twice as
+    many.  The stopping rule reads only the quadrature sums.
     """
     if not isinstance(piece, Disk):
-        points, weights = piece.quadrature_pair(max_nodes)
-        coarse, fine = _schur_resolvent_sums(t, points, weights / (2.0j * np.pi))
+        coarse, fine = (
+            _schur_resolvent_sums(t, points, weights / (2.0j * np.pi))
+            for points, weights in map(piece.quadrature, (max_nodes, 2 * max_nodes))
+        )
         return np.stack([coarse, fine - coarse])
     sizes = _disk_ladder(max_nodes)
     points, weights = piece.quadrature(sizes[-1])
@@ -318,33 +321,33 @@ def boundary_resolvent_sums(
     # the largest rule's weights summed over the nodes evaluated so far; the
     # stride is a power of two, so scaling by it is exact
     stride = sizes[-1] // sizes[0]
-    total = _schur_resolvent_sums(t, points[::stride], weights[::stride])[0]
+    total = _schur_resolvent_sums(t, points[::stride], weights[::stride])
     q = stride * total
     while stride > 1:
         odd = slice(stride // 2, None, stride)
-        total += _schur_resolvent_sums(t, points[odd], weights[odd])[0]
+        total += _schur_resolvent_sums(t, points[odd], weights[odd])
         stride //= 2
         finer = stride * total
         change, q = finer - q, finer
-        if frobenius(change) <= tol * max(1.0, frobenius(q)):
+        if frobenius(change) <= _QUADRATURE_TOL * max(1.0, frobenius(q)):
             break
     return np.stack([q, change])
 
 
 def _schur_resolvent_sums(t: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_j w_j (z_j - T)^{-1}`` for an upper-triangular T, one per row of
-    ``weights``, as an array of shape ``(rows, n, n)``.
+    """``sum_j w_j (z_j - T)^{-1}`` for an upper-triangular T, as one n x n
+    matrix.
 
     This is where every resolvent of the package is evaluated.  Each
     ``z_j - T`` is inverted directly (block recursion, batched over the
-    nodes, at most ``_NODE_BATCH`` nodes at a time) and once for all rows;
-    no dense n x n system is solved.  One inverse stack and one scratch
-    serve every batch of the call.
+    nodes, at most ``_NODE_BATCH`` nodes at a time); no dense n x n system
+    is solved.  One inverse stack and one scratch serve every batch of the
+    call.
     """
     n = t.shape[0]
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
-    weights = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
-    sums = np.zeros((weights.shape[0], n * n), dtype=np.complex128)
+    weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
+    sums = np.zeros(n * n, dtype=np.complex128)
     batch = min(points.size, _NODE_BATCH)
     # only the diagonal and upper blocks are written: the lower triangle
     # stays zero from one batch to the next
@@ -354,8 +357,8 @@ def _schur_resolvent_sums(t: np.ndarray, points: np.ndarray, weights: np.ndarray
         block = slice(lo, lo + _NODE_BATCH)
         z = points[block]
         inverses = _shifted_inverses(t, z, stack[: z.size], scratch)
-        sums += weights[:, block] @ inverses.reshape(-1, n * n)
-    return sums.reshape(-1, n, n)
+        sums += weights[block] @ inverses.reshape(-1, n * n)
+    return sums.reshape(n, n)
 
 
 def _shifted_inverses(
@@ -534,4 +537,4 @@ def contour_integral_resolvent(
     """
     points, weights = disk.quadrature(nodes)
     weights = weights * (points - disk.center) ** k / (2.0j * np.pi)
-    return resolvent_at(schur, points, weights)[0]
+    return resolvent_at(schur, points, weights)

@@ -80,9 +80,6 @@ __all__ = [
 # accepts ||Q^2 - Q||_F <= factor (1 + ||Q||_F^2): results and defect inputs
 _IDEM_ACCEPT_FACTOR = 1e-8
 _CONVERGENCE_FLAG_TOL = 1e-6
-# a disk's nested quadrature stops once successive sums agree to this,
-# relative to max(1, ||sum||_F)
-_QUADRATURE_TOL = 1e-10
 # projections have singular values either >= 1 or ~ 0, so this cut
 # separates range from kernel directions robustly
 _RANGE_CUTOFF = 0.5
@@ -196,7 +193,7 @@ def riesz_projection_contour(
     by :func:`boundary_resolvent_sums`, and the sum is transformed back
     once.  Convergence is self-checked by doubling the node count.  A disk
     climbs a nested trapezoid ladder, evaluating each node once, and stops
-    as soon as two successive sums agree to ``_QUADRATURE_TOL`` relative;
+    as soon as two successive sums agree to 1e-10 relative;
     at most it evaluates ``2 * cfg.contour_nodes`` nodes.  A rectangle
     compares its rules at ``cfg.contour_nodes`` and twice as many nodes.
     A last change above 1e-6 flags the result instead of failing.
@@ -214,7 +211,7 @@ def riesz_projection_contour(
     # in the Schur basis: the sum and the last change of its convergence check
     sums = np.zeros((2,) + t.shape, dtype=np.complex128)
     for piece in region.pieces:
-        sums += boundary_resolvent_sums(t, piece, cfg.contour_nodes, _QUADRATURE_TOL)
+        sums += boundary_resolvent_sums(t, piece, cfg.contour_nodes)
     # the Frobenius norm of the change needs no transform back
     delta = frobenius(sums[1])
     warnings = ()
@@ -736,12 +733,12 @@ def verify_maximality(
 
 def verify_lsf_family(
     E: LocalSpectralFunction, delta_radius: float, n_subspaces: int, seed: int,
-    tol: float = 1e-8, angle_tol: float = 1e-8,
+    tol: float = 1e-8,
 ) -> VerificationReport:
     """:func:`verify_lsf_axioms` on the deltas (a disk of ``delta_radius``
     about each carrier point, the union of the first two, the carrier, the
     empty set) and the commutants I, N, N+, N^2; then
-    :func:`verify_maximality` on the carrier, to ``angle_tol``."""
+    :func:`verify_maximality` on the carrier.  Both use ``tol``."""
     deltas = [Region.disk(pt.value, delta_radius) for pt in E.selected_points(E.carrier_indices)]
     if len(deltas) >= 2:
         deltas.append(deltas[0].union(deltas[1]))
@@ -749,7 +746,7 @@ def verify_lsf_family(
     N = E.operator
     commutants = [np.eye(N.dim), N.matrix, N.adjoint, N.matrix @ N.matrix]
     report = verify_lsf_axioms(E, deltas, commutants, tol=tol)
-    report.entries.append(verify_maximality(E, E.carrier, n_subspaces, seed, angle_tol))
+    report.entries.append(verify_maximality(E, E.carrier, n_subspaces, seed, tol))
     report.parameters = {"carrier": E.carrier.describe(), "deltas": len(deltas)}
     return report
 

@@ -7,7 +7,7 @@ the trapezoidal rule, whose rules nest: the even nodes of the
 ``2 * nodes``-point rule are the ``nodes``-point rule's, bitwise, so a
 convergence check by doubling evaluates only the new odd nodes.
 Rectangle edges take composite Gauss-Legendre panels, which do not nest;
-a rectangle pairs its rule with the rule at twice the nodes.
+a convergence check evaluates a rectangle's rule at twice the nodes in full.
 """
 
 from __future__ import annotations
@@ -134,16 +134,6 @@ class Rectangle:
                 pts.append(a + t * (b - a))
                 wts.append(w * (b - a))
         return np.concatenate(pts), np.concatenate(wts)
-
-    def quadrature_pair(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``nodes``- and ``2 * nodes``-point rules side by side, as
-        nodes with two weight rows (Gauss-Legendre panels do not nest)."""
-        coarse_pts, coarse = self.quadrature(nodes)
-        fine_pts, fine = self.quadrature(2 * nodes)
-        weights = np.zeros((2, coarse.size + fine.size), dtype=np.complex128)
-        weights[0, : coarse.size] = coarse
-        weights[1, coarse.size :] = fine
-        return np.concatenate([coarse_pts, fine_pts]), weights
 
 
 Primitive = Disk | Rectangle

@@ -74,6 +74,13 @@ __all__ = ["run_suite", "run_trial"]
 
 ANGLE_TOL = 1e-8
 COND_STRICT = 1e3
+# every trial classifies and projects with the default tolerances
+CFG = ToleranceConfig()
+# random subspaces of each trial's maximality check
+MAXIMALITY_SUBSPACES = 5
+# largest trial dimension: sample_generator_spec cannot place a trial's
+# separated eigenvalues in its box much beyond this
+MAX_DIM = 100
 # refusals that the relaxed regime downgrades to warnings
 REFUSALS = (
     ContourThroughSpectrumError,
@@ -87,16 +94,14 @@ REFUSALS = (
 class TrialSetting:
     """Tolerance context of one trial."""
 
-    cfg: ToleranceConfig
     relaxed: bool = False
     tol_scale: float = 1.0
 
 
 def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     """Ground-truth round trip plus the per-point structural lemmas."""
-    cfg = setting.cfg
     entries = []
-    points = classified_spectrum(gen.operator, cfg)
+    points = classified_spectrum(gen.operator, CFG)
     truth = gen.ground_truth
 
     mismatch = []
@@ -120,7 +125,7 @@ def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list
             "classification-roundtrip",
             not mismatch,
             residual=value_residual,
-            tolerance=10 * cfg.cluster_radius(gen.operator) * setting.tol_scale,
+            tolerance=10 * CFG.cluster_radius(gen.operator) * setting.tol_scale,
             claim="classification reproduces the generated type inventory",
             detail="; ".join(mismatch),
         )
@@ -139,13 +144,13 @@ def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list
         )
     )
 
-    angle_tol = ANGLE_TOL * setting.tol_scale
+    coincidence_tol = ANGLE_TOL * setting.tol_scale
     worst_angle = 0.0
     jordan_ok = True
     for pt in points:
         if pt.type_tag in DEFINITE_TAGS:
             try:
-                root = root_subspace(gen.operator, pt, cfg)
+                root = root_subspace(gen.operator, pt, CFG)
                 root_angle = max_principal_angle(pt.kernel, root)
             except (ValueError, KreinError):
                 root_angle = float(np.pi / 2)
@@ -159,9 +164,9 @@ def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list
     entries.append(
         passfail(
             "kernel-coincidence",
-            worst_angle <= angle_tol,
+            worst_angle <= coincidence_tol,
             residual=worst_angle,
-            tolerance=angle_tol,
+            tolerance=coincidence_tol,
             claim="kernel, adjoint kernel and root subspace coincide at definite points",
         )
     )
@@ -173,7 +178,7 @@ def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list
         )
     )
 
-    link_ok = all(verify_selfadjoint_link(gen.operator, pt, cfg) for pt in points)
+    link_ok = all(verify_selfadjoint_link(gen.operator, pt, CFG) for pt in points)
     entries.append(
         passfail(
             "selfadjoint-product-link",
@@ -188,20 +193,19 @@ def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list
 def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     """Spectral-set theorem on an isolated positive cluster plus the
     contour/oracle cross-validation."""
-    cfg = setting.cfg
     entries = []
-    points = classified_spectrum(gen.operator, cfg)
-    gap = clustering(gen.operator, cfg).min_gap
+    points = classified_spectrum(gen.operator, CFG)
+    gap = clustering(gen.operator, CFG).min_gap
     radius = 0.45 * gap if np.isfinite(gap) else 1.0
 
     positive = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if positive:
         region = Region.disk(positive[0].value, radius)
-        entries.extend(verify_spectral_set_theorem(gen.operator, region, cfg).entries)
+        entries.extend(verify_spectral_set_theorem(gen.operator, region, CFG).entries)
 
     region = Region.disk(points[0].value, radius)
-    contour = riesz_projection_contour(gen.operator, region, replace(cfg, contour_nodes=64))
-    oracle = riesz_projection_oracle(gen.operator, region, cfg)
+    contour = riesz_projection_contour(gen.operator, region, CFG)
+    oracle = riesz_projection_oracle(gen.operator, region, CFG)
     diff = frobenius(contour.matrix - oracle.matrix) / max(
         1.0, frobenius(oracle.matrix)
     )
@@ -219,7 +223,7 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
     definite = [pt for pt in points if pt.type_tag in DEFINITE_TAGS]
     if definite:
         q = riesz_projection_oracle(
-            gen.operator, Region.disk(definite[0].value, radius), cfg
+            gen.operator, Region.disk(definite[0].value, radius), CFG
         ).matrix
         defect, _ = projection_defect(q, gen.space)
         defect_norm = frobenius(defect)
@@ -239,7 +243,7 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
     ]
     if neutral_simple:
         q = riesz_projection_oracle(
-            gen.operator, Region.disk(neutral_simple[0].value, radius), cfg
+            gen.operator, Region.disk(neutral_simple[0].value, radius), CFG
         ).matrix
         defect, is_neutral = projection_defect(q, gen.space)
         cross = frobenius(krein_adjoint(defect, gen.space) @ defect)
@@ -257,31 +261,26 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
     return entries
 
 
-def lsf_checks(
-    gen: GeneratedOperator, setting: TrialSetting,
-    trial_seed: int, maximality_subspaces: int = 5,
-) -> list[CheckEntry]:
-    points = classified_spectrum(gen.operator, setting.cfg)
+def lsf_checks(gen: GeneratedOperator, setting: TrialSetting, trial_seed: int) -> list[CheckEntry]:
+    points = classified_spectrum(gen.operator, CFG)
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if not tsp:
         return []
-    gap = clustering(gen.operator, setting.cfg).min_gap
+    gap = clustering(gen.operator, CFG).min_gap
     carrier_radius = 0.4 * gap if np.isfinite(gap) else 1.0
     carrier = Region(
         tuple(piece for pt in tsp for piece in Region.disk(pt.value, carrier_radius).pieces)
     )
-    lsf = local_spectral_function(gen.operator, carrier, setting.cfg)
+    lsf = local_spectral_function(gen.operator, carrier, CFG)
     return verify_lsf_family(
-        lsf, 0.5 * carrier_radius, maximality_subspaces, trial_seed,
-        tol=1e-8 * setting.tol_scale, angle_tol=ANGLE_TOL * setting.tol_scale,
+        lsf, 0.5 * carrier_radius, MAXIMALITY_SUBSPACES, trial_seed, tol=1e-8 * setting.tol_scale
     ).entries
 
 
 def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
-    cfg = setting.cfg
     entries = []
-    points = classified_spectrum(gen.operator, cfg)
-    gap = clustering(gen.operator, cfg).min_gap
+    points = classified_spectrum(gen.operator, CFG)
+    gap = clustering(gen.operator, CFG).min_gap
     base = 0.4 * gap if np.isfinite(gap) else 0.5
 
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
@@ -291,7 +290,7 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
             tsp[0].value,
             radii=[base, base / 2, base / 4, base / 8],
             samples_per_radius=8,
-            cfg=cfg,
+            cfg=CFG,
         )
         large = probe.radius_table[0][1]
         worst = max(c for _, c in probe.radius_table[1:])
@@ -320,7 +319,7 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
             defective[0].value,
             radii=[base],
             samples_per_radius=4,
-            cfg=cfg,
+            cfg=CFG,
         )
         entries.append(
             passfail(
@@ -336,12 +335,11 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
 def stability_checks(
     gen: GeneratedOperator, setting: TrialSetting, trial_seed: int
 ) -> list[CheckEntry]:
-    cfg = setting.cfg
     entries = []
     expected_stable = all(
         t.expected_type in DEFINITE_TAGS for t in gen.ground_truth
     )
-    stable, decomposition = strong_stability_check(gen.operator, cfg)
+    stable, decomposition = strong_stability_check(gen.operator, CFG)
     entries.append(
         passfail(
             "strong-stability-detection",
@@ -352,11 +350,11 @@ def stability_checks(
     )
     if stable and decomposition is not None:
         entries.extend(decomposition.entries)
-        margin = classification_margin(gen, cfg)
+        margin = classification_margin(gen, CFG)
         if np.isfinite(margin) and margin > 0:
             delta = 0.45 * margin
             perturbed = perturb_structured(gen, delta, seed=trial_seed)
-            still_stable, _ = strong_stability_check(perturbed.operator, cfg)
+            still_stable, _ = strong_stability_check(perturbed.operator, CFG)
             entries.append(
                 passfail(
                     "stability-under-perturbation",
@@ -427,7 +425,6 @@ def run_trial(
     base_seed: int,
     dims: tuple[int, int],
     cond_bound: float,
-    cfg: ToleranceConfig = ToleranceConfig(),
 ) -> list[CheckEntry]:
     rng = np.random.default_rng([base_seed, trial])
     dim = int(rng.integers(dims[0], dims[1] + 1))
@@ -437,7 +434,6 @@ def run_trial(
 
     cond_real = 1.0 if gen.conjugator is None else float(np.linalg.cond(gen.conjugator))
     setting = TrialSetting(
-        cfg=cfg,
         relaxed=cond_bound > COND_STRICT,
         tol_scale=max(1.0, cond_real / COND_STRICT),
     )
@@ -486,13 +482,13 @@ def run_suite(
     dims: tuple[int, int] = (2, 12),
     cond_bound: float = 1e3,
     only_trial: int | None = None,
-    cfg: ToleranceConfig = ToleranceConfig(),
 ) -> VerificationReport:
     """Run the full battery over seeded trials and aggregate a report.
 
     Deterministic in (trials, seed, dims, cond_bound): per-trial
     generators derive their streams from (seed, index), so a trial run
     alone with ``only_trial`` gives the entries it gives in a full run.
+    Trial dimensions lie in ``[1, MAX_DIM]``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -500,8 +496,8 @@ def run_suite(
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 1 <= cond_bound < math.inf:  # also refuses NaN
         raise ValueError(f"cond_bound must be finite and at least 1, got {cond_bound!r}")
-    if dims[0] < 1 or dims[1] < dims[0]:
-        raise ValueError(f"invalid dimension range {dims}")
+    if not 1 <= dims[0] <= dims[1] <= MAX_DIM:
+        raise ValueError(f"invalid dimension range {dims}: expected 1 <= lo <= hi <= {MAX_DIM}")
     started = time.perf_counter()
     indices = [only_trial] if only_trial is not None else list(range(trials))
     if only_trial is not None and not (0 <= only_trial < trials):
@@ -516,7 +512,7 @@ def run_suite(
 
     def one(i: int) -> list[CheckEntry]:
         try:
-            return [e.with_trial(i, repro(i)) for e in run_trial(i, seed, dims, cond_bound, cfg)]
+            return [e.with_trial(i, repro(i)) for e in run_trial(i, seed, dims, cond_bound)]
         except (KreinError, np.linalg.LinAlgError) as exc:
             refused = relaxed and isinstance(exc, REFUSALS)
             status = CheckStatus.WARNING if refused else CheckStatus.FAIL

@@ -192,6 +192,8 @@ class TestExitCodes:
             (["project", "OP", "--disk=1,0,-1"], "--disk"),
             (["project", "OP", "--rect", "1,0,0,1"], "--rect"),
             (["suite", "--dims", "3:2"], "--dims"),
+            # the suite's generator cannot separate the eigenvalues of a trial this large
+            (["suite", "--trials", "1", "--dims", "150:150"], "--dims"),
             (["suite", "--trials", "0"], "--trials"),
             (["suite", "--trials", "2", "--only-trial", "5"], "--only-trial"),
             (["probe-resolvent", "OP", "--point", "nan,0", "--radii", "0.4"], "--point"),
@@ -217,7 +219,8 @@ class TestExitCodes:
         ],
         ids=[
             "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
-            "samples-zero", "samples-beyond-maximum", "disk-negative-radius", "rect-reversed", "dims-reversed",
+            "samples-zero", "samples-beyond-maximum", "disk-negative-radius", "rect-reversed",
+            "dims-reversed", "dims-beyond-maximum",
             "trials-zero", "only-trial-out-of-range", "point-nan", "point-infinite",
             "cond-bound-below-one", "cond-bound-nan", "cond-bound-infinite",
             "disk-nan-center", "disk-infinite-radius",
@@ -344,8 +347,16 @@ class TestExitCodes:
                 },
                 "seed",
             ),
+            # refused before any allocation: the operator would need petabytes
+            (
+                {
+                    "signature": [10**7, 0],
+                    "positive_type_eigs": [{"value": [1, 0], "mult": 10**7}],
+                },
+                "bound",
+            ),
         ],
-        ids=["empty-inventory", "negative-seed"],
+        ids=["empty-inventory", "negative-seed", "dimension-beyond-bound"],
     )
     def test_generate_bad_spec_is_exit_1(self, tmp_path, capsys, spec, reason):
         path = tmp_path / "spec.json"
@@ -417,6 +428,19 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["x"][0][0] == [pytest.approx(3.0), pytest.approx(0.0)]
         assert out["spectral_gap"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("sylvester", '{"s": [[[2, 0]]], "t": [[[1, 0]]], "z": [[[3, 0]]]}'),
+            ("generate", '{"signature": [1, 0], "positive_type_eigs": [{"value": [1, 0], "mult": 1}]}'),
+        ],
+        ids=["sylvester", "generate"],
+    )
+    def test_reads_stdin_for_dash(self, monkeypatch, capsys, command, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main([command, "-"]) == 0
+        assert json.loads(capsys.readouterr().out)
 
     def test_generate_then_classify(self, tmp_path, capsys):
         spec = GeneratorSpec(

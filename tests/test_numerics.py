@@ -187,14 +187,14 @@ def allocating_resolvent_sums(t, points, weights):
 
     n = t.shape[0]
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
-    weights = np.atleast_2d(np.asarray(weights, dtype=np.complex128))
-    sums = np.zeros((weights.shape[0], n * n), dtype=np.complex128)
+    weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
+    sums = np.zeros(n * n, dtype=np.complex128)
     for lo in range(0, points.size, _NODE_BATCH):
         block = slice(lo, lo + _NODE_BATCH)
         inverses = np.zeros((points[block].size, n, n), dtype=np.complex128)
         fill(t, points[block], inverses)
-        sums += weights[:, block] @ inverses.reshape(-1, n * n)
-    return sums.reshape(-1, n, n)
+        sums += weights[block] @ inverses.reshape(-1, n * n)
+    return sums.reshape(n, n)
 
 
 def nested_contour_reference(N, region, nodes):
@@ -204,14 +204,16 @@ def nested_contour_reference(N, region, nodes):
     m)``-th node of the ``2 * nodes``-point rule, with that many times its
     weights, so each doubling adds the sum over its odd nodes.  It stops
     when two sums agree to 1e-10 relative or at ``2 * nodes`` nodes.  A
-    rectangle pairs its rules at ``nodes`` and ``2 * nodes``.  Returns the
-    projection and the norm of the last change."""
+    rectangle sums its rules at ``nodes`` and ``2 * nodes`` apart.  Returns
+    the projection and the norm of the last change."""
     t, u = N.schur
     total = np.zeros((2,) + t.shape, dtype=np.complex128)
     for piece in region.pieces:
         if not isinstance(piece, Disk):
-            points, weights = piece.quadrature_pair(nodes)
-            coarse, fine = allocating_resolvent_sums(t, points, weights / (2.0j * np.pi))
+            coarse_pts, coarse_wts = piece.quadrature(nodes)
+            fine_pts, fine_wts = piece.quadrature(2 * nodes)
+            coarse = allocating_resolvent_sums(t, coarse_pts, coarse_wts / (2.0j * np.pi))
+            fine = allocating_resolvent_sums(t, fine_pts, fine_wts / (2.0j * np.pi))
             total += (coarse, fine - coarse)
             continue
         points, weights = piece.quadrature(2 * nodes)
@@ -219,11 +221,11 @@ def nested_contour_reference(N, region, nodes):
         stride = 1
         while (2 * nodes) % (2 * stride) == 0 and 2 * nodes // (2 * stride) >= 16:
             stride *= 2
-        summed = allocating_resolvent_sums(t, points[::stride], weights[::stride])[0]
+        summed = allocating_resolvent_sums(t, points[::stride], weights[::stride])
         q = stride * summed
         while stride > 1:
             odd = slice(stride // 2, None, stride)
-            summed = summed + allocating_resolvent_sums(t, points[odd], weights[odd])[0]
+            summed = summed + allocating_resolvent_sums(t, points[odd], weights[odd])
             stride //= 2
             change, q = stride * summed - q, stride * summed
             if frobenius(change) <= 1e-10 * max(1.0, frobenius(q)):
@@ -232,11 +234,11 @@ def nested_contour_reference(N, region, nodes):
     return u @ total[0] @ u.conj().T, frobenius(total[1])
 
 
-def shifted_triangle_problem(n, nodes, rows):
-    rng = np.random.default_rng([n, nodes, rows])
+def shifted_triangle_problem(n, nodes):
+    rng = np.random.default_rng([n, nodes])
     t = np.triu(random_complex(rng, (n, n)))
     points = 3.0 * np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
-    return t, points, random_complex(rng, (rows, nodes))
+    return t, points, random_complex(rng, nodes)
 
 
 class TestResolventKernelBuffers:
@@ -245,12 +247,11 @@ class TestResolventKernelBuffers:
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 100])
     @pytest.mark.parametrize("nodes", [0, 1, 127, 128, 129, 300])
     def test_bitwise_equal_to_allocating_recursion(self, n, nodes):
-        for rows in (1, 3):
-            t, points, weights = shifted_triangle_problem(n, nodes, rows)
-            got = _schur_resolvent_sums(t, points, weights)
-            want = allocating_resolvent_sums(t, points, weights)
-            assert got.shape == want.shape == (rows, n, n)
-            assert got.tobytes() == want.tobytes()
+        t, points, weights = shifted_triangle_problem(n, nodes)
+        got = _schur_resolvent_sums(t, points, weights)
+        want = allocating_resolvent_sums(t, points, weights)
+        assert got.shape == want.shape == (n, n)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "region, nodes",
@@ -276,7 +277,7 @@ class TestResolventKernelBuffers:
 
     def test_traced_peak_is_one_stack_and_a_quarter(self):
         n = 100
-        t, points, weights = shifted_triangle_problem(n, 2 * _NODE_BATCH, 2)
+        t, points, weights = shifted_triangle_problem(n, 2 * _NODE_BATCH)
         _schur_resolvent_sums(t, points, weights)  # warm up lazy imports and caches
         tracemalloc.start()
         try:

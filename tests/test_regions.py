@@ -82,15 +82,6 @@ class TestQuadrature:
         assert not np.isin(pts[1::2], coarse_pts).any()
         np.testing.assert_allclose(2.0 * wts[::2], coarse_wts, rtol=1e-15, atol=0)
 
-    def test_rectangle_pair_keeps_both_rules(self):
-        rect = Rectangle(-1.0, -0.5, 1.5, 1.0)
-        pts, wts = rect.quadrature_pair(64)
-        for row, nodes in ((0, 64), (1, 128)):
-            rule_pts, rule_wts = rect.quadrature(nodes)
-            used = wts[row] != 0
-            np.testing.assert_array_equal(pts[used], rule_pts)
-            np.testing.assert_array_equal(wts[row, used], rule_wts)
-
     def test_describe_round_trip_fields(self):
         region = Region.disk(1.0 + 2.0j, 0.5).union(Region.rectangle(0, 0, 1, 1))
         desc = region.describe()

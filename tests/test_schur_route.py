@@ -397,7 +397,7 @@ def test_nested_rule_agrees_with_fixed_rule(classified_bank):
         region = contour_regions(points)[0]
         got = riesz_projection_contour(N, region, cfg=cfg).matrix
         pts, wts = region.pieces[0].quadrature(2 * cfg.contour_nodes)
-        want = numerics.resolvent_at(N.schur, pts, wts / (2.0j * np.pi))[0]
+        want = numerics.resolvent_at(N.schur, pts, wts / (2.0j * np.pi))
         assert frobenius(got - want) <= 1e-12 * max(1.0, frobenius(want))
 
 

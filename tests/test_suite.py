@@ -41,6 +41,11 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="cond_bound"):
             run_suite(trials=2, seed=0, cond_bound=cond_bound)
 
+    @pytest.mark.parametrize("dims", [(150, 150), (2, 1000)])
+    def test_dimension_bound(self, dims):
+        with pytest.raises(ValueError, match="dimension range"):
+            run_suite(trials=1, seed=0, dims=dims)
+
     def test_trials_run_in_index_order(self):
         report = run_suite(trials=4, seed=2, dims=(2, 6))
         trials = [entry.trial for entry in report.entries]
