@@ -11,7 +11,10 @@ The work is split so that a caller pays only for the points it reads:
 the :func:`clustering` of the eigenvalues is computed once per operator
 and config, while each cluster's kernels are extracted and classified on
 the first request for that cluster (:func:`spectral_point`), which caches
-the classified point in the clustering; that cache is the only one.
+the classified point in the clustering; that is the only per-cluster
+cache.  Every cluster's kernels are read from one Schur form per
+clustering, reordered once so that each cluster fills one diagonal block
+(:attr:`Clustering.contiguous`), which the first kernel request builds.
 """
 
 from __future__ import annotations
@@ -33,7 +36,12 @@ from .core import (
     definiteness,
     min_gap,
 )
-from .numerics import OrderedDecomposition, ordered_spectral_decomposition, reorder_schur
+from .numerics import (
+    OrderedDecomposition,
+    ordered_spectral_decomposition,
+    reorder_schur,
+    solve_triangular,
+)
 
 # Largest quadrature node count per contour piece; the convergence check
 # integrates at twice as many.
@@ -41,6 +49,7 @@ MAX_CONTOUR_NODES = 2**14
 
 __all__ = [
     "Clustering",
+    "ContiguousSchur",
     "SpectralPoint",
     "SpectralType",
     "ToleranceConfig",
@@ -144,15 +153,16 @@ class SpectralPoint:
     warnings: tuple[str, ...] = ()
 
 
-def _kernel_columns(a: np.ndarray, rank_tol: float, scale: float) -> np.ndarray:
-    """Orthonormal null-space columns of ``a``: right singular vectors whose
-    singular value is at most ``rank_tol * max(top singular value, scale)``."""
-    _, s, vh = np.linalg.svd(a)
+def _null_vectors(a: np.ndarray, rank_tol: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal left and right null-space columns of ``a``, from one SVD:
+    the singular vectors whose singular value is at most ``rank_tol * max(top
+    singular value, scale)``."""
+    u, s, vh = np.linalg.svd(a)
     top = max(float(s[0]) if s.size else 0.0, scale)
     if top == 0.0:
-        return np.eye(a.shape[1], dtype=np.complex128)
+        return np.eye(a.shape[0], dtype=np.complex128), np.eye(a.shape[1], dtype=np.complex128)
     rank = int(np.count_nonzero(s > rank_tol * top))
-    return vh[rank:].conj().T
+    return u[:, rank:], vh[rank:].conj().T
 
 
 def kernel_basis(
@@ -168,9 +178,7 @@ def kernel_basis(
     of the operator's Schur form instead, and this function serves as the
     independent full-size reference.
     """
-    return SubspaceBasis(
-        _kernel_columns(np.asarray(a, dtype=np.complex128), rank_tol, scale)
-    )
+    return SubspaceBasis(_null_vectors(np.asarray(a, dtype=np.complex128), rank_tol, scale)[1])
 
 
 def _cluster_eigenvalues(
@@ -195,6 +203,18 @@ def _cluster_eigenvalues(
 
 
 @dataclass(frozen=True)
+class ContiguousSchur:
+    """The operator's Schur form ``N = U T U*`` reordered so that every
+    cluster of one :class:`Clustering` occupies one diagonal block: cluster
+    ``i`` holds rows and columns ``blocks[i] = (a, b)`` of ``triangular``.
+    Read-only; shares ``N.schur`` when no cluster had to move."""
+
+    triangular: np.ndarray
+    unitary: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
 class Clustering:
     """The eigenvalue clusters of one operator at one tolerance config.
 
@@ -204,7 +224,9 @@ class Clustering:
     clustering-ambiguity flags.  ``min_gap`` is the smallest distance
     between two ``values`` (inf for a single cluster).  ``points`` is a
     write-once dict of classified points keyed by cluster index, filled
-    one cluster at a time by :func:`spectral_point`.
+    one cluster at a time by :func:`spectral_point`.  ``contiguous`` is the
+    :class:`ContiguousSchur` form its kernels are read from, built once, on
+    the first kernel request (None until then).
     """
 
     values: tuple[complex, ...]
@@ -212,6 +234,7 @@ class Clustering:
     warnings: tuple[tuple[str, ...], ...]
     min_gap: float
     points: dict = field(default_factory=dict, repr=False, compare=False)
+    contiguous: ContiguousSchur | None = field(default=None, repr=False, compare=False)
 
 
 def clustering(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> Clustering:
@@ -246,33 +269,73 @@ def clustering(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> Cl
     return found
 
 
+def _make_contiguous(N: KreinOperator, clusters: Clustering) -> ContiguousSchur:
+    """One pass over the clusters in the order of their first Schur
+    position.  Each cluster in turn is moved up (ztrsen) to follow the
+    blocks already placed, unless its members already do.  ztrsen keeps
+    the order of the entries it does not select, so the entries not yet
+    placed stay in their original diagonal order."""
+    t, u = N.schur
+    rest = list(range(N.dim))  # Schur positions of N.schur not yet placed
+    blocks = [(0, 0)] * len(clusters.positions)
+    start = 0
+    for c in sorted(range(len(blocks)), key=clusters.positions.__getitem__):
+        members = clusters.positions[c]
+        k = len(members)
+        if tuple(rest[:k]) == members:
+            rest = rest[k:]
+        else:
+            moved = np.isin(rest, members)
+            select = np.ones(N.dim, dtype=bool)
+            select[start:] = moved
+            t, u, _ = reorder_schur(t, u, select)
+            rest = [i for i, m in zip(rest, moved) if not m]
+        blocks[c] = (start, start + k)
+        start += k
+    t.setflags(write=False)
+    u.setflags(write=False)
+    return ContiguousSchur(t, u, tuple(blocks))
+
+
+def _orthonormal(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning those of the full-rank ``a``: one column
+    normalized, or the Q factor of a QR decomposition."""
+    if a.shape[1] == 1:
+        return a / math.sqrt(np.vdot(a, a).real)
+    return np.linalg.qr(a)[0]
+
+
 def _cluster_kernels(
     N: KreinOperator, clusters: Clustering, index: int, cfg: ToleranceConfig
 ) -> SpectralPoint:
     """The unclassified point of cluster ``index``: its kernels extracted as
     described in :func:`spectrum`."""
-    t, u = N.schur
-    n = N.dim
-    positions = clusters.positions[index]
+    if clusters.contiguous is None:  # the clustering's first kernel request
+        object.__setattr__(clusters, "contiguous", _make_contiguous(N, clusters))
+    form = clusters.contiguous
+    t, u = form.triangular, form.unitary
+    a, b = form.blocks[index]
     lam = clusters.values[index]
-    k = len(positions)
-    shift = lam * np.eye(k)
-    select = np.zeros(n, dtype=bool)
-    select[list(positions)] = True
-    t_first, u_first, _ = reorder_schur(t, u, select)
-    ker = SubspaceBasis(
-        u_first[:, :k] @ _kernel_columns(t_first[:k, :k] - shift, cfg.rank_tol, N.scale)
-    )
-    t_last, g_inv_u_last, _ = reorder_schur(t, N.gram_inverse_schur, ~select)
-    left = _kernel_columns((t_last[n - k :, n - k :] - shift).conj().T, cfg.rank_tol, N.scale)
-    adj_ker = SubspaceBasis(np.linalg.qr(g_inv_u_last[:, n - k :] @ left)[0])
+    shifted = t.copy()  # T - lam: its off-diagonal blocks are T's own
+    np.fill_diagonal(shifted, t.diagonal() - lam)
+    left, right = _null_vectors(shifted[a:b, a:b], cfg.rank_tol, N.scale)
+    if a:  # (T11 - lam) x1 = -T12 x2 above the block
+        above = solve_triangular(shifted[:a, :a], -(shifted[:a, a:b] @ right))
+        right = _orthonormal(np.vstack([above, right]))
+    ker = SubspaceBasis(u[:, :b] @ right)
+    if b < N.dim:  # (T33 - lam)* y3 = -T23* y2 below it
+        below = solve_triangular(shifted[b:, b:], -(shifted[a:b, b:].conj().T @ left), adjoint=True)
+        left = np.vstack([left, below])
+    # G^{-1} times the left kernel u[:, a:] y, through N.schur's own G^{-1} U
+    adjoint = N.gram_inverse_schur @ (N.schur[1].conj().T @ (u[:, a:] @ left))
+    adj_ker = SubspaceBasis(_orthonormal(adjoint))
     return SpectralPoint(
         value=lam,
-        alg_mult=k,
+        alg_mult=b - a,
         geo_mult=ker.k,
         kernel=ker,
         adjoint_kernel=adj_ker,
-        schur_positions=positions,
+        schur_positions=clusters.positions[index],
         warnings=clusters.warnings[index],
     )
 
@@ -281,20 +344,25 @@ def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list
     """Eigenvalue clusters of a normal operator, unclassified, sorted by
     (real, imag).
 
-    The clusters are the operator's :func:`clustering`.  Kernels come from
-    k x k blocks of its Schur form, reordered (ztrsen) per cluster of size
-    k.  With the cluster leading, ``ker(N - lam)`` is ``U[:, :k] ker(T11 -
-    lam)``.  With the cluster trailing, the left kernel of ``N - lam`` is
-    ``U[:, n-k:]`` times the left kernel of ``T22 - lam``, and since
-    ``ker(N+ - conj(lam)) = G^{-1} leftker(N - lam)`` the adjoint kernel is
-    its orthonormalized image under ``G^{-1}`` (``N.gram_inverse_schur``,
-    reordered alongside).  Both blocks are compressions of ``N - lam``
-    itself, so both ranks are cut as in :func:`kernel_basis`, at ``rank_tol
-    * max(top singular value of the block, max(1, ||N||))``: the full
+    The clusters are the operator's :func:`clustering`, and every kernel is
+    read from one :class:`ContiguousSchur` form ``N = U T U*``, in which
+    the cluster at ``lam`` holds the diagonal block ``T22`` between the
+    blocks ``T11`` before it and ``T33`` after it.  One SVD of ``T22 -
+    lam`` gives both null spaces.  A right null vector ``x2`` extends to
+    ``ker(T - lam)`` upward by the back substitution ``(T11 - lam) x1 =
+    -T12 x2``, as ztrevc extends eigenvectors; ``U [x1; x2]``,
+    orthonormalized, spans ``ker(N - lam)``.  A left null vector ``y2``
+    extends downward by ``(T33 - lam)* y3 = -T23* y2``, and ``U [0; y2;
+    y3]`` spans the left kernel of ``N - lam``.  Since ``ker(N+ -
+    conj(lam)) = G^{-1} leftker(N - lam)``, the adjoint kernel is the
+    orthonormalized image of the left kernel under ``G^{-1}``
+    (``N.gram_inverse_schur``).  ``T22 - lam`` is a compression of ``N -
+    lam``, so its rank is cut as in :func:`kernel_basis`, at ``rank_tol *
+    max(top singular value of the block, max(1, ||N||))``: the full
     operator scale, never the block norm alone.
 
-    Only the clustering is cached: every call extracts every cluster's
-    kernels again.
+    Only the clustering and its contiguous form are cached: every call
+    extracts every cluster's kernels again.
     The pipeline reads classified points through :func:`spectral_point`,
     which extracts each cluster once per operator and config.
     """

@@ -174,7 +174,9 @@ class KreinOperator:
     :func:`~krein_spectra.classification.clustering` of the Schur diagonal
     for each (frozen, hashable) ``ToleranceConfig``; each clustering holds
     its classified points, extracted and classified one cluster at a time
-    on first request.  ``_decompositions`` holds each
+    on first request, and the Schur form reordered once so that every
+    cluster fills one diagonal block, which the kernels are read from.
+    ``_decompositions`` holds each
     :func:`invariant_decomposition`, keyed by its frozenset of Schur
     positions.
     """
@@ -229,9 +231,9 @@ class KreinOperator:
     def gram_inverse_schur(self) -> np.ndarray:
         """``G^{-1} U`` for the unitary factor U of :attr:`schur`, read-only.
 
-        Reordered alongside U, its trailing columns carry left kernels of
-        ``N - lam`` to kernels of ``N+ - conj(lam)``.  Solved once per
-        operator, on first use."""
+        It carries a left kernel ``U c`` of ``N - lam``, given by its
+        coordinates c, to the kernel ``G^{-1} U c`` of ``N+ - conj(lam)``.
+        Solved once per operator, on first use; never reordered."""
         g_inv_u = np.linalg.solve(self.space.gram, self.schur[1])
         g_inv_u.setflags(write=False)
         return g_inv_u

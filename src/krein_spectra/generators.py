@@ -338,7 +338,9 @@ def sample_generator_spec(
             if all(abs(z - w) >= _MIN_SEPARATION for w in values):
                 values.append(z)
                 return z
-        raise RuntimeError("could not place a separated eigenvalue; enlarge the box")
+        raise ValueError(
+            f"could not place {dim} separated eigenvalues in the box of half-width {box}"
+        )
 
     pos: list[tuple[complex, int]] = []
     neg: list[tuple[complex, int]] = []

@@ -1,13 +1,14 @@
 """Dense complex linear algebra: the package's one Schur/Sylvester layer
-(LAPACK zgees, ztrsen, ztrsyl) and its matrix norms.
+(LAPACK zgees, ztrsen, ztrsyl, ztrtrs) and its matrix norms.
 
 Ordered Schur decompositions realize spectral-set splittings, selecting
 eigenvalues by their position on the Schur diagonal (a boolean mask),
 never by value; a spectral projector decouples its own triangular blocks
 with one ztrsyl call, and the general Sylvester solver triangularizes
-both coefficients first.  Weighted resolvent sums, evaluated in a Schur
-basis, give the contour integrals that recover spectral projectors and
-Laurent coefficients.
+both coefficients first.  Triangular systems on Schur blocks are solved
+by ztrtrs.  Weighted resolvent sums, evaluated in a Schur basis, give the
+contour integrals that recover spectral projectors and Laurent
+coefficients.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "reorder_schur",
     "solve_sylvester",
     "solve_sylvester_dense",
+    "solve_triangular",
     "spectral_projector",
     "sylvester_spectral_gap",
 ]
@@ -82,6 +84,7 @@ def _load_lapack():
 
 _lapack, LAPACK_ROUTE = _load_lapack()
 _zgees, _ztrsen, _ztrsyl = _lapack.zgees, _lapack.ztrsen, _lapack.ztrsyl
+_ztrtrs = _lapack.ztrtrs
 
 
 def _unsorted(z):  # zgees's eigenvalue selection; unused when nothing is sorted
@@ -241,6 +244,16 @@ def _triangular_sylvester(s: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.nda
     if info != 0:  # 1: common or close diagonal entries, perturbed to solve
         raise SpectralOverlapError(f"coefficient spectra overlap: ztrsyl info {info}")
     return x / scale
+
+
+def solve_triangular(t: np.ndarray, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """``X`` with ``t X = b``, or ``t* X = b`` when ``adjoint``, for an
+    upper-triangular t (ztrtrs).  An exactly zero diagonal entry raises
+    ``LinAlgError``."""
+    x, info = _ztrtrs(t, b, trans=2 if adjoint else 0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed: ztrtrs info {info}")
+    return x
 
 
 def solve_sylvester_dense(S: np.ndarray, T: np.ndarray, Z: np.ndarray) -> np.ndarray:

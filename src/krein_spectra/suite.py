@@ -420,12 +420,20 @@ def numerics_checks(rng: np.random.Generator) -> list[CheckEntry]:
     return entries
 
 
+def _check_dims(dims: tuple[int, int]) -> None:
+    if not 1 <= dims[0] <= dims[1] <= MAX_DIM:
+        raise ValueError(f"invalid dimension range {dims}: expected 1 <= lo <= hi <= {MAX_DIM}")
+
+
 def run_trial(
     trial: int,
     base_seed: int,
     dims: tuple[int, int],
     cond_bound: float,
 ) -> list[CheckEntry]:
+    """The check entries of one trial, on an operator of a dimension drawn
+    from ``dims``, which must lie in ``[1, MAX_DIM]``."""
+    _check_dims(dims)
     rng = np.random.default_rng([base_seed, trial])
     dim = int(rng.integers(dims[0], dims[1] + 1))
     spec = sample_generator_spec(rng, dim, cond_bound=cond_bound)
@@ -496,8 +504,7 @@ def run_suite(
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 1 <= cond_bound < math.inf:  # also refuses NaN
         raise ValueError(f"cond_bound must be finite and at least 1, got {cond_bound!r}")
-    if not 1 <= dims[0] <= dims[1] <= MAX_DIM:
-        raise ValueError(f"invalid dimension range {dims}: expected 1 <= lo <= hi <= {MAX_DIM}")
+    _check_dims(dims)
     started = time.perf_counter()
     indices = [only_trial] if only_trial is not None else list(range(trials))
     if only_trial is not None and not (0 <= only_trial < trials):

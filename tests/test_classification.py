@@ -291,9 +291,10 @@ LAZY_SPEC = GeneratorSpec(
 
 class TestClustersExtractedOnRequest:
     """Each subcommand extracts the kernels of the clusters it reads and no
-    others.  Extraction reorders the Schur form twice per cluster, once with
-    the cluster leading and once with it trailing; the reorders are counted
-    at classification's binding of ``numerics.reorder_schur``."""
+    others, each once, from at most one contiguous Schur form per
+    clustering.  Extractions are counted by cluster index at
+    ``classification._cluster_kernels``, and contiguity passes at
+    ``classification._make_contiguous``."""
 
     @pytest.fixture
     def document(self, tmp_path):
@@ -304,37 +305,38 @@ class TestClustersExtractedOnRequest:
         return str(path)
 
     @pytest.fixture
-    def reorders(self, monkeypatch):
-        assert classification.reorder_schur is numerics.reorder_schur
-        leading = []
-        original = numerics.reorder_schur
+    def extracted(self, monkeypatch):
+        counts = {"kernels": [], "passes": 0}
+        kernels, make_contiguous = classification._cluster_kernels, classification._make_contiguous
 
-        def counting(t, u, select):
-            leading.append(frozenset(np.flatnonzero(select).tolist()))
-            return original(t, u, select)
+        def counting_kernels(N, clusters, index, cfg):
+            counts["kernels"].append(index)
+            return kernels(N, clusters, index, cfg)
 
-        monkeypatch.setattr(classification, "reorder_schur", counting)
-        return leading
+        def counting_passes(N, clusters):
+            counts["passes"] += 1
+            return make_contiguous(N, clusters)
+
+        monkeypatch.setattr(classification, "_cluster_kernels", counting_kernels)
+        monkeypatch.setattr(classification, "_make_contiguous", counting_passes)
+        return counts
 
     @staticmethod
-    def extractions(document, values, reorders):
-        """The reorders that extracting the clusters at ``values`` takes,
-        worked out on a separate operator; ``reorders`` is then reset."""
+    def clusters_at(document, values):
+        """Indices of the clusters at ``values`` and the clustering, worked
+        out on a separate operator; no kernel is extracted."""
         _, operator = load_operator_document(document).build()
-        points = spectrum(operator)
-        assert len(points) >= 6
-        everything = frozenset(range(operator.dim))
-        expected = []
-        for value in values:
-            pt = min(points, key=lambda p: abs(p.value - value))
-            expected += [frozenset(pt.schur_positions), everything - set(pt.schur_positions)]
-        reorders.clear()
-        return expected
+        clusters = classification.clustering(operator)
+        assert len(clusters.values) == 7
+        return [classification.locate_point(operator, v) for v in values], clusters
 
-    def test_probe_resolvent_extracts_no_kernels(self, document, reorders, tmp_path, monkeypatch):
+    def test_probe_resolvent_extracts_no_kernels(
+        self, document, extracted, tmp_path, monkeypatch
+    ):
         # the pole order reads one Schur form reordered on the positions its
-        # circle encloses (numerics' own binding, not classification's)
-        target = frozenset(self.extractions(document, [1.0], reorders)[0])
+        # circle encloses, and no contiguous form
+        [index], clusters = self.clusters_at(document, [1.0])
+        target = frozenset(clusters.positions[index])
         decompositions = []
         original = numerics.reorder_schur
 
@@ -347,28 +349,27 @@ class TestClustersExtractedOnRequest:
         argv = ["probe-resolvent", document, "--point=1,0", "--radii=0.4,0.2", "-o", str(out)]
         assert main(argv) == 0
         assert json.loads(out.read_text())["pole_order"] == 1
-        assert reorders == []
+        assert extracted == {"kernels": [], "passes": 0}
         assert decompositions == [target]
 
-    def test_lsf_verify_extracts_the_carrier_only(self, document, reorders, tmp_path):
-        expected = self.extractions(document, [1.0, 2.0], reorders)
+    def test_lsf_verify_extracts_the_carrier_only(self, document, extracted, tmp_path):
+        expected, _ = self.clusters_at(document, [1.0, 2.0])
         out = tmp_path / "lsf.json"
         assert main(["lsf-verify", document, "--disk=1.5,0,0.8", "--json", "-o", str(out)]) == 0
         assert all(e["status"] != "fail" for e in json.loads(out.read_text())["entries"])
-        assert sorted(reorders, key=sorted) == sorted(expected, key=sorted)
+        assert sorted(extracted["kernels"]) == sorted(expected)
+        assert extracted["passes"] == 1
 
-    def test_stability_stops_at_the_first_neutral_point(self, document, reorders, tmp_path):
-        expected = self.extractions(document, [-3.0], reorders)
+    def test_stability_stops_at_the_first_neutral_point(self, document, extracted, tmp_path):
+        expected, _ = self.clusters_at(document, [-3.0])
         out = tmp_path / "stability.json"
         assert main(["stability", document, "-o", str(out)]) == 0
         assert json.loads(out.read_text())["stable"] is False
-        assert reorders == expected
+        assert extracted == {"kernels": expected, "passes": 1}
 
-    def test_classify_extracts_every_cluster_once(self, document, reorders, tmp_path):
-        _, operator = load_operator_document(document).build()
-        values = [pt.value for pt in spectrum(operator)]
-        expected = self.extractions(document, values, reorders)
+    def test_classify_extracts_every_cluster_once(self, document, extracted, tmp_path):
         out = tmp_path / "classes.json"
         assert main(["classify", document, "--json", "-o", str(out)]) == 0
-        assert len(json.loads(out.read_text())["points"]) == len(values) == 7
-        assert sorted(reorders, key=sorted) == sorted(expected, key=sorted)
+        assert len(json.loads(out.read_text())["points"]) == 7
+        assert sorted(extracted["kernels"]) == list(range(7))
+        assert extracted["passes"] == 1

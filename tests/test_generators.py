@@ -109,6 +109,12 @@ class TestBuildNormalWithTypes:
         with pytest.raises(ValueError, match="empty"):
             GeneratorSpec(signature=(0, 0))
 
+    def test_unplaceable_eigenvalues_are_a_value_error(self):
+        # a box of half-width 0.1 holds one eigenvalue at the separation 0.35;
+        # dim 4 needs at least two
+        with pytest.raises(ValueError, match="separated eigenvalues"):
+            sample_generator_spec(np.random.default_rng(0), 4, box=0.1)
+
     def test_adjoint_swaps_pair_eigenvalues(self):
         spec = GeneratorSpec(signature=(1, 1), neutral_pairs=(((1.0 + 0j), (2.0 + 0j)),))
         gen = build_normal_with_types(spec)

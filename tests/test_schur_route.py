@@ -1,11 +1,12 @@
 """Kernels and contour projections from the cached Schur form against
 dense references.
 
-``spectrum`` reads each cluster's kernel and adjoint kernel off k x k
-blocks of one reordered Schur form per operator; ``kernel_basis`` on the
-shifted n x n matrices is the independent reference.  The contour route
-evaluates its resolvents as triangular inverses in the same Schur basis;
-one dense LU solve of ``z - N`` per quadrature node is its reference.
+``spectrum`` reads each cluster's kernel and adjoint kernel off its k x k
+block of one Schur form per clustering, reordered so that every cluster
+is contiguous; ``kernel_basis`` on the shifted n x n matrices is the
+independent reference.  The contour route evaluates its resolvents as
+triangular inverses in the same Schur basis; one dense LU solve of
+``z - N`` per quadrature node is its reference.
 The bank mixes definite clusters, neutral pairs and Jordan cells at dims
 2-40.  It is checked twice: with the generator's Gram matrices
 (block-diagonal +-1 and swap entries, so G^{-1} = G and ||N+|| = ||N||)
@@ -42,6 +43,7 @@ from krein_spectra.classification import clustering, kernel_basis, root_subspace
 from krein_spectra.core import (
     KreinOperator,
     KreinSpace,
+    SubspaceBasis,
     frobenius,
     max_principal_angle,
     min_gap,
@@ -129,21 +131,62 @@ def test_inventory_matches_generator(classified_bank):
         assert inventory(points) == truth_inventory(gen)
 
 
+def gesvd_kernel_basis(a, rank_tol, scale):
+    """``kernel_basis``'s rank rule on the SVD of LAPACK's zgesvd.  At dim
+    130 numpy's SVD (zgesdd) of ``N - lam`` either did not converge or
+    returned null vectors with an orthonormality defect of 3e-7, depending
+    on the BLAS thread count."""
+    _, s, vh = scipy.linalg.svd(a, lapack_driver="gesvd")
+    rank = int(np.count_nonzero(s > rank_tol * max(s[0], scale)))
+    return SubspaceBasis(vh[rank:].conj().T)
+
+
+def assert_kernels_match_full_svd(N, points, cfg, reference=kernel_basis):
+    """Each point's kernels against the ``reference`` null spaces of the
+    full shifted matrices ``N - lam`` and ``N+ - conj(lam)``: equal
+    dimension, and largest principal angle at most ``ANGLE_TOL``."""
+    eye = np.eye(N.dim)
+    adj_scale = max(1.0, operator_norm(N.adjoint))
+    for pt in points:
+        oracle = reference(N.matrix - pt.value * eye, cfg.rank_tol, max(1.0, N.norm))
+        adj_oracle = reference(N.adjoint - np.conj(pt.value) * eye, cfg.rank_tol, adj_scale)
+        assert pt.kernel.k == oracle.k == pt.geo_mult
+        assert pt.adjoint_kernel.k == adj_oracle.k == pt.geo_mult
+        assert max_principal_angle(oracle, pt.kernel) <= ANGLE_TOL
+        assert max_principal_angle(pt.kernel, oracle) <= ANGLE_TOL
+        assert max_principal_angle(adj_oracle, pt.adjoint_kernel) <= ANGLE_TOL
+
+
+def assert_contiguous_form(N, cfg):
+    """The form the kernels were read from: a unitary similarity of N with
+    the Schur diagonal permuted so that each cluster fills one block."""
+    clusters = clustering(N, cfg)
+    form = clusters.contiguous
+    t, u = form.triangular, form.unitary
+    diagonal = np.diag(t)
+    assert np.array_equal(np.sort_complex(diagonal), np.sort_complex(N.eigenvalues))
+    assert not np.tril(t, -1).any()
+    blocks = sorted(form.blocks)  # they tile the diagonal
+    assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+    assert blocks[-1][1] == N.dim
+    for (a, b), positions in zip(form.blocks, clusters.positions):
+        members = N.eigenvalues[list(positions)]
+        assert np.array_equal(np.sort_complex(diagonal[a:b]), np.sort_complex(members))
+    assert frobenius(u.conj().T @ u - np.eye(N.dim)) <= 1e-12 * max(1.0, N.dim)
+    backward = frobenius(N.matrix - u @ t @ u.conj().T) / max(frobenius(N.matrix), 1e-300)
+    assert backward <= 1e-10
+
+
 def test_kernels_match_full_svd_oracle(classified_bank):
     cfg = ToleranceConfig()
     for _, N, points in classified_bank:
-        eye = np.eye(N.dim)
-        adj_scale = max(1.0, operator_norm(N.adjoint))
-        for pt in points:
-            oracle = kernel_basis(N.matrix - pt.value * eye, cfg.rank_tol, max(1.0, N.norm))
-            adj_oracle = kernel_basis(
-                N.adjoint - np.conj(pt.value) * eye, cfg.rank_tol, adj_scale
-            )
-            assert pt.kernel.k == oracle.k == pt.geo_mult
-            assert pt.adjoint_kernel.k == adj_oracle.k
-            assert max_principal_angle(oracle, pt.kernel) <= ANGLE_TOL
-            assert max_principal_angle(pt.kernel, oracle) <= ANGLE_TOL
-            assert max_principal_angle(adj_oracle, pt.adjoint_kernel) <= ANGLE_TOL
+        assert_kernels_match_full_svd(N, points, cfg)
+
+
+def test_contiguous_form_invariants(classified_bank):
+    cfg = ToleranceConfig()
+    for _, N, _ in classified_bank:  # the classification built the form
+        assert_contiguous_form(N, cfg)
 
 
 def test_kernel_residuals_small_against_operator_norm(classified_bank):
@@ -220,7 +263,7 @@ def point_bits(pt):
 def test_points_requested_in_any_order_match_the_full_spectrum(data):
     # clusters classified one at a time, in any order, then the rest filled
     # in by classified_spectrum: the same bits as one pass on a fresh
-    # operator, each cluster's kernels extracted once (two reorders)
+    # operator, each cluster's kernels extracted once from one contiguous form
     index = data.draw(st.integers(0, BANK_SIZE - 1), label="bank index")
     unitary_gram = data.draw(st.booleans(), label="unitary gram")
     _, N = bank_entry(index, unitary_gram)
@@ -228,11 +271,16 @@ def test_points_requested_in_any_order_match_the_full_spectrum(data):
     order = data.draw(st.permutations(range(count)), label="order")
     requested = order[: data.draw(st.integers(0, count), label="requested")]
     with mock.patch.object(
-        classification, "reorder_schur", wraps=numerics.reorder_schur
-    ) as reorders:
+        classification, "_cluster_kernels", wraps=classification._cluster_kernels
+    ) as kernels, mock.patch.object(
+        classification, "_make_contiguous", wraps=classification._make_contiguous
+    ) as passes:
         singles = [spectral_point(N, i) for i in requested]
         lazy = classified_spectrum(N)
-    assert reorders.call_count == 2 * count
+    extracted = [call.args[2] for call in kernels.call_args_list]
+    assert extracted[: len(requested)] == list(requested)
+    assert sorted(extracted) == list(range(count))
+    assert passes.call_count == 1
     assert all(lazy[i] is pt for i, pt in zip(requested, singles))
     fresh = classified_spectrum(KreinOperator(N.matrix, N.space))
     assert [point_bits(pt) for pt in lazy] == [point_bits(pt) for pt in fresh]
@@ -258,10 +306,13 @@ def test_large_cluster_kernel_extraction_regression():
         seed=4182779752608499223,
     )
     gen = build_normal_with_types(spec)
-    points = classified_spectrum(gen.operator)
+    cfg = ToleranceConfig()
+    points = classified_spectrum(gen.operator, cfg)
     assert inventory(points) == truth_inventory(gen)
     for pt in points:
         assert max_principal_angle(pt.kernel, pt.adjoint_kernel) <= ANGLE_TOL
+    assert_kernels_match_full_svd(gen.operator, points, cfg, gesvd_kernel_basis)
+    assert_contiguous_form(gen.operator, cfg)
 
 
 def dense_contour_reference(N, region, nodes):

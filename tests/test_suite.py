@@ -46,6 +46,12 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="dimension range"):
             run_suite(trials=1, seed=0, dims=dims)
 
+    @pytest.mark.parametrize("dims", [(150, 150), (2, 1000), (0, 3)])
+    def test_single_trial_dimension_bound(self, dims):
+        # a trial run alone refuses what run_suite refuses, before generating
+        with pytest.raises(ValueError, match="dimension range"):
+            run_trial(0, 0, dims, 1e3)
+
     def test_trials_run_in_index_order(self):
         report = run_suite(trials=4, seed=2, dims=(2, 6))
         trials = [entry.trial for entry in report.entries]
