@@ -11,16 +11,18 @@ The work is split so that a caller pays only for the points it reads:
 the :func:`clustering` of the eigenvalues is computed once per operator
 and config, while each cluster's kernels are extracted and classified on
 the first request for that cluster (:func:`spectral_point`), which caches
-the classified point in the clustering; that is the only per-cluster
-cache.  Every cluster's kernels are read from one Schur form per
-clustering, reordered once so that each cluster fills one diagonal block
-(:attr:`Clustering.contiguous`), which the first kernel request builds.
+the classified point in the clustering.  Every cluster's kernels are read
+from one Schur form per clustering, reordered once so that each cluster
+fills one diagonal block (:attr:`Clustering.contiguous`), which the first
+kernel request builds.  Outside this module clusters are named by index;
+only here are they mapped to places on the Schur diagonal.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,6 +43,7 @@ from .numerics import (
     ordered_spectral_decomposition,
     reorder_schur,
     solve_triangular,
+    svd,
 )
 
 # Largest quadrature node count per contour piece; the convergence check
@@ -56,7 +59,9 @@ __all__ = [
     "classified_spectrum",
     "classify_point",
     "clustering",
+    "clusters_in",
     "invariant_decomposition",
+    "invariant_subspace",
     "kernel_basis",
     "locate_point",
     "root_subspace",
@@ -77,9 +82,10 @@ class ToleranceConfig:
     the larger of the top singular value of the matrix whose kernel is
     sought and the full operator scale ``max(1, ||N||)``,
     ``definiteness_tol`` with the Gram scale, and
-    ``normality_tol`` with ``max(1, ||N||_F^2)``.  ``contour_nodes`` caps
-    the contour quadrature and lies in ``[16, MAX_CONTOUR_NODES]``: a disk
-    stops once its nested trapezoid rule has converged, after at most
+    ``normality_tol`` with ``max(1, ||N||_F^2)``; each is a real number,
+    not a boolean.  ``contour_nodes`` caps the contour quadrature and is
+    an integer in ``[16, MAX_CONTOUR_NODES]``: a disk stops once its
+    nested trapezoid rule has converged, after at most
     ``2 * contour_nodes`` nodes; a rectangle uses ``contour_nodes`` nodes,
     checked against twice as many.  A resolvent probe's pole order takes
     no quadrature and does not read ``contour_nodes``.
@@ -93,10 +99,14 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("cluster_tol", "rank_tol", "definiteness_tol", "normality_tol"):
-            if not 0 < getattr(self, name) < math.inf:  # also refuses NaN
-                raise ValueError(f"{name} must be positive and finite")
-        if not 16 <= self.contour_nodes <= MAX_CONTOUR_NODES:
-            raise ValueError(f"contour_nodes must be between 16 and {MAX_CONTOUR_NODES}")
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0 < value < math.inf):  # also refuses NaN
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        nodes = self.contour_nodes
+        integral = isinstance(nodes, numbers.Integral) and not isinstance(nodes, bool)
+        if not (integral and 16 <= nodes <= MAX_CONTOUR_NODES):
+            raise ValueError(f"contour_nodes must be an integer in [16, {MAX_CONTOUR_NODES}]")
 
     def cluster_radius(self, N: KreinOperator) -> float:
         """Absolute clustering radius for one operator.
@@ -133,9 +143,6 @@ DEFINITE_TAGS = POSITIVE_TAGS | NEGATIVE_TAGS
 class SpectralPoint:
     """One eigenvalue cluster with multiplicities and kernel data.
 
-    ``schur_positions`` are the cluster's ``alg_mult`` places, ascending,
-    on the diagonal of the operator's cached Schur factor ``N.schur[0]``;
-    every invariant subspace or projector of the cluster selects them.
     ``type_tag`` is None until :func:`classify_point` fills it in;
     ``gram_margin`` is the extremal compressed-Gram eigenvalue of the
     kernel.  ``warnings`` collects clustering-ambiguity and borderline
@@ -147,22 +154,16 @@ class SpectralPoint:
     geo_mult: int
     kernel: SubspaceBasis
     adjoint_kernel: SubspaceBasis
-    schur_positions: tuple[int, ...]
     type_tag: SpectralType | None = None
     gram_margin: float = math.nan
     warnings: tuple[str, ...] = ()
 
 
-def _null_vectors(a: np.ndarray, rank_tol: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal left and right null-space columns of ``a``, from one SVD:
-    the singular vectors whose singular value is at most ``rank_tol * max(top
-    singular value, scale)``."""
-    u, s, vh = np.linalg.svd(a)
+def _rank(s: np.ndarray, rank_tol: float, scale: float) -> int:
+    """How many of the descending singular values ``s`` exceed ``rank_tol *
+    max(top singular value, scale)``: the rank cut of every kernel."""
     top = max(float(s[0]) if s.size else 0.0, scale)
-    if top == 0.0:
-        return np.eye(a.shape[0], dtype=np.complex128), np.eye(a.shape[1], dtype=np.complex128)
-    rank = int(np.count_nonzero(s > rank_tol * top))
-    return u[:, rank:], vh[rank:].conj().T
+    return int(np.count_nonzero(s > rank_tol * top))
 
 
 def kernel_basis(
@@ -171,14 +172,16 @@ def kernel_basis(
     """Null space of a matrix by singular-value thresholding.
 
     The threshold is ``rank_tol`` times the larger of the top singular
-    value and ``scale``.  Kernels of shifted operators pass the operator
-    norm as the scale: when the shift consumes the whole matrix the
-    residual is rounding noise and must count as kernel.  This is a full
-    SVD of ``a``; :func:`spectrum` applies the same rule to k x k blocks
-    of the operator's Schur form instead, and this function serves as the
-    independent full-size reference.
+    value and ``scale`` (:func:`_rank`).  Kernels of shifted operators pass
+    the operator norm as the scale: when the shift consumes the whole
+    matrix the residual is rounding noise and must count as kernel.  This
+    is a full zgesvd SVD of ``a`` (:func:`numerics.svd`); :func:`spectrum`
+    applies the same rank rule to k x k blocks of the operator's Schur
+    form instead, and this function serves as the independent full-size
+    reference.
     """
-    return SubspaceBasis(_null_vectors(np.asarray(a, dtype=np.complex128), rank_tol, scale)[1])
+    _, s, vh = svd(a)
+    return SubspaceBasis(vh[_rank(s, rank_tol, scale) :].conj().T)
 
 
 def _cluster_eigenvalues(
@@ -226,7 +229,10 @@ class Clustering:
     write-once dict of classified points keyed by cluster index, filled
     one cluster at a time by :func:`spectral_point`.  ``contiguous`` is the
     :class:`ContiguousSchur` form its kernels are read from, built once, on
-    the first kernel request (None until then).
+    the first kernel request (None until then).  ``decompositions`` and
+    ``projections`` are write-once dicts keyed by frozensets of cluster
+    indices: each set's :func:`invariant_decomposition` and its oracle
+    projection (``projections.cluster_projection``).
     """
 
     values: tuple[complex, ...]
@@ -235,6 +241,8 @@ class Clustering:
     min_gap: float
     points: dict = field(default_factory=dict, repr=False, compare=False)
     contiguous: ContiguousSchur | None = field(default=None, repr=False, compare=False)
+    decompositions: dict = field(default_factory=dict, repr=False, compare=False)
+    projections: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def clustering(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> Clustering:
@@ -292,8 +300,6 @@ def _make_contiguous(N: KreinOperator, clusters: Clustering) -> ContiguousSchur:
             rest = [i for i, m in zip(rest, moved) if not m]
         blocks[c] = (start, start + k)
         start += k
-    t.setflags(write=False)
-    u.setflags(write=False)
     return ContiguousSchur(t, u, tuple(blocks))
 
 
@@ -318,7 +324,9 @@ def _cluster_kernels(
     lam = clusters.values[index]
     shifted = t.copy()  # T - lam: its off-diagonal blocks are T's own
     np.fill_diagonal(shifted, t.diagonal() - lam)
-    left, right = _null_vectors(shifted[a:b, a:b], cfg.rank_tol, N.scale)
+    left, s, right = np.linalg.svd(shifted[a:b, a:b])  # both null spaces past the rank cut
+    rank = _rank(s, cfg.rank_tol, N.scale)
+    left, right = left[:, rank:], right[rank:].conj().T
     if a:  # (T11 - lam) x1 = -T12 x2 above the block
         above = solve_triangular(shifted[:a, :a], -(shifted[:a, a:b] @ right))
         right = _orthonormal(np.vstack([above, right]))
@@ -335,7 +343,6 @@ def _cluster_kernels(
         geo_mult=ker.k,
         kernel=ker,
         adjoint_kernel=adj_ker,
-        schur_positions=clusters.positions[index],
         warnings=clusters.warnings[index],
     )
 
@@ -476,25 +483,48 @@ def locate_point(
     return index
 
 
-def invariant_decomposition(N: KreinOperator, positions: frozenset[int]) -> OrderedDecomposition:
-    """The Schur form ``N.schur`` reordered so the diagonal ``positions``
-    lead, computed once per operator and position set (cached on ``N``)."""
-    dec = N._decompositions.get(positions)
+def clusters_in(
+    N: KreinOperator, region, cfg: ToleranceConfig = ToleranceConfig()
+) -> frozenset[int]:
+    """Indices of the clusters of ``clustering(N, cfg)`` whose eigenvalues
+    ``region`` contains.  With no eigenvalue within the clustering radius
+    of a boundary, no cluster straddles one (a linkage crossing it would
+    put an eigenvalue that close), so one member decides each cluster."""
+    eigs = N.eigenvalues.tolist()
+    return frozenset(
+        i
+        for i, members in enumerate(clustering(N, cfg).positions)
+        if region.contains(eigs[members[0]])
+    )
+
+
+def invariant_decomposition(
+    N: KreinOperator, indices: frozenset[int], cfg: ToleranceConfig = ToleranceConfig()
+) -> OrderedDecomposition:
+    """``N.schur`` reordered so the clusters ``indices`` of ``clustering(N,
+    cfg)`` lead, once per cluster set, cached read-only in the clustering."""
+    clusters = clustering(N, cfg)
+    dec = clusters.decompositions.get(indices)
     if dec is None:
         select = np.zeros(N.dim, dtype=bool)
-        select[list(positions)] = True
-        dec = N._decompositions.setdefault(
-            positions, ordered_spectral_decomposition(N.matrix, N.schur, select)
+        select[[p for i in indices for p in clusters.positions[i]]] = True
+        dec = clusters.decompositions.setdefault(
+            indices, ordered_spectral_decomposition(N.matrix, N.schur, select)
         )
     return dec
+
+
+def invariant_subspace(
+    N: KreinOperator, indices: frozenset[int], cfg: ToleranceConfig = ToleranceConfig()
+) -> SubspaceBasis:
+    """Invariant subspace of the clusters ``indices`` (:func:`invariant_decomposition`)."""
+    dec = invariant_decomposition(N, indices, cfg)
+    return SubspaceBasis(dec.unitary[:, : dec.split])
 
 
 def root_subspace(
     N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig = ToleranceConfig()
 ) -> SubspaceBasis:
     """Invariant subspace of the full eigenvalue cluster (dimension
-    ``alg_mult``): the leading columns of its :func:`invariant_decomposition`.
-    The cluster is the one :func:`locate_point` finds at ``pt.value``."""
-    positions = clustering(N, cfg).positions[locate_point(N, pt.value, cfg)]
-    dec = invariant_decomposition(N, frozenset(positions))
-    return SubspaceBasis(dec.unitary[:, : dec.split])
+    ``alg_mult``) that :func:`locate_point` finds at ``pt.value``."""
+    return invariant_subspace(N, frozenset({locate_point(N, pt.value, cfg)}), cfg)

@@ -170,15 +170,14 @@ class KreinOperator:
 
     Derived data is computed on first use and cached on the instance: the
     norm, the scale, the Schur form, ``G^{-1} U`` for its unitary factor,
-    the spectral radius; and two write-once dicts.  ``_spectra`` holds the
+    the spectral radius; and one write-once dict.  ``_spectra`` holds the
     :func:`~krein_spectra.classification.clustering` of the Schur diagonal
     for each (frozen, hashable) ``ToleranceConfig``; each clustering holds
     its classified points, extracted and classified one cluster at a time
     on first request, and the Schur form reordered once so that every
     cluster fills one diagonal block, which the kernels are read from.
-    ``_decompositions`` holds each
-    :func:`invariant_decomposition`, keyed by its frozenset of Schur
-    positions.
+    Each clustering also holds, per set of cluster indices, the
+    :func:`invariant_decomposition` and the oracle projection of the set.
     """
 
     matrix: np.ndarray
@@ -187,7 +186,6 @@ class KreinOperator:
     adjoint: np.ndarray = field(init=False, repr=False)
     normality_residual: float = field(init=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _decompositions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _frozen_complex(self.matrix, (self.space.dim, self.space.dim))

@@ -95,6 +95,13 @@ def dumps_canonical(obj) -> str:
     return "".join(out)
 
 
+def _integer(value, where: str) -> int:
+    """``value`` if it is an integer (not a bool, nor even ``2.0``), else a DocumentError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def complex_to_pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -199,11 +206,9 @@ def parse_operator_document(text: str) -> OperatorDocument:
     unknown = set(raw) - known
     if unknown:
         raise DocumentError(f"unknown fields: {sorted(unknown)}")
-    if "dim" not in raw or not isinstance(raw["dim"], int) or isinstance(raw["dim"], bool):
-        raise DocumentError("dim: expected a positive integer")
-    dim = raw["dim"]
+    dim = _integer(raw.get("dim"), "dim")
     if dim < 1:
-        raise DocumentError("dim: expected a positive integer")
+        raise DocumentError(f"dim: expected a positive integer, got {dim}")
     for name in ("gram", "matrix"):
         if name not in raw:
             raise DocumentError(f"{name}: missing")
@@ -279,7 +284,7 @@ def generator_spec_from_json(raw: dict) -> GeneratorSpec:
     if not isinstance(raw, dict):
         raise DocumentError("generator spec: expected a JSON object")
     try:
-        signature = tuple(int(x) for x in raw["signature"])
+        signature = tuple(_integer(x, f"signature[{i}]") for i, x in enumerate(raw["signature"]))
         if len(signature) != 2:
             raise DocumentError("signature: expected [p, q]")
         mults = []
@@ -289,7 +294,7 @@ def generator_spec_from_json(raw: dict) -> GeneratorSpec:
                 entries.append(
                     (
                         pair_to_complex(item["value"], f"{key}[{i}].value"),
-                        int(item["mult"]),
+                        _integer(item["mult"], f"{key}[{i}].mult"),
                     )
                 )
             mults.append(tuple(entries))
@@ -305,9 +310,14 @@ def generator_spec_from_json(raw: dict) -> GeneratorSpec:
             for i, item in enumerate(raw.get("neutral_jordan", []))
         )
         conj = raw.get("conjugation")
-        cond_bound = None if conj is None else float(conj["cond_bound"])
-        seed = int(raw.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        cond_bound = None
+        if conj is not None:
+            bound = conj["cond_bound"]
+            if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+                raise DocumentError(f"conjugation.cond_bound: expected a number, got {bound!r}")
+            cond_bound = float(bound)
+        seed = _integer(raw.get("seed", 0), "seed")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"generator spec: {exc!r}") from exc
     try:
         return GeneratorSpec(

@@ -1,5 +1,6 @@
 """Dense complex linear algebra: the package's one Schur/Sylvester layer
-(LAPACK zgees, ztrsen, ztrsyl, ztrtrs) and its matrix norms.
+(LAPACK zgees, ztrsen, ztrsyl, ztrtrs), the full-size SVD (zgesvd) and its
+matrix norms.
 
 Ordered Schur decompositions realize spectral-set splittings, selecting
 eigenvalues by their position on the Schur diagonal (a boolean mask),
@@ -37,6 +38,7 @@ __all__ = [
     "solve_sylvester_dense",
     "solve_triangular",
     "spectral_projector",
+    "svd",
     "sylvester_spectral_gap",
 ]
 
@@ -84,7 +86,7 @@ def _load_lapack():
 
 _lapack, LAPACK_ROUTE = _load_lapack()
 _zgees, _ztrsen, _ztrsyl = _lapack.zgees, _lapack.ztrsen, _lapack.ztrsyl
-_ztrtrs = _lapack.ztrtrs
+_ztrtrs, _zgesvd = _lapack.ztrtrs, _lapack.zgesvd
 
 
 def _unsorted(z):  # zgees's eigenvalue selection; unused when nothing is sorted
@@ -110,6 +112,15 @@ def complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, u
 
 
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full SVD ``a = U diag(s) Vh`` as ``(U, s, Vh)`` by LAPACK's zgesvd,
+    whose singular vectors stayed orthonormal where numpy's zgesdd did not."""
+    u, s, vh, info = _zgesvd(np.asarray(a, dtype=np.complex128))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge: zgesvd info {info}")
+    return u, s, vh
+
+
 @dataclass(frozen=True)
 class OrderedDecomposition:
     """Unitary similarity ``A = U T U*`` with the selected eigenvalues in
@@ -131,10 +142,6 @@ class OrderedDecomposition:
                 f"Schur backward error {self.backward_error:.3e} exceeds 1e-10"
             )
 
-    @property
-    def selected_eigenvalues(self) -> np.ndarray:
-        return np.diag(self.triangular)[: self.split]
-
 
 def reorder_schur(
     t: np.ndarray, u: np.ndarray, select: Sequence[bool]
@@ -142,14 +149,17 @@ def reorder_schur(
     """Reorder a complex Schur form ``A = U T U*`` so that the diagonal
     entries flagged in ``select`` lead, by unitary swaps (LAPACK ztrsen).
 
-    Returns the reordered ``(T, U)`` and the number of selected entries.
-    ``u`` is postmultiplied by the reordering unitary, so any matrix that
-    should follow the Schur vectors (such as ``M U``) may be passed."""
+    Returns the reordered ``(T, U)``, read-only, and the number of selected
+    entries.  ``u`` is postmultiplied by the reordering unitary, so any
+    matrix that should follow the Schur vectors (such as ``M U``) may be
+    passed."""
     ts, us, _, m, _, _, info = _ztrsen(
         np.asarray(select, dtype=np.int32), t, u, job="N"
     )
     if info != 0:
         raise np.linalg.LinAlgError(f"Schur reordering failed: ztrsen info {info}")
+    ts.setflags(write=False)
+    us.setflags(write=False)
     return ts, us, int(m)
 
 
@@ -163,9 +173,9 @@ def ordered_spectral_decomposition(
     boolean mask ``select`` lead.
 
     The leading ``split`` columns of the unitary factor span their
-    invariant subspace.  Which positions to flag is the caller's decision:
-    for regions, ``projections.region_selection``; for clusters, their
-    ``SpectralPoint.schur_positions``.
+    invariant subspace.  Which entries to flag is the caller's decision:
+    ``classification.invariant_decomposition`` flags the members of a set
+    of eigenvalue clusters.
     """
     A = np.asarray(A, dtype=np.complex128)
     select = np.asarray(select, dtype=bool)

@@ -30,7 +30,9 @@ from .classification import (
     SpectralType,
     ToleranceConfig,
     clustering,
+    clusters_in,
     invariant_decomposition,
+    invariant_subspace,
     locate_point,
     spectral_point,
 )
@@ -47,7 +49,6 @@ from .core import (
     max_principal_angle,
 )
 from .numerics import (
-    OrderedDecomposition,
     boundary_resolvent_sums,
     frobenius,
     projector_row,
@@ -62,6 +63,7 @@ __all__ = [
     "LocalSpectralFunction",
     "ResolventProbeResult",
     "SpectralProjectionResult",
+    "cluster_projection",
     "local_spectral_function",
     "probe_radius_floor",
     "projection_defect",
@@ -156,10 +158,9 @@ def _make_result(
     )
 
 
-def region_selection(
-    N: KreinOperator, region: Region, cfg: ToleranceConfig, values: Sequence[complex]
-) -> frozenset[int]:
-    """Indices of the ``values`` that ``region`` selects for the operator N.
+def region_selection(N: KreinOperator, region: Region, cfg: ToleranceConfig) -> frozenset[int]:
+    """Indices of the clusters of ``clustering(N, cfg)`` that ``region``
+    selects for the operator N.
 
     The one place a region's selection is decided: both Riesz routes, the
     spectral-set theorem and the local spectral function go through it.
@@ -167,8 +168,8 @@ def region_selection(
     eigenvalue of N lies within the boundary gap ``max(cluster radius,
     cluster_tol * max(1, ||N||))`` of any piece boundary, hidden ones
     included.  Away from every boundary, closed and half-open edges select
-    alike and conjugation preserves membership; only then is membership
-    reported, as plain containment.
+    alike, conjugation preserves membership and no cluster straddles a
+    boundary; only then is membership reported (:func:`clusters_in`).
     """
     gap = max(cfg.cluster_radius(N), cfg.cluster_tol * N.scale)
     offenders = [z for z in N.eigenvalues if region.boundary_distance(z) <= gap]
@@ -176,7 +177,7 @@ def region_selection(
         raise ContourThroughSpectrumError(
             f"region boundary passes within {gap:.3e} of eigenvalues {offenders}"
         )
-    return frozenset(i for i, z in enumerate(values) if region.contains(z))
+    return clusters_in(N, region, cfg)
 
 
 def riesz_projection_contour(
@@ -198,9 +199,8 @@ def riesz_projection_contour(
     compares its rules at ``cfg.contour_nodes`` and twice as many nodes.
     A last change above 1e-6 flags the result instead of failing.
     """
-    eigs = N.eigenvalues
-    inside = region_selection(N, region, cfg, eigs)
-    doubly_covered = [eigs[i] for i in sorted(inside) if region.covering_count(eigs[i]) >= 2]
+    region_selection(N, region, cfg)  # refuses a boundary through the spectrum
+    doubly_covered = [z for z in N.eigenvalues if region.covering_count(z) >= 2]
     if doubly_covered:
         raise AmbiguousRegionError(
             f"primitives overlap on eigenvalues {doubly_covered}; "
@@ -226,11 +226,30 @@ def riesz_projection_oracle(
     cfg: ToleranceConfig = ToleranceConfig(),
 ) -> SpectralProjectionResult:
     """Riesz projection via ordered Schur decomposition and Sylvester
-    decoupling; independent of the contour path.  ``N.eigenvalues`` is
-    the Schur diagonal, so the region's selection is the set of positions
-    to reorder."""
-    dec = invariant_decomposition(N, region_selection(N, region, cfg, N.eigenvalues))
-    return _make_result(spectral_projector(dec), N, cfg)
+    decoupling, independent of the contour path: the
+    :func:`cluster_projection` of the selected clusters."""
+    return cluster_projection(N, region_selection(N, region, cfg), cfg)
+
+
+def cluster_projection(
+    N: KreinOperator, indices: frozenset[int], cfg: ToleranceConfig = ToleranceConfig()
+) -> SpectralProjectionResult:
+    """The oracle's strict result for the clusters ``indices``, built once
+    per cluster set from their :func:`invariant_decomposition`, read-only,
+    cached in the clustering; the empty set needs no factorization."""
+    cache = clustering(N, cfg).projections
+    result = cache.get(indices)
+    if result is None:
+        if indices:
+            dec = invariant_decomposition(N, indices, cfg)
+            result = _make_result(spectral_projector(dec), N, cfg)
+        else:
+            zero = DefinitenessVerdict(DefinitenessKind.ZERO, 0.0)
+            q = np.zeros((N.dim, N.dim), dtype=np.complex128)
+            result = SpectralProjectionResult(q, 0.0, 0.0, 0.0, zero, SubspaceBasis.zero(N.dim))
+        result.matrix.setflags(write=False)
+        result = cache.setdefault(indices, result)
+    return result
 
 
 def verify_spectral_set_theorem(
@@ -249,7 +268,7 @@ def verify_spectral_set_theorem(
     """
     report = VerificationReport()
     try:
-        selected = region_selection(N, region, cfg, clustering(N, cfg).values)
+        selected = region_selection(N, region, cfg)
     except ContourThroughSpectrumError as exc:
         report.entries.append(
             CheckEntry(
@@ -275,7 +294,7 @@ def verify_spectral_set_theorem(
         )
         return report
 
-    result = riesz_projection_oracle(N, region, cfg)
+    result = cluster_projection(N, selected, cfg)
     qn = frobenius(result.matrix)
 
     tol_selfadj = 1e-8 * (1.0 + qn)
@@ -383,41 +402,27 @@ class LocalSpectralFunction:
     """Projection-valued set function on subsets of a positive carrier.
 
     Indices name the clusters of the operator's :func:`clustering`, whose
-    ``values`` and Schur positions are all it reads of clusters outside the
-    carrier; only carrier clusters are ever classified (``selected_points``).
+    ``values`` are all it reads of clusters outside the carrier; only
+    carrier clusters are ever classified (``selected_points``).
     ``evaluate`` depends only on which clusters fall inside the queried
-    region.  The projection and the invariant subspace of a set of
-    clusters read its one :func:`invariant_decomposition`, cached on the
-    operator; results are cached per index set, write-once.  The empty
-    set gives the zero projection without any factorization."""
+    region.  The value on a set of clusters is the oracle's
+    :func:`cluster_projection` of that set, cached in the clustering, so
+    the function keeps no cache of its own.  The empty set gives the zero
+    projection without any factorization."""
 
     def __init__(self, operator: KreinOperator, carrier: Region, cfg: ToleranceConfig):
         self.operator = operator
         self.carrier = carrier
         self.cfg = cfg
-        self._clusters = clustering(operator, cfg)
-        self.values = list(self._clusters.values)
-        self.carrier_indices = region_selection(operator, carrier, cfg, self.values)
-        self._cache: dict[frozenset[int], SpectralProjectionResult] = {}
-
-    def decomposition(self, indices: frozenset[int]) -> OrderedDecomposition:
-        """The operator's Schur form reordered so the clusters ``indices``
-        lead."""
-        positions = frozenset(p for i in indices for p in self._clusters.positions[i])
-        return invariant_decomposition(self.operator, positions)
+        self.values = list(clustering(operator, cfg).values)
+        self.carrier_indices = region_selection(operator, carrier, cfg)
 
     def cluster_projector(self, indices: frozenset[int]) -> np.ndarray:
         """Riesz projector of the clusters ``indices``."""
-        return spectral_projector(self.decomposition(indices))
-
-    def invariant_subspace(self, indices: frozenset[int]) -> SubspaceBasis:
-        """Invariant subspace of the clusters ``indices``, from the
-        decomposition their projector reads."""
-        dec = self.decomposition(indices)
-        return SubspaceBasis(dec.unitary[:, : dec.split])
+        return spectral_projector(invariant_decomposition(self.operator, indices, self.cfg))
 
     def indices_in(self, region: Region) -> frozenset[int]:
-        inside = region_selection(self.operator, region, self.cfg, self.values)
+        inside = region_selection(self.operator, region, self.cfg)
         stray = inside - self.carrier_indices
         if stray:
             raise PreconditionError(
@@ -430,19 +435,7 @@ class LocalSpectralFunction:
         stray = indices - self.carrier_indices
         if stray:
             raise PreconditionError(f"indices {sorted(stray)} are outside the carrier")
-        cached = self._cache.get(indices)
-        if cached is None:
-            if indices:
-                result = _make_result(self.cluster_projector(indices), self.operator, self.cfg)
-            else:
-                n = self.operator.dim
-                zero = DefinitenessVerdict(DefinitenessKind.ZERO, 0.0)
-                result = SpectralProjectionResult(
-                    np.zeros((n, n), dtype=np.complex128), 0.0, 0.0, 0.0, zero,
-                    SubspaceBasis.zero(n),
-                )
-            cached = self._cache.setdefault(indices, result)
-        return cached
+        return cluster_projection(self.operator, indices, self.cfg)
 
     def evaluate(self, region: Region) -> SpectralProjectionResult:
         return self.evaluate_indices(self.indices_in(region))
@@ -458,14 +451,10 @@ def local_spectral_function(
     cfg: ToleranceConfig = ToleranceConfig(),
 ) -> LocalSpectralFunction:
     """Build the local spectral function on a carrier whose eigenvalues are
-    all of two-sided positive type; offenders are listed otherwise, before
-    :func:`region_selection` decides (or refuses) the carrier.  Only the
-    clusters inside the carrier are classified."""
-    inside = [
-        spectral_point(N, i, cfg)
-        for i, value in enumerate(clustering(N, cfg).values)
-        if carrier.contains(value)
-    ]
+    all of two-sided positive type; offenders (by :func:`clusters_in`) are
+    listed otherwise, before :func:`region_selection` decides (or refuses)
+    the carrier.  Only the clusters inside the carrier are classified."""
+    inside = [spectral_point(N, i, cfg) for i in sorted(clusters_in(N, carrier, cfg))]
     offenders = [pt for pt in inside if pt.type_tag is not SpectralType.TWO_SIDED_POSITIVE]
     if offenders:
         raise PreconditionError(
@@ -503,7 +492,7 @@ def verify_lsf_axioms(
     delta order (the empty set's zero projection adds 0 to every residual).
     """
     report = VerificationReport()
-    N = E.operator
+    N, cfg = E.operator, E.cfg
     scale = N.scale
     index_sets = [E.indices_in(d) for d in deltas]
     results = [E.evaluate_indices(ix) for ix in index_sets]
@@ -591,11 +580,11 @@ def verify_lsf_axioms(
     worst_in, worst_out = 0.0, 0.0
     all_indices = frozenset(range(len(E.values)))
     for ix, res in distinct.items():
-        worst_in = max(worst_in, max_principal_angle(E.invariant_subspace(ix), res.basis))
+        worst_in = max(worst_in, max_principal_angle(invariant_subspace(N, ix, cfg), res.basis))
         comp = range_basis(np.eye(N.dim) - res.matrix)
         rest = all_indices - ix
         if comp.k > 0 and rest:
-            worst_out = max(worst_out, max_principal_angle(E.invariant_subspace(rest), comp))
+            worst_out = max(worst_out, max_principal_angle(invariant_subspace(N, rest, cfg), comp))
         elif comp.k > 0:
             worst_out = float(np.pi / 2)
     report.entries.append(
@@ -807,8 +796,7 @@ def resolvent_probe(
     floor = probe_radius_floor(N, lam0, cfg)
     if radii[-1] <= floor:
         raise ValueError(f"radius {radii[-1]!r} is within {floor:.3g} of the point")
-    clusters = clustering(N, cfg)
-    reps = np.array(clusters.values)
+    reps = np.array(clustering(N, cfg).values)
     cluster_radius = cfg.cluster_radius(N)
     center = complex(reps[idx])
 
@@ -834,28 +822,27 @@ def resolvent_probe(
     else:
         isolation = max(1.0, 0.5 * (1.0 + abs(center)))
     if isolation > 10.0 * cluster_radius:
-        # the pole order is at most the cluster's algebraic multiplicity
-        orders = len(clusters.positions[idx])
-        norms = _laurent_norms(N, Disk(center, isolation), orders, cfg)
+        norms = _laurent_norms(N, Disk(center, isolation), cfg)
         vanishing = np.flatnonzero(norms <= 1e-8 * N.scale)
         if vanishing.size:
             pole_order = int(vanishing[0]) + 1
     return ResolventProbeResult(c_estimate, pole_order, table)
 
 
-def _laurent_norms(N: KreinOperator, circle: Disk, orders: int, cfg: ToleranceConfig) -> np.ndarray:
+def _laurent_norms(N: KreinOperator, circle: Disk, cfg: ToleranceConfig) -> np.ndarray:
     """Frobenius norms of the Laurent coefficients ``(1/2 pi i) ∮ (z - c)^k
-    (z - N)^{-1} dz``, k = 1, ..., ``orders``, on the boundary of ``circle``
-    (center c), in closed form.  By the residue theorem the coefficient is
-    ``(N - c)^k P``, P the Riesz projection of the enclosed Schur positions
-    (:func:`region_selection`, which refuses a circle through the
+    (z - N)^{-1} dz``, k = 1, ..., m for the enclosed algebraic
+    multiplicity m, which bounds the pole order, on the boundary of
+    ``circle`` (center c), in closed form.  By the residue theorem the
+    coefficient is ``(N - c)^k P``, P the Riesz projection of the enclosed
+    clusters (:func:`region_selection`, which refuses a circle through the
     spectrum); in the Schur form reordered on them its only nonzero rows
     are ``(T11 - c)^k [I, -R]``, and the unitary leaves the norm alone."""
-    dec = invariant_decomposition(N, region_selection(N, Region((circle,)), cfg, N.eigenvalues))
+    dec = invariant_decomposition(N, region_selection(N, Region((circle,)), cfg), cfg)
     shifted = dec.triangular[: dec.split, : dec.split] - circle.center * np.eye(dec.split)
     coefficient = projector_row(dec)
-    norms = np.empty(orders)
-    for k in range(orders):
+    norms = np.empty(dec.split)
+    for k in range(dec.split):
         coefficient = shifted @ coefficient
         norms[k] = frobenius(coefficient)
     return norms

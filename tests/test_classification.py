@@ -85,11 +85,11 @@ class TestSpectrum:
         ]
         for n, cfg in cases:
             points = spectrum(n, cfg)
-            positions = [i for pt in points for i in pt.schur_positions]
-            assert sorted(positions) == list(range(n.dim))
-            for pt in points:
-                assert len(pt.schur_positions) == pt.alg_mult
-                assert pt.value == pytest.approx(np.mean(n.eigenvalues[list(pt.schur_positions)]))
+            clusters = classification.clustering(n, cfg)
+            assert sorted(i for members in clusters.positions for i in members) == list(range(n.dim))
+            for pt, members in zip(points, clusters.positions):
+                assert len(members) == pt.alg_mult
+                assert pt.value == pytest.approx(np.mean(n.eigenvalues[list(members)]))
 
     def test_close_clusters_get_warned_not_merged(self):
         n = KreinOperator(np.diag([1.0, 1.0 + 3e-7]), KreinSpace.euclidean(2))

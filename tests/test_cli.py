@@ -304,6 +304,80 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "tolerances: contour_nodes" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "tolerances, field",
+        [
+            ('{"contour_nodes": 128.0}', "contour_nodes"),
+            ('{"contour_nodes": 100.5}', "contour_nodes"),
+            ('{"contour_nodes": true}', "contour_nodes"),
+            ('{"cluster_tol": true}', "cluster_tol"),
+            ('{"rank_tol": "1e-8"}', "rank_tol"),
+        ],
+        ids=["integral-float-nodes", "fractional-nodes", "boolean-nodes", "boolean-tol", "string-tol"],
+    )
+    def test_tolerance_of_the_wrong_type_is_exit_1(self, tmp_path, capsys, tolerances, field):
+        # a float node count ended in an untyped TypeError from a slice in
+        # the quadrature; a boolean tolerance was read as 1.0
+        path = tmp_path / "typed.json"
+        path.write_text(
+            '{"dim": 2, "gram": [[[1,0],[0,0]],[[0,0],[-1,0]]],'
+            ' "matrix": [[[1,0],[0,0]],[[0,0],[2,0]]],'
+            f' "tolerances": {tolerances}}}',
+            encoding="utf-8",
+        )
+        assert main(["project", str(path), "--disk=1,0,0.5"]) == 1
+        err = capsys.readouterr().err
+        assert f"tolerances: {field}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"signature": [2.9, 1]}, "signature[0]"),
+            ({"signature": [2, True]}, "signature[1]"),
+            ({"positive_type_eigs": [{"value": [1, 0], "mult": 2.7}]}, "positive_type_eigs[0].mult"),
+            ({"positive_type_eigs": [{"value": [1, 0], "mult": True}]}, "positive_type_eigs[0].mult"),
+            ({"negative_type_eigs": [{"value": [3, 0], "mult": 1.0}]}, "negative_type_eigs[0].mult"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"conjugation": {"cond_bound": True}}, "cond_bound"),
+            ({"conjugation": {"cond_bound": None}}, "cond_bound"),
+            # an integer beyond the float range ended in an untyped OverflowError
+            ({"conjugation": {"cond_bound": 10**400}}, "OverflowError"),
+        ],
+        ids=[
+            "float-signature", "boolean-signature", "float-mult", "boolean-mult",
+            "integral-float-mult", "float-seed", "boolean-seed", "boolean-cond-bound",
+            "null-cond-bound", "huge-cond-bound",
+        ],
+    )
+    def test_generate_refuses_numbers_it_would_truncate(self, tmp_path, capsys, change, field):
+        # each was truncated to an integer (or read as 1) and generated
+        spec = {
+            "signature": [2, 1],
+            "positive_type_eigs": [{"value": [1, 0], "mult": 2}],
+            "negative_type_eigs": [{"value": [3, 0], "mult": 1}],
+            "conjugation": {"cond_bound": 10},
+            "seed": 3,
+        }
+        spec.update(change)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["generate", str(path), "-o", str(tmp_path / "op.json")]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "op.json").exists()
+
+    @pytest.mark.parametrize("dim", ["2.0", "true"])
+    def test_dim_of_the_wrong_type_is_exit_1(self, tmp_path, capsys, dim):
+        path = tmp_path / "dim.json"
+        path.write_text(
+            f'{{"dim": {dim}, "gram": [[[1,0],[0,0]],[[0,0],[-1,0]]],'
+            ' "matrix": [[[1,0],[0,0]],[[0,0],[2,0]]]}',
+            encoding="utf-8",
+        )
+        assert main(["classify", str(path)]) == 1
+        assert "dim: expected an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["classify", "sylvester", "generate"])
     def test_integer_literal_beyond_digit_limit_is_exit_1(self, tmp_path, capsys, command):
         path = tmp_path / "huge.json"

@@ -23,8 +23,10 @@ from krein_spectra import (
     sample_generator_spec,
     verify_lsf_axioms,
     verify_maximality,
+    verify_spectral_set_theorem,
 )
 from krein_spectra import classification, numerics, projections
+from krein_spectra.classification import clustering, invariant_subspace
 from krein_spectra.core import frobenius
 
 
@@ -33,12 +35,23 @@ def carrier_operator():
     return KreinOperator(np.diag([1.0, 2.0, 3.0j]), space)
 
 
+def plant(n, values, projector, cfg=ToleranceConfig()):
+    """Replace the oracle projection of the clusters at ``values``, cached
+    in the operator's clustering, by ``projector``; every other cluster
+    set keeps its own.  Every reader of that set sees the planted result."""
+    clusters = clustering(n, cfg)
+    indices = frozenset(
+        i for i, v in enumerate(clusters.values) if any(abs(v - w) < 1e-12 for w in values)
+    )
+    assert len(indices) == len(values)
+    q = np.asarray(projector, dtype=np.complex128)
+    clusters.projections[indices] = projections._make_result(q, n, cfg)
+
+
 def corrupt(lsf, value, projector):
     """Replace the evaluated projection of the cluster at ``value`` by
     ``projector``; unions containing the cluster keep their own."""
-    index = next(i for i, v in enumerate(lsf.values) if abs(v - value) < 1e-12)
-    q = np.asarray(projector, dtype=np.complex128)
-    lsf._cache[frozenset({index})] = projections._make_result(q, lsf.operator, lsf.cfg)
+    plant(lsf.operator, [value], projector, lsf.cfg)
 
 
 def corrupted_carrier_lsf(projector):
@@ -149,7 +162,7 @@ class TestConstruction:
         lsf = local_spectral_function(carrier_operator(), Region.disk(1.5, 1.0))
         indices = lsf.indices_in(Region.disk(1.0, 0.2))
         projector = lsf.cluster_projector(indices)
-        subspace = lsf.invariant_subspace(indices)
+        subspace = invariant_subspace(lsf.operator, indices, lsf.cfg)
         assert len(calls) == 1
         np.testing.assert_allclose(subspace.projector(), projector, atol=1e-12)
 
@@ -161,10 +174,30 @@ class TestConstruction:
         indices = lsf.indices_in(region)
         oracle = riesz_projection_oracle(n, region)
         root = root_subspace(n, lsf.selected_points(indices)[0])
-        subspace = lsf.invariant_subspace(indices)
+        subspace = invariant_subspace(n, indices, lsf.cfg)
         assert len(calls) == 1
         for basis in (root, subspace):
             np.testing.assert_allclose(basis.projector(), oracle.matrix, atol=1e-12)
+
+    def test_oracle_lsf_and_theorem_share_one_result(self, monkeypatch):
+        # one cluster set, three readers: one ordered decomposition, one
+        # result built, and the same object returned to each
+        calls = count_decompositions(monkeypatch)
+        made = []
+        make_result = projections._make_result
+        monkeypatch.setattr(
+            projections, "_make_result", lambda *args: made.append(1) or make_result(*args)
+        )
+        n = carrier_operator()
+        region = Region.disk(1.0, 0.2)
+        oracle = riesz_projection_oracle(n, region)
+        lsf = local_spectral_function(n, Region.disk(1.5, 1.0))
+        assert lsf.evaluate(region) is oracle
+        report = verify_spectral_set_theorem(n, region)
+        assert not report.failed and report.entries
+        assert riesz_projection_oracle(n, Region.rectangle(0.8, -0.2, 1.2, 0.2)) is oracle
+        assert len(calls) == 1 and len(made) == 1
+        assert not oracle.matrix.flags.writeable
 
     def test_empty_set_needs_no_range_or_adjoint(self, monkeypatch):
         lsf = local_spectral_function(carrier_operator(), Region.disk(1.5, 1.0))
@@ -257,6 +290,40 @@ class TestAxioms:
         deltas = [Region.disk(1.0, 0.2), Region.disk(2.0, 0.2)]
         report = verify_lsf_axioms(lsf, deltas, [np.eye(3)])
         entry = next(e for e in report.entries if e.name == "lsf-additivity")
+        assert entry.status is CheckStatus.FAIL
+
+
+class TestPlantedFaults:
+    """A corrupted result planted in the clustering's cache, where every
+    reader of its cluster set finds it, must fail the check that reads it."""
+
+    def test_multiplicativity_fails_on_a_corrupted_union(self):
+        # E({1, 2}) = diag(1, 0, 0): E({2}) E({1, 2}) = 0 is not E({2})
+        n = carrier_operator()
+        plant(n, [1.0, 2.0], np.diag([1.0, 0.0, 0.0]))
+        lsf = local_spectral_function(n, Region.disk(1.5, 1.0))
+        deltas = [Region.disk(2.0, 0.2), Region.disk(1.5, 1.0)]
+        report = verify_lsf_axioms(lsf, deltas, [np.eye(3)])
+        entry = next(e for e in report.entries if e.name == "lsf-multiplicativity")
+        assert entry.status is CheckStatus.FAIL
+
+    def test_restriction_spectrum_fails_on_a_foreign_range(self):
+        # E({1}) = diag(0, 1, 0) has its range in the eigenspace of 2
+        n = carrier_operator()
+        plant(n, [1.0], np.diag([0.0, 1.0, 0.0]))
+        lsf = local_spectral_function(n, Region.disk(1.5, 1.0))
+        report = verify_lsf_axioms(lsf, [Region.disk(1.0, 0.2)], [np.eye(3)])
+        entry = next(e for e in report.entries if e.name == "lsf-restriction-spectrum")
+        assert entry.status is CheckStatus.FAIL
+        assert entry.residual == pytest.approx(np.pi / 2)
+
+    def test_spectral_set_projection_selfadjoint_fails_on_an_oblique_projection(self):
+        # an oblique idempotent with the right range: the theorem reads the
+        # planted result instead of building its own
+        n = carrier_operator()
+        plant(n, [1.0], [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        report = verify_spectral_set_theorem(n, Region.disk(1.0, 0.2))
+        entry = next(e for e in report.entries if e.name == "projection-selfadjoint")
         assert entry.status is CheckStatus.FAIL
 
 

@@ -54,7 +54,7 @@ class TestOrderedDecomposition:
         a = np.diag([-1.0, 3.0, -2.0, 5.0])
         dec = ordered(a, lambda z: z.real > 0)
         assert dec.split == 2
-        assert sorted(z.real for z in dec.selected_eigenvalues) == [3.0, 5.0]
+        assert sorted(z.real for z in np.diag(dec.triangular)[: dec.split]) == [3.0, 5.0]
         assert dec.backward_error <= 1e-10
 
     def test_invariant_subspace_of_triangular_example(self):

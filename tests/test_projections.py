@@ -8,6 +8,8 @@ witness with neutral defect range.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krein_spectra import (
     CheckStatus,
@@ -28,6 +30,7 @@ from krein_spectra import (
     verify_spectral_set_theorem,
 )
 from krein_spectra import projections
+from krein_spectra.classification import clustering
 from krein_spectra.core import frobenius
 from krein_spectra._errors import AmbiguousRegionError
 
@@ -125,6 +128,19 @@ class TestRieszProjectionOracle:
         result = riesz_projection_oracle(n, Region.rectangle(-100, -100, 100, 100))
         np.testing.assert_allclose(result.matrix, np.eye(2), atol=1e-10)
 
+    def test_empty_selection_factors_nothing(self, monkeypatch):
+        # a region that selects no eigenvalue gets the zero projection with
+        # no ordered decomposition, so no Schur factor check runs for it
+        def refuse(*args):
+            raise AssertionError("an empty selection needs no factorization")
+
+        monkeypatch.setattr(
+            "krein_spectra.classification.ordered_spectral_decomposition", refuse
+        )
+        n = two_point_operator()
+        result = riesz_projection_oracle(n, Region.disk(10.0, 1.0))
+        assert result.rank == 0 and frobenius(result.matrix) == 0.0
+
     def test_eigenvalue_on_circle_refused(self):
         # 2 lies on the circle
         n = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.euclidean(2))
@@ -142,7 +158,9 @@ class TestRieszProjectionOracle:
         assert result.rank == 2 and result.rank == result.basis.k
         assert max_principal_angle(result.basis, SubspaceBasis(np.eye(3)[:, :2])) <= 1e-10
         verify_spectral_set_theorem(n, Region.disk(1.5, 1.0))
-        assert len(calls) == 2  # one per projection built
+        # one projection built: the theorem reads the oracle's result for
+        # the same clusters
+        assert len(calls) == 1
 
     def test_agrees_with_contour_on_generated_instances(self):
         rng = np.random.default_rng(30)
@@ -251,3 +269,43 @@ class TestSpectralSetTheorem:
             assert not report.failed
             assert all(e.status is CheckStatus.PASS for e in report.entries)
         assert found >= 5
+
+
+# chained clusters: each member lies within LINK of the previous one, and
+# LINK is below the clustering radius 0.05 * max(1, spectral radius)
+CHAIN_CFG = ToleranceConfig(cluster_tol=0.05)
+LINK = 0.045
+coordinate = st.floats(-2.0, 2.0)
+chain = st.tuples(
+    st.tuples(coordinate, coordinate),
+    st.lists(st.floats(0.0, 2.0 * np.pi), max_size=4),
+)
+piece = st.one_of(
+    st.builds(lambda x, y, r: Region.disk(complex(x, y), r), coordinate, coordinate,
+              st.floats(0.05, 2.0)),
+    st.builds(lambda x, y, w, h: Region.rectangle(x, y, x + w, y + h), coordinate, coordinate,
+              st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains=st.lists(chain, min_size=1, max_size=4), pieces=st.lists(piece, min_size=1, max_size=3))
+def test_unrefused_regions_never_split_a_cluster(chains, pieces):
+    # the refusal gap is at least the linkage radius, so a region that is not
+    # refused holds each cluster wholly or not at all, piece by piece
+    eigs = []
+    for (x, y), steps in chains:
+        eigs.append(complex(x, y))
+        for angle in steps:
+            eigs.append(eigs[-1] + LINK * np.exp(1j * angle))
+    n = KreinOperator(np.diag(eigs), KreinSpace.euclidean(len(eigs)))
+    region = Region(tuple(p for r in pieces for p in r.pieces))
+    try:
+        selected = projections.region_selection(n, region, CHAIN_CFG)
+    except ContourThroughSpectrumError:
+        return
+    values = n.eigenvalues
+    for i, members in enumerate(clustering(n, CHAIN_CFG).positions):
+        for p in region.pieces:
+            assert len({p.contains(values[m]) for m in members}) == 1
+        assert (i in selected) == region.contains(values[members[0]])

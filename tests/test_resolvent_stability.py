@@ -99,12 +99,13 @@ class TestResolventProbe:
 
 
 class TestClosedFormLaurentCoefficients:
-    """The probe's closed-form Laurent coefficient norms, k = 1, 2, against
-    the 256-node trapezoid rule of the resolvent on the same circle."""
+    """The probe's closed-form Laurent coefficient norms, k = 1 to the
+    enclosed multiplicity, against the 256-node trapezoid rule of the
+    resolvent on the same circle."""
 
     @staticmethod
     def assert_agrees_with_quadrature(n, circle):
-        closed = _laurent_norms(n, circle, 2, ToleranceConfig())
+        closed = _laurent_norms(n, circle, ToleranceConfig())
         for k, norm in enumerate(closed, start=1):
             reference = frobenius(contour_integral_resolvent(n.schur, circle, k, nodes=256))
             assert abs(norm - reference) <= 1e-10 * max(1.0, reference), (k, norm, reference)
@@ -113,7 +114,7 @@ class TestClosedFormLaurentCoefficients:
         n = KreinOperator(np.array([[3 + 1j, 1.0], [0.0, 3 + 1j]]), KreinSpace(SWAP))
         circle = Disk(3 + 1j, 0.5)
         self.assert_agrees_with_quadrature(n, circle)
-        first, second = _laurent_norms(n, circle, 2, ToleranceConfig())
+        first, second = _laurent_norms(n, circle, ToleranceConfig())
         assert first == pytest.approx(1.0) and second <= 1e-12  # a second-order pole
 
     @pytest.mark.parametrize("dim", range(2, 13))
