@@ -11,6 +11,7 @@ Everything is deterministic in (spec, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,8 +79,11 @@ class GeneratorSpec:
         )
         if any(m < 1 for _, m in self.positive_type_eigs + self.negative_type_eigs):
             raise ValueError("multiplicities must be positive")
-        if self.cond_bound is not None and self.cond_bound < 1:
-            raise ValueError("cond_bound must be at least 1")
+        if self.cond_bound is not None and not 1 <= self.cond_bound < math.inf:
+            # also refuses NaN
+            raise ValueError(
+                f"cond_bound must be finite and at least 1, got {self.cond_bound!r}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         p, q = self.signature

@@ -385,6 +385,46 @@ class TestExitCodes:
         assert main([command, str(path)]) == 1
         assert "number out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "sylvester", "generate"])
+    def test_non_utf8_file_is_exit_1(self, tmp_path, capsys, command):
+        # a UTF-16 byte order mark ended in an untyped UnicodeDecodeError
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read {path}: not UTF-8" in err and "Traceback" not in err
+
+    def test_non_utf8_stdin_is_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"{\x80}")))
+        assert main(["classify", "-"]) == 1
+        assert "cannot read -: not UTF-8" in capsys.readouterr().err
+
+    def test_dim_beyond_64_bits_is_exit_1(self, tmp_path, capsys):
+        # orjson reads this literal as a float, json.loads as an int: the
+        # refusal is that of json.loads's value
+        path = tmp_path / "dim.json"
+        path.write_text(
+            f'{{"dim": {2**64}, "gram": [[[1,0]]], "matrix": [[[1,0]]]}}', encoding="utf-8"
+        )
+        assert main(["classify", str(path)]) == 1
+        assert f"gram: expected {2**64} rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("opener", ["[", '{"a": '], ids=["arrays", "objects"])
+    def test_deeply_nested_document_does_not_crash(self, tmp_path, opener):
+        # orjson 3.8 overflows the C stack at about 50 000 levels of objects
+        # (on an 8 MB stack), which killed the interpreter with SIGSEGV
+        closer = "]" if opener == "[" else "}"
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"dim": ' + opener * 200_000 + "1" + closer * 200_000 + "}", encoding="utf-8"
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "krein_spectra.cli", "classify", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(Path(krein_spectra.__file__).parents[1])),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr[-500:]
+
     @pytest.mark.parametrize(
         "z, where",
         [('[[[NaN, 0]]]', "z[0][0]"), ('[[[1, 0], [2, 0]]]', "z[0]"), ('[[[1, 0]], [[2, 0]]]', "z")],
@@ -429,8 +469,28 @@ class TestExitCodes:
                 },
                 "bound",
             ),
+            # each was accepted and the operator generated; 1e400 reads as inf
+            (
+                {
+                    "signature": [1, 0],
+                    "positive_type_eigs": [{"value": [1, 0], "mult": 1}],
+                    "conjugation": {"cond_bound": math.inf},
+                },
+                "cond_bound must be finite",
+            ),
+            (
+                {
+                    "signature": [1, 0],
+                    "positive_type_eigs": [{"value": [1, 0], "mult": 1}],
+                    "conjugation": {"cond_bound": math.nan},
+                },
+                "cond_bound must be finite",
+            ),
         ],
-        ids=["empty-inventory", "negative-seed", "dimension-beyond-bound"],
+        ids=[
+            "empty-inventory", "negative-seed", "dimension-beyond-bound",
+            "infinite-cond-bound", "nan-cond-bound",
+        ],
     )
     def test_generate_bad_spec_is_exit_1(self, tmp_path, capsys, spec, reason):
         path = tmp_path / "spec.json"
@@ -512,7 +572,7 @@ class TestSubcommands:
         ids=["sylvester", "generate"],
     )
     def test_reads_stdin_for_dash(self, monkeypatch, capsys, command, text):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         assert main([command, "-"]) == 0
         assert json.loads(capsys.readouterr().out)
 
@@ -728,12 +788,12 @@ def test_extreme_flag_values_end_in_an_exit_code(dim3_documents, case):
 
 # Runs the subcommands given as JSON in argv[1] in one fresh interpreter and
 # prints, after the import and after each call, the exit code and whether
-# scipy.linalg and concurrent.futures have been imported.
+# scipy.linalg, concurrent.futures and orjson have been imported.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from krein_spectra.cli import main
 def loaded():
-    return ["scipy.linalg" in sys.modules, "concurrent.futures" in sys.modules]
+    return [m in sys.modules for m in ("scipy.linalg", "concurrent.futures", "orjson")]
 print(json.dumps(["import", 0, *loaded()]))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -742,10 +802,17 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_desk_subcommands_never_import_scipy_linalg(tmp_path):
-    """Only generate and suite need scipy.linalg (for expm); the LAPACK
-    routines the other subcommands call are loaded without it.  No
-    subcommand imports concurrent.futures: nothing runs on a worker pool."""
+def _run_import_probe(calls):
+    env = dict(os.environ, PYTHONPATH=str(Path(krein_spectra.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return [json.loads(line) for line in result.stdout.splitlines()]
+
+
+def _write_generator_spec(tmp_path):
     spec = GeneratorSpec(
         signature=(4, 3),
         positive_type_eigs=((1.0 + 0j, 2),),
@@ -757,6 +824,16 @@ def test_desk_subcommands_never_import_scipy_linalg(tmp_path):
     )
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(generator_spec_to_json(spec)), encoding="utf-8")
+    return spec_path
+
+
+def test_desk_subcommands_never_import_scipy_linalg(tmp_path):
+    """Only generate and suite need scipy.linalg (for expm); the LAPACK
+    routines the other subcommands call are loaded without it.  No
+    subcommand imports concurrent.futures: nothing runs on a worker pool.
+    The import of the CLI does not load orjson; the first operator
+    document does."""
+    spec_path = _write_generator_spec(tmp_path)
     op = str(tmp_path / "op.json")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["generate", str(spec_path), "-o", op]) == 0
@@ -771,11 +848,29 @@ def test_desk_subcommands_never_import_scipy_linalg(tmp_path):
         ["stability", op, "--emit-bases", "-o", out],
         ["sylvester", str(syl), "-o", out],
     ]
-    env = dict(os.environ, PYTHONPATH=str(Path(krein_spectra.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    rows = [json.loads(line) for line in result.stdout.splitlines()]
-    assert rows == [[name, 0, False, False] for name in ["import"] + [c[0] for c in calls]]
+    rows = _run_import_probe(calls)
+    names = ["import"] + [c[0] for c in calls]
+    assert rows == [[name, 0, False, False, name != "import"] for name in names]
+
+
+def test_only_operator_documents_import_orjson(tmp_path):
+    """generate, suite and sylvester decode no operator document, so they
+    never load orjson; classify does."""
+    spec_path = _write_generator_spec(tmp_path)
+    op = str(tmp_path / "op.json")
+    syl = tmp_path / "syl.json"
+    syl.write_text('{"s": [[[1, 0]]], "t": [[[2, 0]]], "z": [[[1, 0]]]}', encoding="utf-8")
+    calls = [
+        ["generate", str(spec_path), "-o", op],
+        ["suite", "--trials", "1", "--seed", "0"],
+        ["sylvester", str(syl), "-o", str(tmp_path / "x.json")],
+        ["classify", op],
+    ]
+    rows = _run_import_probe(calls)
+    assert [(name, code, orjson) for name, code, _, _, orjson in rows] == [
+        ("import", 0, False),
+        ("generate", 0, False),
+        ("suite", 0, False),
+        ("sylvester", 0, False),
+        ("classify", 0, True),
+    ]
