@@ -57,6 +57,7 @@ from .numerics import (
     spectral_projector,
 )
 from .projections import (
+    ContourProjection,
     LocalSpectralFunction,
     SpectralProjectionResult,
     local_spectral_function,

@@ -10,7 +10,10 @@ can point at the offending input.  Non-finite numbers (``NaN``,
 ``Infinity``, which Python's JSON loader accepts) are parse failures too.
 Operator documents are decoded by orjson, a strict C decoder, or by
 ``json.loads`` where the two could differ; either way the document or the
-refusal is that of ``json.loads``.
+refusal is that of ``json.loads``.  The numbers of a written matrix are
+spelled by one ``orjson.dumps`` call, with the few tokens whose form
+differs from ``json.dumps`` spelled again, so the bytes are those of
+``json.dumps``.  orjson is imported inside those two steps only.
 """
 
 from __future__ import annotations
@@ -49,15 +52,27 @@ _ROW_SEP = "\n      ]\n    ],\n    [\n      [\n        "
 
 def _matrix_text(a: np.ndarray) -> str:
     """The indented pair list of ``a`` exactly as ``json.dumps(..., indent=2)``
-    writes it under a top-level key, with every number spelled by one call
-    to the C encoder (``NaN``, ``Infinity`` and ``-0.0`` included)."""
+    writes it under a top-level key (``NaN``, ``Infinity`` and ``-0.0``
+    included).
+
+    orjson spells every number in one call, with the shortest round-trip
+    digits that ``repr`` writes too.  Its form differs only in exponents
+    (``1e16``, ``1e-7`` for ``1e+16``, ``1e-07``), below ``1e-4`` (``0.00001``
+    for ``1e-05``) and for non-finite floats (``null``), and exactly those
+    tokens are spelled again."""
+    import orjson  # imported here so that only writing a matrix loads it
+
     rows, cols = a.shape
     if rows == 0:
         return "[]"
     if cols == 0:
         return "[\n    " + ",\n    ".join(["[]"] * rows) + "\n  ]"
-    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    nums = json.dumps(parts.ravel().tolist())[1:-1].split(", ")
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).ravel()
+    text = orjson.dumps(parts, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    # orjson's tokens round-trip, so their repr is the float's own
+    nums = [repr(float(t)) if "e" in t or "0.0000" in t else t for t in text.split(",")]
+    for k in np.flatnonzero(~np.isfinite(parts)).tolist():
+        nums[k] = json.dumps(parts[k].item())
     width = 2 * cols
     body = _ROW_SEP.join(
         _PAIR_SEP.join(
@@ -204,6 +219,8 @@ def parse_json(text: str):
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # integer literals beyond Python's digit limit
         raise DocumentError(f"number out of range: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested too deep
+        raise DocumentError(f"nesting too deep: {exc}") from exc
 
 
 def _maybe_wide_integer(value) -> bool:

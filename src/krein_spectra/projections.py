@@ -59,6 +59,7 @@ from .regions import Disk, Region
 from .report import CheckEntry, CheckStatus, VerificationReport, passfail
 
 __all__ = [
+    "ContourProjection",
     "FundamentalDecomposition",
     "LocalSpectralFunction",
     "ResolventProbeResult",
@@ -105,14 +106,14 @@ def range_basis(Q: np.ndarray) -> SubspaceBasis:
 
 @dataclass(frozen=True)
 class SpectralProjectionResult:
-    """A projection with its residual diagnostics.
+    """A projection of the oracle route with its residual diagnostics.
 
     Residuals are absolute Frobenius norms; ``basis`` is the range of the
     projection (:func:`range_basis`, computed once) and ``gram_margin``
-    classifies it in the indefinite product.  A result over the idempotency
-    acceptance bound is refused with :class:`CheckFailure`, except on the
-    contour route, which returns it flagged with an
-    ``idempotency-above-acceptance`` warning.
+    classifies it in the indefinite product.  A projection over the
+    idempotency acceptance bound is refused with :class:`CheckFailure`:
+    every result is strict.  The contour route returns a
+    :class:`ContourProjection` instead.
     """
 
     matrix: np.ndarray
@@ -121,29 +122,39 @@ class SpectralProjectionResult:
     commute_residual: float
     gram_margin: DefinitenessVerdict
     basis: SubspaceBasis
-    warnings: tuple[str, ...] = ()
 
     @property
     def rank(self) -> int:
         return self.basis.k
 
 
+@dataclass(frozen=True)
+class ContourProjection:
+    """A contour-quadrature projection: its ``matrix``, its absolute
+    idempotency residual ``||Q^2 - Q||_F`` and its ``warnings``
+    (``quadrature-not-converged``, and ``idempotency-above-acceptance``
+    where the oracle route would refuse the residual).  Range, Gram
+    classification and the other residuals are left to the oracle route."""
+
+    matrix: np.ndarray
+    idem_residual: float
+    warnings: tuple[str, ...] = ()
+
+
+def _idempotency(Q: np.ndarray) -> tuple[float, float]:
+    """``||Q^2 - Q||_F`` and the acceptance bound it must not exceed."""
+    return frobenius(Q @ Q - Q), _IDEM_ACCEPT_FACTOR * (1.0 + frobenius(Q) ** 2)
+
+
 def _make_result(
-    Q: np.ndarray,
-    N: KreinOperator,
-    cfg: ToleranceConfig,
-    warnings: tuple[str, ...] = (),
-    strict: bool = True,
+    Q: np.ndarray, N: KreinOperator, cfg: ToleranceConfig
 ) -> SpectralProjectionResult:
-    idem = frobenius(Q @ Q - Q)
-    accept = _IDEM_ACCEPT_FACTOR * (1.0 + frobenius(Q) ** 2)
+    idem, accept = _idempotency(Q)
     if idem > accept:
-        if strict:
-            raise CheckFailure(
-                f"projection rejected: idempotency residual {idem:.3e} "
-                f"exceeds {accept:.3e}"
-            )
-        warnings = warnings + (f"idempotency-above-acceptance:{idem:.3e}",)
+        raise CheckFailure(
+            f"projection rejected: idempotency residual {idem:.3e} "
+            f"exceeds {accept:.3e}"
+        )
     selfadj = frobenius(krein_adjoint(Q, N.space) - Q)
     commute = frobenius(Q @ N.matrix - N.matrix @ Q)
     basis = range_basis(Q)
@@ -154,7 +165,6 @@ def _make_result(
         commute_residual=commute,
         gram_margin=definiteness(basis, N.space, cfg.definiteness_tol),
         basis=basis,
-        warnings=warnings,
     )
 
 
@@ -184,7 +194,7 @@ def riesz_projection_contour(
     N: KreinOperator,
     region: Region,
     cfg: ToleranceConfig = ToleranceConfig(),
-) -> SpectralProjectionResult:
+) -> ContourProjection:
     """Contour-quadrature Riesz projection onto the spectrum inside a region.
 
     Integrates the resolvent over every primitive boundary and sums.  An
@@ -197,7 +207,10 @@ def riesz_projection_contour(
     as soon as two successive sums agree to 1e-10 relative;
     at most it evaluates ``2 * cfg.contour_nodes`` nodes.  A rectangle
     compares its rules at ``cfg.contour_nodes`` and twice as many nodes.
-    A last change above 1e-6 flags the result instead of failing.
+    A last change above 1e-6 flags the result instead of failing, and so
+    does an idempotency residual above the oracle route's acceptance bound.
+    The result is a :class:`ContourProjection`: the matrix, its idempotency
+    residual and those warnings, nothing that would need a range basis.
     """
     region_selection(N, region, cfg)  # refuses a boundary through the spectrum
     doubly_covered = [z for z in N.eigenvalues if region.covering_count(z) >= 2]
@@ -217,7 +230,11 @@ def riesz_projection_contour(
     warnings = ()
     if delta > _CONVERGENCE_FLAG_TOL:
         warnings = (f"quadrature-not-converged:delta={delta:.3e}",)
-    return _make_result(u @ sums[0] @ u.conj().T, N, cfg, warnings, strict=False)
+    Q = u @ sums[0] @ u.conj().T
+    idem, accept = _idempotency(Q)
+    if idem > accept:
+        warnings = warnings + (f"idempotency-above-acceptance:{idem:.3e}",)
+    return ContourProjection(Q, idem, warnings)
 
 
 def riesz_projection_oracle(

@@ -386,6 +386,15 @@ class TestExitCodes:
         assert "number out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["classify", "sylvester", "generate"])
+    def test_nesting_beyond_the_recursion_limit_is_exit_1(self, tmp_path, capsys, command):
+        # json.loads's RecursionError ended in an untyped traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "input error: nesting too deep" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["classify", "sylvester", "generate"])
     def test_non_utf8_file_is_exit_1(self, tmp_path, capsys, command):
         # a UTF-16 byte order mark ended in an untyped UnicodeDecodeError
         path = tmp_path / "utf16.json"
@@ -853,24 +862,27 @@ def test_desk_subcommands_never_import_scipy_linalg(tmp_path):
     assert rows == [[name, 0, False, False, name != "import"] for name in names]
 
 
-def test_only_operator_documents_import_orjson(tmp_path):
-    """generate, suite and sylvester decode no operator document, so they
-    never load orjson; classify does."""
+def test_only_operator_documents_and_written_matrices_import_orjson(tmp_path):
+    """orjson decodes operator documents and spells written matrices:
+    classify loads it, and so do generate and sylvester, which write one.
+    suite does neither, and never loads it."""
     spec_path = _write_generator_spec(tmp_path)
     op = str(tmp_path / "op.json")
     syl = tmp_path / "syl.json"
     syl.write_text('{"s": [[[1, 0]]], "t": [[[2, 0]]], "z": [[[1, 0]]]}', encoding="utf-8")
-    calls = [
-        ["generate", str(spec_path), "-o", op],
-        ["suite", "--trials", "1", "--seed", "0"],
-        ["sylvester", str(syl), "-o", str(tmp_path / "x.json")],
-        ["classify", op],
+    probes = [
+        [["suite", "--trials", "1", "--seed", "0"],
+         ["sylvester", str(syl), "-o", str(tmp_path / "x.json")]],
+        [["generate", str(spec_path), "-o", op]],
+        [["classify", op]],
     ]
-    rows = _run_import_probe(calls)
+    rows = [row for calls in probes for row in _run_import_probe(calls)]
     assert [(name, code, orjson) for name, code, _, _, orjson in rows] == [
         ("import", 0, False),
-        ("generate", 0, False),
         ("suite", 0, False),
-        ("sylvester", 0, False),
+        ("sylvester", 0, True),
+        ("import", 0, False),
+        ("generate", 0, True),
+        ("import", 0, False),
         ("classify", 0, True),
     ]

@@ -89,6 +89,54 @@ def test_non_contiguous_array_is_written_row_major():
         assert dumps_canonical({"m": view}) == reference({"m": view})
 
 
+# Bitwise checks of the number spellings, beyond what hypothesis draws.
+# orjson writes the same shortest round-trip digits as repr, but spells
+# exponents (1e16, 1e-7), floats below 1e-4 (0.00001) and non-finite floats
+# (null) differently; those tokens are spelled again.
+
+
+def first_difference(got: str, want: str) -> str:
+    """Where two long texts part, without a diff of the whole texts."""
+    k = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), len(want))
+    return f"first difference at {k}: {got[k - 60 : k + 60]!r} != {want[k - 60 : k + 60]!r}"
+
+
+def test_random_bit_patterns_match_json_dumps():
+    # uniform 64-bit patterns: every exponent equally likely, subnormals included
+    bits = np.random.default_rng(24).integers(0, 2**64, size=2**20 + 2**12, dtype=np.uint64)
+    parts = bits.view(np.float64)
+    parts = parts[np.isfinite(parts)][: 2**20]
+    assert parts.size == 2**20 and np.count_nonzero(np.abs(parts) < 2.2250738585072014e-308)
+    a = parts.view(np.complex128).reshape(-1, 4)
+    got, want = dumps_canonical({"m": a}), reference({"m": a})
+    if got != want:
+        pytest.fail(first_difference(got, want))
+
+
+def test_powers_of_ten_and_neighbours_match_json_dumps():
+    # repr switches to exponent form below 1e-04 and from 1e+16 on
+    decades = [float(f"1e{k}") for k in range(-30, 31)]
+    a = np.array(
+        [[complex(x, -x) for x in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+         for p in decades]
+    )
+    assert dumps_canonical({"m": a}) == reference({"m": a})
+
+
+def test_negative_zero_matches_json_dumps():
+    a = np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)]])
+    assert dumps_canonical({"m": a}) == reference({"m": a})
+    assert '"m": [\n    [\n      [\n        -0.0,\n        -0.0\n' in dumps_canonical({"m": a})
+
+
+def test_non_finite_entries_match_json_dumps():
+    nan, inf = float("nan"), float("inf")
+    a = np.array([[complex(nan, 1.5), complex(-inf, inf)], [complex(1e-7, nan), complex(2.0, -inf)]])
+    text = dumps_canonical({"m": a})
+    assert text == reference({"m": a})
+    assert [text.count(t) for t in ("NaN", "-Infinity", "Infinity", "null")] == [2, 2, 3, 0]
+
+
 # Number tokens of matrix entries: signed zeros, the subnormal and normal
 # extremes, shortest and 17-digit spellings, and integer literals on both
 # sides of the 64-bit range (orjson reads those beyond it as floats).

@@ -35,6 +35,7 @@ from krein_spectra.numerics import (
     frobenius,
     sylvester_spectral_gap,
 )
+from krein_spectra.projections import range_basis
 
 
 def random_complex(rng, shape):
@@ -271,7 +272,7 @@ class TestResolventKernelBuffers:
         N = build_normal_with_types(spec).operator
         got = riesz_projection_contour(N, region, ToleranceConfig(contour_nodes=nodes))
         want, delta = nested_contour_reference(N, region, nodes)
-        assert got.rank == 3
+        assert range_basis(got.matrix).k == 3
         assert got.matrix.tobytes() == want.tobytes()
         assert bool(got.warnings) == (delta > 1e-6)
 

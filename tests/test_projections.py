@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krein_spectra import (
+    CheckFailure,
     CheckStatus,
     ContourThroughSpectrumError,
     KreinOperator,
@@ -30,6 +31,7 @@ from krein_spectra import (
     verify_spectral_set_theorem,
 )
 from krein_spectra import projections
+from krein_spectra.projections import range_basis
 from krein_spectra.classification import clustering
 from krein_spectra.core import frobenius
 from krein_spectra._errors import AmbiguousRegionError
@@ -82,8 +84,19 @@ class TestRieszProjectionContour:
 
     def test_region_without_pieces_gives_zero(self):
         result = riesz_projection_contour(two_point_operator(), Region.empty(), cfg=NODES_64)
-        assert result.rank == 0 and not result.warnings
+        assert range_basis(result.matrix).k == 0 and not result.warnings
         assert frobenius(result.matrix) == 0.0
+
+    def test_non_idempotent_sum_is_flagged_where_the_oracle_refuses_it(self, monkeypatch):
+        n = two_point_operator()
+        sums = projections.boundary_resolvent_sums
+        monkeypatch.setattr(projections, "boundary_resolvent_sums", lambda *a: 2 * sums(*a))
+        result = riesz_projection_contour(n, Region.disk(1.0, 0.4), cfg=NODES_64)
+        q = result.matrix
+        assert result.idem_residual == frobenius(q @ q - q) > 1.0
+        assert [w.split(":")[0] for w in result.warnings] == ["idempotency-above-acceptance"]
+        with pytest.raises(CheckFailure, match="idempotency residual"):
+            projections._make_result(q, n, NODES_64)
 
     def test_rectangle_region(self):
         n = two_point_operator()
