@@ -20,7 +20,6 @@ from ._errors import (
 from .classification import (
     SpectralPoint,
     SpectralType,
-    ToleranceConfig,
     classified_spectrum,
     classify_point,
     root_subspace,
@@ -34,6 +33,7 @@ from .core import (
     KreinOperator,
     KreinSpace,
     SubspaceBasis,
+    ToleranceConfig,
     definiteness,
     is_normal,
     krein_adjoint,

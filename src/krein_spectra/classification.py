@@ -8,33 +8,32 @@ conjugated eigenvalue.  ``classified_spectrum`` computes the full
 inventory; the per-point helpers expose the individual steps.
 
 The work is split so that a caller pays only for the points it reads:
-the :func:`clustering` of the eigenvalues is computed once per operator
-and config, while each cluster's kernels are extracted and classified on
-the first request for that cluster (:func:`spectral_point`), which caches
-the classified point in the clustering.  Every cluster's kernels are read
-from one Schur form per clustering, reordered once so that each cluster
-fills one diagonal block (:attr:`Clustering.contiguous`), which the first
-kernel request builds.  Outside this module clusters are named by index;
-only here are they mapped to places on the Schur diagonal.
+the :func:`clustering` of the eigenvalues is computed once per operator,
+at the tolerances the operator carries, while each cluster's kernels are
+extracted and classified on the first request for that cluster
+(:func:`spectral_point`), which caches the classified point in the
+clustering.  Every cluster's kernels are read from one Schur form per
+clustering, reordered once so that each cluster fills one diagonal block
+(:attr:`Clustering.contiguous`), which the first kernel request builds.
+Outside this module clusters are named by index; only here are they
+mapped to places on the Schur diagonal.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._errors import PreconditionError
 from .core import (
-    DEFAULT_DEFINITENESS_TOL,
-    DEFAULT_NORMALITY_TOL,
     DEFAULT_RANK_TOL,
     DefinitenessKind,
     KreinOperator,
     SubspaceBasis,
+    ToleranceConfig,
     definiteness,
     min_gap,
 )
@@ -45,10 +44,6 @@ from .numerics import (
     solve_triangular,
     svd,
 )
-
-# Largest quadrature node count per contour piece; the convergence check
-# integrates at twice as many.
-MAX_CONTOUR_NODES = 2**14
 
 __all__ = [
     "Clustering",
@@ -70,59 +65,6 @@ __all__ = [
     "spectrum",
     "verify_selfadjoint_link",
 ]
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Relative tolerances used throughout the pipeline.
-
-    ``cluster_tol`` scales with ``max(1, spectral radius)``, plus a capped
-    floor for the smear of defective eigenvalues, to give the eigenvalue
-    clustering radius (:meth:`cluster_radius`); ``rank_tol`` scales with
-    the larger of the top singular value of the matrix whose kernel is
-    sought and the full operator scale ``max(1, ||N||)``,
-    ``definiteness_tol`` with the Gram scale, and
-    ``normality_tol`` with ``max(1, ||N||_F^2)``; each is a real number,
-    not a boolean.  ``contour_nodes`` caps the contour quadrature and is
-    an integer in ``[16, MAX_CONTOUR_NODES]``: a disk stops once its
-    nested trapezoid rule has converged, after at most
-    ``2 * contour_nodes`` nodes; a rectangle uses ``contour_nodes`` nodes,
-    checked against twice as many.  A resolvent probe's pole order takes
-    no quadrature and does not read ``contour_nodes``.
-    """
-
-    cluster_tol: float = 1e-7
-    rank_tol: float = DEFAULT_RANK_TOL
-    definiteness_tol: float = DEFAULT_DEFINITENESS_TOL
-    normality_tol: float = DEFAULT_NORMALITY_TOL
-    contour_nodes: int = 128
-
-    def __post_init__(self):
-        for name in ("cluster_tol", "rank_tol", "definiteness_tol", "normality_tol"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and 0 < value < math.inf):  # also refuses NaN
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        nodes = self.contour_nodes
-        integral = isinstance(nodes, numbers.Integral) and not isinstance(nodes, bool)
-        if not (integral and 16 <= nodes <= MAX_CONTOUR_NODES):
-            raise ValueError(f"contour_nodes must be an integer in [16, {MAX_CONTOUR_NODES}]")
-
-    def cluster_radius(self, N: KreinOperator) -> float:
-        """Absolute clustering radius for one operator.
-
-        Scales with the spectral radius (eigenvalue geometry, immune to
-        norm inflation under ill-conditioned similarity) plus a floor for
-        the square-root smear of defective eigenvalues, which grows with
-        the departure of the matrix norm from the spectral radius.  The
-        floor is capped at a small fraction of the eigenvalue scale:
-        beyond that, defective structure is unresolvable in double
-        precision and clustering must not collapse distinct eigenvalues.
-        """
-        scale = max(1.0, N.spectral_radius)
-        kappa = max(1.0, N.norm / scale)
-        smear = 10.0 * kappa * float(np.sqrt(np.finfo(float).eps * scale))
-        return self.cluster_tol * scale + min(smear, 1e-3 * scale)
 
 
 class SpectralType(enum.Enum):
@@ -219,7 +161,7 @@ class ContiguousSchur:
 
 @dataclass(frozen=True)
 class Clustering:
-    """The eigenvalue clusters of one operator at one tolerance config.
+    """The eigenvalue clusters of one operator, at its tolerances.
 
     Clusters are sorted by the (real, imag) order of their ``values``, the
     multiplicity-weighted means; ``positions`` are each cluster's places on
@@ -245,35 +187,34 @@ class Clustering:
     projections: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def clustering(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> Clustering:
-    """Eigenvalue clusters of N, computed once per operator and config
-    (cached on ``N``).
+def clustering(N: KreinOperator) -> Clustering:
+    """Eigenvalue clusters of N, computed once per operator and kept in
+    its write-once slot ``N._clustering``.
 
     Eigenvalues are the diagonal of the operator's cached Schur form
-    ``N = U T U*``, clustered by single linkage at the configured radius;
-    each cluster is represented by its multiplicity-weighted mean.  Two
-    clusters closer than four times the clustering radius are flagged with
-    a warning rather than merged.  No kernel is computed here.
+    ``N = U T U*``, clustered by single linkage at ``N.cluster_radius``,
+    which the operator's own tolerances fix; each cluster is represented
+    by its multiplicity-weighted mean.  Two clusters closer than four
+    times the clustering radius are flagged with a warning rather than
+    merged.  No kernel is computed here.
     """
-    found = N._spectra.get(cfg)
+    found = N._clustering
     if found is None:
         eigs = N.eigenvalues
-        clusters, ambiguous = _cluster_eigenvalues(eigs, cfg.cluster_radius(N))
+        clusters, ambiguous = _cluster_eigenvalues(eigs, N.cluster_radius)
         values = [complex(np.mean(eigs[ix])) for ix in clusters]
         order = sorted(range(len(clusters)), key=lambda c: (values[c].real, values[c].imag))
         values = tuple(values[c] for c in order)
-        found = N._spectra.setdefault(
-            cfg,
-            Clustering(
-                values=values,
-                positions=tuple(tuple(int(i) for i in clusters[c]) for c in order),
-                warnings=tuple(
-                    ("cluster-separation-below-4x-radius",) if ambiguous[c] else ()
-                    for c in order
-                ),
-                min_gap=min_gap(values),
+        found = Clustering(
+            values=values,
+            positions=tuple(tuple(int(i) for i in clusters[c]) for c in order),
+            warnings=tuple(
+                ("cluster-separation-below-4x-radius",) if ambiguous[c] else ()
+                for c in order
             ),
+            min_gap=min_gap(values),
         )
+        object.__setattr__(N, "_clustering", found)
     return found
 
 
@@ -311,9 +252,7 @@ def _orthonormal(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(a)[0]
 
 
-def _cluster_kernels(
-    N: KreinOperator, clusters: Clustering, index: int, cfg: ToleranceConfig
-) -> SpectralPoint:
+def _cluster_kernels(N: KreinOperator, clusters: Clustering, index: int) -> SpectralPoint:
     """The unclassified point of cluster ``index``: its kernels extracted as
     described in :func:`spectrum`."""
     if clusters.contiguous is None:  # the clustering's first kernel request
@@ -325,7 +264,7 @@ def _cluster_kernels(
     shifted = t.copy()  # T - lam: its off-diagonal blocks are T's own
     np.fill_diagonal(shifted, t.diagonal() - lam)
     left, s, right = np.linalg.svd(shifted[a:b, a:b])  # both null spaces past the rank cut
-    rank = _rank(s, cfg.rank_tol, N.scale)
+    rank = _rank(s, N.tolerances.rank_tol, N.scale)
     left, right = left[:, rank:], right[rank:].conj().T
     if a:  # (T11 - lam) x1 = -T12 x2 above the block
         above = solve_triangular(shifted[:a, :a], -(shifted[:a, a:b] @ right))
@@ -347,7 +286,7 @@ def _cluster_kernels(
     )
 
 
-def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list[SpectralPoint]:
+def spectrum(N: KreinOperator) -> list[SpectralPoint]:
     """Eigenvalue clusters of a normal operator, unclassified, sorted by
     (real, imag).
 
@@ -371,15 +310,13 @@ def spectrum(N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()) -> list
     Only the clustering and its contiguous form are cached: every call
     extracts every cluster's kernels again.
     The pipeline reads classified points through :func:`spectral_point`,
-    which extracts each cluster once per operator and config.
+    which extracts each cluster once per operator.
     """
-    clusters = clustering(N, cfg)
-    return [_cluster_kernels(N, clusters, i, cfg) for i in range(len(clusters.values))]
+    clusters = clustering(N)
+    return [_cluster_kernels(N, clusters, i) for i in range(len(clusters.values))]
 
 
-def classify_point(
-    N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig = ToleranceConfig()
-) -> SpectralPoint:
+def classify_point(N: KreinOperator, pt: SpectralPoint) -> SpectralPoint:
     """Fill in the definiteness type of a spectral point.
 
     The kernel's compressed Gram decides the one-sided type; when the
@@ -387,8 +324,9 @@ def classify_point(
     the two-sided tag.  Degenerate borderline spectra are tagged NEUTRAL
     with a warning instead of a definite verdict.
     """
-    verdict = definiteness(pt.kernel, N.space, cfg.definiteness_tol)
-    adj_verdict = definiteness(pt.adjoint_kernel, N.space, cfg.definiteness_tol)
+    tol = N.tolerances.definiteness_tol
+    verdict = definiteness(pt.kernel, N.space, tol)
+    adj_verdict = definiteness(pt.adjoint_kernel, N.space, tol)
     warnings = pt.warnings
 
     if verdict.kind is DefinitenessKind.UNIFORMLY_POSITIVE:
@@ -403,34 +341,30 @@ def classify_point(
         tag = SpectralType.INDEFINITE
     else:
         tag = SpectralType.NEUTRAL
-        threshold = cfg.definiteness_tol * N.space.gram_scale
+        threshold = tol * N.space.gram_scale
         if verdict.eigenvalues and max(abs(e) for e in verdict.eigenvalues) > 0.25 * threshold:
             warnings = warnings + ("borderline-definiteness-margin",)
     return replace(pt, type_tag=tag, gram_margin=verdict.margin, warnings=warnings)
 
 
-def spectral_point(
-    N: KreinOperator, index: int, cfg: ToleranceConfig = ToleranceConfig()
-) -> SpectralPoint:
-    """The classified point at ``index`` of ``classified_spectrum(N, cfg)``.
+def spectral_point(N: KreinOperator, index: int) -> SpectralPoint:
+    """The classified point at ``index`` of ``classified_spectrum(N)``.
 
     Only that cluster's kernels are extracted and classified, once per
-    operator and config; the point is cached in its :func:`clustering`."""
-    clusters = clustering(N, cfg)
+    operator; the point is cached in its :func:`clustering`."""
+    clusters = clustering(N)
     pt = clusters.points.get(index)
     if pt is None:
         pt = clusters.points.setdefault(
-            index, classify_point(N, _cluster_kernels(N, clusters, index, cfg), cfg)
+            index, classify_point(N, _cluster_kernels(N, clusters, index))
         )
     return pt
 
 
-def classified_spectrum(
-    N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()
-) -> list[SpectralPoint]:
+def classified_spectrum(N: KreinOperator) -> list[SpectralPoint]:
     """Spectrum with every point classified: the :func:`spectral_point` of
     each cluster, in order, so clusters already classified are reused."""
-    return [spectral_point(N, i, cfg) for i in range(len(clustering(N, cfg).values))]
+    return [spectral_point(N, i) for i in range(len(clustering(N).values))]
 
 
 def selfadjoint_product(N: KreinOperator, lam: complex) -> np.ndarray:
@@ -444,9 +378,7 @@ def selfadjoint_product(N: KreinOperator, lam: complex) -> np.ndarray:
     return (N.adjoint - np.conj(lam) * eye) @ (N.matrix - lam * eye)
 
 
-def verify_selfadjoint_link(
-    N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig = ToleranceConfig()
-) -> bool:
+def verify_selfadjoint_link(N: KreinOperator, pt: SpectralPoint) -> bool:
     """Check that 0 is of positive type for the selfadjoint product at
     ``pt.value`` exactly when the point is of two-sided positive type.
 
@@ -455,55 +387,49 @@ def verify_selfadjoint_link(
     pass.
     """
     if pt.type_tag is None:
-        pt = classify_point(N, pt, cfg)
+        pt = classify_point(N, pt)
     a = selfadjoint_product(N, pt.value)
     # the kernel SVD's top value is ||a||_2: the cut is rank_tol * max(1, ||a||_2)
-    ker = kernel_basis(a, cfg.rank_tol, 1.0)
-    verdict = definiteness(ker, N.space, cfg.definiteness_tol)
+    ker = kernel_basis(a, N.tolerances.rank_tol, 1.0)
+    verdict = definiteness(ker, N.space, N.tolerances.definiteness_tol)
     if "borderline-definiteness-margin" in pt.warnings:
         return True
     zero_positive = verdict.kind is DefinitenessKind.UNIFORMLY_POSITIVE
     return zero_positive == (pt.type_tag is SpectralType.TWO_SIDED_POSITIVE)
 
 
-def locate_point(
-    N: KreinOperator, lam: complex, cfg: ToleranceConfig = ToleranceConfig()
-) -> int:
-    """Index in ``classified_spectrum(N, cfg)`` of the point that ``lam``
+def locate_point(N: KreinOperator, lam: complex) -> int:
+    """Index in ``classified_spectrum(N)`` of the point that ``lam``
     names: the nearest one, which must lie within ten clustering radii.
     Non-finite and remote values are refused.  Reads the :func:`clustering`
     only; no kernel is computed."""
     lam = complex(lam)
     if not np.isfinite(lam):
         raise PreconditionError(f"{lam} is not a finite point")
-    dists = np.abs(np.array(clustering(N, cfg).values) - lam)
+    dists = np.abs(np.array(clustering(N).values) - lam)
     index = int(np.argmin(dists))
-    if dists[index] > 10.0 * cfg.cluster_radius(N):
+    if dists[index] > 10.0 * N.cluster_radius:
         raise PreconditionError(f"{lam} is not a spectral point of the operator")
     return index
 
 
-def clusters_in(
-    N: KreinOperator, region, cfg: ToleranceConfig = ToleranceConfig()
-) -> frozenset[int]:
-    """Indices of the clusters of ``clustering(N, cfg)`` whose eigenvalues
+def clusters_in(N: KreinOperator, region) -> frozenset[int]:
+    """Indices of the clusters of ``clustering(N)`` whose eigenvalues
     ``region`` contains.  With no eigenvalue within the clustering radius
     of a boundary, no cluster straddles one (a linkage crossing it would
     put an eigenvalue that close), so one member decides each cluster."""
     eigs = N.eigenvalues.tolist()
     return frozenset(
         i
-        for i, members in enumerate(clustering(N, cfg).positions)
+        for i, members in enumerate(clustering(N).positions)
         if region.contains(eigs[members[0]])
     )
 
 
-def invariant_decomposition(
-    N: KreinOperator, indices: frozenset[int], cfg: ToleranceConfig = ToleranceConfig()
-) -> OrderedDecomposition:
-    """``N.schur`` reordered so the clusters ``indices`` of ``clustering(N,
-    cfg)`` lead, once per cluster set, cached read-only in the clustering."""
-    clusters = clustering(N, cfg)
+def invariant_decomposition(N: KreinOperator, indices: frozenset[int]) -> OrderedDecomposition:
+    """``N.schur`` reordered so the clusters ``indices`` of ``clustering(N)``
+    lead, once per cluster set, cached read-only in the clustering."""
+    clusters = clustering(N)
     dec = clusters.decompositions.get(indices)
     if dec is None:
         select = np.zeros(N.dim, dtype=bool)
@@ -514,17 +440,13 @@ def invariant_decomposition(
     return dec
 
 
-def invariant_subspace(
-    N: KreinOperator, indices: frozenset[int], cfg: ToleranceConfig = ToleranceConfig()
-) -> SubspaceBasis:
+def invariant_subspace(N: KreinOperator, indices: frozenset[int]) -> SubspaceBasis:
     """Invariant subspace of the clusters ``indices`` (:func:`invariant_decomposition`)."""
-    dec = invariant_decomposition(N, indices, cfg)
+    dec = invariant_decomposition(N, indices)
     return SubspaceBasis(dec.unitary[:, : dec.split])
 
 
-def root_subspace(
-    N: KreinOperator, pt: SpectralPoint, cfg: ToleranceConfig = ToleranceConfig()
-) -> SubspaceBasis:
+def root_subspace(N: KreinOperator, pt: SpectralPoint) -> SubspaceBasis:
     """Invariant subspace of the full eigenvalue cluster (dimension
     ``alg_mult``) that :func:`locate_point` finds at ``pt.value``."""
-    return invariant_subspace(N, frozenset({locate_point(N, pt.value, cfg)}), cfg)
+    return invariant_subspace(N, frozenset({locate_point(N, pt.value)}))

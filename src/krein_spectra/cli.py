@@ -117,7 +117,7 @@ def _point_table(points) -> list[dict]:
 def cmd_classify(args) -> int:
     doc = load_operator_document(args.input)
     _, operator = doc.build()
-    points = classified_spectrum(operator, doc.tolerances)
+    points = classified_spectrum(operator)
     payload = {
         "normality_residual": operator.normality_residual,
         "points": _point_table(points),
@@ -143,9 +143,8 @@ def cmd_project(args) -> int:
     region = _region_from_args(args)
     if not region.pieces:
         raise DocumentError("project requires at least one --disk or --rect")
-    cfg = doc.tolerances
-    contour = riesz_projection_contour(operator, region, cfg)
-    oracle = riesz_projection_oracle(operator, region, cfg)
+    contour = riesz_projection_contour(operator, region)
+    oracle = riesz_projection_oracle(operator, region)
     discrepancy = frobenius(contour.matrix - oracle.matrix)
     payload = {
         "projection": oracle.matrix,
@@ -178,8 +177,8 @@ def cmd_lsf_verify(args) -> int:
     carrier = _region_from_args(args)
     if not carrier.pieces:
         raise DocumentError("lsf-verify requires a carrier (--disk / --rect)")
-    lsf = local_spectral_function(operator, carrier, doc.tolerances)
-    gap = clustering(operator, doc.tolerances).min_gap
+    lsf = local_spectral_function(operator, carrier)
+    gap = clustering(operator).min_gap
     radius = 0.25 * gap if np.isfinite(gap) else 0.25
     report = verify_lsf_family(lsf, radius, args.subspaces, args.seed)
     if args.json:
@@ -206,7 +205,7 @@ def cmd_probe_resolvent(args) -> int:
         raise DocumentError(
             f"--radii must be finite, positive and strictly decreasing, got {args.radii!r}"
         )
-    floor = probe_radius_floor(operator, lam, doc.tolerances)
+    floor = probe_radius_floor(operator, lam)
     if radii[-1] <= floor:
         raise DocumentError(
             f"--radii: {radii[-1]!r} is within {floor:.3g} of the point, "
@@ -216,9 +215,7 @@ def cmd_probe_resolvent(args) -> int:
         raise DocumentError(
             f"--samples must be between 1 and {MAX_PROBE_SAMPLES}, got {args.samples}"
         )
-    probe = resolvent_probe(
-        operator, lam, radii, samples_per_radius=args.samples, cfg=doc.tolerances
-    )
+    probe = resolvent_probe(operator, lam, radii, samples_per_radius=args.samples)
     payload = {
         "c_estimate": probe.c_estimate,
         "pole_order": probe.pole_order,
@@ -231,7 +228,7 @@ def cmd_probe_resolvent(args) -> int:
 def cmd_stability(args) -> int:
     doc = load_operator_document(args.input)
     _, operator = doc.build()
-    stable, decomposition = strong_stability_check(operator, doc.tolerances)
+    stable, decomposition = strong_stability_check(operator)
     payload: dict = {"stable": stable}
     failed = False
     if decomposition is not None:
@@ -355,13 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="operator document (JSON path or - for stdin)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("project", help="Riesz projection for a spectral region")
     p.add_argument("input")
     _add_region_flags(p)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("lsf-verify", help="verify the local spectral function axioms")
     p.add_argument("input")
@@ -371,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_lsf_verify)
 
     p = sub.add_parser("probe-resolvent", help="resolvent bound and pole order")
     p.add_argument("input")
@@ -380,24 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=16,
                    help=f"samples per radius, 1 to {MAX_PROBE_SAMPLES}")
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_probe_resolvent)
 
     p = sub.add_parser("stability", help="strong stability and fundamental decomposition")
     p.add_argument("input")
     p.add_argument("--emit-bases", action="store_true")
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("sylvester", help="solve S X - X T = Z from a JSON document")
     p.add_argument("input")
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_sylvester)
 
     p = sub.add_parser("generate", help="build an operator from a generator spec")
     p.add_argument("input", help="generator spec (JSON path or - for stdin)")
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--truth", default=None, help="write the ground-truth table here")
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("suite", help="seeded verification suite")
     p.add_argument("--trials", type=int, default=100)
@@ -407,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only-trial", type=int, default=None,
                    help="re-run a single trial index for reproduction")
     p.add_argument("--json-out", default=None)
-    p.set_defaults(func=cmd_suite)
     return parser
 
 
@@ -418,8 +407,11 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # looked up at each call, not bound into the cached parser, so that a
+    # wrapper installed on a cmd_* function later is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
     "KreinOperator",
     "KreinSpace",
     "SubspaceBasis",
+    "ToleranceConfig",
     "definiteness",
     "is_normal",
     "krein_adjoint",
@@ -40,6 +43,10 @@ DEFAULT_NORMALITY_TOL = 1e-8
 DEFAULT_DEFINITENESS_TOL = 1e-8
 
 _ORTHONORMALITY_TOL = 1e-8
+
+# Largest quadrature node count per contour piece; the convergence check
+# integrates at twice as many.
+MAX_CONTOUR_NODES = 2**14
 
 
 def _frozen_complex(a, shape_hint=None) -> np.ndarray:
@@ -159,33 +166,82 @@ def is_normal(
 
 
 @dataclass(frozen=True)
+class ToleranceConfig:
+    """Relative tolerances of one operator's analysis.
+
+    A :class:`KreinOperator` carries one config, fixed at construction,
+    and every verdict on the operator reads it there.
+
+    ``cluster_tol`` scales with ``max(1, spectral radius)``, plus a capped
+    floor for the smear of defective eigenvalues, to give the eigenvalue
+    clustering radius (:attr:`KreinOperator.cluster_radius`); ``rank_tol``
+    scales with the larger of the top singular value of the matrix whose
+    kernel is sought and the full operator scale ``max(1, ||N||)``,
+    ``definiteness_tol`` with the Gram scale, and
+    ``normality_tol`` with ``max(1, ||N||_F^2)``; each is a real number,
+    not a boolean.  ``contour_nodes`` caps the contour quadrature and is
+    an integer in ``[16, MAX_CONTOUR_NODES]``: a disk stops once its
+    nested trapezoid rule has converged, after at most
+    ``2 * contour_nodes`` nodes; a rectangle uses ``contour_nodes`` nodes,
+    checked against twice as many.  A resolvent probe's pole order takes
+    no quadrature and does not read ``contour_nodes``.
+    """
+
+    cluster_tol: float = 1e-7
+    rank_tol: float = DEFAULT_RANK_TOL
+    definiteness_tol: float = DEFAULT_DEFINITENESS_TOL
+    normality_tol: float = DEFAULT_NORMALITY_TOL
+    contour_nodes: int = 128
+
+    def __post_init__(self):
+        for name in ("cluster_tol", "rank_tol", "definiteness_tol", "normality_tol"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0 < value < math.inf):  # also refuses NaN
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        nodes = self.contour_nodes
+        integral = isinstance(nodes, numbers.Integral) and not isinstance(nodes, bool)
+        if not (integral and 16 <= nodes <= MAX_CONTOUR_NODES):
+            raise ValueError(f"contour_nodes must be an integer in [16, {MAX_CONTOUR_NODES}]")
+
+
+@dataclass(frozen=True)
 class KreinOperator:
     """A square matrix certified normal with respect to its space.
 
+    ``tolerances`` is the operator's one :class:`ToleranceConfig`, fixed
+    at construction: every clustering, rank cut, definiteness verdict and
+    contour rule on the operator reads it.  An analysis at other
+    tolerances builds another operator, e.g. with
+    ``KreinOperator(N.matrix, N.space, dataclasses.replace(N.tolerances,
+    cluster_tol=...))``.
+
     Construction computes the adjoint and the commutator residual and
     raises :class:`NonNormalError` when the residual exceeds
-    ``normality_tol``.  Instances are immutable and safe to share.
+    ``tolerances.normality_tol``.  Instances are immutable and safe to
+    share.
 
     Construction refuses a matrix with non-finite entries (``ValueError``).
 
     Derived data is computed on first use and cached on the instance: the
     norm, the scale, the Schur form, ``G^{-1} U`` for its unitary factor,
-    the spectral radius; and one write-once dict.  ``_spectra`` holds the
-    :func:`~krein_spectra.classification.clustering` of the Schur diagonal
-    for each (frozen, hashable) ``ToleranceConfig``; each clustering holds
-    its classified points, extracted and classified one cluster at a time
-    on first request, and the Schur form reordered once so that every
-    cluster fills one diagonal block, which the kernels are read from.
-    Each clustering also holds, per set of cluster indices, the
-    :func:`invariant_decomposition` and the oracle projection of the set.
+    the spectral radius, the clustering radius; and one write-once slot,
+    ``_clustering``, which holds the
+    :func:`~krein_spectra.classification.clustering` of the Schur
+    diagonal.  The clustering holds its classified points, extracted and
+    classified one cluster at a time on first request, and the Schur form
+    reordered once so that every cluster fills one diagonal block, which
+    the kernels are read from.  It also holds, per set of cluster indices,
+    the :func:`invariant_decomposition` and the oracle projection of the
+    set.
     """
 
     matrix: np.ndarray
     space: KreinSpace
-    normality_tol: float = DEFAULT_NORMALITY_TOL
+    tolerances: ToleranceConfig = ToleranceConfig()
     adjoint: np.ndarray = field(init=False, repr=False)
     normality_residual: float = field(init=False)
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _clustering: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _frozen_complex(self.matrix, (self.space.dim, self.space.dim))
@@ -193,8 +249,9 @@ class KreinOperator:
             raise ValueError("operator matrix has non-finite entries")
         adj = krein_adjoint(m, self.space)
         residual = _normality_residual(m, adj)
-        if residual > self.normality_tol:
-            raise NonNormalError(residual, self.normality_tol)
+        tol = self.tolerances.normality_tol
+        if residual > tol:
+            raise NonNormalError(residual, tol)
         adj.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "adjoint", adj)
@@ -250,6 +307,23 @@ class KreinOperator:
         of a similarity, so clustering radii stay commensurate with the
         spectrum."""
         return float(np.max(np.abs(self.eigenvalues)))
+
+    @functools.cached_property
+    def cluster_radius(self) -> float:
+        """Absolute eigenvalue clustering radius at ``tolerances.cluster_tol``.
+
+        Scales with the spectral radius (eigenvalue geometry, immune to
+        norm inflation under ill-conditioned similarity) plus a floor for
+        the square-root smear of defective eigenvalues, which grows with
+        the departure of the matrix norm from the spectral radius.  The
+        floor is capped at a small fraction of the eigenvalue scale:
+        beyond that, defective structure is unresolvable in double
+        precision and clustering must not collapse distinct eigenvalues.
+        """
+        scale = max(1.0, self.spectral_radius)
+        kappa = max(1.0, self.norm / scale)
+        smear = 10.0 * kappa * float(np.sqrt(np.finfo(float).eps * scale))
+        return self.tolerances.cluster_tol * scale + min(smear, 1e-3 * scale)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,7 @@ from itertools import chain
 import numpy as np
 
 from ._errors import DocumentError
-from .classification import ToleranceConfig
-from .core import KreinOperator, KreinSpace
+from .core import KreinOperator, KreinSpace, ToleranceConfig
 from .generators import GeneratorSpec
 
 __all__ = [
@@ -177,7 +176,8 @@ _TOLERANCE_FIELDS = frozenset(f.name for f in fields(ToleranceConfig))
 @dataclass
 class OperatorDocument:
     """Serializable (space, operator) pair with optional tolerance
-    overrides and free-form string metadata."""
+    overrides and free-form string metadata.  :meth:`build` hands the
+    ``tolerances`` to the operator, which reads them in every verdict."""
 
     dim: int
     gram: np.ndarray
@@ -205,10 +205,7 @@ class OperatorDocument:
             space = KreinSpace(self.gram)
         except ValueError as exc:
             raise DocumentError(f"gram: {exc}") from exc
-        operator = KreinOperator(
-            self.matrix, space, normality_tol=self.tolerances.normality_tol
-        )
-        return space, operator
+        return space, KreinOperator(self.matrix, space, self.tolerances)
 
 
 def parse_json(text: str):

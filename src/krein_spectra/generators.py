@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classification import SpectralType, ToleranceConfig, classified_spectrum, clustering
-from .core import KreinOperator, KreinSpace, krein_adjoint
+from .classification import SpectralType, classified_spectrum, clustering
+from .core import KreinOperator, KreinSpace, ToleranceConfig, krein_adjoint
 from .numerics import operator_norm
 
 __all__ = [
@@ -135,13 +135,15 @@ class GeneratedOperator:
     """Operator plus the inventory it was built from.
 
     Keeps the generating spec and the conjugator so that structured
-    perturbations can act on the underlying block form."""
+    perturbations can act on the underlying block form, and the
+    conjugator's 2-norm condition number (1 without one), computed once."""
 
     space: KreinSpace
     operator: KreinOperator
     ground_truth: tuple[GroundTruthPoint, ...]
     spec: GeneratorSpec
     conjugator: np.ndarray | None
+    conjugator_cond: float
 
 
 def random_j_unitary(space: KreinSpace, seed: int, cond_bound: float = 1e3) -> np.ndarray:
@@ -241,15 +243,16 @@ def build_normal_with_types(spec: GeneratorSpec) -> GeneratedOperator:
     gram, matrix, truth = _assemble_blocks(spec)
     space = KreinSpace(gram)
     conjugator = None
+    cond = 1.0
     tol = _GENERATED_NORMALITY_TOL
     if spec.cond_bound is not None:
         conjugator = random_j_unitary(space, spec.seed, spec.cond_bound)
         matrix = np.linalg.solve(conjugator, matrix @ conjugator)
         cond = float(np.linalg.cond(conjugator))
         tol = max(tol, 100.0 * np.finfo(float).eps * cond**2)
-    operator = KreinOperator(matrix, space, normality_tol=tol)
+    operator = KreinOperator(matrix, space, ToleranceConfig(normality_tol=tol))
     truth.sort(key=lambda t: (t.value.real, t.value.imag))
-    return GeneratedOperator(space, operator, tuple(truth), spec, conjugator)
+    return GeneratedOperator(space, operator, tuple(truth), spec, conjugator, cond)
 
 
 def perturb_structured(
@@ -267,10 +270,9 @@ def perturb_structured(
         return gen
     rng = np.random.default_rng(seed)
     spec = gen.spec
-    cond_u = 1.0 if gen.conjugator is None else float(np.linalg.cond(gen.conjugator))
     n_norm = max(gen.operator.norm, 1e-300)
 
-    shift_budget = delta / (2.0 * cond_u)
+    shift_budget = delta / (2.0 * gen.conjugator_cond)
     conj_budget = 0.5 * np.log1p(delta / (2.0 * n_norm))
 
     def sample_shift(budget: float) -> complex:
@@ -311,12 +313,15 @@ def perturb_structured(
             conjugator = gen.conjugator
         if operator_norm(matrix - gen.operator.matrix) <= delta:
             operator = KreinOperator(
-                matrix, gen.space, normality_tol=_GENERATED_NORMALITY_TOL
+                matrix, gen.space, ToleranceConfig(normality_tol=_GENERATED_NORMALITY_TOL)
             )
             ordered = tuple(
                 sorted(truth, key=lambda t: (t.value.real, t.value.imag))
             )
-            return GeneratedOperator(gen.space, operator, ordered, shifted, conjugator)
+            cond = gen.conjugator_cond
+            if conjugator is not gen.conjugator:
+                cond = float(np.linalg.cond(conjugator))
+            return GeneratedOperator(gen.space, operator, ordered, shifted, conjugator, cond)
         shift_budget /= 2.0
         conj_budget /= 2.0
     raise RuntimeError("could not realize the perturbation within budget")
@@ -380,11 +385,11 @@ def sample_generator_spec(
     )
 
 
-def classification_margin(gen: GeneratedOperator, cfg: ToleranceConfig = ToleranceConfig()) -> float:
+def classification_margin(gen: GeneratedOperator) -> float:
     """Stability margin of a generated operator's classification: the
     smaller of the worst kernel Gram margin and half the smallest
     eigenvalue separation.  Structured perturbations below half this
     margin cannot change any type tag."""
-    points = classified_spectrum(gen.operator, cfg)
+    points = classified_spectrum(gen.operator)
     margins = [abs(pt.gram_margin) for pt in points if not np.isnan(pt.gram_margin)]
-    return min(margins + [clustering(gen.operator, cfg).min_gap / 2.0])
+    return min(margins + [clustering(gen.operator).min_gap / 2.0])

@@ -28,7 +28,6 @@ from .classification import (
     POSITIVE_TAGS,
     SpectralPoint,
     SpectralType,
-    ToleranceConfig,
     clustering,
     clusters_in,
     invariant_decomposition,
@@ -146,9 +145,7 @@ def _idempotency(Q: np.ndarray) -> tuple[float, float]:
     return frobenius(Q @ Q - Q), _IDEM_ACCEPT_FACTOR * (1.0 + frobenius(Q) ** 2)
 
 
-def _make_result(
-    Q: np.ndarray, N: KreinOperator, cfg: ToleranceConfig
-) -> SpectralProjectionResult:
+def _make_result(Q: np.ndarray, N: KreinOperator) -> SpectralProjectionResult:
     idem, accept = _idempotency(Q)
     if idem > accept:
         raise CheckFailure(
@@ -163,13 +160,13 @@ def _make_result(
         idem_residual=idem,
         selfadj_residual=selfadj,
         commute_residual=commute,
-        gram_margin=definiteness(basis, N.space, cfg.definiteness_tol),
+        gram_margin=definiteness(basis, N.space, N.tolerances.definiteness_tol),
         basis=basis,
     )
 
 
-def region_selection(N: KreinOperator, region: Region, cfg: ToleranceConfig) -> frozenset[int]:
-    """Indices of the clusters of ``clustering(N, cfg)`` that ``region``
+def region_selection(N: KreinOperator, region: Region) -> frozenset[int]:
+    """Indices of the clusters of ``clustering(N)`` that ``region``
     selects for the operator N.
 
     The one place a region's selection is decided: both Riesz routes, the
@@ -181,20 +178,16 @@ def region_selection(N: KreinOperator, region: Region, cfg: ToleranceConfig) -> 
     alike, conjugation preserves membership and no cluster straddles a
     boundary; only then is membership reported (:func:`clusters_in`).
     """
-    gap = max(cfg.cluster_radius(N), cfg.cluster_tol * N.scale)
+    gap = max(N.cluster_radius, N.tolerances.cluster_tol * N.scale)
     offenders = [z for z in N.eigenvalues if region.boundary_distance(z) <= gap]
     if offenders:
         raise ContourThroughSpectrumError(
             f"region boundary passes within {gap:.3e} of eigenvalues {offenders}"
         )
-    return clusters_in(N, region, cfg)
+    return clusters_in(N, region)
 
 
-def riesz_projection_contour(
-    N: KreinOperator,
-    region: Region,
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> ContourProjection:
+def riesz_projection_contour(N: KreinOperator, region: Region) -> ContourProjection:
     """Contour-quadrature Riesz projection onto the spectrum inside a region.
 
     Integrates the resolvent over every primitive boundary and sums.  An
@@ -204,15 +197,16 @@ def riesz_projection_contour(
     by :func:`boundary_resolvent_sums`, and the sum is transformed back
     once.  Convergence is self-checked by doubling the node count.  A disk
     climbs a nested trapezoid ladder, evaluating each node once, and stops
-    as soon as two successive sums agree to 1e-10 relative;
-    at most it evaluates ``2 * cfg.contour_nodes`` nodes.  A rectangle
-    compares its rules at ``cfg.contour_nodes`` and twice as many nodes.
-    A last change above 1e-6 flags the result instead of failing, and so
-    does an idempotency residual above the oracle route's acceptance bound.
+    as soon as two successive sums agree to 1e-10 relative; at most it
+    evaluates ``2 * N.tolerances.contour_nodes`` nodes.  A rectangle
+    compares its rules at ``N.tolerances.contour_nodes`` and twice as many
+    nodes.  A last change above 1e-6 flags the result instead of failing,
+    and so does an idempotency residual above the oracle route's acceptance
+    bound.
     The result is a :class:`ContourProjection`: the matrix, its idempotency
     residual and those warnings, nothing that would need a range basis.
     """
-    region_selection(N, region, cfg)  # refuses a boundary through the spectrum
+    region_selection(N, region)  # refuses a boundary through the spectrum
     doubly_covered = [z for z in N.eigenvalues if region.covering_count(z) >= 2]
     if doubly_covered:
         raise AmbiguousRegionError(
@@ -224,7 +218,7 @@ def riesz_projection_contour(
     # in the Schur basis: the sum and the last change of its convergence check
     sums = np.zeros((2,) + t.shape, dtype=np.complex128)
     for piece in region.pieces:
-        sums += boundary_resolvent_sums(t, piece, cfg.contour_nodes)
+        sums += boundary_resolvent_sums(t, piece, N.tolerances.contour_nodes)
     # the Frobenius norm of the change needs no transform back
     delta = frobenius(sums[1])
     warnings = ()
@@ -237,29 +231,23 @@ def riesz_projection_contour(
     return ContourProjection(Q, idem, warnings)
 
 
-def riesz_projection_oracle(
-    N: KreinOperator,
-    region: Region,
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> SpectralProjectionResult:
+def riesz_projection_oracle(N: KreinOperator, region: Region) -> SpectralProjectionResult:
     """Riesz projection via ordered Schur decomposition and Sylvester
     decoupling, independent of the contour path: the
     :func:`cluster_projection` of the selected clusters."""
-    return cluster_projection(N, region_selection(N, region, cfg), cfg)
+    return cluster_projection(N, region_selection(N, region))
 
 
-def cluster_projection(
-    N: KreinOperator, indices: frozenset[int], cfg: ToleranceConfig = ToleranceConfig()
-) -> SpectralProjectionResult:
+def cluster_projection(N: KreinOperator, indices: frozenset[int]) -> SpectralProjectionResult:
     """The oracle's strict result for the clusters ``indices``, built once
     per cluster set from their :func:`invariant_decomposition`, read-only,
     cached in the clustering; the empty set needs no factorization."""
-    cache = clustering(N, cfg).projections
+    cache = clustering(N).projections
     result = cache.get(indices)
     if result is None:
         if indices:
-            dec = invariant_decomposition(N, indices, cfg)
-            result = _make_result(spectral_projector(dec), N, cfg)
+            dec = invariant_decomposition(N, indices)
+            result = _make_result(spectral_projector(dec), N)
         else:
             zero = DefinitenessVerdict(DefinitenessKind.ZERO, 0.0)
             q = np.zeros((N.dim, N.dim), dtype=np.complex128)
@@ -269,11 +257,7 @@ def cluster_projection(
     return result
 
 
-def verify_spectral_set_theorem(
-    N: KreinOperator,
-    region: Region,
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> VerificationReport:
+def verify_spectral_set_theorem(N: KreinOperator, region: Region) -> VerificationReport:
     """Check that a positive-type spectral set has a selfadjoint Riesz
     projection with uniformly positive range on which the operator is
     normal in the induced Hilbert space, and that its points upgrade to
@@ -285,7 +269,7 @@ def verify_spectral_set_theorem(
     """
     report = VerificationReport()
     try:
-        selected = region_selection(N, region, cfg)
+        selected = region_selection(N, region)
     except ContourThroughSpectrumError as exc:
         report.entries.append(
             CheckEntry(
@@ -297,7 +281,7 @@ def verify_spectral_set_theorem(
         )
         return report
 
-    inside = [spectral_point(N, i, cfg) for i in sorted(selected)]
+    inside = [spectral_point(N, i) for i in sorted(selected)]
     not_positive = [pt for pt in inside if pt.type_tag not in POSITIVE_TAGS]
     if not_positive:
         report.entries.append(
@@ -311,7 +295,7 @@ def verify_spectral_set_theorem(
         )
         return report
 
-    result = cluster_projection(N, selected, cfg)
+    result = cluster_projection(N, selected)
     qn = frobenius(result.matrix)
 
     tol_selfadj = 1e-8 * (1.0 + qn)
@@ -360,7 +344,7 @@ def verify_spectral_set_theorem(
 
     restriction = basis.columns.conj().T @ N.matrix @ basis.columns
     hilbert = KreinSpace(compressed_gram(basis, N.space))
-    _, normality = is_normal(restriction, hilbert, cfg.normality_tol)
+    _, normality = is_normal(restriction, hilbert, N.tolerances.normality_tol)
     report.entries.append(
         passfail(
             "restriction-normal-in-hilbert-space",
@@ -427,19 +411,18 @@ class LocalSpectralFunction:
     the function keeps no cache of its own.  The empty set gives the zero
     projection without any factorization."""
 
-    def __init__(self, operator: KreinOperator, carrier: Region, cfg: ToleranceConfig):
+    def __init__(self, operator: KreinOperator, carrier: Region):
         self.operator = operator
         self.carrier = carrier
-        self.cfg = cfg
-        self.values = list(clustering(operator, cfg).values)
-        self.carrier_indices = region_selection(operator, carrier, cfg)
+        self.values = list(clustering(operator).values)
+        self.carrier_indices = region_selection(operator, carrier)
 
     def cluster_projector(self, indices: frozenset[int]) -> np.ndarray:
         """Riesz projector of the clusters ``indices``."""
-        return spectral_projector(invariant_decomposition(self.operator, indices, self.cfg))
+        return spectral_projector(invariant_decomposition(self.operator, indices))
 
     def indices_in(self, region: Region) -> frozenset[int]:
-        inside = region_selection(self.operator, region, self.cfg)
+        inside = region_selection(self.operator, region)
         stray = inside - self.carrier_indices
         if stray:
             raise PreconditionError(
@@ -452,33 +435,29 @@ class LocalSpectralFunction:
         stray = indices - self.carrier_indices
         if stray:
             raise PreconditionError(f"indices {sorted(stray)} are outside the carrier")
-        return cluster_projection(self.operator, indices, self.cfg)
+        return cluster_projection(self.operator, indices)
 
     def evaluate(self, region: Region) -> SpectralProjectionResult:
         return self.evaluate_indices(self.indices_in(region))
 
     def selected_points(self, indices: Iterable[int]) -> list[SpectralPoint]:
         """The classified points of the clusters ``indices``, in order."""
-        return [spectral_point(self.operator, i, self.cfg) for i in sorted(indices)]
+        return [spectral_point(self.operator, i) for i in sorted(indices)]
 
 
-def local_spectral_function(
-    N: KreinOperator,
-    carrier: Region,
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> LocalSpectralFunction:
+def local_spectral_function(N: KreinOperator, carrier: Region) -> LocalSpectralFunction:
     """Build the local spectral function on a carrier whose eigenvalues are
     all of two-sided positive type; offenders (by :func:`clusters_in`) are
     listed otherwise, before :func:`region_selection` decides (or refuses)
     the carrier.  Only the clusters inside the carrier are classified."""
-    inside = [spectral_point(N, i, cfg) for i in sorted(clusters_in(N, carrier, cfg))]
+    inside = [spectral_point(N, i) for i in sorted(clusters_in(N, carrier))]
     offenders = [pt for pt in inside if pt.type_tag is not SpectralType.TWO_SIDED_POSITIVE]
     if offenders:
         raise PreconditionError(
             "carrier is not of two-sided positive type; offenders: "
             + ", ".join(f"{pt.value:.6g} [{pt.type_tag.value}]" for pt in offenders)
         )
-    return LocalSpectralFunction(N, carrier, cfg)
+    return LocalSpectralFunction(N, carrier)
 
 
 def _spectral_distance_residual(
@@ -509,7 +488,7 @@ def verify_lsf_axioms(
     delta order (the empty set's zero projection adds 0 to every residual).
     """
     report = VerificationReport()
-    N, cfg = E.operator, E.cfg
+    N = E.operator
     scale = N.scale
     index_sets = [E.indices_in(d) for d in deltas]
     results = [E.evaluate_indices(ix) for ix in index_sets]
@@ -597,11 +576,11 @@ def verify_lsf_axioms(
     worst_in, worst_out = 0.0, 0.0
     all_indices = frozenset(range(len(E.values)))
     for ix, res in distinct.items():
-        worst_in = max(worst_in, max_principal_angle(invariant_subspace(N, ix, cfg), res.basis))
+        worst_in = max(worst_in, max_principal_angle(invariant_subspace(N, ix), res.basis))
         comp = range_basis(np.eye(N.dim) - res.matrix)
         rest = all_indices - ix
         if comp.k > 0 and rest:
-            worst_out = max(worst_out, max_principal_angle(invariant_subspace(N, rest, cfg), comp))
+            worst_out = max(worst_out, max_principal_angle(invariant_subspace(N, rest), comp))
         elif comp.k > 0:
             worst_out = float(np.pi / 2)
     report.entries.append(
@@ -766,13 +745,13 @@ class ResolventProbeResult:
     radius_table: tuple[tuple[float, float], ...]
 
 
-def probe_radius_floor(N: KreinOperator, point: complex, cfg: ToleranceConfig) -> float:
+def probe_radius_floor(N: KreinOperator, point: complex) -> float:
     """Largest radius :func:`resolvent_probe` refuses at ``point``: the
     clustering radius of N, within which every sample is discarded as
     spectral, or a few ulps of ``max(1, |point|)``, below which the samples
     round onto the point, whichever is larger."""
     ulps = _PROBE_RADIUS_ULPS * float(np.spacing(max(1.0, abs(point))))
-    return max(ulps, cfg.cluster_radius(N))
+    return max(ulps, N.cluster_radius)
 
 
 def resolvent_probe(
@@ -780,7 +759,6 @@ def resolvent_probe(
     lam0: complex,
     radii: Sequence[float],
     samples_per_radius: int = 16,
-    cfg: ToleranceConfig = ToleranceConfig(),
 ) -> ResolventProbeResult:
     """Sample ``||(N - z)^{-1}|| * dist(z, spectrum)`` on circles around a
     spectral point and measure the resolvent pole order there.
@@ -809,12 +787,12 @@ def resolvent_probe(
         raise ValueError("radii must be strictly decreasing")
     if not 1 <= samples_per_radius <= MAX_PROBE_SAMPLES:
         raise ValueError(f"samples_per_radius must be between 1 and {MAX_PROBE_SAMPLES}")
-    idx = locate_point(N, lam0, cfg)
-    floor = probe_radius_floor(N, lam0, cfg)
+    idx = locate_point(N, lam0)
+    floor = probe_radius_floor(N, lam0)
     if radii[-1] <= floor:
         raise ValueError(f"radius {radii[-1]!r} is within {floor:.3g} of the point")
-    reps = np.array(clustering(N, cfg).values)
-    cluster_radius = cfg.cluster_radius(N)
+    reps = np.array(clustering(N).values)
+    cluster_radius = N.cluster_radius
     center = complex(reps[idx])
 
     theta = 2.0 * np.pi * (np.arange(samples_per_radius) + 0.5) / samples_per_radius
@@ -839,14 +817,14 @@ def resolvent_probe(
     else:
         isolation = max(1.0, 0.5 * (1.0 + abs(center)))
     if isolation > 10.0 * cluster_radius:
-        norms = _laurent_norms(N, Disk(center, isolation), cfg)
+        norms = _laurent_norms(N, Disk(center, isolation))
         vanishing = np.flatnonzero(norms <= 1e-8 * N.scale)
         if vanishing.size:
             pole_order = int(vanishing[0]) + 1
     return ResolventProbeResult(c_estimate, pole_order, table)
 
 
-def _laurent_norms(N: KreinOperator, circle: Disk, cfg: ToleranceConfig) -> np.ndarray:
+def _laurent_norms(N: KreinOperator, circle: Disk) -> np.ndarray:
     """Frobenius norms of the Laurent coefficients ``(1/2 pi i) ∮ (z - c)^k
     (z - N)^{-1} dz``, k = 1, ..., m for the enclosed algebraic
     multiplicity m, which bounds the pole order, on the boundary of
@@ -855,7 +833,7 @@ def _laurent_norms(N: KreinOperator, circle: Disk, cfg: ToleranceConfig) -> np.n
     clusters (:func:`region_selection`, which refuses a circle through the
     spectrum); in the Schur form reordered on them its only nonzero rows
     are ``(T11 - c)^k [I, -R]``, and the unitary leaves the norm alone."""
-    dec = invariant_decomposition(N, region_selection(N, Region((circle,)), cfg), cfg)
+    dec = invariant_decomposition(N, region_selection(N, Region((circle,))))
     shifted = dec.triangular[: dec.split, : dec.split] - circle.center * np.eye(dec.split)
     coefficient = projector_row(dec)
     norms = np.empty(dec.split)
@@ -879,9 +857,7 @@ class FundamentalDecomposition:
         return all(e.status is CheckStatus.PASS for e in self.entries)
 
 
-def strong_stability_check(
-    N: KreinOperator, cfg: ToleranceConfig = ToleranceConfig()
-) -> tuple[bool, FundamentalDecomposition | None]:
+def strong_stability_check(N: KreinOperator) -> tuple[bool, FundamentalDecomposition | None]:
     """Decide strong stability: every spectral point of definite type.
 
     When stable, returns the invariant fundamental decomposition built
@@ -890,19 +866,20 @@ def strong_stability_check(
     invariance, spectral disjointness).  Points are classified in sorted
     order up to the first one that is not definite."""
     points = []
-    for i in range(len(clustering(N, cfg).values)):
-        points.append(spectral_point(N, i, cfg))
+    for i in range(len(clustering(N).values)):
+        points.append(spectral_point(N, i))
         if points[-1].type_tag not in DEFINITE_TAGS:
             return False, None
 
     pos = [pt for pt in points if pt.type_tag in POSITIVE_TAGS]
     neg = [pt for pt in points if pt.type_tag not in POSITIVE_TAGS]
     dim = N.dim
-    plus, minus = _kernel_span(pos, dim, cfg.rank_tol), _kernel_span(neg, dim, cfg.rank_tol)
+    tols = N.tolerances
+    plus, minus = _kernel_span(pos, dim, tols.rank_tol), _kernel_span(neg, dim, tols.rank_tol)
     entries = []
     scale = N.scale
 
-    verdict_p = definiteness(plus, N.space, cfg.definiteness_tol)
+    verdict_p = definiteness(plus, N.space, tols.definiteness_tol)
     entries.append(
         passfail(
             "stability-plus-uniformly-positive",
@@ -912,7 +889,7 @@ def strong_stability_check(
             claim="the positive part is uniformly positive",
         )
     )
-    verdict_m = definiteness(minus, N.space, cfg.definiteness_tol)
+    verdict_m = definiteness(minus, N.space, tols.definiteness_tol)
     entries.append(
         passfail(
             "stability-minus-uniformly-negative",
@@ -963,7 +940,7 @@ def strong_stability_check(
     )
     if pos and neg:
         gap = min(abs(p.value - m.value) for p in pos for m in neg)
-        disjoint = gap > cfg.cluster_radius(N)
+        disjoint = gap > N.cluster_radius
     else:
         gap, disjoint = math.inf, True
     entries.append(
@@ -971,7 +948,7 @@ def strong_stability_check(
             "stability-spectra-disjoint",
             disjoint,
             residual=None if math.isinf(gap) else gap,
-            tolerance=cfg.cluster_radius(N),
+            tolerance=N.cluster_radius,
             claim="the restricted spectra of the two parts are disjoint",
         )
     )

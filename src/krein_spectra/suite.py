@@ -35,7 +35,6 @@ from ._errors import (
 from .classification import (
     DEFINITE_TAGS,
     SpectralType,
-    ToleranceConfig,
     classified_spectrum,
     clustering,
     root_subspace,
@@ -74,8 +73,6 @@ __all__ = ["run_suite", "run_trial"]
 
 ANGLE_TOL = 1e-8
 COND_STRICT = 1e3
-# every trial classifies and projects with the default tolerances
-CFG = ToleranceConfig()
 # random subspaces of each trial's maximality check
 MAXIMALITY_SUBSPACES = 5
 # largest trial dimension: sample_generator_spec cannot place a trial's
@@ -101,7 +98,7 @@ class TrialSetting:
 def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     """Ground-truth round trip plus the per-point structural lemmas."""
     entries = []
-    points = classified_spectrum(gen.operator, CFG)
+    points = classified_spectrum(gen.operator)
     truth = gen.ground_truth
 
     mismatch = []
@@ -125,7 +122,7 @@ def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list
             "classification-roundtrip",
             not mismatch,
             residual=value_residual,
-            tolerance=10 * CFG.cluster_radius(gen.operator) * setting.tol_scale,
+            tolerance=10 * gen.operator.cluster_radius * setting.tol_scale,
             claim="classification reproduces the generated type inventory",
             detail="; ".join(mismatch),
         )
@@ -150,7 +147,7 @@ def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list
     for pt in points:
         if pt.type_tag in DEFINITE_TAGS:
             try:
-                root = root_subspace(gen.operator, pt, CFG)
+                root = root_subspace(gen.operator, pt)
                 root_angle = max_principal_angle(pt.kernel, root)
             except (ValueError, KreinError):
                 root_angle = float(np.pi / 2)
@@ -178,7 +175,7 @@ def classification_checks(gen: GeneratedOperator, setting: TrialSetting) -> list
         )
     )
 
-    link_ok = all(verify_selfadjoint_link(gen.operator, pt, CFG) for pt in points)
+    link_ok = all(verify_selfadjoint_link(gen.operator, pt) for pt in points)
     entries.append(
         passfail(
             "selfadjoint-product-link",
@@ -194,18 +191,18 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
     """Spectral-set theorem on an isolated positive cluster plus the
     contour/oracle cross-validation."""
     entries = []
-    points = classified_spectrum(gen.operator, CFG)
-    gap = clustering(gen.operator, CFG).min_gap
+    points = classified_spectrum(gen.operator)
+    gap = clustering(gen.operator).min_gap
     radius = 0.45 * gap if np.isfinite(gap) else 1.0
 
     positive = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if positive:
         region = Region.disk(positive[0].value, radius)
-        entries.extend(verify_spectral_set_theorem(gen.operator, region, CFG).entries)
+        entries.extend(verify_spectral_set_theorem(gen.operator, region).entries)
 
     region = Region.disk(points[0].value, radius)
-    contour = riesz_projection_contour(gen.operator, region, CFG)
-    oracle = riesz_projection_oracle(gen.operator, region, CFG)
+    contour = riesz_projection_contour(gen.operator, region)
+    oracle = riesz_projection_oracle(gen.operator, region)
     diff = frobenius(contour.matrix - oracle.matrix) / max(
         1.0, frobenius(oracle.matrix)
     )
@@ -223,7 +220,7 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
     definite = [pt for pt in points if pt.type_tag in DEFINITE_TAGS]
     if definite:
         q = riesz_projection_oracle(
-            gen.operator, Region.disk(definite[0].value, radius), CFG
+            gen.operator, Region.disk(definite[0].value, radius)
         ).matrix
         defect, _ = projection_defect(q, gen.space)
         defect_norm = frobenius(defect)
@@ -243,7 +240,7 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
     ]
     if neutral_simple:
         q = riesz_projection_oracle(
-            gen.operator, Region.disk(neutral_simple[0].value, radius), CFG
+            gen.operator, Region.disk(neutral_simple[0].value, radius)
         ).matrix
         defect, is_neutral = projection_defect(q, gen.space)
         cross = frobenius(krein_adjoint(defect, gen.space) @ defect)
@@ -262,16 +259,16 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
 
 
 def lsf_checks(gen: GeneratedOperator, setting: TrialSetting, trial_seed: int) -> list[CheckEntry]:
-    points = classified_spectrum(gen.operator, CFG)
+    points = classified_spectrum(gen.operator)
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if not tsp:
         return []
-    gap = clustering(gen.operator, CFG).min_gap
+    gap = clustering(gen.operator).min_gap
     carrier_radius = 0.4 * gap if np.isfinite(gap) else 1.0
     carrier = Region(
         tuple(piece for pt in tsp for piece in Region.disk(pt.value, carrier_radius).pieces)
     )
-    lsf = local_spectral_function(gen.operator, carrier, CFG)
+    lsf = local_spectral_function(gen.operator, carrier)
     return verify_lsf_family(
         lsf, 0.5 * carrier_radius, MAXIMALITY_SUBSPACES, trial_seed, tol=1e-8 * setting.tol_scale
     ).entries
@@ -279,8 +276,8 @@ def lsf_checks(gen: GeneratedOperator, setting: TrialSetting, trial_seed: int) -
 
 def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     entries = []
-    points = classified_spectrum(gen.operator, CFG)
-    gap = clustering(gen.operator, CFG).min_gap
+    points = classified_spectrum(gen.operator)
+    gap = clustering(gen.operator).min_gap
     base = 0.4 * gap if np.isfinite(gap) else 0.5
 
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
@@ -290,7 +287,6 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
             tsp[0].value,
             radii=[base, base / 2, base / 4, base / 8],
             samples_per_radius=8,
-            cfg=CFG,
         )
         large = probe.radius_table[0][1]
         worst = max(c for _, c in probe.radius_table[1:])
@@ -319,7 +315,6 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
             defective[0].value,
             radii=[base],
             samples_per_radius=4,
-            cfg=CFG,
         )
         entries.append(
             passfail(
@@ -339,7 +334,7 @@ def stability_checks(
     expected_stable = all(
         t.expected_type in DEFINITE_TAGS for t in gen.ground_truth
     )
-    stable, decomposition = strong_stability_check(gen.operator, CFG)
+    stable, decomposition = strong_stability_check(gen.operator)
     entries.append(
         passfail(
             "strong-stability-detection",
@@ -350,11 +345,11 @@ def stability_checks(
     )
     if stable and decomposition is not None:
         entries.extend(decomposition.entries)
-        margin = classification_margin(gen, CFG)
+        margin = classification_margin(gen)
         if np.isfinite(margin) and margin > 0:
             delta = 0.45 * margin
             perturbed = perturb_structured(gen, delta, seed=trial_seed)
-            still_stable, _ = strong_stability_check(perturbed.operator, CFG)
+            still_stable, _ = strong_stability_check(perturbed.operator)
             entries.append(
                 passfail(
                     "stability-under-perturbation",
@@ -440,10 +435,9 @@ def run_trial(
     gen = build_normal_with_types(spec)
     trial_seed = int(rng.integers(2**63))
 
-    cond_real = 1.0 if gen.conjugator is None else float(np.linalg.cond(gen.conjugator))
     setting = TrialSetting(
         relaxed=cond_bound > COND_STRICT,
-        tol_scale=max(1.0, cond_real / COND_STRICT),
+        tol_scale=max(1.0, gen.conjugator_cond / COND_STRICT),
     )
 
     def guarded(group: str, fn) -> list[CheckEntry]:

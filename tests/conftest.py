@@ -4,11 +4,13 @@ One seeded stream of generated operators (dims 2-12, conditioning bound
 1e3) with their classified spectra, built once per session and reused by
 the read-only acceptance checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from krein_spectra import (
-    ToleranceConfig,
+    KreinOperator,
     build_normal_with_types,
     classified_spectrum,
     sample_generator_spec,
@@ -28,6 +30,12 @@ def boosted_matrix():
     return np.linalg.solve(boost, np.diag([100.0, 200.0]) @ boost)
 
 
+def with_tolerances(N: KreinOperator, **changes) -> KreinOperator:
+    """The operator N built again at its tolerances with ``changes``: an
+    operator carries one tolerance config, so each config gets its own."""
+    return KreinOperator(N.matrix, N.space, dataclasses.replace(N.tolerances, **changes))
+
+
 def generate_trial(index: int, seed: int = ACCEPTANCE_SEED):
     rng = np.random.default_rng([seed, index])
     dim = int(rng.integers(ACCEPTANCE_DIMS[0], ACCEPTANCE_DIMS[1] + 1))
@@ -37,9 +45,8 @@ def generate_trial(index: int, seed: int = ACCEPTANCE_SEED):
 
 @pytest.fixture(scope="session")
 def trial_bank():
-    cfg = ToleranceConfig()
     bank = []
     for i in range(ACCEPTANCE_TRIALS):
         gen = generate_trial(i)
-        bank.append((i, gen, classified_spectrum(gen.operator, cfg)))
+        bank.append((i, gen, classified_spectrum(gen.operator)))
     return bank

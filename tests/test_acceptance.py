@@ -16,7 +16,6 @@ from krein_spectra import (
     KreinSpace,
     Region,
     SpectralType,
-    ToleranceConfig,
     build_normal_with_types,
     classified_spectrum,
     local_spectral_function,
@@ -38,7 +37,7 @@ from krein_spectra import (
 from krein_spectra.core import frobenius, min_gap
 from krein_spectra.generators import classification_margin
 
-from conftest import ACCEPTANCE_SEED, ACCEPTANCE_TRIALS, generate_trial
+from conftest import ACCEPTANCE_SEED, ACCEPTANCE_TRIALS, generate_trial, with_tolerances
 
 ANGLE_TOL = 1e-8
 DEFINITE = (SpectralType.TWO_SIDED_POSITIVE, SpectralType.TWO_SIDED_NEGATIVE)
@@ -269,9 +268,7 @@ def test_criterion_8_oracle_agreement(trial_bank):
     failures = []
     for index, gen, points in trial_bank[:100]:
         region = Region.disk(points[0].value, _isolation_radius(points))
-        contour = riesz_projection_contour(
-            gen.operator, region, cfg=ToleranceConfig(contour_nodes=64)
-        )
+        contour = riesz_projection_contour(with_tolerances(gen.operator, contour_nodes=64), region)
         oracle = riesz_projection_oracle(gen.operator, region)
         diff = frobenius(contour.matrix - oracle.matrix)
         if diff > 1e-6:

@@ -34,15 +34,16 @@ from krein_spectra.core import frobenius, krein_adjoint
 from krein_spectra.documents import OperatorDocument, load_operator_document
 from krein_spectra.generators import GeneratorSpec
 
+from conftest import with_tolerances
+
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-CHAINED_CFG = ToleranceConfig(cluster_tol=0.1)
 
 
 def chained_cluster_operator():
     return KreinOperator(
-        np.diag([1.0, 1.15, 1.3, 1.45, 1.6, 1.8]), KreinSpace.euclidean(6)
+        np.diag([1.0, 1.15, 1.3, 1.45, 1.6, 1.8]),
+        KreinSpace.euclidean(6),
+        ToleranceConfig(cluster_tol=0.1),
     )
 
 
@@ -79,13 +80,12 @@ class TestSpectrum:
 
     def test_schur_positions_partition_the_schur_diagonal(self):
         rng = np.random.default_rng(11)
-        cases = [(chained_cluster_operator(), CHAINED_CFG)] + [
-            (build_normal_with_types(sample_generator_spec(rng, 8)).operator, ToleranceConfig())
-            for _ in range(10)
+        cases = [chained_cluster_operator()] + [
+            build_normal_with_types(sample_generator_spec(rng, 8)).operator for _ in range(10)
         ]
-        for n, cfg in cases:
-            points = spectrum(n, cfg)
-            clusters = classification.clustering(n, cfg)
+        for n in cases:
+            points = spectrum(n)
+            clusters = classification.clustering(n)
             assert sorted(i for members in clusters.positions for i in members) == list(range(n.dim))
             for pt, members in zip(points, clusters.positions):
                 assert len(members) == pt.alg_mult
@@ -217,9 +217,9 @@ class TestRootSubspace:
         # 1.0 .. 1.6 chain into one cluster at the radius 0.18, whose mean
         # 1.3 is farther from 1.6 than the foreign eigenvalue 1.8 is
         n = chained_cluster_operator()
-        pt = classified_spectrum(n, CHAINED_CFG)[0]
+        pt = classified_spectrum(n)[0]
         assert pt.alg_mult == 5
-        assert root_subspace(n, pt, CHAINED_CFG).k == 5
+        assert root_subspace(n, pt).k == 5
 
     def test_two_sided_points_have_coinciding_subspaces(self):
         rng = np.random.default_rng(15)
@@ -261,20 +261,17 @@ class TestClassifiedSpectrumCache:
 
     def test_each_tolerance_config_gets_its_own_answer(self):
         # the Gram is positive definite but tiny on e2: the point 2 is
-        # uniformly positive at the default threshold 1e-8 and neutral at 1e-4
-        def operator():
-            return KreinOperator(np.diag([1.0, 2.0]), KreinSpace(np.diag([1.0, 1e-5])))
-
-        strict, loose = ToleranceConfig(), ToleranceConfig(definiteness_tol=1e-4)
-        n = operator()
-        tags = {
-            cfg: [pt.type_tag for pt in classified_spectrum(n, cfg)] for cfg in (strict, loose)
-        }
-        assert tags[strict][1] is SpectralType.TWO_SIDED_POSITIVE
-        assert tags[loose][1] is SpectralType.NEUTRAL
-        for cfg in (loose, strict):
-            assert [pt.type_tag for pt in classified_spectrum(n, cfg)] == tags[cfg]
-            assert [pt.type_tag for pt in classified_spectrum(operator(), cfg)] == tags[cfg]
+        # uniformly positive at the default threshold 1e-8 and neutral at 1e-4;
+        # each config is carried by its own operator
+        strict = KreinOperator(np.diag([1.0, 2.0]), KreinSpace(np.diag([1.0, 1e-5])))
+        loose = with_tolerances(strict, definiteness_tol=1e-4)
+        tags = [[pt.type_tag for pt in classified_spectrum(n)] for n in (strict, loose)]
+        assert tags[0][1] is SpectralType.TWO_SIDED_POSITIVE
+        assert tags[1][1] is SpectralType.NEUTRAL
+        for n, expected in zip((loose, strict), reversed(tags)):
+            assert [pt.type_tag for pt in classified_spectrum(n)] == expected
+            fresh = with_tolerances(n)
+            assert [pt.type_tag for pt in classified_spectrum(fresh)] == expected
 
 
 # Seven clusters, sorted: -3 and -2+i (one neutral pair), -1 (negative),
@@ -309,9 +306,9 @@ class TestClustersExtractedOnRequest:
         counts = {"kernels": [], "passes": 0}
         kernels, make_contiguous = classification._cluster_kernels, classification._make_contiguous
 
-        def counting_kernels(N, clusters, index, cfg):
+        def counting_kernels(N, clusters, index):
             counts["kernels"].append(index)
-            return kernels(N, clusters, index, cfg)
+            return kernels(N, clusters, index)
 
         def counting_passes(N, clusters):
             counts["passes"] += 1

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krein_spectra
-from krein_spectra import DocumentError
+from krein_spectra import DocumentError, cli
 from krein_spectra.cli import main
 from krein_spectra.documents import (
     OperatorDocument,
@@ -644,6 +644,55 @@ class TestSubcommands:
         assert main(["lsf-verify", str(path), "--disk", "1,0,0.4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["fail"] == 0
+
+    def test_document_tolerances_reach_every_operator_subcommand(self, tmp_path, capsys):
+        # diag(1, 1.05, 3) against diag(1, 1, -1): at the default tolerances
+        # three simple definite points; a cluster_tol of 0.02 (radius 0.06)
+        # merges 1 and 1.05 into one cluster at 1.025, whose shifted block
+        # has no kernel: a neutral point of algebraic multiplicity 2
+        gram, matrix = np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 1.05, 3.0])
+        default = str(write_operator(tmp_path, "default.json", gram, matrix))
+        merged = str(
+            write_operator(
+                tmp_path, "merged.json", gram, matrix, tolerance_overrides={"cluster_tol": 0.02}
+            )
+        )
+
+        def run(*argv):
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            return code, json.loads(out) if code == 0 else err
+
+        clusters = {default: [(1.0, 1), (1.05, 1), (3.0, 1)], merged: [(1.025, 2), (3.0, 1)]}
+        for doc, expected in clusters.items():
+            points = run("classify", doc, "--json")[1]["points"]
+            assert [(pytest.approx(p["value"][0]), p["alg_mult"]) for p in points] == expected
+        # a region splitting the merged cluster is refused
+        assert run("project", default, "--disk=1,0,0.03")[1]["rank"] == 1
+        code, err = run("project", merged, "--disk=1,0,0.03")
+        assert code == 3 and "within 6.000e-02" in err
+        # the carrier holds the merged cluster, which is not two-sided positive
+        assert run("lsf-verify", default, "--disk=1,0,0.5", "--json")[0] == 0
+        code, err = run("lsf-verify", merged, "--disk=1,0,0.5", "--json")
+        assert code == 2 and "1.025+0j [neutral]" in err
+        # the probe floor is the clustering radius
+        probe = ("--point=1,0", "--radii=0.4,0.04")
+        assert run("probe-resolvent", default, *probe)[1]["pole_order"] == 1
+        code, err = run("probe-resolvent", merged, *probe)
+        assert code == 1 and "within 0.06" in err
+        assert run("stability", default)[1]["stable"] is True
+        assert run("stability", merged)[1]["stable"] is False
+
+    def test_dispatch_runs_the_command_bound_at_call_time(self, tmp_path, monkeypatch, capsys):
+        # a wrapper installed on a cmd_* function after the first main() call
+        # has cached the parser is the function the next call runs
+        path = str(write_operator(tmp_path))
+        assert main(["classify", path, "--json"]) == 0
+        calls, original = [], cli.cmd_classify
+        monkeypatch.setattr(cli, "cmd_classify", lambda args: calls.append(args) or original(args))
+        assert main(["classify", path, "--json"]) == 0
+        assert [args.input for args in calls] == [path]
+        capsys.readouterr()
 
 
 class TestSuiteCommand:

@@ -93,6 +93,7 @@ class TestBuildNormalWithTypes:
             for gen in (bare, conjugated):
                 ok, residual = is_normal(gen.operator.matrix, gen.space, tol=1e-9)
                 assert ok, residual
+                assert gen.conjugator_cond == conjugator_cond(gen)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="inertia"):
@@ -122,6 +123,11 @@ class TestBuildNormalWithTypes:
         np.testing.assert_allclose(np.sort(np.diag(adj)), [1.0, 2.0], atol=1e-12)
 
 
+def conjugator_cond(gen):
+    """The conjugator's condition number computed afresh (1 without one)."""
+    return 1.0 if gen.conjugator is None else float(np.linalg.cond(gen.conjugator))
+
+
 class TestPerturbStructured:
     def test_zero_budget_is_identity(self):
         rng = np.random.default_rng(9)
@@ -142,3 +148,5 @@ class TestPerturbStructured:
                 perturbed.operator.matrix, gen.space, tol=1e-9
             )
             assert ok, residual
+            # the perturbation's own conjugator, not the input's
+            assert perturbed.conjugator_cond == conjugator_cond(perturbed)

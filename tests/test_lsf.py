@@ -35,23 +35,23 @@ def carrier_operator():
     return KreinOperator(np.diag([1.0, 2.0, 3.0j]), space)
 
 
-def plant(n, values, projector, cfg=ToleranceConfig()):
+def plant(n, values, projector):
     """Replace the oracle projection of the clusters at ``values``, cached
     in the operator's clustering, by ``projector``; every other cluster
     set keeps its own.  Every reader of that set sees the planted result."""
-    clusters = clustering(n, cfg)
+    clusters = clustering(n)
     indices = frozenset(
         i for i, v in enumerate(clusters.values) if any(abs(v - w) < 1e-12 for w in values)
     )
     assert len(indices) == len(values)
     q = np.asarray(projector, dtype=np.complex128)
-    clusters.projections[indices] = projections._make_result(q, n, cfg)
+    clusters.projections[indices] = projections._make_result(q, n)
 
 
 def corrupt(lsf, value, projector):
     """Replace the evaluated projection of the cluster at ``value`` by
     ``projector``; unions containing the cluster keep their own."""
-    plant(lsf.operator, [value], projector, lsf.cfg)
+    plant(lsf.operator, [value], projector)
 
 
 def corrupted_carrier_lsf(projector):
@@ -162,7 +162,7 @@ class TestConstruction:
         lsf = local_spectral_function(carrier_operator(), Region.disk(1.5, 1.0))
         indices = lsf.indices_in(Region.disk(1.0, 0.2))
         projector = lsf.cluster_projector(indices)
-        subspace = invariant_subspace(lsf.operator, indices, lsf.cfg)
+        subspace = invariant_subspace(lsf.operator, indices)
         assert len(calls) == 1
         np.testing.assert_allclose(subspace.projector(), projector, atol=1e-12)
 
@@ -174,7 +174,7 @@ class TestConstruction:
         indices = lsf.indices_in(region)
         oracle = riesz_projection_oracle(n, region)
         root = root_subspace(n, lsf.selected_points(indices)[0])
-        subspace = invariant_subspace(n, indices, lsf.cfg)
+        subspace = invariant_subspace(n, indices)
         assert len(calls) == 1
         for basis in (root, subspace):
             np.testing.assert_allclose(basis.projector(), oracle.matrix, atol=1e-12)
@@ -215,9 +215,11 @@ class TestConstruction:
         # the cluster 1.0 .. 1.6 (radius 0.18) has its mean 1.3 farther from
         # 1.6 than the foreign eigenvalue 1.8 is
         n = KreinOperator(
-            np.diag([1.0, 1.15, 1.3, 1.45, 1.6, 1.8]), KreinSpace.euclidean(6)
+            np.diag([1.0, 1.15, 1.3, 1.45, 1.6, 1.8]),
+            KreinSpace.euclidean(6),
+            ToleranceConfig(cluster_tol=0.1),
         )
-        E = local_spectral_function(n, Region.disk(1.4, 1.0), ToleranceConfig(cluster_tol=0.1))
+        E = local_spectral_function(n, Region.disk(1.4, 1.0))
         assert [E.evaluate_indices(frozenset({i})).rank for i in range(2)] == [5, 1]
 
 

@@ -17,7 +17,6 @@ from krein_spectra import (
     GeneratorSpec,
     Region,
     SpectralOverlapError,
-    ToleranceConfig,
     build_normal_with_types,
     contour_integral_resolvent,
     local_spectral_function,
@@ -36,6 +35,8 @@ from krein_spectra.numerics import (
     sylvester_spectral_gap,
 )
 from krein_spectra.projections import range_basis
+
+from conftest import with_tolerances
 
 
 def random_complex(rng, shape):
@@ -270,7 +271,7 @@ class TestResolventKernelBuffers:
             seed=3,
         )
         N = build_normal_with_types(spec).operator
-        got = riesz_projection_contour(N, region, ToleranceConfig(contour_nodes=nodes))
+        got = riesz_projection_contour(with_tolerances(N, contour_nodes=nodes), region)
         want, delta = nested_contour_reference(N, region, nodes)
         assert range_basis(got.matrix).k == 3
         assert got.matrix.tobytes() == want.tobytes()

@@ -36,14 +36,14 @@ from krein_spectra.classification import clustering
 from krein_spectra.core import frobenius
 from krein_spectra._errors import AmbiguousRegionError
 
-from conftest import boosted_matrix
+from conftest import boosted_matrix, with_tolerances
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 NODES_64 = ToleranceConfig(contour_nodes=64)
 
 
-def two_point_operator():
-    return KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
+def two_point_operator(tolerances=ToleranceConfig()):
+    return KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1), tolerances)
 
 
 def boosted_operator():
@@ -57,52 +57,50 @@ NEAR_BOUNDARY = Region.disk(99.0011249, 1.0)
 
 class TestRieszProjectionContour:
     def test_full_spectrum_gives_identity(self):
-        n = two_point_operator()
-        result = riesz_projection_contour(n, Region.disk(1.5, 3.0), cfg=NODES_64)
+        n = two_point_operator(NODES_64)
+        result = riesz_projection_contour(n, Region.disk(1.5, 3.0))
         assert frobenius(result.matrix - np.eye(2)) <= 1e-8
 
     def test_empty_region_gives_zero(self):
-        n = two_point_operator()
-        result = riesz_projection_contour(n, Region.disk(10.0 + 4.0j, 1.0), cfg=NODES_64)
+        n = two_point_operator(NODES_64)
+        result = riesz_projection_contour(n, Region.disk(10.0 + 4.0j, 1.0))
         assert frobenius(result.matrix) <= 1e-8
 
     def test_single_point_disk(self):
-        n = two_point_operator()
-        result = riesz_projection_contour(n, Region.disk(1.0, 0.4), cfg=NODES_64)
+        n = two_point_operator(NODES_64)
+        result = riesz_projection_contour(n, Region.disk(1.0, 0.4))
         np.testing.assert_allclose(result.matrix, np.diag([1.0, 0.0]), atol=1e-8)
 
     def test_boundary_through_spectrum_refused(self):
-        n = two_point_operator()
+        n = two_point_operator(NODES_64)
         with pytest.raises(ContourThroughSpectrumError):
-            riesz_projection_contour(n, Region.disk(0.0, 1.0), cfg=NODES_64)
+            riesz_projection_contour(n, Region.disk(0.0, 1.0))
 
     def test_overlapping_primitives_on_spectrum_refused(self):
-        n = two_point_operator()
+        n = two_point_operator(NODES_64)
         region = Region.disk(1.0, 0.4).union(Region.disk(1.1, 0.4))
         with pytest.raises(AmbiguousRegionError):
-            riesz_projection_contour(n, region, cfg=NODES_64)
+            riesz_projection_contour(n, region)
 
     def test_region_without_pieces_gives_zero(self):
-        result = riesz_projection_contour(two_point_operator(), Region.empty(), cfg=NODES_64)
+        result = riesz_projection_contour(two_point_operator(NODES_64), Region.empty())
         assert range_basis(result.matrix).k == 0 and not result.warnings
         assert frobenius(result.matrix) == 0.0
 
     def test_non_idempotent_sum_is_flagged_where_the_oracle_refuses_it(self, monkeypatch):
-        n = two_point_operator()
+        n = two_point_operator(NODES_64)
         sums = projections.boundary_resolvent_sums
         monkeypatch.setattr(projections, "boundary_resolvent_sums", lambda *a: 2 * sums(*a))
-        result = riesz_projection_contour(n, Region.disk(1.0, 0.4), cfg=NODES_64)
+        result = riesz_projection_contour(n, Region.disk(1.0, 0.4))
         q = result.matrix
         assert result.idem_residual == frobenius(q @ q - q) > 1.0
         assert [w.split(":")[0] for w in result.warnings] == ["idempotency-above-acceptance"]
         with pytest.raises(CheckFailure, match="idempotency residual"):
-            projections._make_result(q, n, NODES_64)
+            projections._make_result(q, n)
 
     def test_rectangle_region(self):
         n = two_point_operator()
-        result = riesz_projection_contour(
-            n, Region.rectangle(0.5, -0.5, 1.5, 0.5), cfg=ToleranceConfig(contour_nodes=128)
-        )
+        result = riesz_projection_contour(n, Region.rectangle(0.5, -0.5, 1.5, 0.5))
         np.testing.assert_allclose(result.matrix, np.diag([1.0, 0.0]), atol=1e-8)
 
 
@@ -187,7 +185,8 @@ class TestRieszProjectionOracle:
                 default=2.0,
             )
             region = Region.disk(points[0], 0.45 * gap)
-            contour = riesz_projection_contour(gen.operator, region, cfg=NODES_64)
+            at_64 = with_tolerances(gen.operator, contour_nodes=64)
+            contour = riesz_projection_contour(at_64, region)
             oracle = riesz_projection_oracle(gen.operator, region)
             assert frobenius(contour.matrix - oracle.matrix) <= 1e-6
 
@@ -197,8 +196,7 @@ class TestRieszProjectionOracle:
         exact = np.diag([1.0, 0.0])
         errors = {}
         for nodes in (16, 32, 64):
-            cfg = ToleranceConfig(contour_nodes=nodes)
-            q = riesz_projection_contour(n, region, cfg=cfg).matrix
+            q = riesz_projection_contour(with_tolerances(n, contour_nodes=nodes), region).matrix
             errors[nodes] = frobenius(q - exact)
         if errors[16] > 1e-12:
             assert errors[32] <= max(10 * errors[16] ** 2, 1e-12)
@@ -286,7 +284,7 @@ class TestSpectralSetTheorem:
 
 # chained clusters: each member lies within LINK of the previous one, and
 # LINK is below the clustering radius 0.05 * max(1, spectral radius)
-CHAIN_CFG = ToleranceConfig(cluster_tol=0.05)
+CHAIN_TOLERANCES = ToleranceConfig(cluster_tol=0.05)
 LINK = 0.045
 coordinate = st.floats(-2.0, 2.0)
 chain = st.tuples(
@@ -311,14 +309,14 @@ def test_unrefused_regions_never_split_a_cluster(chains, pieces):
         eigs.append(complex(x, y))
         for angle in steps:
             eigs.append(eigs[-1] + LINK * np.exp(1j * angle))
-    n = KreinOperator(np.diag(eigs), KreinSpace.euclidean(len(eigs)))
+    n = KreinOperator(np.diag(eigs), KreinSpace.euclidean(len(eigs)), CHAIN_TOLERANCES)
     region = Region(tuple(p for r in pieces for p in r.pieces))
     try:
-        selected = projections.region_selection(n, region, CHAIN_CFG)
+        selected = projections.region_selection(n, region)
     except ContourThroughSpectrumError:
         return
     values = n.eigenvalues
-    for i, members in enumerate(clustering(n, CHAIN_CFG).positions):
+    for i, members in enumerate(clustering(n).positions):
         for p in region.pieces:
             assert len({p.contains(values[m]) for m in members}) == 1
         assert (i in selected) == region.contains(values[members[0]])

@@ -68,10 +68,11 @@ class TestResolventProbe:
         # (clustering radius 0.096); its pole-order circle has radius 1, half
         # the distance to 2, and passes 0.04 from the cluster's ends +-0.9599
         values = [0.096 * 0.9999 * j for j in range(-10, 11)] + [2.0]
-        n = KreinOperator(np.diag(values), KreinSpace.euclidean(len(values)))
-        cfg = ToleranceConfig(cluster_tol=0.048)
+        n = KreinOperator(
+            np.diag(values), KreinSpace.euclidean(len(values)), ToleranceConfig(cluster_tol=0.048)
+        )
         with pytest.raises(ContourThroughSpectrumError):
-            resolvent_probe(n, 0.0, [0.5], cfg=cfg)
+            resolvent_probe(n, 0.0, [0.5])
 
     def test_radii_validation(self):
         n = KreinOperator(np.eye(2), KreinSpace.euclidean(2))
@@ -90,11 +91,10 @@ class TestResolventProbe:
         # every sample 1 + 1e-14 e^{i theta} lies within the clustering
         # radius of the spectrum and would be discarded, leaving a 0.0 row
         n = KreinOperator(np.diag([1.0, 2.0, 3 + 1j]), KreinSpace(np.diag([1.0, -1.0, 1.0])))
-        cfg = ToleranceConfig()
-        assert probe_radius_floor(n, 1.0, cfg) == cfg.cluster_radius(n)
+        assert probe_radius_floor(n, 1.0) == n.cluster_radius
         with pytest.raises(ValueError, match="within"):
-            resolvent_probe(n, 1.0, radii=[0.4, 1e-14], cfg=cfg)
-        probe = resolvent_probe(n, 1.0, radii=[0.4, 2.0 * cfg.cluster_radius(n)], cfg=cfg)
+            resolvent_probe(n, 1.0, radii=[0.4, 1e-14])
+        probe = resolvent_probe(n, 1.0, radii=[0.4, 2.0 * n.cluster_radius])
         assert all(c > 0 for _, c in probe.radius_table)
 
 
@@ -105,7 +105,7 @@ class TestClosedFormLaurentCoefficients:
 
     @staticmethod
     def assert_agrees_with_quadrature(n, circle):
-        closed = _laurent_norms(n, circle, ToleranceConfig())
+        closed = _laurent_norms(n, circle)
         for k, norm in enumerate(closed, start=1):
             reference = frobenius(contour_integral_resolvent(n.schur, circle, k, nodes=256))
             assert abs(norm - reference) <= 1e-10 * max(1.0, reference), (k, norm, reference)
@@ -114,7 +114,7 @@ class TestClosedFormLaurentCoefficients:
         n = KreinOperator(np.array([[3 + 1j, 1.0], [0.0, 3 + 1j]]), KreinSpace(SWAP))
         circle = Disk(3 + 1j, 0.5)
         self.assert_agrees_with_quadrature(n, circle)
-        first, second = _laurent_norms(n, circle, ToleranceConfig())
+        first, second = _laurent_norms(n, circle)
         assert first == pytest.approx(1.0) and second <= 1e-12  # a second-order pole
 
     @pytest.mark.parametrize("dim", range(2, 13))

@@ -27,7 +27,6 @@ from krein_spectra import (
     GeneratorSpec,
     Region,
     SpectralType,
-    ToleranceConfig,
     build_normal_with_types,
     classified_spectrum,
     local_spectral_function,
@@ -49,6 +48,8 @@ from krein_spectra.core import (
     operator_norm,
 )
 from krein_spectra.projections import _CONVERGENCE_FLAG_TOL, range_basis
+
+from conftest import with_tolerances
 
 BANK_SEED = 20261018
 BANK_SIZE = 60
@@ -108,8 +109,7 @@ def truth_inventory(gen):
 
 @pytest.fixture(scope="module", params=[True, False], ids=["unitary-gram", "congruent-gram"])
 def classified_bank(request):
-    cfg = ToleranceConfig()
-    return [(gen, N, classified_spectrum(N, cfg)) for gen, N in bank(request.param)]
+    return [(gen, N, classified_spectrum(N)) for gen, N in bank(request.param)]
 
 
 def test_bank_covers_neutral_structure(classified_bank):
@@ -130,15 +130,16 @@ def test_inventory_matches_generator(classified_bank):
         assert inventory(points) == truth_inventory(gen)
 
 
-def assert_kernels_match_full_svd(N, points, cfg):
+def assert_kernels_match_full_svd(N, points):
     """Each point's kernels against the :func:`kernel_basis` null spaces of
     the full shifted matrices ``N - lam`` and ``N+ - conj(lam)``: equal
     dimension, and largest principal angle at most ``ANGLE_TOL``."""
     eye = np.eye(N.dim)
     adj_scale = max(1.0, operator_norm(N.adjoint))
+    rank_tol = N.tolerances.rank_tol
     for pt in points:
-        oracle = kernel_basis(N.matrix - pt.value * eye, cfg.rank_tol, max(1.0, N.norm))
-        adj_oracle = kernel_basis(N.adjoint - np.conj(pt.value) * eye, cfg.rank_tol, adj_scale)
+        oracle = kernel_basis(N.matrix - pt.value * eye, rank_tol, max(1.0, N.norm))
+        adj_oracle = kernel_basis(N.adjoint - np.conj(pt.value) * eye, rank_tol, adj_scale)
         for ker in (oracle, adj_oracle):
             assert frobenius(ker.columns.conj().T @ ker.columns - np.eye(ker.k)) <= 1e-12
         assert pt.kernel.k == oracle.k == pt.geo_mult
@@ -148,10 +149,10 @@ def assert_kernels_match_full_svd(N, points, cfg):
         assert max_principal_angle(adj_oracle, pt.adjoint_kernel) <= ANGLE_TOL
 
 
-def assert_contiguous_form(N, cfg):
+def assert_contiguous_form(N):
     """The form the kernels were read from: a unitary similarity of N with
     the Schur diagonal permuted so that each cluster fills one block."""
-    clusters = clustering(N, cfg)
+    clusters = clustering(N)
     form = clusters.contiguous
     t, u = form.triangular, form.unitary
     diagonal = np.diag(t)
@@ -169,30 +170,28 @@ def assert_contiguous_form(N, cfg):
 
 
 def test_kernels_match_full_svd_oracle(classified_bank):
-    cfg = ToleranceConfig()
     for _, N, points in classified_bank:
-        assert_kernels_match_full_svd(N, points, cfg)
+        assert_kernels_match_full_svd(N, points)
 
 
 def test_contiguous_form_invariants(classified_bank):
-    cfg = ToleranceConfig()
     for _, N, _ in classified_bank:  # the classification built the form
-        assert_contiguous_form(N, cfg)
+        assert_contiguous_form(N)
 
 
 def test_kernel_residuals_small_against_operator_norm(classified_bank):
     # every kept direction has singular value at most rank_tol times the
     # operator scale (a shifted block's norm is at most twice it)
-    cfg = ToleranceConfig()
     for _, N, points in classified_bank:
         eye = np.eye(N.dim)
+        rank_tol = N.tolerances.rank_tol
         for pt in points:
             residual = np.linalg.norm((N.matrix - pt.value * eye) @ pt.kernel.columns, 2)
-            assert residual <= 2.0 * cfg.rank_tol * max(1.0, N.norm)
+            assert residual <= 2.0 * rank_tol * max(1.0, N.norm)
             adj_residual = np.linalg.norm(
                 (N.adjoint - np.conj(pt.value) * eye) @ pt.adjoint_kernel.columns, 2
             )
-            assert adj_residual <= 2.0 * cfg.rank_tol * max(1.0, operator_norm(N.adjoint))
+            assert adj_residual <= 2.0 * rank_tol * max(1.0, operator_norm(N.adjoint))
 
 
 @pytest.fixture
@@ -222,17 +221,16 @@ def test_one_schur_decomposition_per_operator(factorized):
         seed=5,
     )
     N = build_normal_with_types(spec).operator
-    cfg = ToleranceConfig()
-    points = classified_spectrum(N, cfg)
+    points = classified_spectrum(N)
     carrier = Region.disk(1.0 + 0.5j, 0.3)
-    oracle = riesz_projection_oracle(N, carrier, cfg)
+    oracle = riesz_projection_oracle(N, carrier)
     assert oracle.rank == 2
-    lsf = local_spectral_function(N, carrier, cfg)
+    lsf = local_spectral_function(N, carrier)
     assert lsf.evaluate(carrier).rank == 2
     report = verify_lsf_axioms(lsf, [carrier, Region.empty()], [np.eye(N.dim), N.matrix])
     assert not report.failed
     positive = next(p for p in points if p.type_tag is SpectralType.TWO_SIDED_POSITIVE)
-    assert root_subspace(N, positive, cfg).k == positive.alg_mult
+    assert root_subspace(N, positive).k == positive.alg_mult
     assert factorized == [(N.dim, N.dim)]
 
 
@@ -299,13 +297,12 @@ def test_large_cluster_kernel_extraction_regression():
         seed=4182779752608499223,
     )
     gen = build_normal_with_types(spec)
-    cfg = ToleranceConfig()
-    points = classified_spectrum(gen.operator, cfg)
+    points = classified_spectrum(gen.operator)
     assert inventory(points) == truth_inventory(gen)
     for pt in points:
         assert max_principal_angle(pt.kernel, pt.adjoint_kernel) <= ANGLE_TOL
-    assert_kernels_match_full_svd(gen.operator, points, cfg)
-    assert_contiguous_form(gen.operator, cfg)
+    assert_kernels_match_full_svd(gen.operator, points)
+    assert_contiguous_form(gen.operator)
 
 
 def dense_contour_reference(N, region, nodes):
@@ -341,12 +338,11 @@ def contour_regions(points):
 
 
 def test_contour_matches_dense_lu_reference(classified_bank):
-    cfg = ToleranceConfig()
     regions_seen = {"disk": 0, "rect": 0, "jordan": 0}
     for _, N, points in classified_bank:
         for region in contour_regions(points):
-            result = riesz_projection_contour(N, region, cfg=cfg)
-            q, flagged = dense_contour_reference(N, region, cfg.contour_nodes)
+            result = riesz_projection_contour(N, region)
+            q, flagged = dense_contour_reference(N, region, N.tolerances.contour_nodes)
             assert frobenius(result.matrix - q) <= 1e-10 * max(1.0, frobenius(q))
             assert any(w.startswith("quadrature-not-converged") for w in result.warnings) == flagged
             kind = region.describe()[0]["kind"]
@@ -407,15 +403,15 @@ def test_contour_inverts_each_disk_node_once(monkeypatch, factorized):
         monkeypatch.setattr(module, name, refuse)
     # the nearest other eigenvalue is 3.6 radii from the center: the nested
     # rule converges at 32 nodes and stops at 64, whatever the cap
-    for nodes in (32, 128):
+    operators = [with_tolerances(N, contour_nodes=nodes) for nodes in (32, 128)]
+    for at_nodes in operators:
         shifts.clear()
-        cfg = ToleranceConfig(contour_nodes=nodes)
-        result = riesz_projection_contour(N, Region.disk(1.0 + 0.5j, 0.5), cfg=cfg)
+        result = riesz_projection_contour(at_nodes, Region.disk(1.0 + 0.5j, 0.5))
         assert range_basis(result.matrix).k == 2 and not result.warnings
         # every node inverted at most once
         assert len(set(shifts)) == len(shifts) == 64
-    # the operator's own cached Schur form, nothing more
-    assert factorized == [(N.dim, N.dim)]
+    # each operator's own cached Schur form, nothing more
+    assert factorized == [(N.dim, N.dim)] * len(operators)
     # only the Krein adjoint's solve against the Gram, never a shifted N
     assert all(a.shape == (N.dim, N.dim) for a in solves)
     assert all(np.array_equal(a, N.space.gram) for a in solves)
@@ -436,19 +432,17 @@ def test_disk_ladder_ends_at_twice_contour_nodes(contour_nodes, ladder):
 
 def test_nested_rule_agrees_with_fixed_rule(classified_bank):
     # the ladder's sum against one fixed rule at 2 * contour_nodes nodes
-    cfg = ToleranceConfig()
     for _, N, points in classified_bank:
         region = contour_regions(points)[0]
-        got = riesz_projection_contour(N, region, cfg=cfg).matrix
-        pts, wts = region.pieces[0].quadrature(2 * cfg.contour_nodes)
+        got = riesz_projection_contour(N, region).matrix
+        pts, wts = region.pieces[0].quadrature(2 * N.tolerances.contour_nodes)
         want = numerics.resolvent_at(N.schur, pts, wts / (2.0j * np.pi))
         assert frobenius(got - want) <= 1e-12 * max(1.0, frobenius(want))
 
 
 def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch, inverted):
     N = _operator_with_jordan_cell()
-    cfg = ToleranceConfig()
-    points = classified_spectrum(N, cfg)
+    points = classified_spectrum(N)
     reorders = []
     reorder_schur = numerics.reorder_schur
 
@@ -462,27 +456,23 @@ def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch, inverte
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     monkeypatch.setattr(numerics, "reorder_schur", counting_reorder)
     index, jordan = next((i, p) for i, p in enumerate(points) if p.alg_mult > p.geo_mult)
-    probe = resolvent_probe(N, jordan.value, [0.4, 0.2], cfg=cfg)
+    probe = resolvent_probe(N, jordan.value, [0.4, 0.2])
     assert probe.pole_order == 2
     # the Laurent coefficients come from the Schur form reordered once, on
     # the positions the circle encloses, with no shifted triangle inverted
     # (at dim 6 the samples' sigma_min is a dense SVD)
-    assert reorders == [frozenset(clustering(N, cfg).positions[index])]
+    assert reorders == [frozenset(clustering(N).positions[index])]
     assert inverted == []
 
 
 def test_eigenvalue_near_circle_not_converged_at_few_nodes(inverted):
     N = KreinOperator(np.diag([1.0, 2.0]), KreinSpace.indefinite(1, 1))
-    coarse = riesz_projection_contour(
-        N, Region.disk(1.0, 0.9), cfg=ToleranceConfig(contour_nodes=16)
-    )
+    coarse = riesz_projection_contour(with_tolerances(N, contour_nodes=16), Region.disk(1.0, 0.9))
     assert any(w.startswith("quadrature-not-converged") for w in coarse.warnings)
     # the eigenvalue 2 lies 0.1 outside the circle: the ladder 16 -> 32
     # never meets its tolerance, so it inverts the nodes of the fixed pair
     assert sum(inverted) == 32
-    fine = riesz_projection_contour(
-        N, Region.disk(1.0, 0.5), cfg=ToleranceConfig(contour_nodes=128)
-    )
+    fine = riesz_projection_contour(N, Region.disk(1.0, 0.5))
     assert not fine.warnings
     np.testing.assert_allclose(fine.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -532,7 +522,6 @@ def test_golub_kahan_sigma_min_matches_dense_svd(classified_bank):
 def test_small_dim_probe_equals_per_sample_loop(classified_bank):
     # at or below _SOLVE_BLOCK the probe's table is bitwise that of one
     # distance and one dense SVD per sample
-    cfg = ToleranceConfig()
     checked = 0
     for _, N, points in classified_bank:
         if N.dim > numerics._SOLVE_BLOCK:
@@ -545,11 +534,11 @@ def test_small_dim_probe_equals_per_sample_loop(classified_bank):
             c_max = 0.0
             for z in z_row:
                 dist = float(np.min(np.abs(reps - z)))
-                if dist > cfg.cluster_radius(N):
+                if dist > N.cluster_radius:
                     smin = np.linalg.svd(N.matrix - z * np.eye(N.dim), compute_uv=False)[-1]
                     c_max = max(c_max, dist / smin)
             table.append((r, c_max))
-        assert resolvent_probe(N, value, radii, cfg=cfg).radius_table == tuple(table)
+        assert resolvent_probe(N, value, radii).radius_table == tuple(table)
         checked += 1
     assert checked > BANK_SIZE // 2
 
@@ -603,21 +592,21 @@ def test_sigma_min_matches_dense_svd_at_desk_scale(desk_operator, monkeypatch):
 def test_probe_beyond_one_batch_matches_per_sample_svd(desk_operator, monkeypatch, route):
     # 3 radii x 64 samples: smallest_singular_values takes them in two
     # batches; every radius row must match one dense SVD per sample
-    N, cfg, samples = desk_operator, ToleranceConfig(), 64
+    N, samples = desk_operator, 64
     points = classified_spectrum(N)
     radii = probe_radii(points, points[0].value)
     assert len(radii) * samples > numerics._NODE_BATCH
     if route == "dense":
         dense_route(monkeypatch, N)
-    probe = resolvent_probe(N, points[0].value, radii, samples_per_radius=samples, cfg=cfg)
-    reps = np.array(clustering(N, cfg).values)
+    probe = resolvent_probe(N, points[0].value, radii, samples_per_radius=samples)
+    reps = np.array(clustering(N).values)
     center = reps[np.argmin(np.abs(reps - points[0].value))]
     theta = 2.0 * np.pi * (np.arange(samples) + 0.5) / samples
     for r, (r_probe, c) in zip(radii, probe.radius_table):
         c_ref = 0.0
         for z in center + r * np.exp(1j * theta):
             dist = float(np.min(np.abs(reps - z)))
-            if dist > cfg.cluster_radius(N):
+            if dist > N.cluster_radius:
                 smin = np.linalg.svd(N.matrix - z * np.eye(N.dim), compute_uv=False)[-1]
                 c_ref = max(c_ref, dist / smin)
         assert r_probe == r and c_ref > 0.0

@@ -70,9 +70,9 @@ def test_kernels_extracted_once_per_operator_and_cluster(monkeypatch):
     extracted = []  # (operator, cluster index); holding N keeps its id unique
     original = classification._cluster_kernels
 
-    def counting(N, clusters, index, cfg):
+    def counting(N, clusters, index):
         extracted.append((N, index))
-        return original(N, clusters, index, cfg)
+        return original(N, clusters, index)
 
     monkeypatch.setattr(classification, "_cluster_kernels", counting)
     for trial in range(24):
