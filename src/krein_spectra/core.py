@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import NonNormalError
-from .numerics import complex_schur, frobenius, operator_norm
+from .numerics import commutator_norm, complex_schur, frobenius, operator_norm
 
 __all__ = [
     "DEFAULT_DEFINITENESS_TOL",
@@ -77,12 +77,27 @@ class KreinSpace:
     ``signature`` counts the positive and negative eigenvalues of the Gram
     matrix; their sum always equals the dimension because the matrix is
     required to be invertible at construction time.
+
+    Construction also checks, in O(n^2), whether the Gram matrix is a
+    fundamental symmetry given as a signed involution: one nonzero per
+    row, each exactly +1 or -1, at ``(i, perm[i])`` for an involutive
+    permutation ``perm``, with equal signs on each 2-cycle (the Grams of
+    :meth:`euclidean`, :meth:`indefinite` and every generated operator:
+    +-1 diagonal entries and +-1 swap blocks).  Such a G is its own
+    inverse, ``G x = sign[:, None] * x[perm]``, and the space keeps
+    ``(perm, sign)`` in ``_involution`` (None for any other Gram), so
+    that ``G^{-1}`` is applied by permutation instead of an LU solve
+    (:func:`krein_adjoint`, :attr:`KreinOperator.gram_inverse_schur`).
+    The eigenvalue check stays either way: it certifies invertibility.
     """
 
     gram: np.ndarray
     dim: int = field(init=False)
     signature: tuple[int, int] = field(init=False)
     _gram_scale: float = field(init=False, repr=False, compare=False)
+    _involution: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         g = np.array(self.gram, dtype=np.complex128, copy=True)
@@ -114,6 +129,7 @@ class KreinSpace:
         object.__setattr__(self, "dim", g.shape[0])
         object.__setattr__(self, "signature", (p, q))
         object.__setattr__(self, "_gram_scale", largest)
+        object.__setattr__(self, "_involution", _signed_involution(g))
 
     @classmethod
     def euclidean(cls, dim: int) -> "KreinSpace":
@@ -136,20 +152,68 @@ class KreinSpace:
         return self._gram_scale
 
 
+def _signed_involution(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(perm, sign)`` when the only nonzeros of ``g`` are ``g[i, perm[i]]
+    = sign[i]``, one per row, each exactly +1 or -1 with imaginary part 0,
+    ``perm`` is an involution and ``sign`` is equal on each of its
+    2-cycles; None otherwise."""
+    rows, perm = np.nonzero(g)
+    if rows.size != len(g):  # the cheap refusal of a dense Gram
+        return None
+    values = g[rows, perm]
+    # in Python: at suite dims a few numpy calls would cost more than the loop
+    p, v = perm.tolist(), values.tolist()
+    if (
+        rows.tolist() != list(range(len(p)))  # one nonzero per row
+        or any(x != 1 and x != -1 for x in v)  # complex: also imaginary part 0
+        or any(p[j] != i or v[j] != v[i] for i, j in enumerate(p))
+    ):
+        return None
+    sign = values.real.copy()
+    perm.setflags(write=False)
+    sign.setflags(write=False)
+    return perm, sign
+
+
+def _gram_solve(space: KreinSpace, x: np.ndarray) -> np.ndarray:
+    """``G^{-1} x``, C-ordered like ``np.linalg.solve``'s result.
+
+    A signed-involution Gram is its own inverse, so ``G^{-1} x`` is
+    ``sign[:, None] * x[perm]``: the LU route's values exactly, since
+    that route only swaps rows and divides by +-1.  Any other Gram is
+    solved by LU."""
+    if space._involution is None:
+        return np.linalg.solve(space.gram, x)
+    perm, sign = space._involution
+    return np.multiply(sign[:, None], x[perm], order="C")
+
+
 def krein_adjoint(T: np.ndarray, space: KreinSpace) -> np.ndarray:
     """Adjoint with respect to the indefinite product: ``G^{-1} T* G``.
 
     Satisfies ``[T x, y] = [x, adj(T) y]`` for all vectors x, y.
+
+    For a signed-involution Gram (see :class:`KreinSpace`) ``G = G^{-1}
+    = G*``, so ``T* G = (G^{-1} T)*`` and the adjoint is two signed
+    permutations, no product and no solve: its entry ``(i, j)`` is
+    ``sign_i sign_j conj(T[perm_j, perm_i])``, the value the LU route
+    gives, in a C-ordered array as that route's.  (The sign of an exact
+    zero entry may differ.)  Any other Gram takes ``T* G`` and an LU
+    solve.
     """
     T = np.asarray(T, dtype=np.complex128)
     if T.shape != (space.dim, space.dim):
         raise ValueError(f"operator shape {T.shape} does not match dim {space.dim}")
-    return np.linalg.solve(space.gram, T.conj().T @ space.gram)
+    if space._involution is not None:
+        return _gram_solve(space, _gram_solve(space, T).conj().T)
+    return _gram_solve(space, T.conj().T @ space.gram)
 
 
-def _normality_residual(T: np.ndarray, adj: np.ndarray) -> float:
-    """Scale-free commutator residual ``||T T+ - T+ T||_F / max(1, ||T||_F^2)``."""
-    return frobenius(T @ adj - adj @ T) / max(1.0, frobenius(T) ** 2)
+def _normality_residual(T: np.ndarray, adj: np.ndarray) -> tuple[float, float]:
+    """The commutator norm ``||T T+ - T+ T||_F`` and the scale-free residual,
+    that norm over ``max(1, ||T||_F^2)``."""
+    commutator = commutator_norm(T, adj)
+    return commutator, commutator / max(1.0, frobenius(T) ** 2)
 
 
 def is_normal(
@@ -161,7 +225,7 @@ def is_normal(
     ``||T T+ - T+ T||_F / max(1, ||T||_F^2)``.
     """
     T = np.asarray(T, dtype=np.complex128)
-    residual = _normality_residual(T, krein_adjoint(T, space))
+    _, residual = _normality_residual(T, krein_adjoint(T, space))
     return residual <= tol, residual
 
 
@@ -218,8 +282,10 @@ class KreinOperator:
 
     Construction computes the adjoint and the commutator residual and
     raises :class:`NonNormalError` when the residual exceeds
-    ``tolerances.normality_tol``.  Instances are immutable and safe to
-    share.
+    ``tolerances.normality_tol``.  It keeps the commutator's raw norm
+    ``||N N+ - N+ N||_F`` too, as ``commutator_norm``: the LSF axiom
+    check reads it as the commutator of N with the commutant N+.
+    Instances are immutable and safe to share.
 
     Construction refuses a matrix with non-finite entries (``ValueError``).
 
@@ -241,6 +307,7 @@ class KreinOperator:
     tolerances: ToleranceConfig = ToleranceConfig()
     adjoint: np.ndarray = field(init=False, repr=False)
     normality_residual: float = field(init=False)
+    commutator_norm: float = field(init=False, repr=False)
     _clustering: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -248,7 +315,7 @@ class KreinOperator:
         if not np.isfinite(m).all():
             raise ValueError("operator matrix has non-finite entries")
         adj = krein_adjoint(m, self.space)
-        residual = _normality_residual(m, adj)
+        commutator, residual = _normality_residual(m, adj)
         tol = self.tolerances.normality_tol
         if residual > tol:
             raise NonNormalError(residual, tol)
@@ -256,6 +323,7 @@ class KreinOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "adjoint", adj)
         object.__setattr__(self, "normality_residual", residual)
+        object.__setattr__(self, "commutator_norm", commutator)
 
     @property
     def dim(self) -> int:
@@ -288,8 +356,10 @@ class KreinOperator:
 
         It carries a left kernel ``U c`` of ``N - lam``, given by its
         coordinates c, to the kernel ``G^{-1} U c`` of ``N+ - conj(lam)``.
-        Solved once per operator, on first use; never reordered."""
-        g_inv_u = np.linalg.solve(self.space.gram, self.schur[1])
+        Computed once per operator, on first use, by signed permutation
+        for a signed-involution Gram and by an LU solve otherwise; never
+        reordered."""
+        g_inv_u = _gram_solve(self.space, self.schur[1])
         g_inv_u.setflags(write=False)
         return g_inv_u
 

@@ -57,8 +57,10 @@ def _matrix_text(a: np.ndarray) -> str:
     orjson spells every number in one call, with the shortest round-trip
     digits that ``repr`` writes too.  Its form differs only in exponents
     (``1e16``, ``1e-7`` for ``1e+16``, ``1e-07``), below ``1e-4`` (``0.00001``
-    for ``1e-05``) and for non-finite floats (``null``), and exactly those
-    tokens are spelled again."""
+    for ``1e-05``) and for non-finite floats (``null``).  So the tokens
+    spelled again are picked by value: non-zero magnitudes below 1e-4 or
+    from 1e16 up, and non-finite ones.  In [1e-4, 1e16), and for +-0.0,
+    orjson's token is ``repr``'s (tests/test_documents.py pins this)."""
     import orjson  # imported here so that only writing a matrix loads it
 
     rows, cols = a.shape
@@ -67,11 +69,11 @@ def _matrix_text(a: np.ndarray) -> str:
     if cols == 0:
         return "[\n    " + ",\n    ".join(["[]"] * rows) + "\n  ]"
     parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).ravel()
-    text = orjson.dumps(parts, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-    # orjson's tokens round-trip, so their repr is the float's own
-    nums = [repr(float(t)) if "e" in t or "0.0000" in t else t for t in text.split(",")]
-    for k in np.flatnonzero(~np.isfinite(parts)).tolist():
-        nums[k] = json.dumps(parts[k].item())
+    nums = orjson.dumps(parts, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(parts)
+    # NaN fails both comparisons, so it is picked too
+    for k in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (size != 0)).tolist():
+        nums[k] = json.dumps(parts[k].item())  # repr for finite floats
     width = 2 * cols
     body = _ROW_SEP.join(
         _PAIR_SEP.join(

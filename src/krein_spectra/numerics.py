@@ -47,6 +47,11 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """``||a b - b a||_F``: two products of square matrices."""
+    return frobenius(a @ b - b @ a)
+
+
 def operator_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0

@@ -103,6 +103,10 @@ def test_criterion_2_spectral_set_theorem(trial_bank):
         for entry in report.entries:
             if entry.status is not CheckStatus.PASS:
                 failures.append(f"trial {index}: {entry.name} {entry.status.value}")
+            # the entry gates on the operator's normality tolerance, which
+            # reaches 2e-8 at this conditioning; the criterion stays at 1e-8
+            if entry.name == "restriction-normal-in-hilbert-space" and not entry.residual <= 1e-8:
+                failures.append(f"trial {index}: restriction residual {entry.residual:.3e}")
     if eligible < 200:
         failures.append(f"only {eligible} trials had an isolated positive cluster")
     _report(2, "spectral-set theorem", failures)

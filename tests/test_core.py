@@ -13,16 +13,21 @@ from hypothesis import strategies as st
 
 from krein_spectra import (
     DefinitenessKind,
+    GeneratorSpec,
     KreinOperator,
     KreinSpace,
     NonNormalError,
     SubspaceBasis,
+    build_normal_with_types,
     definiteness,
     is_normal,
     krein_adjoint,
     max_principal_angle,
 )
+from krein_spectra import core
 from krein_spectra.core import frobenius, min_gap
+
+from test_schur_route import BANK_SIZE, bank_entry
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -69,6 +74,94 @@ class TestKreinAdjoint:
         product = krein_adjoint(s @ t, space)
         composed = krein_adjoint(t, space) @ krein_adjoint(s, space)
         assert frobenius(product - composed) <= scale
+
+
+# a swap block beside definite ones, hidden by a conjugation
+NEUTRAL_PAIR_SPEC = GeneratorSpec(
+    signature=(3, 3),
+    positive_type_eigs=((1.0, 2),),
+    negative_type_eigs=((3.0, 2),),
+    neutral_pairs=((2.0j, -2.0j),),
+    cond_bound=10.0,
+)
+
+
+@st.composite
+def signed_involutions(draw):
+    """A Gram of +-1 fixed points and +-1 swap blocks, rows and columns
+    shuffled by one permutation."""
+    blocks = draw(st.lists(st.sampled_from(["+", "-", "+swap", "-swap"]), min_size=1, max_size=8))
+    grams = [
+        {"+": np.eye(1), "-": -np.eye(1), "+swap": SWAP, "-swap": -SWAP}[b] for b in blocks
+    ]
+    g = scipy.linalg.block_diag(*grams)
+    order = np.array(draw(st.permutations(range(len(g)))))
+    return g[np.ix_(order, order)]
+
+
+def assert_bitwise_equal(got, want):
+    """Same values, same sign bits (zeros included) and both C-ordered."""
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
+class TestSignedInvolutionGram:
+    """A fundamental symmetry G = G* = G^-1 given as a signed permutation is
+    applied by permutation: bit for bit what the LU route gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_involutions(), st.integers(0, 2**32 - 1))
+    def test_permutation_route_is_the_lu_route(self, gram, seed):
+        space = KreinSpace(gram)
+        assert space._involution is not None
+        rng = np.random.default_rng(seed)
+        t = random_complex(rng, gram.shape)
+        u = np.linalg.qr(random_complex(rng, gram.shape))[0]
+        g = space.gram
+        assert_bitwise_equal(krein_adjoint(t, space), np.linalg.solve(g, t.conj().T @ g))
+        assert_bitwise_equal(core._gram_solve(space, u), np.linalg.solve(g, u))
+
+    def test_generated_operator_takes_no_solve(self, monkeypatch):
+        gen = build_normal_with_types(NEUTRAL_PAIR_SPEC)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        n = KreinOperator(gen.operator.matrix, KreinSpace(gen.space.gram))
+        assert n.space._involution is not None
+        assert_bitwise_equal(n.gram_inverse_schur, solve(n.space.gram, n.schur[1]))
+        assert not solves
+
+    @pytest.mark.parametrize(
+        "gram",
+        [np.diag([2.0, -1.0]), np.array([[0.0, 1j], [-1j, 0.0]]), np.array([[0.0, -1.0], [-1.0, 1.0]])],
+        ids=["scaled-diagonal", "phase-swap", "dense"],
+    )
+    def test_other_grams_take_the_lu_route(self, monkeypatch, gram):
+        space = KreinSpace(gram)
+        assert space._involution is None
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        t = random_complex(np.random.default_rng(3), (2, 2))
+        assert_bitwise_equal(krein_adjoint(t, space), solve(space.gram, t.conj().T @ space.gram))
+        assert len(solves) == 1
+
+    def test_congruent_bank_takes_the_lu_route(self):
+        for i in range(0, BANK_SIZE, 6):
+            _, n = bank_entry(i, unitary_gram=False)
+            g = n.space.gram
+            assert n.space._involution is None
+            assert_bitwise_equal(n.adjoint, np.linalg.solve(g, n.matrix.conj().T @ g))
+            assert_bitwise_equal(n.gram_inverse_schur, np.linalg.solve(g, n.schur[1]))
+
+    def test_commutator_norm_is_the_certificate_commutator(self):
+        n = build_normal_with_types(NEUTRAL_PAIR_SPEC).operator
+        m, adj = n.matrix, n.adjoint
+        assert n.commutator_norm > 0.0  # rounding: the conjugated operator is not exactly normal
+        assert n.commutator_norm == frobenius(m @ adj - adj @ m) == frobenius(adj @ m - m @ adj)
+        assert n.normality_residual == n.commutator_norm / max(1.0, frobenius(m) ** 2)
 
 
 class TestIsNormal:

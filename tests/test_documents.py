@@ -92,7 +92,36 @@ def test_non_contiguous_array_is_written_row_major():
 # Bitwise checks of the number spellings, beyond what hypothesis draws.
 # orjson writes the same shortest round-trip digits as repr, but spells
 # exponents (1e16, 1e-7), floats below 1e-4 (0.00001) and non-finite floats
-# (null) differently; those tokens are spelled again.
+# (null) differently; the emitter picks those tokens by value and spells
+# them again, and keeps orjson's token for every other value.
+
+
+def orjson_tokens(values) -> list[str]:
+    import orjson
+
+    text = orjson.dumps(np.array(values, dtype=np.float64), option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[1:-1].decode().split(",")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=1e-4, max_value=1e16, exclude_max=True).flatmap(
+            lambda x: st.sampled_from([x, -x])
+        ),
+        min_size=1,
+        max_size=50,
+    )
+)
+@example([1e-4, -1e-4, float(np.nextafter(1e16, 0.0)), 1e15, 0.1, 1.0, 123456789.125])
+def test_orjson_spells_the_plain_range_as_repr(values):
+    # the emitter keeps orjson's token for every value in [1e-4, 1e16)
+    assert orjson_tokens(values) == [repr(x) for x in values]
+
+
+def test_orjson_spells_signed_zeros_as_repr():
+    # and for both zeros, which it does not spell again either
+    assert orjson_tokens([0.0, -0.0]) == ["0.0", "-0.0"]
 
 
 def first_difference(got: str, want: str) -> str:

@@ -11,6 +11,7 @@ import pytest
 from krein_spectra import (
     CheckStatus,
     DefinitenessKind,
+    GeneratorSpec,
     KreinOperator,
     KreinSpace,
     PreconditionError,
@@ -25,9 +26,12 @@ from krein_spectra import (
     verify_maximality,
     verify_spectral_set_theorem,
 )
-from krein_spectra import classification, numerics, projections
+from krein_spectra import classification, cli, numerics, projections
 from krein_spectra.classification import clustering, invariant_subspace
-from krein_spectra.core import frobenius
+from krein_spectra.core import frobenius, krein_adjoint
+from krein_spectra.documents import OperatorDocument, load_operator_document
+
+from test_schur_route import congruent
 
 
 def carrier_operator():
@@ -110,6 +114,16 @@ def generated_with_carrier(rng, dim=6):
             )
         )
         return gen, carrier, tsp, radius
+
+
+def family(lsf, tsp, radius):
+    """The deltas and commutants of ``verify_lsf_family``."""
+    deltas = [Region.disk(t.value, 0.5 * radius) for t in tsp]
+    if len(deltas) >= 2:
+        deltas.append(deltas[0].union(deltas[1]))
+    deltas += [lsf.carrier, Region.empty()]
+    m = lsf.operator.matrix
+    return deltas, [np.eye(len(m)), m, lsf.operator.adjoint, m @ m]
 
 
 class TestConstruction:
@@ -229,15 +243,7 @@ class TestAxioms:
         for _ in range(8):
             gen, carrier, tsp, radius = generated_with_carrier(rng)
             lsf = local_spectral_function(gen.operator, carrier)
-            deltas = [Region.disk(t.value, 0.5 * radius) for t in tsp]
-            if len(deltas) >= 2:
-                deltas.append(deltas[0].union(deltas[1]))
-            deltas.extend([carrier, Region.empty()])
-            n = gen.operator.matrix
-            commutants = [
-                np.eye(gen.operator.dim), n, gen.operator.adjoint, n @ n,
-            ]
-            report = verify_lsf_axioms(lsf, deltas, commutants)
+            report = verify_lsf_axioms(lsf, *family(lsf, tsp, radius))
             failures = [e for e in report.entries if e.status is CheckStatus.FAIL]
             assert not failures, failures
             for e in report.entries:
@@ -327,6 +333,128 @@ class TestPlantedFaults:
         report = verify_spectral_set_theorem(n, Region.disk(1.0, 0.2))
         entry = next(e for e in report.entries if e.name == "projection-selfadjoint")
         assert entry.status is CheckStatus.FAIL
+
+    def test_commutant_invariance_fails_on_a_result_missing_a_commutant(self):
+        # E({1}) = diag(1, 0, 0) commutes with N = diag(1, 1, 3) but not with B,
+        # which maps e2 to e1 inside the eigenspace of 1 and so commutes with N
+        n = KreinOperator(np.diag([1.0, 1.0, 3.0]), KreinSpace(np.diag([1.0, 1.0, -1.0])))
+        plant(n, [1.0], np.diag([1.0, 0.0, 0.0]))
+        lsf = local_spectral_function(n, Region.disk(1.0, 0.5))
+        b = np.zeros((3, 3))
+        b[0, 1] = 1.0
+        assert frobenius(b @ n.matrix - n.matrix @ b) == 0.0
+        report = verify_lsf_axioms(lsf, [Region.disk(1.0, 0.25)], [np.eye(3), n.matrix, b])
+        entry = next(e for e in report.entries if e.name == "lsf-commutant-invariance")
+        assert entry.status is CheckStatus.FAIL and entry.detail == ""
+
+    def test_selfadjoint_commuting_fails_on_an_oblique_result(self):
+        # an oblique idempotent inside the eigenspace of 1: it commutes with N
+        # and N+, so only its own selfadjointness residual can fail it
+        n = KreinOperator(np.diag([1.0, 1.0, 3.0]), KreinSpace(np.diag([1.0, 1.0, -1.0])))
+        plant(n, [1.0], [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        lsf = local_spectral_function(n, Region.disk(1.0, 0.5))
+        m = n.matrix
+        report = verify_lsf_axioms(lsf, [Region.disk(1.0, 0.25)], [np.eye(3), m, n.adjoint, m @ m])
+        entries = {e.name: e for e in report.entries}
+        assert entries["lsf-projection-selfadjoint-commuting"].status is CheckStatus.FAIL
+        assert entries["lsf-commutant-invariance"].status is CheckStatus.PASS
+
+
+def plain_residuals(lsf, deltas, commutants, tol=1e-8):
+    """The residuals of the multiplicativity, commutant and
+    selfadjoint-commuting checks of ``verify_lsf_axioms``, recomputed by the
+    plain formulas: every product formed, no number reused."""
+    n = lsf.operator
+    results = {ix: lsf.evaluate_indices(ix) for ix in map(lsf.indices_in, deltas) if ix}
+    mult = 0.0
+    for ix, res in results.items():
+        for jx, other in results.items():
+            gap = frobenius(lsf.evaluate_indices(ix & jx).matrix - res.matrix @ other.matrix)
+            mult = max(mult, gap / max(1.0, frobenius(res.matrix) * frobenius(other.matrix)))
+    comm = 0.0
+    for b in commutants:
+        b = np.asarray(b, dtype=np.complex128)
+        b_scale = max(1.0, frobenius(b))
+        if frobenius(b @ n.matrix - n.matrix @ b) / (b_scale * n.scale) > tol:
+            continue
+        for res in results.values():
+            q = res.matrix
+            comm = max(comm, frobenius(q @ b - b @ q) / (b_scale * max(1.0, frobenius(q))))
+    selfadj = 0.0
+    for res in results.values():
+        q = res.matrix
+        q_scale = max(1.0, frobenius(q))
+        selfadj = max(
+            selfadj,
+            frobenius(krein_adjoint(q, n.space) - q) / q_scale,
+            frobenius(q @ n.matrix - n.matrix @ q) / (q_scale * n.scale),
+            frobenius(q @ n.adjoint - n.adjoint @ q) / (q_scale * n.scale),
+        )
+    return {
+        "lsf-multiplicativity": mult,
+        "lsf-commutant-invariance": comm,
+        "lsf-projection-selfadjoint-commuting": selfadj,
+    }
+
+
+class TestReusedResiduals:
+    """The axiom check reuses numbers it already has; each equals, bit for
+    bit, what the plain formula gives."""
+
+    @pytest.mark.parametrize("gram", ["signed-involution", "congruent"])
+    def test_reported_residuals_equal_the_plain_formulas(self, gram):
+        rng = np.random.default_rng(42)
+        for i in range(6):
+            gen, carrier, tsp, radius = generated_with_carrier(rng, dim=8)
+            n = gen.operator
+            if gram == "congruent":
+                n = congruent(n, np.random.default_rng([42, i]))
+                assert n.space._involution is None
+            else:
+                assert n.space._involution is not None
+            lsf = local_spectral_function(n, carrier)
+            deltas, commutants = family(lsf, tsp, radius)
+            # a commutant that does not commute with N is skipped alike
+            commutants.append(np.diag(np.arange(n.dim, dtype=float)))
+            # each commutant alone, so that none hides behind a larger residual
+            for chosen in [[b] for b in commutants] + [commutants]:
+                report = verify_lsf_axioms(lsf, deltas, chosen)
+                entries = {e.name: e for e in report.entries}
+                for name, residual in plain_residuals(lsf, deltas, chosen).items():
+                    assert entries[name].residual == residual, name
+
+    def test_family_forms_three_commutators_and_lsf_verify_no_solve(self, monkeypatch, tmp_path):
+        # one carrier cluster: the family reads one result, and of its
+        # commutators only N^2 N - N N^2, Q N^2 - N^2 Q and Q N+ - N+ Q need
+        # products (with N^2 itself, 7 products); nothing is solved
+        gen = build_normal_with_types(
+            GeneratorSpec(
+                signature=(6, 4),
+                positive_type_eigs=((1.0, 4),),
+                negative_type_eigs=((3.0, 2),),
+                neutral_pairs=((2.0j, -2.0j),),
+                neutral_jordan=(-1.0,),
+                cond_bound=10.0,
+            )
+        )
+        path = tmp_path / "op.json"
+        path.write_text(
+            OperatorDocument(dim=10, gram=gen.space.gram, matrix=gen.operator.matrix).to_json()
+        )
+        solves, commutators = [], []
+        solve, commutator_norm = np.linalg.solve, projections.commutator_norm
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        argv = ["lsf-verify", str(path), "--disk=1,0,0.5", "--json", "-o", str(tmp_path / "lsf.json")]
+        assert cli.main(argv) == 0
+        assert not solves
+        n = load_operator_document(str(path)).build()[1]
+        lsf = local_spectral_function(n, Region.disk(1.0, 0.5))
+        lsf.evaluate(lsf.carrier)
+        monkeypatch.setattr(
+            projections, "commutator_norm", lambda a, b: commutators.append(1) or commutator_norm(a, b)
+        )
+        assert not projections.verify_lsf_family(lsf, 0.25, n_subspaces=4, seed=0).failed
+        assert len(commutators) == 3
 
 
 class TestCorruptedProjector:

@@ -279,7 +279,26 @@ class TestSpectralSetTheorem:
             )
             assert not report.failed
             assert all(e.status is CheckStatus.PASS for e in report.entries)
+            entry = next(
+                e for e in report.entries if e.name == "restriction-normal-in-hilbert-space"
+            )
+            assert entry.tolerance == gen.operator.tolerances.normality_tol
         assert found >= 5
+
+    @pytest.mark.parametrize(
+        "normality_tol, status", [(1e-8, CheckStatus.FAIL), (1e-6, CheckStatus.PASS)]
+    )
+    def test_restriction_gate_is_the_operator_normality_tolerance(
+        self, monkeypatch, normality_tol, status
+    ):
+        # a restriction residual of 5e-8 fails an operator certified at the
+        # default 1e-8 and passes one certified at 1e-6
+        monkeypatch.setattr(projections, "is_normal", lambda t, space, tol: (5e-8 <= tol, 5e-8))
+        n = two_point_operator(ToleranceConfig(normality_tol=normality_tol))
+        report = verify_spectral_set_theorem(n, Region.disk(1.0, 0.4))
+        entry = next(e for e in report.entries if e.name == "restriction-normal-in-hilbert-space")
+        assert entry.status is status
+        assert (entry.residual, entry.tolerance) == (5e-8, normality_tol)
 
 
 # chained clusters: each member lies within LINK of the previous one, and
