@@ -9,6 +9,7 @@ for property-based verification at desk scale.
 
 from ._errors import (
     AmbiguousRegionError,
+    ArgumentError,
     CheckFailure,
     ContourThroughSpectrumError,
     DocumentError,

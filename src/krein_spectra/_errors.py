@@ -1,9 +1,12 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: input/document problems are
-exit 1, precondition violations exit 2, numerical refusals exit 3 and
-failed verification checks exit 4.
+The CLI maps these onto process exit codes: input/document problems and
+refused arguments are exit 1, precondition violations exit 2, numerical
+refusals exit 3 and failed verification checks exit 4.
 """
+
+import math
+import numbers
 
 
 class KreinError(Exception):
@@ -12,6 +15,23 @@ class KreinError(Exception):
 
 class DocumentError(KreinError):
     """Malformed or inconsistent input document (exit code 1)."""
+
+
+class ArgumentError(KreinError, ValueError):
+    """A function argument is out of range, non-finite or of the wrong type
+    (exit code 1).  ``argument`` names the refused parameter."""
+
+    def __init__(self, argument: str, problem: str):
+        self.argument = argument
+        self.problem = problem
+        super().__init__(f"{argument}: {problem}")
+
+
+def require_integer(argument: str, value, lo: int, hi: float = math.inf) -> None:
+    """Refuse ``value`` unless it is an integer (not a bool) in ``[lo, hi]``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ArgumentError(argument, f"must be an integer {bound}, got {value!r}")
 
 
 class PreconditionError(KreinError):

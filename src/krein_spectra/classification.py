@@ -33,7 +33,6 @@ from .core import (
     DefinitenessKind,
     KreinOperator,
     SubspaceBasis,
-    ToleranceConfig,
     definiteness,
     min_gap,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ContiguousSchur",
     "SpectralPoint",
     "SpectralType",
-    "ToleranceConfig",
     "classified_spectrum",
     "classify_point",
     "clustering",

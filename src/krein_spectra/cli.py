@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
 
 from ._errors import (
     AmbiguousRegionError,
+    ArgumentError,
     CheckFailure,
     ContourThroughSpectrumError,
     DocumentError,
@@ -41,7 +41,6 @@ from .projections import (
     MAX_MAXIMALITY_SUBSPACES,
     MAX_PROBE_SAMPLES,
     local_spectral_function,
-    probe_radius_floor,
     resolvent_probe,
     riesz_projection_contour,
     riesz_projection_oracle,
@@ -49,13 +48,25 @@ from .projections import (
     verify_lsf_family,
 )
 from .regions import Region
-from .suite import MAX_DIM as MAX_SUITE_DIM, run_suite
+from .suite import run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_REFUSAL = 3
 EXIT_CHECK_FAILED = 4
+
+# the flag that sets each library argument an ArgumentError can name
+FLAGS = {
+    "radii": "--radii",
+    "samples_per_radius": "--samples",
+    "n_subspaces": "--subspaces",
+    "seed": "--seed",
+    "trials": "--trials",
+    "dims": "--dims",
+    "cond_bound": "--cond-bound",
+    "only_trial": "--only-trial",
+}
 
 
 def _write(text: str, path: str | None) -> None:
@@ -115,8 +126,7 @@ def _point_table(points) -> list[dict]:
 
 
 def cmd_classify(args) -> int:
-    doc = load_operator_document(args.input)
-    _, operator = doc.build()
+    operator = load_operator_document(args.input).build()
     points = classified_spectrum(operator)
     payload = {
         "normality_residual": operator.normality_residual,
@@ -138,8 +148,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    doc = load_operator_document(args.input)
-    _, operator = doc.build()
+    operator = load_operator_document(args.input).build()
     region = _region_from_args(args)
     if not region.pieces:
         raise DocumentError("project requires at least one --disk or --rect")
@@ -166,14 +175,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_lsf_verify(args) -> int:
-    if args.seed < 0:
-        raise DocumentError(f"--seed must be non-negative, got {args.seed}")
-    if not 1 <= args.subspaces <= MAX_MAXIMALITY_SUBSPACES:
-        raise DocumentError(
-            f"--subspaces must be between 1 and {MAX_MAXIMALITY_SUBSPACES}, got {args.subspaces}"
-        )
-    doc = load_operator_document(args.input)
-    _, operator = doc.build()
+    operator = load_operator_document(args.input).build()
     carrier = _region_from_args(args)
     if not carrier.pieces:
         raise DocumentError("lsf-verify requires a carrier (--disk / --rect)")
@@ -189,8 +191,7 @@ def cmd_lsf_verify(args) -> int:
 
 
 def cmd_probe_resolvent(args) -> int:
-    doc = load_operator_document(args.input)
-    _, operator = doc.build()
+    operator = load_operator_document(args.input).build()
     try:
         lam = complex(*(float(p) for p in args.point.split(",")))
     except (TypeError, ValueError) as exc:
@@ -201,20 +202,6 @@ def cmd_probe_resolvent(args) -> int:
         radii = [float(r) for r in args.radii.split(",")]
     except ValueError as exc:
         raise DocumentError(f"--radii expects R1,R2,...: {exc}") from exc
-    if not all(0 <= b < a < math.inf for a, b in zip(radii, radii[1:] + [0.0])):
-        raise DocumentError(
-            f"--radii must be finite, positive and strictly decreasing, got {args.radii!r}"
-        )
-    floor = probe_radius_floor(operator, lam)
-    if radii[-1] <= floor:
-        raise DocumentError(
-            f"--radii: {radii[-1]!r} is within {floor:.3g} of the point, "
-            "where its samples are discarded as spectral or round onto it"
-        )
-    if not 1 <= args.samples <= MAX_PROBE_SAMPLES:
-        raise DocumentError(
-            f"--samples must be between 1 and {MAX_PROBE_SAMPLES}, got {args.samples}"
-        )
     probe = resolvent_probe(operator, lam, radii, samples_per_radius=args.samples)
     payload = {
         "c_estimate": probe.c_estimate,
@@ -226,8 +213,7 @@ def cmd_probe_resolvent(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    doc = load_operator_document(args.input)
-    _, operator = doc.build()
+    operator = load_operator_document(args.input).build()
     stable, decomposition = strong_stability_check(operator)
     payload: dict = {"stable": stable}
     failed = False
@@ -302,27 +288,7 @@ def cmd_suite(args) -> int:
         dims = (int(lo), int(hi or lo))
     except ValueError as exc:
         raise DocumentError(f"--dims expects LO:HI, got {args.dims!r}") from exc
-    if not 1 <= dims[0] <= dims[1] <= MAX_SUITE_DIM:
-        raise DocumentError(f"--dims expects 1 <= LO <= HI <= {MAX_SUITE_DIM}, got {args.dims!r}")
-    if args.trials < 1:
-        raise DocumentError(f"--trials must be at least 1, got {args.trials}")
-    if args.seed < 0:
-        raise DocumentError(f"--seed must be non-negative, got {args.seed}")
-    if not 1 <= args.cond_bound < math.inf:
-        raise DocumentError(
-            f"--cond-bound must be finite and at least 1, got {args.cond_bound!r}"
-        )
-    if args.only_trial is not None and not 0 <= args.only_trial < args.trials:
-        raise DocumentError(
-            f"--only-trial must lie in 0..{args.trials - 1}, got {args.only_trial}"
-        )
-    report = run_suite(
-        trials=args.trials,
-        seed=args.seed,
-        dims=dims,
-        cond_bound=args.cond_bound,
-        only_trial=args.only_trial,
-    )
+    report = run_suite(args.trials, args.seed, dims, args.cond_bound, args.only_trial)
     if args.json_out:
         _write(report.to_json(), args.json_out)
     print(report.human_summary())
@@ -412,6 +378,10 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
+    except ArgumentError as exc:
+        flag = FLAGS.get(exc.argument, exc.argument)
+        print(f"input error: {flag}: {exc.problem}", file=sys.stderr)
+        return EXIT_INPUT
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

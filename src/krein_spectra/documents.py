@@ -200,14 +200,14 @@ class OperatorDocument:
             out["metadata"] = self.metadata
         return dumps_canonical(out)
 
-    def build(self) -> tuple[KreinSpace, KreinOperator]:
-        """Instantiate the certified operator; raises on invalid Gram or
-        non-normal matrix."""
+    def build(self) -> KreinOperator:
+        """Instantiate the certified operator (its space is ``.space``);
+        raises on invalid Gram or non-normal matrix."""
         try:
             space = KreinSpace(self.gram)
         except ValueError as exc:
             raise DocumentError(f"gram: {exc}") from exc
-        return space, KreinOperator(self.matrix, space, self.tolerances)
+        return KreinOperator(self.matrix, space, self.tolerances)
 
 
 def parse_json(text: str):

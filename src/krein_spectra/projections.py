@@ -19,9 +19,11 @@ import numpy as np
 
 from ._errors import (
     AmbiguousRegionError,
+    ArgumentError,
     CheckFailure,
     ContourThroughSpectrumError,
     PreconditionError,
+    require_integer,
 )
 from .classification import (
     DEFINITE_TAGS,
@@ -712,10 +714,11 @@ def verify_maximality(
     Random invariant subspaces are drawn inside the kernels of the
     selected eigenvalues; the worst angle of one against the range of the
     evaluated projection is reported (pi/2 when a subspace has more
-    dimensions than the range).  ``n_subspaces`` lies in
-    ``[1, MAX_MAXIMALITY_SUBSPACES]``: with none drawn the check is vacuous."""
-    if not 1 <= n_subspaces <= MAX_MAXIMALITY_SUBSPACES:
-        raise ValueError(f"n_subspaces must be between 1 and {MAX_MAXIMALITY_SUBSPACES}")
+    dimensions than the range).  :class:`ArgumentError` refuses an
+    ``n_subspaces`` that is not an integer in ``[1, MAX_MAXIMALITY_SUBSPACES]``
+    (with none drawn the check is vacuous) and a negative or non-integer ``seed``."""
+    require_integer("n_subspaces", n_subspaces, 1, MAX_MAXIMALITY_SUBSPACES)
+    require_integer("seed", seed, 0)
     indices = E.indices_in(delta)
     full_range = E.evaluate_indices(indices).basis
     rng = np.random.default_rng(seed)
@@ -752,6 +755,8 @@ def verify_lsf_family(
     about each carrier point, the union of the first two, the carrier, the
     empty set) and the commutants I, N, N+, N^2; then
     :func:`verify_maximality` on the carrier.  Both use ``tol``."""
+    # maximality runs first, so that its arguments are checked before the axioms
+    maximality = verify_maximality(E, E.carrier, n_subspaces, seed, tol)
     deltas = [Region.disk(pt.value, delta_radius) for pt in E.selected_points(E.carrier_indices)]
     if len(deltas) >= 2:
         deltas.append(deltas[0].union(deltas[1]))
@@ -759,7 +764,7 @@ def verify_lsf_family(
     N = E.operator
     commutants = [np.eye(N.dim), N.matrix, N.adjoint, N.matrix @ N.matrix]
     report = verify_lsf_axioms(E, deltas, commutants, tol=tol)
-    report.entries.append(verify_maximality(E, E.carrier, n_subspaces, seed, tol))
+    report.entries.append(maximality)
     report.parameters = {"carrier": E.carrier.describe(), "deltas": len(deltas)}
     return report
 
@@ -804,21 +809,25 @@ def resolvent_probe(
     ``(z - T)^{-1}`` (triangular solves only), each value certified to
     1e-10 relative; at or below dimension 32, and for any sample the
     iteration does not certify, from a stacked dense SVD of the ``N - z``
-    (:func:`numerics.smallest_singular_values`).  ``samples_per_radius``
-    lies in ``[1, MAX_PROBE_SAMPLES]``, and every radius must exceed
-    :func:`probe_radius_floor`.
+    (:func:`numerics.smallest_singular_values`).  :class:`ArgumentError`
+    refuses radii that are not finite, positive, strictly decreasing and
+    above :func:`probe_radius_floor`, and a ``samples_per_radius`` that is
+    not an integer in ``[1, MAX_PROBE_SAMPLES]``.
     """
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    if not 1 <= samples_per_radius <= MAX_PROBE_SAMPLES:
-        raise ValueError(f"samples_per_radius must be between 1 and {MAX_PROBE_SAMPLES}")
-    idx = locate_point(N, lam0)
+    if not radii or not all(0 <= b < a < math.inf for a, b in zip(radii, radii[1:] + [0.0])):
+        raise ArgumentError(
+            "radii", f"must be finite, positive and strictly decreasing, got {radii!r}"
+        )
+    require_integer("samples_per_radius", samples_per_radius, 1, MAX_PROBE_SAMPLES)
     floor = probe_radius_floor(N, lam0)
     if radii[-1] <= floor:
-        raise ValueError(f"radius {radii[-1]!r} is within {floor:.3g} of the point")
+        raise ArgumentError(
+            "radii",
+            f"{radii[-1]!r} is within {floor:.3g} of the point, "
+            "where its samples are discarded as spectral or round onto it",
+        )
+    idx = locate_point(N, lam0)
     reps = np.array(clustering(N).values)
     cluster_radius = N.cluster_radius
     center = complex(reps[idx])

@@ -164,10 +164,6 @@ class Region:
         z = complex(z)
         return any(p.contains(z) for p in self.pieces)
 
-    def closure_contains(self, z: complex) -> bool:
-        z = complex(z)
-        return any(p.closure_contains(z) for p in self.pieces)
-
     def boundary_distance(self, z: complex) -> float:
         """Distance to the nearest primitive boundary (conservative: a
         piece boundary hidden inside another piece still counts)."""

@@ -28,9 +28,11 @@ import numpy as np
 
 from ._errors import (
     AmbiguousRegionError,
+    ArgumentError,
     ContourThroughSpectrumError,
     KreinError,
     PreconditionError,
+    require_integer,
 )
 from .classification import (
     DEFINITE_TAGS,
@@ -416,8 +418,10 @@ def numerics_checks(rng: np.random.Generator) -> list[CheckEntry]:
 
 
 def _check_dims(dims: tuple[int, int]) -> None:
-    if not 1 <= dims[0] <= dims[1] <= MAX_DIM:
-        raise ValueError(f"invalid dimension range {dims}: expected 1 <= lo <= hi <= {MAX_DIM}")
+    for end in dims:
+        require_integer("dims", end, 1, MAX_DIM)
+    if len(dims) != 2 or dims[0] > dims[1]:
+        raise ArgumentError("dims", f"expected a dimension range lo <= hi, got {dims!r}")
 
 
 def run_trial(
@@ -490,19 +494,19 @@ def run_suite(
     Deterministic in (trials, seed, dims, cond_bound): per-trial
     generators derive their streams from (seed, index), so a trial run
     alone with ``only_trial`` gives the entries it gives in a full run.
-    Trial dimensions lie in ``[1, MAX_DIM]``.
+    :class:`ArgumentError` refuses, before any trial runs, all but integer
+    ``trials >= 1`` and ``seed >= 0``, finite ``cond_bound >= 1``, integer
+    ``dims`` with ``1 <= lo <= hi <= MAX_DIM`` and ``only_trial`` in ``range(trials)``.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if not 1 <= cond_bound < math.inf:  # also refuses NaN
-        raise ValueError(f"cond_bound must be finite and at least 1, got {cond_bound!r}")
+    require_integer("trials", trials, 1)
+    require_integer("seed", seed, 0)
+    if isinstance(cond_bound, bool) or not 1 <= cond_bound < math.inf:  # also refuses NaN
+        raise ArgumentError("cond_bound", f"must be finite and at least 1, got {cond_bound!r}")
     _check_dims(dims)
+    if only_trial is not None:
+        require_integer("only_trial", only_trial, 0, trials - 1)
     started = time.perf_counter()
     indices = [only_trial] if only_trial is not None else list(range(trials))
-    if only_trial is not None and not (0 <= only_trial < trials):
-        raise ValueError(f"trial index {only_trial} outside range 0..{trials - 1}")
     relaxed = cond_bound > COND_STRICT
 
     def repro(i: int) -> str:

@@ -322,7 +322,7 @@ class TestClustersExtractedOnRequest:
     def clusters_at(document, values):
         """Indices of the clusters at ``values`` and the clustering, worked
         out on a separate operator; no kernel is extracted."""
-        _, operator = load_operator_document(document).build()
+        operator = load_operator_document(document).build()
         clusters = classification.clustering(operator)
         assert len(clusters.values) == 7
         return [classification.locate_point(operator, v) for v in values], clusters

@@ -1,5 +1,7 @@
 """Document round trips, CLI subcommands and exit codes."""
 
+import argparse
+import ast
 import contextlib
 import io
 import json
@@ -216,6 +218,9 @@ class TestExitCodes:
             (["probe-resolvent", "OP", "--point=1,0", "--radii=0.4,1e-16"], "--radii"),
             # every sample 1 + 1e-14 e^{i theta} lies within the clustering radius
             (["probe-resolvent", "OP", "--point=1,0", "--radii=0.4,1e-14"], "--radii"),
+            (["probe-resolvent", "OP", "--point=1,0", "--radii=nan"], "--radii"),
+            (["probe-resolvent", "OP", "--point=1,0", "--radii=0.4,nan"], "--radii"),
+            (["probe-resolvent", "OP", "--point=1,0", "--radii=0.4", "--samples=0"], "--samples"),
         ],
         ids=[
             "radii-not-a-number", "radii-negative", "radii-increasing", "radii-infinite",
@@ -227,7 +232,8 @@ class TestExitCodes:
             "rect-infinite-bound", "lsf-verify-disk-nan-center", "lsf-verify-seed-negative",
             "lsf-verify-subspaces-negative", "lsf-verify-subspaces-zero", "suite-seed-negative",
             "rect-overflowing-width", "disk-overflowing-nodes", "radii-sub-ulp",
-            "radii-within-ulps", "radii-within-cluster-radius",
+            "radii-within-ulps", "radii-within-cluster-radius", "radii-nan", "radii-nan-tail",
+            "samples-zero-inline",
         ],
     )
     def test_bad_argument_is_exit_1(self, tmp_path, capsys, args, flag):
@@ -235,6 +241,26 @@ class TestExitCodes:
         assert main([path if a == "OP" else a for a in args]) == 1
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    def test_every_refused_argument_has_a_flag(self):
+        # the library names a refused argument by its parameter: each name
+        # passed to ArgumentError or require_integer in the package maps to a flag
+        names = set()
+        for path in Path(krein_spectra.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in ("ArgumentError", "require_integer")
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    names.add(node.args[0].value)
+        assert names and names <= set(cli.FLAGS), names - set(cli.FLAGS)
+        # and each such flag is one the parser accepts
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {f for p in subparsers.choices.values() for a in p._actions for f in a.option_strings}
+        assert set(cli.FLAGS.values()) <= flags
 
     @pytest.mark.parametrize(
         "args, flag",

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from krein_spectra import DocumentError, documents
-from krein_spectra.classification import ToleranceConfig
+from krein_spectra.core import ToleranceConfig
 from krein_spectra.documents import (
     _depth_bound,
     dumps_canonical,

@@ -447,7 +447,7 @@ class TestReusedResiduals:
         argv = ["lsf-verify", str(path), "--disk=1,0,0.5", "--json", "-o", str(tmp_path / "lsf.json")]
         assert cli.main(argv) == 0
         assert not solves
-        n = load_operator_document(str(path)).build()[1]
+        n = load_operator_document(str(path)).build()
         lsf = local_spectral_function(n, Region.disk(1.0, 0.5))
         lsf.evaluate(lsf.carrier)
         monkeypatch.setattr(

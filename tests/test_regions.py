@@ -19,7 +19,7 @@ class TestMembership:
         assert region.contains(0.5 + 0.5j)
         assert not region.contains(1.0 + 0.5j)
         assert not region.contains(0.5 + 1.0j)
-        assert region.closure_contains(1.0 + 1.0j)
+        assert region.pieces[0].closure_contains(1.0 + 1.0j)
 
     def test_union_membership(self):
         region = Region.disk(0.0, 0.5).union(Region.disk(3.0, 0.5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from krein_spectra import (
+    ArgumentError,
     ContourThroughSpectrumError,
     KreinOperator,
     KreinSpace,
@@ -76,7 +77,7 @@ class TestResolventProbe:
 
     def test_radii_validation(self):
         n = KreinOperator(np.eye(2), KreinSpace.euclidean(2))
-        with pytest.raises(ValueError, match="decreasing"):
+        with pytest.raises(ArgumentError, match="^radii: .*decreasing"):
             resolvent_probe(n, 1.0, radii=[0.1, 0.2])
 
     @pytest.mark.parametrize("point, radius", [(1.0, 5e-324), (1.0, 4e-16), (1e3, 4e-13)])
@@ -84,7 +85,7 @@ class TestResolventProbe:
         # every sample point + radius e^{i theta} rounds onto the point, or
         # moves off it by a rounding error only
         n = KreinOperator(np.diag([1.0, 1e3]), KreinSpace.euclidean(2))
-        with pytest.raises(ValueError, match="within"):
+        with pytest.raises(ArgumentError, match="^radii: .* within"):
             resolvent_probe(n, point, radii=[0.4, radius])
 
     def test_radius_within_cluster_radius_refused(self):
@@ -92,7 +93,7 @@ class TestResolventProbe:
         # radius of the spectrum and would be discarded, leaving a 0.0 row
         n = KreinOperator(np.diag([1.0, 2.0, 3 + 1j]), KreinSpace(np.diag([1.0, -1.0, 1.0])))
         assert probe_radius_floor(n, 1.0) == n.cluster_radius
-        with pytest.raises(ValueError, match="within"):
+        with pytest.raises(ArgumentError, match="^radii: .* within"):
             resolvent_probe(n, 1.0, radii=[0.4, 1e-14])
         probe = resolvent_probe(n, 1.0, radii=[0.4, 2.0 * n.cluster_radius])
         assert all(c > 0 for _, c in probe.radius_table)

@@ -3,7 +3,7 @@ study beyond it may warn but never fail."""
 
 import pytest
 
-from krein_spectra import classification, run_suite
+from krein_spectra import ArgumentError, classification, run_suite
 from krein_spectra.report import CheckStatus
 from krein_spectra.suite import run_trial
 
@@ -31,9 +31,9 @@ class TestRunSuite:
             run_suite(trials=2, seed=-1)
 
     def test_trial_index_validation(self):
-        with pytest.raises(ValueError, match="outside range"):
+        with pytest.raises(ArgumentError, match=r"^only_trial: .* in \[0, 1\], got 5$"):
             run_suite(trials=2, seed=1, only_trial=5)
-        with pytest.raises(ValueError, match="trials"):
+        with pytest.raises(ArgumentError, match="^trials: "):
             run_suite(trials=0, seed=1)
 
     @pytest.mark.parametrize("cond_bound", [float("nan"), float("inf")])
@@ -43,13 +43,13 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("dims", [(150, 150), (2, 1000)])
     def test_dimension_bound(self, dims):
-        with pytest.raises(ValueError, match="dimension range"):
+        with pytest.raises(ArgumentError, match="^dims: "):
             run_suite(trials=1, seed=0, dims=dims)
 
     @pytest.mark.parametrize("dims", [(150, 150), (2, 1000), (0, 3)])
     def test_single_trial_dimension_bound(self, dims):
         # a trial run alone refuses what run_suite refuses, before generating
-        with pytest.raises(ValueError, match="dimension range"):
+        with pytest.raises(ArgumentError, match="^dims: "):
             run_trial(0, 0, dims, 1e3)
 
     def test_trials_run_in_index_order(self):
