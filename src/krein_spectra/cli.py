@@ -192,9 +192,12 @@ def cmd_lsf_verify(args) -> int:
 
 def cmd_probe_resolvent(args) -> int:
     operator = load_operator_document(args.input).build()
+    parts = args.point.split(",")
+    if len(parts) != 2:
+        raise DocumentError(f"--point expects re,im, got {args.point!r}")
     try:
-        lam = complex(*(float(p) for p in args.point.split(",")))
-    except (TypeError, ValueError) as exc:
+        lam = complex(*(float(p) for p in parts))
+    except ValueError as exc:
         raise DocumentError(f"--point expects re,im: {exc}") from exc
     if not np.isfinite(lam):
         raise DocumentError(f"--point must be finite, got {args.point!r}")

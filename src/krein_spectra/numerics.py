@@ -428,6 +428,8 @@ def _fill_shifted_inverse(
 _SOLVE_BLOCK = 32
 # Golub-Kahan steps per sample before it falls back to a dense SVD.
 _GK_STEPS = 64
+# Steps the work arrays first hold; they double on demand, up to _GK_STEPS.
+_GK_FIRST_STEPS = 16
 # A top Ritz value is certified when its residual is at most this, relative.
 _GK_TOL = 1e-10
 
@@ -441,8 +443,9 @@ def smallest_singular_values(a: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.
     ``1 / sigma_max((z_j - t)^{-1})`` by Golub-Kahan bidiagonalization in
     the Schur basis (:func:`_golub_kahan_sigma_min`), which needs only
     triangular solves; a point the iteration does not certify gets the
-    dense SVD.  The points are taken ``_NODE_BATCH`` at a time, which
-    bounds the work space on either route.
+    dense SVD.  The points are taken ``_NODE_BATCH`` at a time.  The dense
+    route's work space is one stack of the batch's n x n matrices; the
+    iteration's is ``batch x (steps taken) x n`` per Krylov basis.
     """
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     sigma = np.empty(z.size)
@@ -480,6 +483,12 @@ def _golub_kahan_sigma_min(t: np.ndarray, z: np.ndarray) -> np.ndarray:
     when a huge shift makes the norms underflow, is left uncertified.
     Each step costs two O(n^2) block triangular solves per shift; the
     couplings ``t[i, >i]`` act on all shifts in one product.
+
+    The work arrays (both bases and the bidiagonal) hold the live shifts
+    and ``_GK_FIRST_STEPS`` steps at first, doubling whenever the steps
+    fill them, up to ``_GK_STEPS``.  At a step where shifts leave, or the
+    arrays grow, only the live shifts' rows and the steps already written
+    are copied, into arrays of the new size (:func:`_leading_steps`).
     """
     n = t.shape[0]
     blocks = [slice(lo, min(lo + _SOLVE_BLOCK, n)) for lo in range(0, n, _SOLVE_BLOCK)]
@@ -502,10 +511,11 @@ def _golub_kahan_sigma_min(t: np.ndarray, z: np.ndarray) -> np.ndarray:
     start = np.array([1.0, 1.0j]) @ np.random.default_rng(0).standard_normal((2, n))
     sigma = np.full(z.size, np.nan)
     live = np.arange(z.size)  # the shifts still iterating, by index into z
-    us = np.empty((z.size, _GK_STEPS, n), dtype=np.complex128)
-    vs = np.empty((z.size, _GK_STEPS + 1, n), dtype=np.complex128)
+    capacity = min(_GK_FIRST_STEPS, _GK_STEPS)  # steps the work arrays hold
+    us = np.empty((z.size, capacity, n), dtype=np.complex128)
+    vs = np.empty((z.size, capacity, n), dtype=np.complex128)
     vs[:, 0] = start / np.linalg.norm(start)
-    bidiagonal = np.zeros((z.size, _GK_STEPS, _GK_STEPS))
+    bidiagonal = np.zeros((z.size, capacity, capacity))
     p = solve(vs[:, 0])
     for k in range(_GK_STEPS):
         p -= _project(us[:, :k], p)
@@ -526,21 +536,30 @@ def _golub_kahan_sigma_min(t: np.ndarray, z: np.ndarray) -> np.ndarray:
         if not keep.any() or k + 1 == _GK_STEPS:
             break
         if not keep.all():
-            live, bidiagonal, r, b, *inverses = (
-                arr[keep] for arr in (live, bidiagonal, r, b, *inverses)
-            )
-            us, vs = (_leading_steps(arr, keep, k + 1) for arr in (us, vs))
+            live, r, b, *inverses = (arr[keep] for arr in (live, r, b, *inverses))
+        if k + 1 == capacity:
+            capacity = min(2 * capacity, _GK_STEPS)
+        if capacity > us.shape[1] or live.size < us.shape[0]:
+            # one array at a time, so at most one old array outlives its copy
+            rows = live.size
+            us = _leading_steps(us, keep, k + 1, (rows, capacity, n))
+            vs = _leading_steps(vs, keep, k + 1, (rows, capacity, n))
+            bidiagonal = _leading_steps(bidiagonal, keep, k + 1, (rows, capacity, capacity))
         vs[:, k + 1] = r / b[:, None]
         bidiagonal[:, k, k + 1] = b
         p = solve(vs[:, k + 1]) - b[:, None] * us[:, k]
     return sigma
 
 
-def _leading_steps(basis: np.ndarray, keep: np.ndarray, steps: int) -> np.ndarray:
-    """The rows ``keep`` of a basis buffer, of which only the first
-    ``steps`` vectors are copied (the rest are not yet written)."""
-    out = np.empty((np.count_nonzero(keep),) + basis.shape[1:], dtype=basis.dtype)
-    out[:, :steps] = basis[keep, :steps]
+def _leading_steps(
+    work: np.ndarray, keep: np.ndarray, steps: int, shape: tuple[int, int, int]
+) -> np.ndarray:
+    """The rows ``keep`` of a Golub-Kahan work array, in a new array of
+    ``shape`` that holds as many steps or more.  Only the first ``steps``
+    along axis 1 are copied (the rest are not yet written); the entries
+    not copied are zero, as the bidiagonal's products need."""
+    out = np.zeros(shape, dtype=work.dtype)
+    out[:, :steps, : work.shape[2]] = work[keep, :steps]
     return out
 
 

@@ -42,7 +42,7 @@ from .classification import (
     root_subspace,
     verify_selfadjoint_link,
 )
-from .core import krein_adjoint, max_principal_angle
+from .core import KreinOperator, krein_adjoint, max_principal_angle
 from .generators import (
     GeneratedOperator,
     build_normal_with_types,
@@ -60,6 +60,7 @@ from .numerics import (
 )
 from .projections import (
     local_spectral_function,
+    probe_radius_floor,
     projection_defect,
     resolvent_probe,
     riesz_projection_contour,
@@ -276,6 +277,15 @@ def lsf_checks(gen: GeneratedOperator, setting: TrialSetting, trial_seed: int) -
     ).entries
 
 
+def _probe_radii(N: KreinOperator, point: complex, radii: list[float]) -> tuple[list[float], float]:
+    """The radii that lie above the probe's radius floor at ``point``, and
+    the floor.  When none does, one radius of twice the floor: the pole
+    order is read off the Laurent coefficients on the point's isolating
+    circle, not off the samples, so any radius the probe accepts serves."""
+    floor = probe_radius_floor(N, point)
+    return [r for r in radii if r > floor] or [2.0 * floor], floor
+
+
 def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     entries = []
     points = classified_spectrum(gen.operator)
@@ -284,24 +294,32 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
 
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if tsp:
-        probe = resolvent_probe(
-            gen.operator,
-            tsp[0].value,
-            radii=[base, base / 2, base / 4, base / 8],
-            samples_per_radius=8,
-        )
-        large = probe.radius_table[0][1]
-        worst = max(c for _, c in probe.radius_table[1:])
-        entries.append(
-            passfail(
-                "resolvent-bound",
-                worst <= 10.0 * large and large > 0,
-                residual=worst / large if large > 0 else np.inf,
-                tolerance=10.0,
-                claim="the scaled resolvent norm stays bounded near a two-sided "
-                "positive point",
+        ladder = [base, base / 2, base / 4, base / 8]
+        radii, floor = _probe_radii(gen.operator, tsp[0].value, ladder)
+        probe = resolvent_probe(gen.operator, tsp[0].value, radii=radii, samples_per_radius=8)
+        claim = "the scaled resolvent norm stays bounded near a two-sided positive point"
+        if len(radii) >= 2:
+            large = probe.radius_table[0][1]
+            worst = max(c for _, c in probe.radius_table[1:])
+            entries.append(
+                passfail(
+                    "resolvent-bound",
+                    worst <= 10.0 * large and large > 0,
+                    residual=worst / large if large > 0 else np.inf,
+                    tolerance=10.0,
+                    claim=claim,
+                )
             )
-        )
+        else:
+            entries.append(
+                CheckEntry(
+                    name="resolvent-bound",
+                    status=CheckStatus.WARNING,
+                    claim=claim,
+                    detail="skipped: fewer than two of its radii lie above the probe's "
+                    f"radius floor {floor:.3g}",
+                )
+            )
         entries.append(
             passfail(
                 "pole-order-definite",
@@ -312,12 +330,8 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
         )
     defective = [pt for pt in points if pt.alg_mult == 2 and pt.geo_mult == 1]
     if defective:
-        probe = resolvent_probe(
-            gen.operator,
-            defective[0].value,
-            radii=[base],
-            samples_per_radius=4,
-        )
+        radii, _ = _probe_radii(gen.operator, defective[0].value, [base])
+        probe = resolvent_probe(gen.operator, defective[0].value, radii=radii, samples_per_radius=4)
         entries.append(
             passfail(
                 "pole-order-jordan",

@@ -200,6 +200,8 @@ class TestExitCodes:
             (["suite", "--trials", "2", "--only-trial", "5"], "--only-trial"),
             (["probe-resolvent", "OP", "--point", "nan,0", "--radii", "0.4"], "--point"),
             (["probe-resolvent", "OP", "--point", "1,inf", "--radii", "0.4"], "--point"),
+            (["probe-resolvent", "OP", "--point=1", "--radii=0.4"], "--point"),
+            (["probe-resolvent", "OP", "--point=1,0,0", "--radii=0.4"], "--point"),
             (["suite", "--trials", "1", "--cond-bound", "0.5"], "--cond-bound"),
             (["suite", "--trials", "1", "--cond-bound", "nan"], "--cond-bound"),
             (["suite", "--trials", "1", "--cond-bound", "inf"], "--cond-bound"),
@@ -227,6 +229,7 @@ class TestExitCodes:
             "samples-zero", "samples-beyond-maximum", "disk-negative-radius", "rect-reversed",
             "dims-reversed", "dims-beyond-maximum",
             "trials-zero", "only-trial-out-of-range", "point-nan", "point-infinite",
+            "point-one-number", "point-three-numbers",
             "cond-bound-below-one", "cond-bound-nan", "cond-bound-infinite",
             "disk-nan-center", "disk-infinite-radius",
             "rect-infinite-bound", "lsf-verify-disk-nan-center", "lsf-verify-seed-negative",

@@ -15,6 +15,7 @@ G^{-1} step and the rank scales of N and N+ are told apart.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -558,9 +559,14 @@ def desk_scale_operators():
     return [build_normal_with_types(spec).operator for spec in (many, few)]
 
 
+@pytest.fixture(scope="module")
+def desk_operators():
+    return desk_scale_operators()
+
+
 @pytest.fixture(scope="module", params=[0, 1], ids=["dim80-many", "dim100-few"])
-def desk_operator(request):
-    return desk_scale_operators()[request.param]
+def desk_operator(request, desk_operators):
+    return desk_operators[request.param]
 
 
 def dense_route(monkeypatch, N):
@@ -635,6 +641,47 @@ def test_step_budget_of_one_falls_back_to_dense_svd(desk_operator, monkeypatch):
     np.testing.assert_array_equal(
         numerics.smallest_singular_values(N.matrix, N.schur[0], z), dense_sigma_min(N, z)
     )
+
+
+def test_work_area_grows_and_compacts_against_dense_svd(desk_operators, monkeypatch):
+    # around this dim-100 point the samples certify after 15-19 steps: the
+    # work arrays grow past their first steps, and samples leave them at
+    # different steps, before and after the growth
+    N = desk_operators[1]
+    points = classified_spectrum(N)
+    z = circle_samples(points[2].value, probe_radii(points, points[2].value))
+    grown, compacted = set(), set()
+    original = numerics._leading_steps
+
+    def spy(work, keep, steps, shape):
+        if shape[1] > work.shape[1]:
+            grown.add(steps)
+        if not keep.all():
+            compacted.add(steps)
+        return original(work, keep, steps, shape)
+
+    monkeypatch.setattr(numerics, "_leading_steps", spy)
+    sigma = numerics._golub_kahan_sigma_min(N.schur[0], z)
+    assert grown and len(compacted) >= 2 and max(compacted) > min(grown)
+    dense = dense_sigma_min(N, z)
+    assert not np.isnan(sigma).any()
+    assert np.all(np.abs(sigma - dense) <= sigma_allowance(N, z, dense))
+
+
+def test_probe_work_area_is_sized_by_the_steps_taken(desk_operators):
+    # 48 samples at dim 100; bases sized for the whole step budget, copied
+    # again whenever a sample certified, peaked at about 26 MB here
+    N = desk_operators[1]
+    points = classified_spectrum(N)
+    radii = probe_radii(points, points[0].value)
+    resolvent_probe(N, points[0].value, radii)  # warm up the operator's caches
+    tracemalloc.start()
+    try:
+        resolvent_probe(N, points[0].value, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def test_certified_probe_runs_no_dense_svd(desk_operator, monkeypatch):

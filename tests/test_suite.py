@@ -64,6 +64,24 @@ class TestRunSuite:
         assert first.to_json() == second.to_json()
 
 
+class TestResolventChecks:
+    # at cond 1e9 the clustering radius, below which the probe refuses a
+    # radius, can reach the checks' smaller radii (down to 5 % of min_gap)
+
+    @pytest.mark.parametrize("trial", [0, 1, 12])
+    def test_probe_floor_does_not_void_the_group(self, trial):
+        entries = run_trial(trial, 0, (2, 12), 1e9)
+        refusals = [e.detail for e in entries if e.name == "resolvent-refused"]
+        assert not any(d.startswith("ArgumentError") for d in refusals), refusals
+
+    def test_bound_skipped_below_two_radii_names_the_floor(self):
+        entries = {e.name: e for e in run_trial(1, 0, (2, 12), 1e9)}
+        bound = entries["resolvent-bound"]
+        assert bound.status is CheckStatus.WARNING
+        assert "radius floor" in bound.detail
+        assert "pole-order-definite" in entries
+
+
 def test_kernels_extracted_once_per_operator_and_cluster(monkeypatch):
     # every check group and every library call on a trial's operators reads
     # the points classified on the operator instead of extracting them again
