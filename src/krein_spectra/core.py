@@ -44,8 +44,7 @@ DEFAULT_DEFINITENESS_TOL = 1e-8
 
 _ORTHONORMALITY_TOL = 1e-8
 
-# Largest quadrature node count per contour piece; the convergence check
-# integrates at twice as many.
+# Largest contour_nodes; a contour piece's finest rule has about twice as many.
 MAX_CONTOUR_NODES = 2**14
 
 
@@ -243,12 +242,11 @@ class ToleranceConfig:
     kernel is sought and the full operator scale ``max(1, ||N||)``,
     ``definiteness_tol`` with the Gram scale, and
     ``normality_tol`` with ``max(1, ||N||_F^2)``; each is a real number,
-    not a boolean.  ``contour_nodes`` caps the contour quadrature and is
-    an integer in ``[16, MAX_CONTOUR_NODES]``: a disk stops once its
-    nested trapezoid rule has converged, after at most
-    ``2 * contour_nodes`` nodes; a rectangle uses ``contour_nodes`` nodes,
-    checked against twice as many.  A resolvent probe's pole order takes
-    no quadrature and does not read ``contour_nodes``.
+    not a boolean.  ``contour_nodes`` (an integer in ``[16,
+    MAX_CONTOUR_NODES]``) sizes the contour quadrature: each region piece
+    returns its finest rule, checked against the rule with half its nodes,
+    of at most ``2 * contour_nodes`` nodes for a disk (fewer once the two
+    agree) and about as many for a rectangle.  A probe takes no quadrature.
     """
 
     cluster_tol: float = 1e-7

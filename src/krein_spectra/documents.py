@@ -178,15 +178,28 @@ _TOLERANCE_FIELDS = frozenset(f.name for f in fields(ToleranceConfig))
 @dataclass
 class OperatorDocument:
     """Serializable (space, operator) pair with optional tolerance
-    overrides and free-form string metadata.  :meth:`build` hands the
-    ``tolerances`` to the operator, which reads them in every verdict."""
+    overrides and free-form string metadata.
+
+    ``tolerance_overrides`` is the document's one tolerance record:
+    :meth:`to_json` writes it, and ``tolerances``, the
+    :class:`ToleranceConfig` it overrides, is derived from it on each
+    read, so the two cannot disagree.  :meth:`build` hands ``tolerances``
+    to the operator, which reads them in every verdict."""
 
     dim: int
     gram: np.ndarray
     matrix: np.ndarray
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
     tolerance_overrides: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def tolerances(self) -> ToleranceConfig:
+        """The defaults with ``tolerance_overrides`` applied; an override
+        the config refuses raises :class:`DocumentError` naming it."""
+        try:
+            return ToleranceConfig(**self.tolerance_overrides)
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"tolerances: {exc}") from exc
 
     def to_json(self) -> str:
         out = {
@@ -308,25 +321,17 @@ def _operator_document(raw) -> OperatorDocument:
         if unknown:
             raise DocumentError(f"tolerances: unknown fields {sorted(unknown)}")
         overrides = dict(tols)
-    try:
-        cfg = ToleranceConfig(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"tolerances: {exc}") from exc
 
     metadata = raw.get("metadata", {})
+    doc = OperatorDocument(
+        dim=dim, gram=gram, matrix=matrix, tolerance_overrides=overrides, metadata=metadata
+    )
+    doc.tolerances  # refuses a bad override, before a bad metadata field
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
     ):
         raise DocumentError("metadata: expected a string-to-string object")
-
-    return OperatorDocument(
-        dim=dim,
-        gram=gram,
-        matrix=matrix,
-        tolerances=cfg,
-        tolerance_overrides=overrides,
-        metadata=metadata,
-    )
+    return doc
 
 
 def read_document(path: str) -> str:

@@ -324,25 +324,25 @@ def _disk_ladder(max_nodes: int) -> list[int]:
 
 def boundary_resolvent_sums(t: np.ndarray, piece: Disk | Rectangle, max_nodes: int) -> np.ndarray:
     """``(1/2 pi i) ∮ (z - T)^{-1} dz`` over the boundary of one region
-    piece, for an upper-triangular T, stacked with the last change of its
-    convergence check: an array of shape ``(2, n, n)`` in the Schur basis.
+    piece, for an upper-triangular T: the piece's finest rule ``q_2m``,
+    stacked with its change ``q_2m - q_m`` from the rule with half its
+    nodes, an array of shape ``(2, n, n)`` in the Schur basis.
 
     A disk climbs the nested trapezoid ladder of :func:`_disk_ladder`.  The
     rule of ``m`` nodes is every ``(2 * max_nodes / m)``-th node of the
     largest rule (bitwise), with that many times its weights, so each
     doubling evaluates only its new odd nodes.  The climb stops at the
-    first rule ``q_2m`` with ``||q_2m - q_m||_F <= _QUADRATURE_TOL *
-    max(1, ||q_2m||_F)``, or at ``2 * max_nodes`` nodes; ``q_2m`` is
-    returned.  A rectangle's Gauss-Legendre panels do not nest: it returns
-    its rule at ``max_nodes`` nodes, checked against the rule at twice as
-    many.  The stopping rule reads only the quadrature sums.
+    first ``q_2m`` with ``||q_2m - q_m||_F <= _QUADRATURE_TOL * max(1,
+    ||q_2m||_F)``, which reads only the sums, or at ``2 * max_nodes``
+    nodes.  A rectangle's ``q_m`` is its Gauss-Legendre rule at
+    ``max_nodes`` nodes and ``q_2m`` splits each of its panels in two.
     """
     if not isinstance(piece, Disk):
         coarse, fine = (
             _schur_resolvent_sums(t, points, weights / (2.0j * np.pi))
-            for points, weights in map(piece.quadrature, (max_nodes, 2 * max_nodes))
+            for points, weights in (piece.quadrature(max_nodes, split) for split in (1, 2))
         )
-        return np.stack([coarse, fine - coarse])
+        return np.stack([fine, fine - coarse])
     sizes = _disk_ladder(max_nodes)
     points, weights = piece.quadrature(sizes[-1])
     weights = weights / (2.0j * np.pi)

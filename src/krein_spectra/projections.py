@@ -198,14 +198,15 @@ def riesz_projection_contour(N: KreinOperator, region: Region) -> ContourProject
     regions are refused.  The resolvents are evaluated in the operator's
     cached Schur basis (``N.schur``, the factor the oracle route certifies)
     by :func:`boundary_resolvent_sums`, and the sum is transformed back
-    once.  Convergence is self-checked by doubling the node count.  A disk
-    climbs a nested trapezoid ladder, evaluating each node once, and stops
-    as soon as two successive sums agree to 1e-10 relative; at most it
-    evaluates ``2 * N.tolerances.contour_nodes`` nodes.  A rectangle
-    compares its rules at ``N.tolerances.contour_nodes`` and twice as many
-    nodes.  A last change above 1e-6 flags the result instead of failing,
-    and so does an idempotency residual above the oracle route's acceptance
-    bound.
+    once.  Each piece returns its finest rule, checked against the rule
+    with half its nodes.  A disk climbs a nested trapezoid ladder,
+    evaluating each node once, and stops as soon as two successive sums
+    agree to 1e-10 relative, after at most ``2 *
+    N.tolerances.contour_nodes`` nodes; a rectangle's finest rule splits
+    each Gauss-Legendre panel of its ``contour_nodes``-node rule in two.
+    A change above 1e-6 from the check rule flags the result instead of
+    failing, and so does an idempotency residual above the oracle route's
+    acceptance bound.
     The result is a :class:`ContourProjection`: the matrix, its idempotency
     residual and those warnings, nothing that would need a range basis.
     """
@@ -798,10 +799,15 @@ def resolvent_probe(
 
     The pole order is the smallest power k >= 1 whose Laurent coefficient
     on a circle about the point vanishes (in closed form, by
-    :func:`_laurent_norms`, which refuses a circle through the spectrum);
-    it equals one exactly at isolated points of two-sided positive type
-    and exceeds one at defective ones.  Samples landing within the
-    clustering radius of the spectrum are discarded.
+    :func:`_laurent_norms`); it equals one exactly at isolated points of
+    two-sided positive type and exceeds one at defective ones.  It is
+    ``None`` when the circle cannot be drawn: when the point's isolation is
+    within 10 clustering radii, or when the circle passes within the
+    boundary gap of :func:`region_selection` of an eigenvalue.  The radius
+    table is reported either way.  Samples landing within the clustering
+    radius of the spectrum are discarded, and so are samples z with
+    ``sigma_min(N - z) <= eps * (||N|| + |z|)``: such a z is an eigenvalue
+    of N perturbed at rounding level, and its ratio would measure nothing.
 
     ``||(N - z)^{-1}|| = 1 / sigma_min(N - z)``, and ``sigma_min(N - z)``
     equals ``sigma_min(T - z)`` for the cached Schur factor T.  Above
@@ -839,9 +845,12 @@ def resolvent_probe(
     dist = np.full(zs.size, np.inf)
     for rep in reps:
         np.minimum(dist, np.abs(rep - zs), out=dist)
-    kept = dist > cluster_radius
+    kept = np.flatnonzero(dist > cluster_radius)
+    sigma = smallest_singular_values(N.matrix, N.schur[0], zs[kept])
+    live = sigma > np.finfo(float).eps * (N.norm + np.abs(zs[kept]))
+    kept, sigma = kept[live], sigma[live]
     ratio = np.zeros(zs.size)
-    ratio[kept] = dist[kept] / smallest_singular_values(N.matrix, N.schur[0], zs[kept])
+    ratio[kept] = dist[kept] / sigma
     table = tuple(
         (r, float(c)) for r, c in zip(radii, ratio.reshape(len(radii), -1).max(axis=1))
     )
@@ -854,7 +863,10 @@ def resolvent_probe(
     else:
         isolation = max(1.0, 0.5 * (1.0 + abs(center)))
     if isolation > 10.0 * cluster_radius:
-        norms = _laurent_norms(N, Disk(center, isolation))
+        try:
+            norms = _laurent_norms(N, Disk(center, isolation))
+        except ContourThroughSpectrumError:  # which clusters it encloses is undecidable
+            norms = np.zeros(0)
         vanishing = np.flatnonzero(norms <= 1e-8 * N.scale)
         if vanishing.size:
             pole_order = int(vanishing[0]) + 1

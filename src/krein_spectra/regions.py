@@ -2,12 +2,12 @@
 
 Regions select spectral subsets and carry their own boundary geometry:
 exact membership tests, distance to the boundary of each primitive, and
-quadrature nodes for contour integrals, counterclockwise.  Circles take
-the trapezoidal rule, whose rules nest: the even nodes of the
-``2 * nodes``-point rule are the ``nodes``-point rule's, bitwise, so a
-convergence check by doubling evaluates only the new odd nodes.
-Rectangle edges take composite Gauss-Legendre panels, which do not nest;
-a convergence check evaluates a rectangle's rule at twice the nodes in full.
+quadrature nodes for contour integrals, counterclockwise.  A contour
+integral returns its finest rule, checked against the rule with half its
+nodes.  Circles take the trapezoidal rule, whose rules nest bitwise (the
+even nodes of ``2 * nodes`` are those of ``nodes``).  Rectangle edges
+take composite Gauss-Legendre panels, which do not nest: the finest rule
+splits each panel of the check rule in two.
 """
 
 from __future__ import annotations
@@ -116,9 +116,11 @@ class Rectangle:
         # eigenvalue within its boundary gap of an edge.
         return Rectangle(self.x0, -self.y1, self.x1, -self.y0)
 
-    def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature(self, nodes: int, split: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Composite Gauss-Legendre nodes over the four edges, weighted so
-        that sum(w_j f(z_j)) approximates the counterclockwise integral."""
+        that sum(w_j f(z_j)) approximates the counterclockwise integral.
+        An edge takes its share of ``nodes`` (at least one panel) in panels
+        of 8 nodes, each cut into ``split`` equal panels."""
         c = self.corners
         edges = [(c[i], c[(i + 1) % 4]) for i in range(4)]
         lengths = np.array([abs(b - a) for a, b in edges])
@@ -126,7 +128,7 @@ class Rectangle:
         pts, wts = [], []
         for (a, b), ell in zip(edges, lengths):
             n_edge = max(_GL_PANEL, int(round(nodes * ell / perimeter)))
-            panels = max(1, -(-n_edge // _GL_PANEL))
+            panels = split * -(-n_edge // _GL_PANEL)
             breaks = np.linspace(0.0, 1.0, panels + 1)
             for lo, hi in zip(breaks[:-1], breaks[1:]):
                 t = lo + (hi - lo) * (_gl_nodes + 1.0) / 2.0

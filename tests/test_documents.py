@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from krein_spectra import DocumentError, documents
 from krein_spectra.core import ToleranceConfig
 from krein_spectra.documents import (
+    OperatorDocument,
     _depth_bound,
     dumps_canonical,
     pair_to_complex,
@@ -317,3 +318,26 @@ def test_depth_bound_is_an_upper_bound(value, indent):
 def test_depth_bound_of_a_dense_document():
     doc = {"dim": 3, "gram": np.eye(3), "matrix": np.eye(3)}
     assert _depth_bound(dumps_canonical(doc).encode()) == 2 * 3 + 4
+
+
+def two_point_document(overrides) -> OperatorDocument:
+    return OperatorDocument(
+        dim=2, gram=np.diag([1.0, -1.0]), matrix=np.diag([1.0, 1.05]), tolerance_overrides=overrides
+    )
+
+
+def test_tolerances_follow_the_overrides_the_document_writes():
+    # one tolerance record: the operator built and the JSON written agree
+    doc = two_point_document({"cluster_tol": 0.02})
+    assert doc.build().tolerances == doc.tolerances == ToleranceConfig(cluster_tol=0.02)
+    assert parse_operator_document(doc.to_json()).tolerances == doc.tolerances
+    doc.tolerance_overrides["contour_nodes"] = 16
+    assert doc.build().tolerances == ToleranceConfig(cluster_tol=0.02, contour_nodes=16)
+
+
+def test_refused_override_names_the_tolerances():
+    doc = two_point_document({"contour_nodes": 8})
+    with pytest.raises(DocumentError, match="^tolerances: contour_nodes"):
+        doc.build()
+    with pytest.raises(DocumentError, match="^tolerances: contour_nodes"):
+        parse_operator_document(doc.to_json())

@@ -35,6 +35,7 @@ from krein_spectra.numerics import (
     sylvester_spectral_gap,
 )
 from krein_spectra.projections import range_basis
+from krein_spectra.regions import Rectangle
 
 from conftest import with_tolerances
 
@@ -206,17 +207,18 @@ def nested_contour_reference(N, region, nodes):
     m)``-th node of the ``2 * nodes``-point rule, with that many times its
     weights, so each doubling adds the sum over its odd nodes.  It stops
     when two sums agree to 1e-10 relative or at ``2 * nodes`` nodes.  A
-    rectangle sums its rules at ``nodes`` and ``2 * nodes`` apart.  Returns
-    the projection and the norm of the last change."""
+    rectangle sums its rule at ``nodes`` and the rule that splits each of
+    its panels in two apart, and returns the second.  Returns the
+    projection and the norm of the last change."""
     t, u = N.schur
     total = np.zeros((2,) + t.shape, dtype=np.complex128)
     for piece in region.pieces:
         if not isinstance(piece, Disk):
             coarse_pts, coarse_wts = piece.quadrature(nodes)
-            fine_pts, fine_wts = piece.quadrature(2 * nodes)
+            fine_pts, fine_wts = piece.quadrature(nodes, split=2)
             coarse = allocating_resolvent_sums(t, coarse_pts, coarse_wts / (2.0j * np.pi))
             fine = allocating_resolvent_sums(t, fine_pts, fine_wts / (2.0j * np.pi))
-            total += (coarse, fine - coarse)
+            total += (fine, fine - coarse)
             continue
         points, weights = piece.quadrature(2 * nodes)
         weights = weights / (2.0j * np.pi)
@@ -258,7 +260,7 @@ class TestResolventKernelBuffers:
     @pytest.mark.parametrize(
         "region, nodes",
         [
-            (Region.rectangle(0.5, -0.5, 1.5, 0.5), 128),  # 128 + 256 nodes: three batches
+            (Region.rectangle(0.5, -0.5, 1.5, 0.5), 128),  # 128, then 256 split: three batches
             (Region.disk(1.0, 0.5), 100),  # the nested ladder from 25 nodes, capped at 200
         ],
     )
@@ -290,6 +292,58 @@ class TestResolventKernelBuffers:
         # the stack, a quarter-stack scratch and the sums; a stack per
         # batch plus per-level temporaries peaks at 2.5 stacks
         assert peak <= 1.5 * _NODE_BATCH * n * n * 16
+
+
+def gauss_legendre_edges(rect, panels):
+    """8-point Gauss-Legendre nodes and weights on each edge of ``rect``,
+    counterclockwise from its lower left corner, the edge cut into its
+    entry of ``panels`` equal panels."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    c = rect.corners
+    points, weights = [], []
+    for i, k in enumerate(panels):
+        a, b = c[i], c[(i + 1) % 4]
+        t = (np.arange(k)[:, None] + (x + 1.0) / 2.0) / k
+        points.append(a + t.reshape(-1) * (b - a))
+        weights.append(np.tile(w / (2.0 * k), k) * (b - a))
+    return np.concatenate(points), np.concatenate(weights)
+
+
+@pytest.mark.parametrize(
+    "rect",
+    [
+        Rectangle(0.0, 0.0, 2.0, 0.1),  # aspect 20: one panel on each short edge at 128
+        Rectangle(0.5, -0.5, 1.5, 0.5),  # at 16 nodes, one panel on every edge
+        Rectangle(-0.3, -0.2, 0.9, 0.7),
+    ],
+)
+@pytest.mark.parametrize("nodes", [16, 128, 300])
+def test_rectangle_returns_its_check_rule_with_every_panel_split(monkeypatch, rect, nodes):
+    calls = []
+    schur_resolvent_sums = numerics._schur_resolvent_sums
+
+    def recording(t, points, weights):
+        total = schur_resolvent_sums(t, points, weights)
+        calls.append(((points, weights * 2.0j * np.pi), total))
+        return total
+
+    monkeypatch.setattr(numerics, "_schur_resolvent_sums", recording)
+    t = np.array([[0.3 + 0.05j, 1.0], [0.0, 5.0]])  # one eigenvalue inside, one outside
+    finest, change = numerics.boundary_resolvent_sums(t, rect, nodes)
+    (check, check_sum), (rule, rule_sum) = calls
+    # the check rule's panels per edge, counted off its nodes
+    points = check[0]
+    on_edge = (points.imag == rect.y0, points.real == rect.x1,
+               points.imag == rect.y1, points.real == rect.x0)
+    panels = [int(np.count_nonzero(m)) // 8 for m in on_edge]
+    assert min(panels) >= 1 and 8 * sum(panels) == points.size
+    for (points, weights), edge_panels in ((check, panels), (rule, [2 * k for k in panels])):
+        want_points, want_weights = gauss_legendre_edges(rect, edge_panels)
+        np.testing.assert_allclose(points, want_points, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-15)
+    # the finest rule is returned, with its change from the check rule
+    assert finest.tobytes() == rule_sum.tobytes()
+    assert change.tobytes() == (rule_sum - check_sum).tobytes()
 
 
 def reference_spectral_projector(dec):

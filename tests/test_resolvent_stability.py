@@ -64,16 +64,21 @@ class TestResolventProbe:
         with pytest.raises(PreconditionError, match="not a finite point"):
             resolvent_probe(n, point, radii=[0.4])
 
-    def test_eigenvalue_on_contour_refused(self):
+    def test_eigenvalue_on_contour_gives_no_pole_order(self):
         # the 21 values j * 0.096 * 0.9999 chain into one cluster around 0
         # (clustering radius 0.096); its pole-order circle has radius 1, half
-        # the distance to 2, and passes 0.04 from the cluster's ends +-0.9599
+        # the distance to 2, and passes 0.04 from the cluster's ends +-0.9599:
+        # the order is undecidable, and the radius table is still reported
         values = [0.096 * 0.9999 * j for j in range(-10, 11)] + [2.0]
         n = KreinOperator(
             np.diag(values), KreinSpace.euclidean(len(values)), ToleranceConfig(cluster_tol=0.048)
         )
         with pytest.raises(ContourThroughSpectrumError):
-            resolvent_probe(n, 0.0, [0.5])
+            _laurent_norms(n, Disk(0.0, 1.0))
+        probe = resolvent_probe(n, 0.0, [0.5])
+        assert probe.pole_order is None
+        assert [r for r, _ in probe.radius_table] == [0.5]
+        assert np.isfinite(probe.c_estimate) and probe.c_estimate > 0
 
     def test_radii_validation(self):
         n = KreinOperator(np.eye(2), KreinSpace.euclidean(2))

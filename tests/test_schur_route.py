@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krein_spectra import (
+    Disk,
     GeneratorSpec,
     Region,
     SpectralType,
@@ -308,18 +309,25 @@ def test_large_cluster_kernel_extraction_regression():
 
 def dense_contour_reference(N, region, nodes):
     """Contour projection and convergence flag with one dense LU solve of
-    ``z - N`` per node, at ``nodes`` and at ``2 * nodes`` nodes."""
+    ``z - N`` per node: each piece's finest rule, flagged when it moves by
+    more than the flag tolerance from the rule with half its nodes.  A
+    disk's finest rule has ``2 * nodes`` nodes, where its ladder ends; a
+    rectangle's splits each panel of its ``nodes``-node rule in two."""
     eye = np.eye(N.dim)
 
-    def integrate(count):
+    def integrate(split):
         total = np.zeros((N.dim, N.dim), dtype=np.complex128)
         for piece in region.pieces:
-            for z, w in zip(*piece.quadrature(count)):
+            if isinstance(piece, Disk):
+                rule = piece.quadrature(split * nodes)
+            else:
+                rule = piece.quadrature(nodes, split)
+            for z, w in zip(*rule):
                 total += w * np.linalg.solve(z * eye - N.matrix, eye)
         return total / (2.0j * np.pi)
 
-    q = integrate(nodes)
-    return q, frobenius(integrate(2 * nodes) - q) > _CONVERGENCE_FLAG_TOL
+    q = integrate(2)
+    return q, frobenius(q - integrate(1)) > _CONVERGENCE_FLAG_TOL
 
 
 def contour_regions(points):
@@ -352,6 +360,22 @@ def test_contour_matches_dense_lu_reference(classified_bank):
             regions_seen["jordan"] += any(p.alg_mult > p.geo_mult for p in inside)
     assert regions_seen["disk"] == regions_seen["rect"] == BANK_SIZE
     assert regions_seen["jordan"] > 0
+
+
+def test_off_center_rectangles_return_the_finer_rule(classified_bank):
+    # a rectangle about the last point z reaching 0.45 gap to its left and
+    # 0.15 below but 0.2 to its right and 0.3 above; its check rule alone is
+    # off by up to 1.1e-9 relative here
+    for _, N, points in classified_bank:
+        gap = min_gap([p.value for p in points])
+        gap = gap if np.isfinite(gap) else 1.0
+        z = points[-1].value
+        region = Region.rectangle(z.real - 0.45 * gap, z.imag - 0.15 * gap,
+                                  z.real + 0.2 * gap, z.imag + 0.3 * gap)
+        contour = riesz_projection_contour(N, region)
+        oracle = riesz_projection_oracle(N, region).matrix
+        assert not contour.warnings
+        assert frobenius(contour.matrix - oracle) <= 1e-12 * max(1.0, frobenius(oracle))
 
 
 def _operator_with_jordan_cell():
@@ -476,6 +500,17 @@ def test_eigenvalue_near_circle_not_converged_at_few_nodes(inverted):
     fine = riesz_projection_contour(N, Region.disk(1.0, 0.5))
     assert not fine.warnings
     np.testing.assert_allclose(fine.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_rectangle_rules_never_coincide(inverted):
+    # at 16 nodes every edge of the unit square has one 8-node panel, and so
+    # has the rule of 2 * 16 nodes: a check against it would pass a result
+    # off by 0.115.  The eigenvalue 1.56 lies 0.06 outside the right edge
+    N = KreinOperator(np.diag([1.0, 1.56]), KreinSpace.indefinite(1, 1))
+    square = Region.rectangle(0.5, -0.5, 1.5, 0.5)
+    coarse = riesz_projection_contour(with_tolerances(N, contour_nodes=16), square)
+    assert any(w.startswith("quadrature-not-converged") for w in coarse.warnings)
+    assert sum(inverted) == 32 + 64
 
 
 def probe_radii(points, value):

@@ -1,6 +1,8 @@
 """Trial-battery semantics: strict regime is all-pass, the conditioning
 study beyond it may warn but never fail."""
 
+import warnings
+
 import pytest
 
 from krein_spectra import ArgumentError, classification, run_suite
@@ -73,6 +75,26 @@ class TestResolventChecks:
         entries = run_trial(trial, 0, (2, 12), 1e9)
         refusals = [e.detail for e in entries if e.name == "resolvent-refused"]
         assert not any(d.startswith("ArgumentError") for d in refusals), refusals
+
+    def test_undecidable_pole_order_keeps_the_bound(self):
+        # trial 0's isolating circle passes within the boundary gap of the
+        # spectrum: the pole order is undecidable, the radius table is not
+        entries = {e.name: e for e in run_trial(0, 0, (2, 12), 1e9)}
+        assert "resolvent-refused" not in entries
+        assert entries["resolvent-bound"].status is CheckStatus.PASS
+        assert entries["pole-order-definite"].status is CheckStatus.WARNING
+
+    def test_rounding_level_samples_are_discarded(self):
+        # at trial 144 one sample of the first radius has sigma_min exactly
+        # 0.0, and every sample below that radius has sigma_min at the
+        # rounding level of ||N - z||: all are discarded, none divided by,
+        # and the bound is skipped
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            entries = {e.name: e for e in run_trial(144, 0, (2, 12), 1e9)}
+        bound = entries["resolvent-bound"]
+        assert bound.status is CheckStatus.WARNING
+        assert bound.detail.endswith("and keep a sample off the spectrum")
 
     def test_bound_skipped_below_two_radii_names_the_floor(self):
         entries = {e.name: e for e in run_trial(1, 0, (2, 12), 1e9)}
