@@ -62,6 +62,7 @@ from .projections import (
     LocalSpectralFunction,
     SpectralProjectionResult,
     local_spectral_function,
+    pole_order,
     projection_defect,
     resolvent_probe,
     riesz_projection_contour,

@@ -44,9 +44,10 @@ class NonNormalError(PreconditionError):
     def __init__(self, residual: float, tol: float):
         self.residual = residual
         self.tol = tol
+        verdict = f"exceeds tolerance {tol:.3e}" if math.isfinite(residual) else "is not finite"
         super().__init__(
             f"operator is not normal in the indefinite product: "
-            f"commutator residual {residual:.3e} exceeds tolerance {tol:.3e}"
+            f"commutator residual {residual:.3e} {verdict}"
         )
 
 

@@ -24,7 +24,7 @@ from ._errors import (
     KreinError,
     PreconditionError,
 )
-from .classification import classified_spectrum, clustering
+from .classification import classified_spectrum, locate_point
 from .documents import (
     OperatorDocument,
     dumps_canonical,
@@ -41,6 +41,7 @@ from .projections import (
     MAX_MAXIMALITY_SUBSPACES,
     MAX_PROBE_SAMPLES,
     local_spectral_function,
+    pole_order,
     resolvent_probe,
     riesz_projection_contour,
     riesz_projection_oracle,
@@ -180,9 +181,7 @@ def cmd_lsf_verify(args) -> int:
     if not carrier.pieces:
         raise DocumentError("lsf-verify requires a carrier (--disk / --rect)")
     lsf = local_spectral_function(operator, carrier)
-    gap = clustering(operator).min_gap
-    radius = 0.25 * gap if np.isfinite(gap) else 0.25
-    report = verify_lsf_family(lsf, radius, args.subspaces, args.seed)
+    report = verify_lsf_family(lsf, args.subspaces, args.seed)
     if args.json:
         _write(report.to_json(), args.output)
     else:
@@ -208,7 +207,7 @@ def cmd_probe_resolvent(args) -> int:
     probe = resolvent_probe(operator, lam, radii, samples_per_radius=args.samples)
     payload = {
         "c_estimate": probe.c_estimate,
-        "pole_order": probe.pole_order,
+        "pole_order": pole_order(operator, locate_point(operator, lam)),
         "radius_table": [[r, c] for r, c in probe.radius_table],
     }
     _write(dumps_canonical(payload), args.output)

@@ -279,11 +279,12 @@ class KreinOperator:
     cluster_tol=...))``.
 
     Construction computes the adjoint and the commutator residual and
-    raises :class:`NonNormalError` when the residual exceeds
-    ``tolerances.normality_tol``.  It keeps the commutator's raw norm
-    ``||N N+ - N+ N||_F`` too, as ``commutator_norm``: the LSF axiom
-    check reads it as the commutator of N with the commutant N+.
-    Instances are immutable and safe to share.
+    raises :class:`NonNormalError` unless the residual is at most
+    ``tolerances.normality_tol``: one that overflows to NaN (entries of
+    1e154 and up) refuses even the normal ``diag(1e200, 2e200)``.  It
+    keeps the commutator's raw norm ``||N N+ - N+ N||_F`` too, as
+    ``commutator_norm``: the LSF axiom check reads it as the commutator of
+    N with the commutant N+.  Instances are immutable and safe to share.
 
     Construction refuses a matrix with non-finite entries (``ValueError``).
 
@@ -315,7 +316,7 @@ class KreinOperator:
         adj = krein_adjoint(m, self.space)
         commutator, residual = _normality_residual(m, adj)
         tol = self.tolerances.normality_tol
-        if residual > tol:
+        if not residual <= tol:  # also refuses a NaN residual
             raise NonNormalError(residual, tol)
         adj.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -68,6 +68,7 @@ __all__ = [
     "SpectralProjectionResult",
     "cluster_projection",
     "local_spectral_function",
+    "pole_order",
     "probe_radius_floor",
     "projection_defect",
     "range_basis",
@@ -382,8 +383,8 @@ def projection_defect(Q: np.ndarray, space: KreinSpace) -> tuple[np.ndarray, boo
     range; it vanishes exactly when Q is selfadjoint.
     """
     Q = np.asarray(Q, dtype=np.complex128)
-    idem = frobenius(Q @ Q - Q)
-    if idem > _IDEM_ACCEPT_FACTOR * (1.0 + frobenius(Q) ** 2):
+    idem, accept = _idempotency(Q)
+    if idem > accept:
         raise PreconditionError(
             f"input is not idempotent: residual {idem:.3e}"
         )
@@ -704,23 +705,22 @@ def verify_lsf_axioms(
 
 def verify_maximality(
     E: LocalSpectralFunction,
-    delta: Region,
     n_subspaces: int = 20,
     seed: int = 0,
     tol: float = 1e-8,
 ) -> CheckEntry:
-    """Check that the projection range contains every invariant subspace
-    whose restricted spectrum lies in the subset.
+    """Check that the carrier's projection range contains every invariant
+    subspace whose restricted spectrum lies in the carrier.
 
-    Random invariant subspaces are drawn inside the kernels of the
-    selected eigenvalues; the worst angle of one against the range of the
-    evaluated projection is reported (pi/2 when a subspace has more
-    dimensions than the range).  :class:`ArgumentError` refuses an
-    ``n_subspaces`` that is not an integer in ``[1, MAX_MAXIMALITY_SUBSPACES]``
-    (with none drawn the check is vacuous) and a negative or non-integer ``seed``."""
+    Random invariant subspaces are drawn inside the kernels of the carrier
+    points (``E.carrier_indices``); the worst angle of one against the
+    range is reported (pi/2 when a subspace has more dimensions than the
+    range).  :class:`ArgumentError` refuses an ``n_subspaces`` that is not an
+    integer in ``[1, MAX_MAXIMALITY_SUBSPACES]`` (with none drawn the check is
+    vacuous) and a negative or non-integer ``seed``."""
     require_integer("n_subspaces", n_subspaces, 1, MAX_MAXIMALITY_SUBSPACES)
     require_integer("seed", seed, 0)
-    indices = E.indices_in(delta)
+    indices = E.carrier_indices
     full_range = E.evaluate_indices(indices).basis
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -749,20 +749,22 @@ def verify_maximality(
 
 
 def verify_lsf_family(
-    E: LocalSpectralFunction, delta_radius: float, n_subspaces: int, seed: int,
-    tol: float = 1e-8,
+    E: LocalSpectralFunction, n_subspaces: int, seed: int, tol: float = 1e-8
 ) -> VerificationReport:
-    """:func:`verify_lsf_axioms` on the deltas (a disk of ``delta_radius``
-    about each carrier point, the union of the first two, the carrier, the
-    empty set) and the commutants I, N, N+, N^2; then
-    :func:`verify_maximality` on the carrier.  Both use ``tol``."""
+    """:func:`verify_lsf_axioms` on the deltas (a disk of radius ``0.25 *
+    min_gap`` about each carrier point, the union of the first two, the
+    carrier, the empty set) and the commutants I, N, N+, N^2; then
+    :func:`verify_maximality`.  Both use ``tol``.  With a single cluster
+    there are no disks: one would select what the carrier does."""
     # maximality runs first, so that its arguments are checked before the axioms
-    maximality = verify_maximality(E, E.carrier, n_subspaces, seed, tol)
-    deltas = [Region.disk(pt.value, delta_radius) for pt in E.selected_points(E.carrier_indices)]
+    maximality = verify_maximality(E, n_subspaces, seed, tol)
+    N = E.operator
+    gap = clustering(N).min_gap
+    centers = sorted(E.carrier_indices) if math.isfinite(gap) else []
+    deltas = [Region.disk(E.values[i], 0.25 * gap) for i in centers]
     if len(deltas) >= 2:
         deltas.append(deltas[0].union(deltas[1]))
     deltas += [E.carrier, Region.empty()]
-    N = E.operator
     commutants = [np.eye(N.dim), N.matrix, N.adjoint, N.matrix @ N.matrix]
     report = verify_lsf_axioms(E, deltas, commutants, tol=tol)
     report.entries.append(maximality)
@@ -772,10 +774,10 @@ def verify_lsf_family(
 
 @dataclass(frozen=True)
 class ResolventProbeResult:
-    """Resolvent growth constant and pole order at a spectral point."""
+    """Resolvent growth constant at a spectral point and the largest scaled
+    norm per radius (0 where every sample was discarded)."""
 
     c_estimate: float
-    pole_order: int | None
     radius_table: tuple[tuple[float, float], ...]
 
 
@@ -795,19 +797,12 @@ def resolvent_probe(
     samples_per_radius: int = 16,
 ) -> ResolventProbeResult:
     """Sample ``||(N - z)^{-1}|| * dist(z, spectrum)`` on circles around a
-    spectral point and measure the resolvent pole order there.
+    spectral point; the pole order there is :func:`pole_order`'s.
 
-    The pole order is the smallest power k >= 1 whose Laurent coefficient
-    on a circle about the point vanishes (in closed form, by
-    :func:`_laurent_norms`); it equals one exactly at isolated points of
-    two-sided positive type and exceeds one at defective ones.  It is
-    ``None`` when the circle cannot be drawn: when the point's isolation is
-    within 10 clustering radii, or when the circle passes within the
-    boundary gap of :func:`region_selection` of an eigenvalue.  The radius
-    table is reported either way.  Samples landing within the clustering
-    radius of the spectrum are discarded, and so are samples z with
-    ``sigma_min(N - z) <= eps * (||N|| + |z|)``: such a z is an eigenvalue
-    of N perturbed at rounding level, and its ratio would measure nothing.
+    Samples landing within the clustering radius of the spectrum are
+    discarded, and so are samples z with ``sigma_min(N - z) <= eps * (||N||
+    + |z|)``: such a z is an eigenvalue of N perturbed at rounding level,
+    and its ratio would measure nothing.
 
     ``||(N - z)^{-1}|| = 1 / sigma_min(N - z)``, and ``sigma_min(N - z)``
     equals ``sigma_min(T - z)`` for the cached Schur factor T.  Above
@@ -833,10 +828,8 @@ def resolvent_probe(
             f"{radii[-1]!r} is within {floor:.3g} of the point, "
             "where its samples are discarded as spectral or round onto it",
         )
-    idx = locate_point(N, lam0)
     reps = np.array(clustering(N).values)
-    cluster_radius = N.cluster_radius
-    center = complex(reps[idx])
+    center = complex(reps[locate_point(N, lam0)])
 
     theta = 2.0 * np.pi * (np.arange(samples_per_radius) + 0.5) / samples_per_radius
     zs = (center + np.multiply.outer(radii, np.exp(1j * theta))).reshape(-1)
@@ -845,7 +838,7 @@ def resolvent_probe(
     dist = np.full(zs.size, np.inf)
     for rep in reps:
         np.minimum(dist, np.abs(rep - zs), out=dist)
-    kept = np.flatnonzero(dist > cluster_radius)
+    kept = np.flatnonzero(dist > N.cluster_radius)
     sigma = smallest_singular_values(N.matrix, N.schur[0], zs[kept])
     live = sigma > np.finfo(float).eps * (N.norm + np.abs(zs[kept]))
     kept, sigma = kept[live], sigma[live]
@@ -854,23 +847,36 @@ def resolvent_probe(
     table = tuple(
         (r, float(c)) for r, c in zip(radii, ratio.reshape(len(radii), -1).max(axis=1))
     )
-    c_estimate = max(c for _, c in table)
+    return ResolventProbeResult(max(c for _, c in table), table)
 
-    pole_order: int | None = None
-    others = np.delete(reps, idx)
+
+def pole_order(N: KreinOperator, index: int) -> int | None:
+    """The order of the resolvent's pole at cluster ``index`` of
+    ``clustering(N)``, or ``None`` when it cannot be read.
+
+    It is the smallest power k >= 1 whose Laurent coefficient on a circle
+    about the cluster vanishes (in closed form, by :func:`_laurent_norms`);
+    it equals one exactly at isolated points of two-sided positive type and
+    exceeds one at defective ones.  The circle's radius is half the
+    distance to the nearest other cluster, or ``max(1, (1 + |c|) / 2)``
+    about the only cluster c.  The order is ``None`` when that radius is
+    within 10 clustering radii, or when the circle passes within the
+    boundary gap of :func:`region_selection` of an eigenvalue."""
+    reps = np.array(clustering(N).values)
+    center = complex(reps[index])
+    others = np.delete(reps, index)
     if others.size:
         isolation = float(np.min(np.abs(others - center))) / 2.0
     else:
         isolation = max(1.0, 0.5 * (1.0 + abs(center)))
-    if isolation > 10.0 * cluster_radius:
-        try:
-            norms = _laurent_norms(N, Disk(center, isolation))
-        except ContourThroughSpectrumError:  # which clusters it encloses is undecidable
-            norms = np.zeros(0)
-        vanishing = np.flatnonzero(norms <= 1e-8 * N.scale)
-        if vanishing.size:
-            pole_order = int(vanishing[0]) + 1
-    return ResolventProbeResult(c_estimate, pole_order, table)
+    if isolation <= 10.0 * N.cluster_radius:
+        return None
+    try:
+        norms = _laurent_norms(N, Disk(center, isolation))
+    except ContourThroughSpectrumError:  # which clusters it encloses is undecidable
+        return None
+    vanishing = np.flatnonzero(norms <= 1e-8 * N.scale)
+    return int(vanishing[0]) + 1 if vanishing.size else None
 
 
 def _laurent_norms(N: KreinOperator, circle: Disk) -> np.ndarray:

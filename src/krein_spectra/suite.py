@@ -42,7 +42,7 @@ from .classification import (
     root_subspace,
     verify_selfadjoint_link,
 )
-from .core import KreinOperator, krein_adjoint, max_principal_angle
+from .core import krein_adjoint, max_principal_angle
 from .generators import (
     GeneratedOperator,
     build_normal_with_types,
@@ -60,6 +60,7 @@ from .numerics import (
 )
 from .projections import (
     local_spectral_function,
+    pole_order,
     probe_radius_floor,
     projection_defect,
     resolvent_probe,
@@ -272,34 +273,26 @@ def lsf_checks(gen: GeneratedOperator, setting: TrialSetting, trial_seed: int) -
         tuple(piece for pt in tsp for piece in Region.disk(pt.value, carrier_radius).pieces)
     )
     lsf = local_spectral_function(gen.operator, carrier)
-    return verify_lsf_family(
-        lsf, 0.5 * carrier_radius, MAXIMALITY_SUBSPACES, trial_seed, tol=1e-8 * setting.tol_scale
-    ).entries
-
-
-def _probe_radii(N: KreinOperator, point: complex, radii: list[float]) -> tuple[list[float], float]:
-    """The radii that lie above the probe's radius floor at ``point``, and
-    the floor.  When none does, one radius of twice the floor: the pole
-    order is read off the Laurent coefficients on the point's isolating
-    circle, not off the samples, so any radius the probe accepts serves."""
-    floor = probe_radius_floor(N, point)
-    return [r for r in radii if r > floor] or [2.0 * floor], floor
+    tol = 1e-8 * setting.tol_scale
+    return verify_lsf_family(lsf, MAXIMALITY_SUBSPACES, trial_seed, tol=tol).entries
 
 
 def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     entries = []
-    points = classified_spectrum(gen.operator)
-    gap = clustering(gen.operator).min_gap
+    N = gen.operator
+    points = classified_spectrum(N)
+    gap = clustering(N).min_gap
     base = 0.4 * gap if np.isfinite(gap) else 0.5
 
-    tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
+    tsp = [i for i, pt in enumerate(points) if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if tsp:
-        ladder = [base, base / 2, base / 4, base / 8]
-        radii, floor = _probe_radii(gen.operator, tsp[0].value, ladder)
-        probe = resolvent_probe(gen.operator, tsp[0].value, radii=radii, samples_per_radius=8)
+        point = points[tsp[0]].value
+        floor = probe_radius_floor(N, point)
+        radii = [r for r in (base, base / 2, base / 4, base / 8) if r > floor]
         claim = "the scaled resolvent norm stays bounded near a two-sided positive point"
         # a radius reads 0 when the probe discarded every one of its samples
-        measured = [c for _, c in probe.radius_table if c > 0]
+        probe = resolvent_probe(N, point, radii, samples_per_radius=8) if len(radii) >= 2 else None
+        measured = [c for _, c in probe.radius_table if c > 0] if probe else []
         if len(measured) >= 2:
             large, worst = measured[0], max(measured[1:])
             entries.append(
@@ -322,26 +315,17 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
                     + ("" if len(radii) < 2 else " and keep a sample off the spectrum"),
                 )
             )
-        entries.append(
-            passfail(
-                "pole-order-definite",
-                probe.pole_order == 1,
-                residual=float(probe.pole_order or -1),
-                claim="an isolated two-sided positive point is a first-order pole",
-            )
-        )
-    defective = [pt for pt in points if pt.alg_mult == 2 and pt.geo_mult == 1]
-    if defective:
-        radii, _ = _probe_radii(gen.operator, defective[0].value, [base])
-        probe = resolvent_probe(gen.operator, defective[0].value, radii=radii, samples_per_radius=4)
-        entries.append(
-            passfail(
-                "pole-order-jordan",
-                probe.pole_order == 2,
-                residual=float(probe.pole_order or -1),
-                claim="the defective neutral witness is a second-order pole",
-            )
-        )
+    defective = [i for i, pt in enumerate(points) if pt.alg_mult == 2 and pt.geo_mult == 1]
+    for name, witnesses, expected, claim in (
+        ("pole-order-definite", tsp, 1,
+         "an isolated two-sided positive point is a first-order pole"),
+        ("pole-order-jordan", defective, 2,
+         "the defective neutral witness is a second-order pole"),
+    ):
+        if witnesses:
+            order = pole_order(N, witnesses[0])
+            passed = order == expected
+            entries.append(passfail(name, passed, residual=float(order or -1), claim=claim))
     return entries
 
 

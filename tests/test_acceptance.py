@@ -21,6 +21,7 @@ from krein_spectra import (
     local_spectral_function,
     max_principal_angle,
     perturb_structured,
+    pole_order,
     resolvent_probe,
     riesz_projection_contour,
     riesz_projection_oracle,
@@ -29,13 +30,12 @@ from krein_spectra import (
     solve_sylvester,
     solve_sylvester_dense,
     strong_stability_check,
-    verify_lsf_axioms,
-    verify_maximality,
     verify_selfadjoint_link,
     verify_spectral_set_theorem,
 )
 from krein_spectra.core import frobenius, min_gap
 from krein_spectra.generators import classification_margin
+from krein_spectra.projections import verify_lsf_family
 
 from conftest import ACCEPTANCE_SEED, ACCEPTANCE_TRIALS, generate_trial, with_tolerances
 
@@ -130,21 +130,11 @@ def test_criterion_3_lsf_axioms_and_maximality(trial_bank):
             tuple(p for pt in tsp for p in Region.disk(pt.value, radius).pieces)
         )
         lsf = local_spectral_function(gen.operator, carrier)
-        deltas = [Region.disk(pt.value, 0.5 * radius) for pt in tsp]
-        if len(deltas) >= 2:
-            deltas.append(deltas[0].union(deltas[1]))
-        deltas.extend([carrier, Region.empty()])
-        n = gen.operator.matrix
-        commutants = [np.eye(gen.operator.dim), n, gen.operator.adjoint, n @ n]
-        report = verify_lsf_axioms(lsf, deltas, commutants, tol=1e-8)
+        # ANGLE_TOL (1e-8) gates the axioms and the maximality angle alike
+        report = verify_lsf_family(lsf, n_subspaces=20, seed=index, tol=ANGLE_TOL)
         for entry in report.entries:
             if entry.status is not CheckStatus.PASS:
                 failures.append(f"trial {index}: {entry.name} {entry.residual}")
-        maximality = verify_maximality(
-            lsf, carrier, n_subspaces=20, seed=index, tol=ANGLE_TOL
-        )
-        if maximality.status is not CheckStatus.PASS:
-            failures.append(f"trial {index}: maximality angle {maximality.residual}")
     if eligible < 100:
         failures.append(f"only {eligible} trials eligible for a positive carrier")
     _report(3, "local spectral function axioms and maximality", failures)
@@ -198,14 +188,14 @@ def test_criterion_6_resolvent_bound_and_pole_order(trial_bank):
     eligible = 0
     jordan_checked = 0
     for index, gen, points in trial_bank:
-        tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
+        tsp = [i for i, pt in enumerate(points) if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
         gap = min_gap([pt.value for pt in points])
         base = 0.4 * gap if np.isfinite(gap) else 0.5
         if tsp and eligible < 100:
             eligible += 1
             probe = resolvent_probe(
                 gen.operator,
-                tsp[0].value,
+                points[tsp[0]].value,
                 radii=[base, base / 2, base / 4, base / 8],
                 samples_per_radius=8,
             )
@@ -213,23 +203,20 @@ def test_criterion_6_resolvent_bound_and_pole_order(trial_bank):
             small = max(c for _, c in probe.radius_table[1:])
             if large <= 0 or small > 10.0 * large:
                 failures.append(f"trial {index}: growth ratio {small / large:.2f}")
-            if probe.pole_order != 1:
-                failures.append(f"trial {index}: pole order {probe.pole_order}")
-        defective = [pt for pt in points if pt.geo_mult < pt.alg_mult]
+            order = pole_order(gen.operator, tsp[0])
+            if order != 1:
+                failures.append(f"trial {index}: pole order {order}")
+        defective = [i for i, pt in enumerate(points) if pt.geo_mult < pt.alg_mult]
         if defective and jordan_checked < 50:
             jordan_checked += 1
-            probe = resolvent_probe(
-                gen.operator, defective[0].value, radii=[base], samples_per_radius=4
-            )
-            if probe.pole_order != 2:
-                failures.append(
-                    f"trial {index}: defective pole order {probe.pole_order}"
-                )
+            order = pole_order(gen.operator, defective[0])
+            if order != 2:
+                failures.append(f"trial {index}: defective pole order {order}")
     swap = KreinSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
     witness = KreinOperator(np.array([[3 + 1j, 1.0], [0.0, 3 + 1j]]), swap)
-    probe = resolvent_probe(witness, 3 + 1j, radii=[0.5], samples_per_radius=8)
-    if probe.pole_order != 2:
-        failures.append(f"explicit witness pole order {probe.pole_order}")
+    order = pole_order(witness, 0)
+    if order != 2:
+        failures.append(f"explicit witness pole order {order}")
     if eligible < 100:
         failures.append(f"only {eligible} eligible positive points")
     _report(6, "resolvent bound and pole order", failures)

@@ -52,20 +52,13 @@ CASES = {
     ),
     # refused before the point is located: 5.0 is no spectral point
     "probe-radius-before-point": ("radii", lambda: resolvent_probe(probe_operator(), 5.0, [-1])),
-    "maximality-seed-negative": (
-        "seed", lambda: verify_maximality(carrier_lsf(), Region.disk(1.0, 0.4), seed=-1)
-    ),
-    "maximality-seed-float": (
-        "seed", lambda: verify_maximality(carrier_lsf(), Region.disk(1.0, 0.4), seed=0.5)
-    ),
+    "maximality-seed-negative": ("seed", lambda: verify_maximality(carrier_lsf(), seed=-1)),
+    "maximality-seed-float": ("seed", lambda: verify_maximality(carrier_lsf(), seed=0.5)),
     "maximality-subspaces-zero": (
-        "n_subspaces",
-        lambda: verify_maximality(carrier_lsf(), Region.disk(1.0, 0.4), n_subspaces=0),
+        "n_subspaces", lambda: verify_maximality(carrier_lsf(), n_subspaces=0)
     ),
-    "lsf-family-seed-negative": ("seed", lambda: verify_lsf_family(carrier_lsf(), 0.1, 4, -1)),
-    "lsf-family-subspaces-bool": (
-        "n_subspaces", lambda: verify_lsf_family(carrier_lsf(), 0.1, True, 0)
-    ),
+    "lsf-family-seed-negative": ("seed", lambda: verify_lsf_family(carrier_lsf(), 4, -1)),
+    "lsf-family-subspaces-bool": ("n_subspaces", lambda: verify_lsf_family(carrier_lsf(), True, 0)),
     "suite-trials-float": ("trials", lambda: run_suite(2.5, 0)),
     "suite-trials-bool": ("trials", lambda: run_suite(True, 0)),
     "suite-seed-float": ("seed", lambda: run_suite(1, 1.5)),
@@ -94,4 +87,4 @@ def test_lsf_family_checks_its_arguments_before_the_axioms(monkeypatch):
         projections, "verify_lsf_axioms", lambda *a, **k: pytest.fail("the axioms ran first")
     )
     with pytest.raises(ArgumentError):
-        verify_lsf_family(lsf, 0.1, 0, 0)
+        verify_lsf_family(lsf, 0, 0)

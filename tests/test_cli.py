@@ -160,6 +160,15 @@ class TestExitCodes:
         assert main(["classify", str(path)]) == 2
         assert "residual" in capsys.readouterr().err
 
+    def test_overflowing_normality_residual_is_exit_2(self, tmp_path, capsys):
+        # the commutator of this non-normal matrix overflows: its residual
+        # is NaN, which no JSON token can carry
+        path = write_operator(tmp_path, matrix=np.array([[1e200, 1e200], [0.0, 1e200]]))
+        with np.errstate(all="ignore"):
+            assert main(["classify", str(path), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "is not finite" in err and "Traceback" not in err
+
     def test_contour_through_spectrum_is_exit_3(self, tmp_path):
         path = write_operator(tmp_path)
         assert main(["project", str(path), "--disk", "0,0,1"]) == 3
@@ -673,6 +682,17 @@ class TestSubcommands:
         assert main(["lsf-verify", str(path), "--disk", "1,0,0.4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["fail"] == 0
+
+    def test_lsf_verify_single_cluster_at_scale(self, tmp_path, capsys):
+        # 1e8 I against I: the boundary gap is cluster_tol * ||N|| = 10, so
+        # a delta disk of any fixed radius such as 0.25 would be refused;
+        # the only cluster gets no disk, and the family is the carrier and
+        # the empty set
+        path = write_operator(tmp_path, gram=np.eye(2), matrix=1e8 * np.eye(2))
+        assert main(["lsf-verify", str(path), "--disk=1e8,0,1e3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["pass"] == 9 and payload["summary"]["fail"] == 0
+        assert payload["parameters"]["deltas"] == 2
 
     def test_document_tolerances_reach_every_operator_subcommand(self, tmp_path, capsys):
         # diag(1, 1.05, 3) against diag(1, 1, -1): at the default tolerances

@@ -190,6 +190,19 @@ class TestIsNormal:
             )
 
     @pytest.mark.parametrize(
+        "matrix",
+        [[[1e200, 1e200], [0.0, 1e200]], [[1e200, 0.0], [0.0, 2e200]]],
+        ids=["jordan-cell", "normal"],
+    )
+    def test_certificate_refuses_a_residual_it_cannot_evaluate(self, matrix):
+        # the commutator overflows to a NaN residual, which compares false
+        # against any tolerance: the Jordan cell is refused like its
+        # unit-scale twin, and the normal matrix because its certificate
+        # cannot be evaluated
+        with np.errstate(all="ignore"), pytest.raises(NonNormalError, match="is not finite$"):
+            KreinOperator(np.array(matrix), KreinSpace.indefinite(1, 1))
+
+    @pytest.mark.parametrize(
         "entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]
     )
     def test_operator_rejects_non_finite(self, entry):

@@ -70,7 +70,7 @@ def corrupted_carrier_lsf(projector):
     deltas = [Region.disk(1.0, 0.25), carrier, Region.empty()]
     report = verify_lsf_axioms(lsf, deltas, [np.eye(3), m, n.adjoint, m @ m])
     entries = {e.name: e for e in report.entries}
-    entries["lsf-maximality"] = verify_maximality(lsf, carrier)
+    entries["lsf-maximality"] = verify_maximality(lsf)
     return entries
 
 
@@ -117,7 +117,9 @@ def generated_with_carrier(rng, dim=6):
 
 
 def family(lsf, tsp, radius):
-    """The deltas and commutants of ``verify_lsf_family``."""
+    """Deltas (a disk of half the carrier radius about each carrier point,
+    the union of the first two, the carrier, the empty set) and the
+    commutants I, N, N+ and N^2."""
     deltas = [Region.disk(t.value, 0.5 * radius) for t in tsp]
     if len(deltas) >= 2:
         deltas.append(deltas[0].union(deltas[1]))
@@ -241,9 +243,9 @@ class TestAxioms:
     def test_all_axioms_pass_on_generated_instances(self):
         rng = np.random.default_rng(40)
         for _ in range(8):
-            gen, carrier, tsp, radius = generated_with_carrier(rng)
+            gen, carrier, _, _ = generated_with_carrier(rng)
             lsf = local_spectral_function(gen.operator, carrier)
-            report = verify_lsf_axioms(lsf, *family(lsf, tsp, radius))
+            report = projections.verify_lsf_family(lsf, n_subspaces=4, seed=0)
             failures = [e for e in report.entries if e.status is CheckStatus.FAIL]
             assert not failures, failures
             for e in report.entries:
@@ -254,16 +256,33 @@ class TestAxioms:
         n = carrier_operator()
         carrier = Region.disk(1.5, 1.0)
         report = projections.verify_lsf_family(
-            local_spectral_function(n, carrier), 0.25, n_subspaces=4, seed=7
+            local_spectral_function(n, carrier), n_subspaces=4, seed=7
         )
         lsf = local_spectral_function(n, carrier)
+        # the disks have radius a quarter of the minimum gap |1 - 2|
         deltas = [Region.disk(1.0, 0.25), Region.disk(2.0, 0.25)]
         deltas += [deltas[0].union(deltas[1]), carrier, Region.empty()]
         m = n.matrix
         want = verify_lsf_axioms(lsf, deltas, [np.eye(3), m, n.adjoint, m @ m]).entries
-        want.append(verify_maximality(lsf, carrier, n_subspaces=4, seed=7))
+        want.append(verify_maximality(lsf, n_subspaces=4, seed=7))
         assert [e.to_json_dict() for e in report.entries] == [e.to_json_dict() for e in want]
         assert report.parameters == {"carrier": carrier.describe(), "deltas": 5}
+        assert not report.failed
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_single_cluster_family_is_the_carrier_and_the_empty_set(self, scale):
+        # a disk about the only cluster would select what the carrier does
+        n = KreinOperator(scale * np.eye(2), KreinSpace.euclidean(2))
+        carrier = Region.disk(scale, 0.1 * scale)
+        lsf = local_spectral_function(n, carrier)
+        report = projections.verify_lsf_family(lsf, n_subspaces=4, seed=7)
+        m = n.matrix
+        want = verify_lsf_axioms(
+            lsf, [carrier, Region.empty()], [np.eye(2), m, n.adjoint, m @ m]
+        ).entries
+        want.append(verify_maximality(lsf, n_subspaces=4, seed=7))
+        assert [e.to_json_dict() for e in report.entries] == [e.to_json_dict() for e in want]
+        assert report.parameters == {"carrier": carrier.describe(), "deltas": 2}
         assert not report.failed
 
     def test_disjoint_subsets_multiply_to_zero(self):
@@ -453,7 +472,7 @@ class TestReusedResiduals:
         monkeypatch.setattr(
             projections, "commutator_norm", lambda a, b: commutators.append(1) or commutator_norm(a, b)
         )
-        assert not projections.verify_lsf_family(lsf, 0.25, n_subspaces=4, seed=0).failed
+        assert not projections.verify_lsf_family(lsf, n_subspaces=4, seed=0).failed
         assert len(commutators) == 3
 
 
@@ -479,6 +498,6 @@ class TestMaximality:
         for _ in range(5):
             gen, carrier, _, _ = generated_with_carrier(rng)
             lsf = local_spectral_function(gen.operator, carrier)
-            entry = verify_maximality(lsf, carrier, n_subspaces=20, seed=7)
+            entry = verify_maximality(lsf, n_subspaces=20, seed=7)
             assert entry.status is CheckStatus.PASS
             assert entry.residual <= 1e-8

@@ -33,6 +33,7 @@ from krein_spectra import (
     classified_spectrum,
     local_spectral_function,
     numerics,
+    pole_order,
     resolvent_probe,
     riesz_projection_contour,
     riesz_projection_oracle,
@@ -481,13 +482,23 @@ def test_resolvent_probe_reads_eigenvalues_off_cached_schur(monkeypatch, inverte
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     monkeypatch.setattr(numerics, "reorder_schur", counting_reorder)
     index, jordan = next((i, p) for i, p in enumerate(points) if p.alg_mult > p.geo_mult)
-    probe = resolvent_probe(N, jordan.value, [0.4, 0.2])
-    assert probe.pole_order == 2
+    resolvent_probe(N, jordan.value, [0.4, 0.2])
+    # the samples reorder nothing (at dim 6 their sigma_min is a dense SVD)
+    assert reorders == []
+    assert pole_order(N, index) == 2
     # the Laurent coefficients come from the Schur form reordered once, on
     # the positions the circle encloses, with no shifted triangle inverted
-    # (at dim 6 the samples' sigma_min is a dense SVD)
     assert reorders == [frozenset(clustering(N).positions[index])]
     assert inverted == []
+
+
+def test_pole_order_is_one_except_at_jordan_cells(classified_bank):
+    # every cluster of the bank: its defective clusters are 2 x 2 Jordan
+    # cells, second-order poles; every other cluster is a first-order pole
+    for _, N, points in classified_bank:
+        for index, point in enumerate(points):
+            expected = 2 if point.alg_mult > point.geo_mult else 1
+            assert pole_order(N, index) == expected, (N.dim, point.value)
 
 
 def test_eigenvalue_near_circle_not_converged_at_few_nodes(inverted):
@@ -623,7 +634,6 @@ def test_sigma_min_matches_dense_svd_at_desk_scale(desk_operator, monkeypatch):
         with monkeypatch.context() as m:
             dense_route(m, N)
             reference = resolvent_probe(N, point.value, radii)
-        assert probe.pole_order == reference.pole_order
         relative = (sigma_allowance(N, z, dense) / dense).reshape(len(radii), -1).max(axis=1)
         for (_, c), (_, c_ref), rel in zip(probe.radius_table, reference.radius_table, relative):
             assert c == pytest.approx(c_ref, rel=2.0 * rel)

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from krein_spectra import ArgumentError, classification, run_suite
+from krein_spectra import ArgumentError, classification, projections, run_suite, suite
 from krein_spectra.report import CheckStatus
 from krein_spectra.suite import run_trial
 
@@ -102,6 +102,28 @@ class TestResolventChecks:
         assert bound.status is CheckStatus.WARNING
         assert "radius floor" in bound.detail
         assert "pole-order-definite" in entries
+
+    def test_no_probe_below_two_radii(self, monkeypatch):
+        # at trial 1 fewer than two radii lie above the probe's floor: the
+        # bound is skipped without sampling, and the pole order needs no sample
+        calls = []
+        sigma_min = projections.smallest_singular_values
+        monkeypatch.setattr(
+            projections, "smallest_singular_values", lambda *a: calls.append(1) or sigma_min(*a)
+        )
+        entries = {e.name: e for e in run_trial(1, 0, (2, 12), 1e9)}
+        assert not entries["resolvent-bound"].detail.endswith("off the spectrum")
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "planted, failing", [(2, "pole-order-definite"), (1, "pole-order-jordan")]
+    )
+    def test_planted_pole_order_fails_its_check(self, monkeypatch, planted, failing):
+        # trial 0 has a two-sided positive point and a 2 x 2 Jordan cell
+        monkeypatch.setattr(suite, "pole_order", lambda N, index: planted)
+        entries = {e.name: e for e in run_trial(0, 0, (2, 12), 1e3)}
+        assert entries[failing].status is CheckStatus.FAIL
+        assert entries[failing].residual == planted
 
 
 def test_kernels_extracted_once_per_operator_and_cluster(monkeypatch):
