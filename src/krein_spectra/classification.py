@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._errors import PreconditionError
+from ._errors import PreconditionError, require_integer
 from .core import (
     DEFAULT_RANK_TOL,
     DefinitenessKind,
@@ -349,8 +349,10 @@ def spectral_point(N: KreinOperator, index: int) -> SpectralPoint:
     """The classified point at ``index`` of ``classified_spectrum(N)``.
 
     Only that cluster's kernels are extracted and classified, once per
-    operator; the point is cached in its :func:`clustering`."""
+    operator; the point is cached in its :func:`clustering`.
+    :class:`ArgumentError` refuses an index that names no cluster."""
     clusters = clustering(N)
+    require_integer("index", index, 0, len(clusters.values) - 1)
     pt = clusters.points.get(index)
     if pt is None:
         pt = clusters.points.setdefault(

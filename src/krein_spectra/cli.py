@@ -67,6 +67,8 @@ FLAGS = {
     "dims": "--dims",
     "cond_bound": "--cond-bound",
     "only_trial": "--only-trial",
+    # a cluster index: probe-resolvent locates its one cluster from --point
+    "index": "--point",
 }
 
 

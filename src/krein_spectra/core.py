@@ -210,9 +210,10 @@ def krein_adjoint(T: np.ndarray, space: KreinSpace) -> np.ndarray:
 
 def _normality_residual(T: np.ndarray, adj: np.ndarray) -> tuple[float, float]:
     """The commutator norm ``||T T+ - T+ T||_F`` and the scale-free residual,
-    that norm over ``max(1, ||T||_F^2)``."""
-    commutator = commutator_norm(T, adj)
-    return commutator, commutator / max(1.0, frobenius(T) ** 2)
+    that norm over ``max(1, ||T||_F^2)``, silently inf or NaN on an overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        commutator = commutator_norm(T, adj)
+        return commutator, commutator / max(1.0, frobenius(T) ** 2)
 
 
 def is_normal(

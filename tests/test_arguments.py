@@ -14,11 +14,13 @@ from krein_spectra import (
     KreinSpace,
     Region,
     local_spectral_function,
+    pole_order,
     projections,
     resolvent_probe,
     run_suite,
     verify_maximality,
 )
+from krein_spectra.classification import clustering, spectral_point
 from krein_spectra.projections import verify_lsf_family
 
 
@@ -52,6 +54,11 @@ CASES = {
     ),
     # refused before the point is located: 5.0 is no spectral point
     "probe-radius-before-point": ("radii", lambda: resolvent_probe(probe_operator(), 5.0, [-1])),
+    # the operator has three clusters: -1 named the last, 3 raised a bare IndexError
+    "spectral-point-negative": ("index", lambda: spectral_point(probe_operator(), -1)),
+    "spectral-point-beyond": ("index", lambda: spectral_point(probe_operator(), 3)),
+    "pole-order-negative": ("index", lambda: pole_order(probe_operator(), -1)),
+    "pole-order-beyond": ("index", lambda: pole_order(probe_operator(), 3)),
     "maximality-seed-negative": ("seed", lambda: verify_maximality(carrier_lsf(), seed=-1)),
     "maximality-seed-float": ("seed", lambda: verify_maximality(carrier_lsf(), seed=0.5)),
     "maximality-subspaces-zero": (
@@ -88,3 +95,12 @@ def test_lsf_family_checks_its_arguments_before_the_axioms(monkeypatch):
     )
     with pytest.raises(ArgumentError):
         verify_lsf_family(lsf, 0, 0)
+
+
+def test_refused_cluster_index_caches_no_point():
+    n = probe_operator()
+    last = spectral_point(n, 2)
+    with pytest.raises(ArgumentError):
+        spectral_point(n, -1)
+    assert set(clustering(n).points) == {2}
+    assert clustering(n).points[2] is last

@@ -5,6 +5,8 @@ shift [[0,1],[0,0]] is [[0,0],[-1,0]]; with the swap Gram [[0,1],[1,0]]
 the Jordan cell [[a,1],[0,a]] is normal and span(e1) is neutral.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -198,9 +200,11 @@ class TestIsNormal:
         # the commutator overflows to a NaN residual, which compares false
         # against any tolerance: the Jordan cell is refused like its
         # unit-scale twin, and the normal matrix because its certificate
-        # cannot be evaluated
-        with np.errstate(all="ignore"), pytest.raises(NonNormalError, match="is not finite$"):
-            KreinOperator(np.array(matrix), KreinSpace.indefinite(1, 1))
+        # cannot be evaluated; the refusal comes without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonNormalError, match="is not finite$"):
+                KreinOperator(np.array(matrix), KreinSpace.indefinite(1, 1))
 
     @pytest.mark.parametrize(
         "entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]

@@ -119,13 +119,13 @@ def generated_with_carrier(rng, dim=6):
 def family(lsf, tsp, radius):
     """Deltas (a disk of half the carrier radius about each carrier point,
     the union of the first two, the carrier, the empty set) and the
-    commutants I, N, N+ and N^2."""
+    commutants N, N+ and N^2."""
     deltas = [Region.disk(t.value, 0.5 * radius) for t in tsp]
     if len(deltas) >= 2:
         deltas.append(deltas[0].union(deltas[1]))
     deltas += [lsf.carrier, Region.empty()]
     m = lsf.operator.matrix
-    return deltas, [np.eye(len(m)), m, lsf.operator.adjoint, m @ m]
+    return deltas, [m, lsf.operator.adjoint, m @ m]
 
 
 class TestConstruction:
@@ -263,7 +263,7 @@ class TestAxioms:
         deltas = [Region.disk(1.0, 0.25), Region.disk(2.0, 0.25)]
         deltas += [deltas[0].union(deltas[1]), carrier, Region.empty()]
         m = n.matrix
-        want = verify_lsf_axioms(lsf, deltas, [np.eye(3), m, n.adjoint, m @ m]).entries
+        want = verify_lsf_axioms(lsf, deltas, [m, n.adjoint, m @ m]).entries
         want.append(verify_maximality(lsf, n_subspaces=4, seed=7))
         assert [e.to_json_dict() for e in report.entries] == [e.to_json_dict() for e in want]
         assert report.parameters == {"carrier": carrier.describe(), "deltas": 5}
@@ -277,9 +277,7 @@ class TestAxioms:
         lsf = local_spectral_function(n, carrier)
         report = projections.verify_lsf_family(lsf, n_subspaces=4, seed=7)
         m = n.matrix
-        want = verify_lsf_axioms(
-            lsf, [carrier, Region.empty()], [np.eye(2), m, n.adjoint, m @ m]
-        ).entries
+        want = verify_lsf_axioms(lsf, [carrier, Region.empty()], [m, n.adjoint, m @ m]).entries
         want.append(verify_maximality(lsf, n_subspaces=4, seed=7))
         assert [e.to_json_dict() for e in report.entries] == [e.to_json_dict() for e in want]
         assert report.parameters == {"carrier": carrier.describe(), "deltas": 2}
@@ -335,14 +333,19 @@ class TestPlantedFaults:
         assert entry.status is CheckStatus.FAIL
 
     def test_restriction_spectrum_fails_on_a_foreign_range(self):
-        # E({1}) = diag(0, 1, 0) has its range in the eigenspace of 2
+        # E({1}) = diag(0, 1, 0) has its range in the eigenspace of 2, and
+        # N+ compressed to it has the eigenvalue 2, not the conjugate 1
         n = carrier_operator()
         plant(n, [1.0], np.diag([0.0, 1.0, 0.0]))
         lsf = local_spectral_function(n, Region.disk(1.5, 1.0))
         report = verify_lsf_axioms(lsf, [Region.disk(1.0, 0.2)], [np.eye(3)])
-        entry = next(e for e in report.entries if e.name == "lsf-restriction-spectrum")
+        entries = {e.name: e for e in report.entries}
+        entry = entries["lsf-restriction-spectrum"]
         assert entry.status is CheckStatus.FAIL
         assert entry.residual == pytest.approx(np.pi / 2)
+        entry = entries["lsf-adjoint-transfer"]
+        assert entry.status is CheckStatus.FAIL and entry.detail == ""
+        assert entry.residual == pytest.approx(1.0 / n.scale)
 
     def test_spectral_set_projection_selfadjoint_fails_on_an_oblique_projection(self):
         # an oblique idempotent with the right range: the theorem reads the
@@ -378,6 +381,20 @@ class TestPlantedFaults:
         assert entries["lsf-projection-selfadjoint-commuting"].status is CheckStatus.FAIL
         assert entries["lsf-commutant-invariance"].status is CheckStatus.PASS
 
+    def test_selfadjoint_commuting_fails_on_a_result_not_commuting_with_n(self):
+        # 1/2 [[1, 1], [1, 1]] + 0 is a G-selfadjoint projection, exactly, but
+        # it mixes the eigenvectors of 1 and 2: only its commutator with N
+        # can fail the entry
+        n = carrier_operator()
+        q = np.zeros((3, 3))
+        q[:2, :2] = 0.5
+        plant(n, [1.0], q)
+        lsf = local_spectral_function(n, Region.disk(1.5, 1.0))
+        assert lsf.evaluate_indices(lsf.indices_in(Region.disk(1.0, 0.2))).selfadj_residual == 0.0
+        report = verify_lsf_axioms(lsf, [Region.disk(1.0, 0.2)], [])
+        entry = next(e for e in report.entries if e.name == "lsf-projection-selfadjoint-commuting")
+        assert entry.status is CheckStatus.FAIL
+
 
 def plain_residuals(lsf, deltas, commutants, tol=1e-8):
     """The residuals of the multiplicativity, commutant and
@@ -407,7 +424,6 @@ def plain_residuals(lsf, deltas, commutants, tol=1e-8):
             selfadj,
             frobenius(krein_adjoint(q, n.space) - q) / q_scale,
             frobenius(q @ n.matrix - n.matrix @ q) / (q_scale * n.scale),
-            frobenius(q @ n.adjoint - n.adjoint @ q) / (q_scale * n.scale),
         )
     return {
         "lsf-multiplicativity": mult,
@@ -443,9 +459,10 @@ class TestReusedResiduals:
                     assert entries[name].residual == residual, name
 
     def test_family_forms_three_commutators_and_lsf_verify_no_solve(self, monkeypatch, tmp_path):
-        # one carrier cluster: the family reads one result, and of its
-        # commutators only N^2 N - N N^2, Q N^2 - N^2 Q and Q N+ - N+ Q need
-        # products (with N^2 itself, 7 products); nothing is solved
+        # one carrier cluster: the family reads one result, and of the
+        # commutators with its commutants N, N+ and N^2 only N^2 N - N N^2,
+        # Q N^2 - N^2 Q and Q N+ - N+ Q need products (with N^2 itself, 7
+        # products); nothing is solved
         gen = build_normal_with_types(
             GeneratorSpec(
                 signature=(6, 4),
@@ -474,6 +491,20 @@ class TestReusedResiduals:
         )
         assert not projections.verify_lsf_family(lsf, n_subspaces=4, seed=0).failed
         assert len(commutators) == 3
+
+    def test_family_selects_each_delta_once(self, monkeypatch):
+        # two carrier points: the disks, their union, the carrier and the
+        # empty set are each selected once; additivity reads the unions of
+        # their index sets and selects no union region again
+        lsf = local_spectral_function(carrier_operator(), Region.disk(1.5, 1.0))
+        selections = []
+        select = projections.region_selection
+        monkeypatch.setattr(
+            projections, "region_selection", lambda *a: selections.append(1) or select(*a)
+        )
+        report = projections.verify_lsf_family(lsf, n_subspaces=4, seed=0)
+        assert report.parameters["deltas"] == 5 and not report.failed
+        assert len(selections) == 5
 
 
 class TestCorruptedProjector:
