@@ -38,7 +38,6 @@ from .documents import (
 from .generators import build_normal_with_types
 from .numerics import frobenius, solve_sylvester, sylvester_spectral_gap
 from .projections import (
-    MAX_MAXIMALITY_SUBSPACES,
     MAX_PROBE_SAMPLES,
     local_spectral_function,
     pole_order,
@@ -61,7 +60,6 @@ EXIT_CHECK_FAILED = 4
 FLAGS = {
     "radii": "--radii",
     "samples_per_radius": "--samples",
-    "n_subspaces": "--subspaces",
     "seed": "--seed",
     "trials": "--trials",
     "dims": "--dims",
@@ -183,7 +181,7 @@ def cmd_lsf_verify(args) -> int:
     if not carrier.pieces:
         raise DocumentError("lsf-verify requires a carrier (--disk / --rect)")
     lsf = local_spectral_function(operator, carrier)
-    report = verify_lsf_family(lsf, args.subspaces, args.seed)
+    report = verify_lsf_family(lsf)
     if args.json:
         _write(report.to_json(), args.output)
     else:
@@ -331,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lsf-verify", help="verify the local spectral function axioms")
     p.add_argument("input")
     _add_region_flags(p)
-    p.add_argument("--subspaces", type=int, default=20,
-                   help=f"maximality trial count, 1 to {MAX_MAXIMALITY_SUBSPACES}")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", "-o", default=None)
 

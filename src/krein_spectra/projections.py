@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,8 +93,6 @@ _RANGE_CUTOFF = 0.5
 _DEFECT_RANK_TOL = 1e-8
 # largest sample count per radius of a resolvent probe
 MAX_PROBE_SAMPLES = 2**14
-# largest count of random subspaces one maximality check draws
-MAX_MAXIMALITY_SUBSPACES = 2**14
 # a probe radius must exceed this many ulps of max(1, |point|)
 _PROBE_RADIUS_ULPS = 4
 
@@ -412,7 +410,8 @@ class LocalSpectralFunction:
 
     Indices name the clusters of the operator's :func:`clustering`, whose
     ``values`` are all it reads of clusters outside the carrier; only
-    carrier clusters are ever classified (``selected_points``).
+    carrier clusters are ever classified (:func:`local_spectral_function`
+    checks their types, :func:`verify_maximality` reads their kernels).
     ``evaluate`` depends only on which clusters fall inside the queried
     region.  The value on a set of clusters is the oracle's
     :func:`cluster_projection` of that set, cached in the clustering, so
@@ -448,10 +447,6 @@ class LocalSpectralFunction:
 
     def evaluate(self, region: Region) -> SpectralProjectionResult:
         return self.evaluate_indices(self.indices_in(region))
-
-    def selected_points(self, indices: Iterable[int]) -> list[SpectralPoint]:
-        """The classified points of the clusters ``indices``, in order."""
-        return [spectral_point(self.operator, i) for i in sorted(indices)]
 
 
 def local_spectral_function(N: KreinOperator, carrier: Region) -> LocalSpectralFunction:
@@ -693,42 +688,20 @@ def verify_lsf_axioms(
     return report
 
 
-def verify_maximality(
-    E: LocalSpectralFunction,
-    n_subspaces: int = 20,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> CheckEntry:
+def verify_maximality(E: LocalSpectralFunction, tol: float = 1e-8) -> CheckEntry:
     """Check that the carrier's projection range contains every invariant
     subspace whose restricted spectrum lies in the carrier.
 
-    Random invariant subspaces are drawn inside the kernels of the carrier
-    points (``E.carrier_indices``); the worst angle of one against the
-    range is reported (pi/2 when a subspace has more dimensions than the
-    range).  :class:`ArgumentError` refuses an ``n_subspaces`` that is not an
-    integer in ``[1, MAX_MAXIMALITY_SUBSPACES]`` (with none drawn the check is
-    vacuous) and a negative or non-integer ``seed``."""
-    require_integer("n_subspaces", n_subspaces, 1, MAX_MAXIMALITY_SUBSPACES)
-    require_integer("seed", seed, 0)
-    indices = E.carrier_indices
-    full_range = E.evaluate_indices(indices).basis
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    selected = E.selected_points(indices)
-    for _ in range(n_subspaces):
-        blocks = []
-        for pt in selected:
-            k = pt.kernel.k
-            d = int(rng.integers(0, k + 1))
-            if d == 0:
-                continue
-            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-            q, _ = np.linalg.qr(g)
-            blocks.append(pt.kernel.columns @ q[:, :d])
-        if not blocks:
-            continue
-        m = SubspaceBasis.from_columns(np.hstack(blocks))
-        worst = max(worst, max_principal_angle(full_range, m))
+    At a point of two-sided positive type kernel and adjoint kernel
+    coincide, so there is no Jordan chain and every such subspace lies in
+    the sum of the carrier points' kernels (:func:`_kernel_span`, cut at
+    the operator's ``rank_tol``).  The residual is the largest angle of
+    that span against the range (pi/2 when the span has more dimensions
+    than the range), which bounds the angle of each of its subspaces."""
+    N = E.operator
+    points = [spectral_point(N, i) for i in sorted(E.carrier_indices)]
+    span = _kernel_span(points, N.dim, N.tolerances.rank_tol)
+    worst = max_principal_angle(E.evaluate_indices(E.carrier_indices).basis, span)
     return passfail(
         "lsf-maximality",
         worst <= tol,
@@ -738,16 +711,12 @@ def verify_maximality(
     )
 
 
-def verify_lsf_family(
-    E: LocalSpectralFunction, n_subspaces: int, seed: int, tol: float = 1e-8
-) -> VerificationReport:
+def verify_lsf_family(E: LocalSpectralFunction, tol: float = 1e-8) -> VerificationReport:
     """:func:`verify_lsf_axioms` on the deltas (a disk of radius ``0.25 *
     min_gap`` about each carrier point, the union of the first two, the
-    carrier, the empty set) and the commutants N, N+, N^2; then
-    :func:`verify_maximality`.  Both use ``tol``.  With a single cluster
-    there are no disks: one would select what the carrier does."""
-    # maximality runs first, so that its arguments are checked before the axioms
-    maximality = verify_maximality(E, n_subspaces, seed, tol)
+    carrier, the empty set) and the commutants N, N+, N^2, followed by the
+    :func:`verify_maximality` entry.  Both use ``tol``.  With a single
+    cluster there are no disks: one would select what the carrier does."""
     N = E.operator
     gap = clustering(N).min_gap
     centers = sorted(E.carrier_indices) if math.isfinite(gap) else []
@@ -757,7 +726,7 @@ def verify_lsf_family(
     deltas += [E.carrier, Region.empty()]
     commutants = [N.matrix, N.adjoint, N.matrix @ N.matrix]
     report = verify_lsf_axioms(E, deltas, commutants, tol=tol)
-    report.entries.append(maximality)
+    report.entries.append(verify_maximality(E, tol))
     report.parameters = {"carrier": E.carrier.describe(), "deltas": len(deltas)}
     return report
 

@@ -77,8 +77,6 @@ __all__ = ["run_suite", "run_trial"]
 
 ANGLE_TOL = 1e-8
 COND_STRICT = 1e3
-# random subspaces of each trial's maximality check
-MAXIMALITY_SUBSPACES = 5
 # largest trial dimension: sample_generator_spec cannot place a trial's
 # separated eigenvalues in its box much beyond this
 MAX_DIM = 100
@@ -262,7 +260,7 @@ def projection_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Che
     return entries
 
 
-def lsf_checks(gen: GeneratedOperator, setting: TrialSetting, trial_seed: int) -> list[CheckEntry]:
+def lsf_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
     points = classified_spectrum(gen.operator)
     tsp = [pt for pt in points if pt.type_tag is SpectralType.TWO_SIDED_POSITIVE]
     if not tsp:
@@ -274,10 +272,10 @@ def lsf_checks(gen: GeneratedOperator, setting: TrialSetting, trial_seed: int) -
     )
     lsf = local_spectral_function(gen.operator, carrier)
     tol = 1e-8 * setting.tol_scale
-    return verify_lsf_family(lsf, MAXIMALITY_SUBSPACES, trial_seed, tol=tol).entries
+    return verify_lsf_family(lsf, tol=tol).entries
 
 
-def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[CheckEntry]:
+def resolvent_checks(gen: GeneratedOperator) -> list[CheckEntry]:
     entries = []
     N = gen.operator
     points = classified_spectrum(N)
@@ -329,9 +327,7 @@ def resolvent_checks(gen: GeneratedOperator, setting: TrialSetting) -> list[Chec
     return entries
 
 
-def stability_checks(
-    gen: GeneratedOperator, setting: TrialSetting, trial_seed: int
-) -> list[CheckEntry]:
+def stability_checks(gen: GeneratedOperator, trial_seed: int) -> list[CheckEntry]:
     entries = []
     expected_stable = all(
         t.expected_type in DEFINITE_TAGS for t in gen.ground_truth
@@ -463,9 +459,9 @@ def run_trial(
 
     entries = classification_checks(gen, setting)
     entries.extend(guarded("projections", lambda: projection_checks(gen, setting)))
-    entries.extend(guarded("lsf", lambda: lsf_checks(gen, setting, trial_seed)))
-    entries.extend(guarded("resolvent", lambda: resolvent_checks(gen, setting)))
-    entries.extend(guarded("stability", lambda: stability_checks(gen, setting, trial_seed)))
+    entries.extend(guarded("lsf", lambda: lsf_checks(gen, setting)))
+    entries.extend(guarded("resolvent", lambda: resolvent_checks(gen)))
+    entries.extend(guarded("stability", lambda: stability_checks(gen, trial_seed)))
     if setting.relaxed:
         entries = [
             replace(

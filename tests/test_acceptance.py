@@ -114,7 +114,8 @@ def test_criterion_2_spectral_set_theorem(trial_bank):
 
 def test_criterion_3_lsf_axioms_and_maximality(trial_bank):
     """Local spectral function axioms, the adjoint transfer law and
-    maximality against 20 random invariant subspaces, residuals <= 1e-8."""
+    maximality (the angle of the carrier points' whole kernel span against
+    the carrier's range), residuals <= 1e-8."""
     failures = []
     eligible = 0
     for index, gen, points in trial_bank:
@@ -131,7 +132,7 @@ def test_criterion_3_lsf_axioms_and_maximality(trial_bank):
         )
         lsf = local_spectral_function(gen.operator, carrier)
         # ANGLE_TOL (1e-8) gates the axioms and the maximality angle alike
-        report = verify_lsf_family(lsf, n_subspaces=20, seed=index, tol=ANGLE_TOL)
+        report = verify_lsf_family(lsf, tol=ANGLE_TOL)
         for entry in report.entries:
             if entry.status is not CheckStatus.PASS:
                 failures.append(f"trial {index}: {entry.name} {entry.residual}")

@@ -12,24 +12,15 @@ from krein_spectra import (
     KreinError,
     KreinOperator,
     KreinSpace,
-    Region,
-    local_spectral_function,
     pole_order,
-    projections,
     resolvent_probe,
     run_suite,
-    verify_maximality,
 )
 from krein_spectra.classification import clustering, spectral_point
-from krein_spectra.projections import verify_lsf_family
 
 
 def probe_operator():
     return KreinOperator(np.diag([1.0, 2.0, 3 + 1j]), KreinSpace(np.diag([1.0, -1.0, 1.0])))
-
-
-def carrier_lsf():
-    return local_spectral_function(probe_operator(), Region.disk(1.0, 0.4))
 
 
 CASES = {
@@ -59,13 +50,6 @@ CASES = {
     "spectral-point-beyond": ("index", lambda: spectral_point(probe_operator(), 3)),
     "pole-order-negative": ("index", lambda: pole_order(probe_operator(), -1)),
     "pole-order-beyond": ("index", lambda: pole_order(probe_operator(), 3)),
-    "maximality-seed-negative": ("seed", lambda: verify_maximality(carrier_lsf(), seed=-1)),
-    "maximality-seed-float": ("seed", lambda: verify_maximality(carrier_lsf(), seed=0.5)),
-    "maximality-subspaces-zero": (
-        "n_subspaces", lambda: verify_maximality(carrier_lsf(), n_subspaces=0)
-    ),
-    "lsf-family-seed-negative": ("seed", lambda: verify_lsf_family(carrier_lsf(), 4, -1)),
-    "lsf-family-subspaces-bool": ("n_subspaces", lambda: verify_lsf_family(carrier_lsf(), True, 0)),
     "suite-trials-float": ("trials", lambda: run_suite(2.5, 0)),
     "suite-trials-bool": ("trials", lambda: run_suite(True, 0)),
     "suite-seed-float": ("seed", lambda: run_suite(1, 1.5)),
@@ -86,15 +70,6 @@ def test_bad_argument_raises_argument_error(argument, call):
     assert str(exc.value).startswith(f"{argument}: ")
     # callers catching either family keep working
     assert isinstance(exc.value, ValueError) and isinstance(exc.value, KreinError)
-
-
-def test_lsf_family_checks_its_arguments_before_the_axioms(monkeypatch):
-    lsf = carrier_lsf()
-    monkeypatch.setattr(
-        projections, "verify_lsf_axioms", lambda *a, **k: pytest.fail("the axioms ran first")
-    )
-    with pytest.raises(ArgumentError):
-        verify_lsf_family(lsf, 0, 0)
 
 
 def test_refused_cluster_index_caches_no_point():

@@ -218,9 +218,6 @@ class TestExitCodes:
             (["project", "OP", "--disk=0,0,inf"], "--disk"),
             (["project", "OP", "--rect=0,0,inf,1"], "--rect"),
             (["lsf-verify", "OP", "--disk=nan,0,1", "--json"], "--disk"),
-            (["lsf-verify", "OP", "--disk=1,0,0.4", "--seed", "-1"], "--seed"),
-            (["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", "-3"], "--subspaces"),
-            (["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", "0"], "--subspaces"),
             (["suite", "--trials", "2", "--seed", "-1"], "--seed"),
             (["project", "OP", "--rect=-1e308,-1e308,1e308,1e308"], "--rect"),
             (["project", "OP", "--disk=0,0,1e308"], "--disk"),
@@ -241,8 +238,7 @@ class TestExitCodes:
             "point-one-number", "point-three-numbers",
             "cond-bound-below-one", "cond-bound-nan", "cond-bound-infinite",
             "disk-nan-center", "disk-infinite-radius",
-            "rect-infinite-bound", "lsf-verify-disk-nan-center", "lsf-verify-seed-negative",
-            "lsf-verify-subspaces-negative", "lsf-verify-subspaces-zero", "suite-seed-negative",
+            "rect-infinite-bound", "lsf-verify-disk-nan-center", "suite-seed-negative",
             "rect-overflowing-width", "disk-overflowing-nodes", "radii-sub-ulp",
             "radii-within-ulps", "radii-within-cluster-radius", "radii-nan", "radii-nan-tail",
             "samples-zero-inline",
@@ -277,8 +273,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args, flag",
         [
-            (["lsf-verify", "OP", "--disk=1,0,0.4", "--seed", "nan"], "--seed"),
-            (["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", "1.5"], "--subspaces"),
+            # lsf-verify computes maximality exactly: it draws no subspaces
+            # and takes neither a count nor a seed
+            (["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", "4"], "--subspaces"),
+            (["lsf-verify", "OP", "--disk=1,0,0.4", "--seed", "3"], "--seed"),
             (["classify", "OP", "--bogus"], "--bogus"),
             (["suite", "--trials", "two"], "--trials"),
             # the suite runs its trials in one process: there is no worker
@@ -287,8 +285,8 @@ class TestExitCodes:
             (["suite", "--trials", "2", "--seed", "0", "--threads", "-5"], "--threads"),
             (["suite", "--trials", "2", "--seed", "0", "--threads", "0"], "--threads"),
         ],
-        ids=["seed-nan", "subspaces-float", "unknown-flag", "trials-word", "threads-flag",
-             "threads-negative", "threads-zero"],
+        ids=["lsf-verify-subspaces-removed", "lsf-verify-seed-removed", "unknown-flag",
+             "trials-word", "threads-flag", "threads-negative", "threads-zero"],
     )
     def test_usage_error_is_exit_1(self, tmp_path, capsys, args, flag):
         path = str(write_operator(tmp_path))
@@ -835,8 +833,6 @@ def _extreme_argv(draw):
         return value
 
     builders = [
-        lambda: ["lsf-verify", "OP", "--disk=1,0,0.4", "--seed", part("0", _int_in(0))],
-        lambda: ["lsf-verify", "OP", "--disk=1,0,0.4", "--subspaces", part("4", _int_in(1, 2**14))],
         lambda: ["probe-resolvent", "OP", "--point=1,0", "--radii=0.4",
                  "--samples", part("4", _int_in(1, 2**14))],
         lambda: ["probe-resolvent", "OP", "--point=1,0",

@@ -27,8 +27,8 @@ from krein_spectra import (
     verify_spectral_set_theorem,
 )
 from krein_spectra import classification, cli, numerics, projections
-from krein_spectra.classification import clustering, invariant_subspace
-from krein_spectra.core import frobenius, krein_adjoint
+from krein_spectra.classification import clustering, invariant_subspace, spectral_point
+from krein_spectra.core import SubspaceBasis, frobenius, krein_adjoint, max_principal_angle
 from krein_spectra.documents import OperatorDocument, load_operator_document
 
 from test_schur_route import congruent
@@ -189,7 +189,8 @@ class TestConstruction:
         region = Region.disk(1.0, 0.2)
         indices = lsf.indices_in(region)
         oracle = riesz_projection_oracle(n, region)
-        root = root_subspace(n, lsf.selected_points(indices)[0])
+        (index,) = indices
+        root = root_subspace(n, spectral_point(n, index))
         subspace = invariant_subspace(n, indices)
         assert len(calls) == 1
         for basis in (root, subspace):
@@ -245,7 +246,7 @@ class TestAxioms:
         for _ in range(8):
             gen, carrier, _, _ = generated_with_carrier(rng)
             lsf = local_spectral_function(gen.operator, carrier)
-            report = projections.verify_lsf_family(lsf, n_subspaces=4, seed=0)
+            report = projections.verify_lsf_family(lsf)
             failures = [e for e in report.entries if e.status is CheckStatus.FAIL]
             assert not failures, failures
             for e in report.entries:
@@ -255,16 +256,14 @@ class TestAxioms:
     def test_family_is_the_disks_their_union_the_carrier_and_the_empty_set(self):
         n = carrier_operator()
         carrier = Region.disk(1.5, 1.0)
-        report = projections.verify_lsf_family(
-            local_spectral_function(n, carrier), n_subspaces=4, seed=7
-        )
+        report = projections.verify_lsf_family(local_spectral_function(n, carrier))
         lsf = local_spectral_function(n, carrier)
         # the disks have radius a quarter of the minimum gap |1 - 2|
         deltas = [Region.disk(1.0, 0.25), Region.disk(2.0, 0.25)]
         deltas += [deltas[0].union(deltas[1]), carrier, Region.empty()]
         m = n.matrix
         want = verify_lsf_axioms(lsf, deltas, [m, n.adjoint, m @ m]).entries
-        want.append(verify_maximality(lsf, n_subspaces=4, seed=7))
+        want.append(verify_maximality(lsf))
         assert [e.to_json_dict() for e in report.entries] == [e.to_json_dict() for e in want]
         assert report.parameters == {"carrier": carrier.describe(), "deltas": 5}
         assert not report.failed
@@ -275,10 +274,10 @@ class TestAxioms:
         n = KreinOperator(scale * np.eye(2), KreinSpace.euclidean(2))
         carrier = Region.disk(scale, 0.1 * scale)
         lsf = local_spectral_function(n, carrier)
-        report = projections.verify_lsf_family(lsf, n_subspaces=4, seed=7)
+        report = projections.verify_lsf_family(lsf)
         m = n.matrix
         want = verify_lsf_axioms(lsf, [carrier, Region.empty()], [m, n.adjoint, m @ m]).entries
-        want.append(verify_maximality(lsf, n_subspaces=4, seed=7))
+        want.append(verify_maximality(lsf))
         assert [e.to_json_dict() for e in report.entries] == [e.to_json_dict() for e in want]
         assert report.parameters == {"carrier": carrier.describe(), "deltas": 2}
         assert not report.failed
@@ -489,7 +488,7 @@ class TestReusedResiduals:
         monkeypatch.setattr(
             projections, "commutator_norm", lambda a, b: commutators.append(1) or commutator_norm(a, b)
         )
-        assert not projections.verify_lsf_family(lsf, n_subspaces=4, seed=0).failed
+        assert not projections.verify_lsf_family(lsf).failed
         assert len(commutators) == 3
 
     def test_family_selects_each_delta_once(self, monkeypatch):
@@ -502,7 +501,7 @@ class TestReusedResiduals:
         monkeypatch.setattr(
             projections, "region_selection", lambda *a: selections.append(1) or select(*a)
         )
-        report = projections.verify_lsf_family(lsf, n_subspaces=4, seed=0)
+        report = projections.verify_lsf_family(lsf)
         assert report.parameters["deltas"] == 5 and not report.failed
         assert len(selections) == 5
 
@@ -523,12 +522,43 @@ class TestCorruptedProjector:
         assert "uniformly-negative" in entry.detail
 
 
+def tilted_carrier_lsf(theta):
+    """The local spectral function of :func:`carrier_operator` on its
+    carrier disk(1.5, 1), whose value on the whole carrier is planted as the
+    orthogonal projector onto span(e1, cos(theta) e2 + sin(theta) e3): the
+    carrier rank 2, with the kernel e2 of the eigenvalue 2 at angle theta
+    from the range."""
+    n = carrier_operator()
+    tilted = np.array([0.0, np.cos(theta), np.sin(theta)])
+    plant(n, [1.0, 2.0], np.diag([1.0, 0.0, 0.0]) + np.outer(tilted, tilted))
+    return local_spectral_function(n, Region.disk(1.5, 1.0))
+
+
 class TestMaximality:
-    def test_random_invariant_subspaces_contained(self):
+    def test_carrier_kernels_contained(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
             gen, carrier, _, _ = generated_with_carrier(rng)
             lsf = local_spectral_function(gen.operator, carrier)
-            entry = verify_maximality(lsf, n_subspaces=20, seed=7)
+            entry = verify_maximality(lsf)
             assert entry.status is CheckStatus.PASS
             assert entry.residual <= 1e-8
+
+    @pytest.mark.parametrize("theta", [1e-6, 0.3, 1.2])
+    def test_tilted_range_fails_by_its_tilt(self, theta):
+        entry = verify_maximality(tilted_carrier_lsf(theta))
+        assert entry.status is CheckStatus.FAIL
+        assert entry.residual == pytest.approx(theta, rel=0, abs=1e-12)
+
+    def test_residual_bounds_every_subspace_of_the_kernel_span(self):
+        # the invariant subspaces with spectrum in {1, 2} lie in span(e1, e2),
+        # and no subspace of it lies farther from the range than the whole span
+        theta = 0.3
+        lsf = tilted_carrier_lsf(theta)
+        residual = verify_maximality(lsf).residual
+        full_range = lsf.evaluate(lsf.carrier).basis
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            draw = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+            subspace = SubspaceBasis.from_columns(np.vstack([draw, [[0.0]]]))
+            assert max_principal_angle(full_range, subspace) <= residual + 1e-15

@@ -1,11 +1,14 @@
 """Trial-battery semantics: strict regime is all-pass, the conditioning
 study beyond it may warn but never fail."""
 
+import dataclasses
 import warnings
 
+import numpy as np
 import pytest
 
 from krein_spectra import ArgumentError, classification, projections, run_suite, suite
+from krein_spectra.core import SubspaceBasis
 from krein_spectra.report import CheckStatus
 from krein_spectra.suite import run_trial
 
@@ -142,3 +145,83 @@ def test_kernels_extracted_once_per_operator_and_cluster(monkeypatch):
     keys = [(id(N), index) for N, index in extracted]
     assert len({id(N) for N, _ in extracted}) > 24  # perturbed operators count too
     assert len(keys) == len(set(keys))
+
+
+def with_foreign_direction(basis):
+    """``basis`` grown by one unit vector orthogonal to its span."""
+    complement = np.eye(basis.dim) - basis.projector()
+    j = int(np.argmax(np.linalg.norm(complement, axis=0)))
+    extra = complement[:, j : j + 1] / np.linalg.norm(complement[:, j])
+    return SubspaceBasis(np.hstack([basis.columns, extra]))
+
+
+class TestPlantedFaults:
+    """Each fault is planted in one producer a suite check reads, and the
+    check must FAIL on trial 25 of seed 0: a strict trial of a strongly
+    stable operator with a two-sided positive point, so that every group,
+    the local spectral function and the fundamental decomposition
+    included, runs on it."""
+
+    @staticmethod
+    def entries():
+        entries = {e.name: e for e in run_trial(25, 0, (2, 12), 1e3)}
+        assert {"stability-parts-complete", "lsf-maximality"} <= set(entries)
+        return entries
+
+    def test_unplanted_trial_passes(self):
+        assert all(e.status is CheckStatus.PASS for e in self.entries().values())
+
+    def test_root_subspace_beyond_the_kernel_fails_kernel_coincidence(self, monkeypatch):
+        # a root subspace one direction larger than the kernel at a definite
+        # point: a Jordan chain where none may exist
+        root_subspace = suite.root_subspace
+
+        def grown(N, pt):
+            return with_foreign_direction(root_subspace(N, pt))
+
+        monkeypatch.setattr(suite, "root_subspace", grown)
+        entry = self.entries()["kernel-coincidence"]
+        assert entry.status is CheckStatus.FAIL
+        assert entry.residual == pytest.approx(np.pi / 2)
+
+    def test_contour_off_by_1e_5_fails_contour_oracle_agreement(self, monkeypatch):
+        contour = suite.riesz_projection_contour
+
+        def scaled(N, region):
+            result = contour(N, region)
+            return dataclasses.replace(result, matrix=(1 + 1e-5) * result.matrix)
+
+        monkeypatch.setattr(suite, "riesz_projection_contour", scaled)
+        entry = self.entries()["contour-oracle-agreement"]
+        assert entry.status is CheckStatus.FAIL
+        assert entry.residual == pytest.approx(1e-5, rel=1e-3)
+
+    def test_kernel_span_with_a_foreign_direction_fails_both_readers(self, monkeypatch):
+        kernel_span = projections._kernel_span
+        monkeypatch.setattr(
+            projections,
+            "_kernel_span",
+            lambda points, dim, rank_tol: with_foreign_direction(
+                kernel_span(points, dim, rank_tol)
+            ),
+        )
+        entries = self.entries()
+        for name in ("stability-parts-complete", "lsf-maximality"):
+            assert entries[name].status is CheckStatus.FAIL, name
+        assert entries["lsf-maximality"].residual == np.pi / 2
+
+    def test_kernel_span_missing_a_direction_fails_completeness(self, monkeypatch):
+        # a span one direction short is still inside the carrier's range, so
+        # only the fundamental decomposition can notice it
+        kernel_span = projections._kernel_span
+        monkeypatch.setattr(
+            projections,
+            "_kernel_span",
+            lambda points, dim, rank_tol: SubspaceBasis(
+                kernel_span(points, dim, rank_tol).columns[:, 1:]
+            ),
+        )
+        entries = self.entries()
+        assert entries["stability-parts-complete"].status is CheckStatus.FAIL
+        assert entries["lsf-maximality"].status is CheckStatus.PASS
+
